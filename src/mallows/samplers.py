@@ -21,6 +21,13 @@ laws at acceptance-test sample sizes.  They consume their stream in a
 different order than the scalar samplers (column-wise rather than per
 sample), so for a fixed seed they do not reproduce the scalar outputs
 draw-for-draw — only the law is shared, which the test suite verifies.
+
+``batch_interlacing_windows`` draws a chunk's diagrams column by column and
+keeps them as sparse (row, part size, multiplicity) triples; the sign-word
+slots (``_sign_counts``), the q-shuffle letters (``_shuffle_letters``) and
+the window fill then run on arrays, a block of rows at a time.  Only the
+rare rows whose diagram is not settled by the exact Bernoulli, or that need
+more letters than the pre-drawn skips hold, take scalar draws.
 """
 from __future__ import annotations
 
@@ -377,19 +384,44 @@ def finite_code_to_r(code: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+#: rows handled together once a chunk's draws are in; bounds the slot and
+#: letter arrays to a few MB whatever the chunk size
+_BLOCK_ROWS = 2048
+
+
 def batch_interlacing_windows(
     lo: int, hi: int, p: QParam, s: GeomStream, count: int, chunk: int = 1 << 16
 ) -> np.ndarray:
     """count x width matrix of exact two-sided windows (interlacing law).
 
-    Vectorizes the diagram multiplicities, the exact-termination Bernoulli,
-    and the shuffle geometrics column-wise; rows whose diagram is not
-    settled by the Bernoulli and rows needing more shuffle letters than the
-    pre-drawn block fall back to scalar draws, so the output law stays
+    Rows are made in chunks of at most `chunk`.  A chunk draws from s, in
+    this order: the multiplicity columns s.geometrics(rows, ratio=q^k) for
+    k = k0..1; one settle uniform per row, which certifies with the exact
+    probability prod_{k>k0}(1-q^k) that the row has no part above k0; the
+    parts above k0 of each unsettled row, in row order, by the scalar
+    _young_multiplicities; and pre-drawn blocks of shuffle skips for the
+    plus and minus words.  A row needing more letters than a block holds
+    tops it up with scalar s.geometric() draws, in row order, its plus
+    letters before its minus letters.  Nothing is truncated, so the law is
     exact.
+
+    After the draws everything runs on arrays, _BLOCK_ROWS rows at a time:
+
+    * the diagram is a list of (row, part size, multiplicity) triples: the
+      nonzero entries of the multiplicity columns and the deep parts;
+    * C(i) = #{t >= 1 : lambda'_t - t >= i} for i in lo-1..hi comes from
+      the runs of constant column height lambda'_t, plus max(0, -i -
+      lambda_1) for the t > lambda_1 (_sign_counts).  Position i carries +
+      with rank i + C(i) when C(i) = C(i-1), else - with rank C(i-1); the
+      row needs kmax = hi + C(hi) plus and tmax = C(lo-1) minus letters;
+    * the letters follow the sorted-rank rule of _shuffle_letters;
+    * the window is filled by take_along_axis: + slots take plus letters
+      by rank, - slots take 1 - (minus letter) by rank from the right.
     """
     if hi < lo:
         raise DomainError("window requires lo <= hi")
+    if count < 0 or chunk < 1:
+        raise DomainError("need count >= 0 and chunk >= 1")
     _check_stream(p, s)
     q = p.q
     # deepest part size sampled column-wise; beyond it one Bernoulli per row
@@ -398,48 +430,151 @@ def batch_interlacing_windows(
     cert = table.infinite_value / table.value(k0)
     wp_cols = max(hi, 0) + 16
     wm_cols = max(-lo, 0) + 16
-    width = hi - lo + 1
-    out = np.empty((count, width), dtype=np.int64)
-    done = 0
-    while done < count:
+    positions = np.arange(lo, hi + 1)
+    out = np.empty((count, hi - lo + 1), dtype=np.int64)
+    for done in range(0, count, chunk):
         rows = min(chunk, count - done)
-        parts_by_row: list[list[int]] = [[] for _ in range(rows)]
-        for k in range(k0, 0, -1):  # descending so part lists come out sorted
-            mk = s.geometrics(rows, ratio=q**k)
-            for ridx in np.nonzero(mk)[0]:
-                parts_by_row[ridx].extend([k] * int(mk[ridx]))
-        settled = s.uniforms(rows) <= cert
-        for ridx in np.nonzero(~settled)[0]:
-            deep = _young_multiplicities(p, s, k_base=k0)
-            extra: list[int] = []
-            for kk in sorted(deep, reverse=True):
-                extra.extend([kk] * deep[kk])
-            parts_by_row[ridx] = extra + parts_by_row[ridx]
+        row, part, mult = _diagram_triples(p, s, rows, k0, cert)
         rp = s.geometrics(rows * wp_cols).reshape(rows, wp_cols)
         rm = s.geometrics(rows * wm_cols).reshape(rows, wm_cols)
-        for ridx in range(rows):
-            plus, minus, kmax, tmax = _interlacing_slots(parts_by_row[ridx], lo, hi)
-            wp = _letters(kmax, rp[ridx], s)
-            wm = _letters(tmax, rm[ridx], s)
-            row = out[done + ridx]
-            for pos, k in plus:
-                if pos >= lo:
-                    row[pos - lo] = wp[k - 1]
-            for pos, t in minus:
-                if pos <= hi:
-                    row[pos - lo] = 1 - wm[t - 1]
-        done += rows
+        for b0 in range(0, rows, _BLOCK_ROWS):
+            b1 = min(b0 + _BLOCK_ROWS, rows)
+            nb = b1 - b0
+            t0, t1 = np.searchsorted(row, (b0, b1))
+            c = _sign_counts(row[t0:t1] - b0, part[t0:t1], mult[t0:t1], nb, lo, hi)
+            # plus words in the top rows of one letter matrix, minus below
+            need = np.concatenate((hi + c[:, -1], c[:, 0]))
+            # one column per letter any row needs; beyond the pre-drawn skips
+            # rows top up in row order, plus letters before minus letters
+            width = max(1, int(need.max()))
+            skips = np.zeros((2 * nb, width), dtype=np.int64)
+            skips[:nb, :wp_cols] = rp[b0:b1, :width]
+            skips[nb:, :wm_cols] = rm[b0:b1, :width]
+            kmax, tmax = need[:nb], need[nb:]
+            for r in np.flatnonzero((kmax > wp_cols) | (tmax > wm_cols)):
+                skips[r, wp_cols : kmax[r]] = [s.geometric() for _ in range(wp_cols, kmax[r])]
+                skips[nb + r, wm_cols : tmax[r]] = [s.geometric() for _ in range(wm_cols, tmax[r])]
+            letters = _shuffle_letters(skips, need)
+            # a rank is out of range only where the other sign is taken
+            before, at = c[:, :-1], c[:, 1:]
+            plus_rank = np.clip(positions + at - 1, 0, width - 1)
+            minus_rank = np.clip(before - 1, 0, width - 1)
+            out[done + b0 : done + b1] = np.where(
+                at == before,
+                np.take_along_axis(letters[:nb], plus_rank, axis=1),
+                1 - np.take_along_axis(letters[nb:], minus_rank, axis=1),
+            )
     return out
 
 
-def _letters(nletters: int, pre_drawn: np.ndarray, s: GeomStream) -> list[int]:
-    """q-shuffle letters from pre-drawn geometrics, topping up from s."""
-    st = _ShuffleState()
-    width = pre_drawn.shape[0]
-    return [
-        st.take(int(pre_drawn[i]) if i < width else s.geometric())
-        for i in range(nletters)
-    ]
+def _diagram_triples(
+    p: QParam, s: GeomStream, rows: int, k0: int, cert: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Euler-measure diagrams of `rows` rows as int32 (row, part size,
+    multiplicity) triples, sorted by row and then by decreasing part size.
+
+    Multiplicities of k = k0..1 are drawn column-wise; a row whose settle
+    uniform exceeds cert draws its parts above k0 from
+    _young_multiplicities, rows in order.  (A geometric draw is at most
+    log(2^-53)/log(q), so int32 multiplicities hold for every q at which a
+    k0-column draw is feasible.)
+    """
+    q = p.q
+    rows_at, mults = [], []
+    for k in range(k0, 0, -1):
+        mk = s.geometrics(rows, ratio=q**k)
+        nz = mk.nonzero()[0]
+        rows_at.append(nz.astype(np.int32))
+        mults.append(mk[nz].astype(np.int32))
+    deep = []
+    for r in np.flatnonzero(s.uniforms(rows) > cert):
+        extra = _young_multiplicities(p, s, k_base=k0)
+        deep += [(r, k, extra[k]) for k in sorted(extra, reverse=True)]
+    # deep parts first, then the columns in decreasing part size, so a
+    # stable sort by row keeps each row's parts decreasing
+    deep = np.array(deep, dtype=np.int32).reshape(-1, 3)
+    row = np.concatenate([deep[:, 0], *rows_at])
+    sizes = np.repeat(np.arange(k0, 0, -1, dtype=np.int32), [nz.size for nz in rows_at])
+    part = np.concatenate([deep[:, 1], sizes])
+    mult = np.concatenate([deep[:, 2], *mults])
+    order = np.argsort(row, kind="stable")
+    return row[order], part[order], mult[order]
+
+
+def _sign_counts(
+    row: np.ndarray, part: np.ndarray, mult: np.ndarray, nrows: int, lo: int, hi: int
+) -> np.ndarray:
+    """nrows x (hi-lo+2) matrix with C[r, i-lo+1] = #{t >= 1 : lambda'_t - t >= i}
+    for i = lo-1..hi, the diagrams given as triples sorted by row and then
+    by decreasing part size.
+
+    C(i) counts the - positions of the sign word above i: they are the
+    lambda'_t - t + 1.  On a run t in (b, a] of constant column height
+    lambda'_t = h (a a part size, b the next smaller one or 0, h the number
+    of parts >= a) the values lambda'_t - t fill [h-a, h-b-1]; the
+    t > lambda_1 fill (-inf, -lambda_1-1].  The values are distinct, so
+    C(i) is the number above hi plus a suffix sum of their indicator on
+    lo-1..hi, which is built from interval end points.
+    """
+    ncols = hi - lo + 2
+    start = np.searchsorted(row, np.arange(nrows + 1))
+    cm = np.cumsum(mult, dtype=np.int64)
+    height = cm - np.concatenate(([0], cm))[start[row]]
+    nxt = np.zeros(row.size, dtype=np.int64)
+    same = np.flatnonzero(row[1:] == row[:-1])
+    nxt[same] = part[same + 1]
+    lam1 = np.zeros(nrows, dtype=np.int64)
+    nonempty = start[:-1] < start[1:]
+    lam1[nonempty] = part[start[:-1][nonempty]]
+    # intervals [first, last] of values; the tail's start below lo-1 is
+    # clipped to lo-1, which changes no count taken here
+    rid = np.concatenate((row, np.arange(nrows)))
+    first = np.concatenate((height - part, np.full(nrows, lo - 1)))
+    last = np.concatenate((height - nxt - 1, -lam1 - 1))
+    above = np.bincount(
+        rid, weights=np.maximum(0, last - np.maximum(first, hi + 1) + 1), minlength=nrows
+    ).astype(np.int64)
+    first = np.maximum(first, lo - 1) - (lo - 1)
+    last = np.minimum(last, hi) - (lo - 1)
+    keep = first <= last
+    rid, first, last = rid[keep] * (ncols + 1), first[keep], last[keep]
+    size = nrows * (ncols + 1)
+    edges = np.bincount(rid + first, minlength=size) - np.bincount(rid + last + 1, minlength=size)
+    indicator = np.cumsum(edges.reshape(nrows, ncols + 1)[:, :ncols], axis=1)
+    return above[:, None] + np.cumsum(indicator[:, ::-1], axis=1)[:, ::-1]
+
+
+def _shuffle_letters(skips: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Row r's first n[r] q-shuffle letters, letter i skipping skips[r, i]
+    unused values; rows x skips.shape[1], zero past n[r].
+
+    Letter i is the (R+1)-th smallest positive integer not used yet, R its
+    skip.  With s the earlier letters sorted (0-indexed), that is
+    w = R + 1 + #{k : s_k - k <= R + 1}.  d_k = s_k - k is nondecreasing;
+    w enters d at rank m = #{k : d_k <= R + 1} as d_m = R + 1, and the d_k
+    after it drop by one.  Each letter column is a fixed number of array
+    operations over the rows still drawing, which are a prefix once rows
+    are sorted by decreasing n.
+    """
+    rows, width = skips.shape
+    order = np.argsort(-n, kind="stable")
+    need = n[order]
+    # letter-major layout: the rows still drawing are a contiguous prefix
+    r1 = np.ascontiguousarray((skips[order] + 1).T)
+    letters = np.zeros_like(r1)
+    # d[1:] holds d_0, d_1, ...; row 0 lets d[:i+1] read d_{j-1}
+    d = np.zeros((width + 1, rows), dtype=r1.dtype)
+    span, index = np.arange(width + 1)[:, None], np.arange(rows)
+    active = np.searchsorted(-need, -np.arange(int(need[0]) if rows else 0)).tolist()
+    for i, a in enumerate(active):
+        ri = r1[i, :a]
+        m = (d[1 : i + 1, :a] <= ri).sum(axis=0)
+        letters[i, :a] = ri + m
+        np.copyto(d[1 : i + 2, :a], d[: i + 1, :a] - 1, where=span[: i + 1] >= m)
+        d[m + 1, index[:a]] = ri
+    out = np.empty_like(letters)
+    out[:, order] = letters
+    return out.T
 
 
 def batch_inversion_position0(
@@ -452,6 +587,8 @@ def batch_inversion_position0(
     adds a left inversion, otherwise x increments; a row retires once
     q^(x+1)/(1-q) <= eps_tv.  Returns (d0, ell0) with d0 = r0 - ell0.
     """
+    if count < 0:
+        raise DomainError("count must be >= 0")
     if eps_tv <= 0.0:
         raise DomainError("eps_tv must be > 0")
     _check_stream(p, s)

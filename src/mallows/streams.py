@@ -28,6 +28,14 @@ def _philox_key(seed: int, label: str) -> np.ndarray:
     return np.frombuffer(digest[:16], dtype=np.uint64).copy()
 
 
+def _size(n: int) -> int:
+    """A draw count, refused before any bookkeeping when negative."""
+    n = int(n)
+    if n < 0:
+        raise DomainError(f"draw count must be >= 0, got {n}")
+    return n
+
+
 class GeomStream:
     """Reproducible stream of geometric draws with ratio q.
 
@@ -61,8 +69,9 @@ class GeomStream:
         return 1.0 - self._gen.random()
 
     def uniforms(self, n: int) -> np.ndarray:
-        self.counter += int(n)
-        return 1.0 - self._gen.random(int(n))
+        n = _size(n)
+        self.counter += n
+        return 1.0 - self._gen.random(n)
 
     # -- geometric laws ----------------------------------------------------
     def geometric(self, ratio: float | None = None) -> int:
@@ -86,7 +95,7 @@ class GeomStream:
 
     def truncated_geometrics(self, n: int, limit: int) -> np.ndarray:
         if limit <= 0:
-            return np.zeros(int(n), dtype=np.int64)
+            return np.zeros(_size(n), dtype=np.int64)
         top = 1.0 - self.q ** (limit + 1)
         w = self.uniforms(n) * top
         k = np.floor(np.log(1.0 - w) / math.log(self.q)).astype(np.int64)

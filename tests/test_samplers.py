@@ -1,6 +1,8 @@
 """Exactness and determinism checks for the scalar and batch samplers."""
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,7 +14,11 @@ from mallows.qseries import QParam, pochhammer_table
 from mallows.samplers import (
     InterlacingTriple,
     YoungDiagram,
+    _diagram_triples,
     _interlacing_slots,
+    _ShuffleState,
+    _shuffle_letters,
+    _sign_counts,
     batch_finite_r,
     batch_interlacing_windows,
     batch_inversion_position0,
@@ -247,6 +253,84 @@ def test_interlacing_slots_agree_with_sign_word():
             assert (i in minus_pos) == (word[i + 5] == -1)
 
 
+def _triples(diagrams):
+    """(row, part size, multiplicity) arrays of the batch kernel's layout."""
+    out = [(r, k, c) for r, parts in enumerate(diagrams)
+           for k, c in sorted(Counter(parts).items(), reverse=True)]
+    return tuple(np.array([t[j] for t in out], dtype=np.int32) for j in range(3))
+
+
+def _random_diagrams(rng, n, max_part):
+    diagrams = []
+    for _ in range(n):
+        sizes = rng.choice(np.arange(1, max_part + 1), size=rng.integers(0, 6), replace=False)
+        diagrams.append(tuple(sorted(
+            (int(k) for k in sizes for _ in range(rng.integers(1, 4))), reverse=True)))
+    return diagrams
+
+
+def _assert_counts_match_slots(diagrams, c, lo, hi):
+    for r, parts in enumerate(diagrams):
+        word = sign_word_from_lambda(YoungDiagram(parts), lo, hi)
+        plus, minus, kmax, tmax = _interlacing_slots(parts, lo, hi)
+        assert (hi + c[r, -1], c[r, 0]) == (kmax, tmax), parts
+        for i in range(lo, hi + 1):
+            before, at = c[r, i - lo], c[r, i - lo + 1]
+            if at == before:
+                assert word[i - lo] == 1 and (i, i + at) in plus, (parts, i)
+            else:
+                assert word[i - lo] == -1 and (i, before) in minus, (parts, i)
+
+
+@pytest.mark.parametrize("lo, hi", [(-12, -5), (-1, -1), (0, 0), (3, 9), (-6, 6), (-40, 40)])
+def test_sign_counts_agree_with_slots(lo, hi):
+    # shallow and deep diagrams, empty ones among them, in one batch
+    rng = np.random.default_rng(101)
+    shallow, deep = _random_diagrams(rng, 60, 12), _random_diagrams(rng, 20, 400)
+    diagrams = [()] + shallow + [(), ()] + deep + [()]
+    row, part, mult = _triples(diagrams)
+    c = _sign_counts(row, part, mult, len(diagrams), lo, hi)
+    assert c.shape == (len(diagrams), hi - lo + 2)
+    _assert_counts_match_slots(diagrams, c, lo, hi)
+
+
+def test_diagram_triples_with_unsettled_rows():
+    # k0 = 3 leaves most rows unsettled at q=0.8: their parts above k0 come
+    # from the scalar fallback and must precede the column-drawn parts
+    p = QParam(0.8)
+    k0 = 3
+    table = pochhammer_table(p, k0)
+    cert = table.infinite_value / table.value(k0)
+    row, part, mult = _diagram_triples(p, GeomStream(seed=103, q=0.8), 300, k0, cert)
+    assert (np.diff(row) >= 0).all() and (mult >= 1).all() and row.max() < 300
+    same_row = row[1:] == row[:-1]
+    assert (part[1:][same_row] < part[:-1][same_row]).all()
+    assert (part > k0).any()
+    diagrams = [()] * 300
+    for r in range(300):
+        sel = row == r
+        diagrams[r] = tuple(int(k) for k, c in zip(part[sel], mult[sel]) for _ in range(c))
+    for lo, hi in [(-5, 5), (0, 2), (-9, -4), (4, 8)]:
+        c = _sign_counts(row, part, mult, 300, lo, hi)
+        _assert_counts_match_slots(diagrams, c, lo, hi)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.8, 0.95])
+def test_shuffle_letters_match_scalar_shuffle(q):
+    rng = np.random.default_rng(107)
+    rows, width = 60, 100
+    skips = rng.geometric(1.0 - q, size=(rows, width)) - 1
+    n = rng.integers(0, width + 1, size=rows)
+    n[:3] = (0, width, 1)
+    letters = _shuffle_letters(skips, n)
+    assert letters.shape == (rows, width)
+    for r in range(rows):
+        st = _ShuffleState()
+        want = [st.take(int(skips[r, i])) for i in range(n[r])]
+        assert letters[r, : n[r]].tolist() == want
+        assert not letters[r, n[r]:].any()
+
+
 # --------------------------------------------------------------------------
 # two-sided samplers
 # --------------------------------------------------------------------------
@@ -365,6 +449,47 @@ def test_batch_interlacing_rows_are_windows():
     assert windows.shape == (2_000, 7)
     for row in windows[:200]:
         assert len(set(int(v) for v in row)) == 7
+
+
+def test_batch_interlacing_chunks_and_top_ups():
+    # at q=0.95 many rows need more letters than the pre-drawn skips hold
+    class CountingStream(GeomStream):
+        top_ups = 0
+
+        def geometric(self, ratio=None):
+            if ratio is None:
+                self.top_ups += 1
+            return super().geometric(ratio)
+
+    s = CountingStream(seed=109, q=0.95)
+    windows = batch_interlacing_windows(0, 2, QParam(0.95), s, 350, chunk=100)
+    assert windows.shape == (350, 3)
+    assert s.top_ups > 0
+    assert all(len(set(row.tolist())) == 3 for row in windows)
+
+
+@pytest.mark.parametrize("count, chunk", [(3, 0), (-1, 1 << 16)])
+def test_batch_interlacing_rejects_bad_sizes(count, chunk):
+    s = GeomStream(seed=0, q=0.5)
+    with pytest.raises(DomainError):
+        batch_interlacing_windows(0, 2, P5, s, count, chunk=chunk)
+
+
+def test_batch_inversion_rejects_negative_count():
+    s = GeomStream(seed=0, q=0.5)
+    with pytest.raises(DomainError):
+        batch_inversion_position0(P5, s, -1, 1e-6)
+    assert s.counter == 0
+
+
+def test_stream_refuses_negative_sizes_without_counting():
+    s = GeomStream(seed=0, q=0.5)
+    s.uniforms(4)
+    for draw in (s.uniforms, s.geometrics, lambda n: s.truncated_geometrics(n, 3),
+                 lambda n: s.truncated_geometrics(n, 0)):
+        with pytest.raises(DomainError):
+            draw(-1)
+        assert s.counter == 4
 
 
 def test_scalar_interlacing_matches_displacement_pmf():
