@@ -1,5 +1,4 @@
-"""Command-line surface: sample generation, pmf evaluation, verification,
-and micro-benchmarks.
+"""Command-line surface: sample generation, pmf evaluation and verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 Identical invocations (same arguments and seed) produce byte-identical
@@ -14,7 +13,6 @@ import json
 import os
 import re
 import sys
-import time
 
 from . import __version__
 from .dist import (
@@ -30,7 +28,6 @@ from .samplers import (
     sample_finite_mallows,
     sample_two_sided_interlacing,
     sample_two_sided_inversion,
-    sample_young_euler,
 )
 from .streams import GeomStream
 from .verify import SUITE_NAMES, run_suite
@@ -95,14 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--seed", type=int, default=None)
     vp.add_argument("--sizes", type=str, default="",
                     help="comma-separated Monte Carlo sizes override")
-
-    bp = sub.add_parser("bench", help="time one operation")
-    bp.add_argument("--op", required=True,
-                    choices=("finite-sample", "two-sided-interlacing",
-                             "two-sided-inversion", "young", "displacement-pmf"))
-    bp.add_argument("--q", type=float, default=0.5)
-    bp.add_argument("--reps", type=int, default=1000)
-    bp.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -211,37 +200,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.overall_pass else 1
 
 
-# --------------------------------------------------------------------------
-# bench
-# --------------------------------------------------------------------------
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    p = QParam(args.q)
-    s = GeomStream(seed=seed, q=args.q)
-    if args.reps < 1:
-        raise DomainError("reps must be >= 1")
-
-    ops = {
-        "finite-sample": lambda: sample_finite_mallows(20, p, s),
-        "two-sided-interlacing": lambda: sample_two_sided_interlacing(-5, 5, p, s),
-        "two-sided-inversion": lambda: sample_two_sided_inversion(-5, 5, p, s, 1e-9),
-        "young": lambda: sample_young_euler(p, s),
-        "displacement-pmf": lambda: displacement_pmf(p, 10),
-    }
-    fn = ops[args.op]
-    fn()  # warm caches outside the timed region
-    t0 = time.perf_counter()
-    for _ in range(args.reps):
-        fn()
-    total = time.perf_counter() - t0
-    sys.stdout.write(
-        f"op={args.op} reps={args.reps} total_s={total:.6f} "
-        f"per_op_us={1e6 * total / args.reps:.3f}\n"
-    )
-    return 0
-
-
 #: flags whose values may start with a minus sign, and the value shapes
 #: that mark them as data rather than stray options
 _SIGNED_VALUE_FLAGS = {
@@ -282,9 +240,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_sample(args)
         if args.command == "pmf":
             return _cmd_pmf(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_bench(args)
+        return _cmd_verify(args)
     except SystemExit as exc:  # argparse --help (0) or usage error (2)
         code = exc.code
         if code is None:

@@ -378,19 +378,20 @@ def validate_r_window(
     ell, certified, residuals = [], [], []
     flagged = False
     for j in range(lo, hi + 1):
-        lj, cj, resj = reconstruct_ell(r_window, lo, j, p, eps_tv)
-        ell.append(lj)
-        certified.append(cj)
-        residuals.append(resj)
-        # replay the chain watching for increments past the stopping horizon
+        # reconstruct_ell's chain, watching for increments past the horizon
         x = int(r_window[j - lo])
+        lj = 0
         for i in range(j - 1, lo - 1, -1):
             if r_window[i - lo] > x:
-                if q ** (x + 1) / (1.0 - q) <= eps_tv:
+                lj += 1
+                if not flagged and q ** (x + 1) / (1.0 - q) <= eps_tv:
                     flagged = True
-                    break
             else:
                 x += 1
+        resj = q ** (x + 1) / (1.0 - q)
+        ell.append(lj)
+        certified.append(resj <= eps_tv)
+        residuals.append(resj)
     counts = InversionCounts(
         lo=lo,
         hi=hi,

@@ -34,18 +34,17 @@ class QParam:
     """The deformation parameter q in (0,1) plus numeric tolerance policy.
 
     eps_series bounds the relative truncation error of infinite series and
-    products; eps_compare is the tolerance used by equality-style checks.
+    products.
     """
 
     q: float
     eps_series: float = 1e-12
-    eps_compare: float = 1e-9
 
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"q must lie strictly in (0,1), got {self.q}")
-        if self.eps_series <= 0.0 or self.eps_compare <= 0.0:
-            raise DomainError("tolerances must be positive")
+        if self.eps_series <= 0.0:
+            raise DomainError("eps_series must be positive")
 
 
 class KahanSum:

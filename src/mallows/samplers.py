@@ -9,6 +9,9 @@ The two-sided samplers are the heart of the package:
   into the +-1 sign word interleaving positive and non-positive values, and
   fills the signs with two independent one-sided q-shuffles.  The returned
   window is an exact draw of the two-sided law restricted to the window.
+  Its slots and letter counts all come from one walk over the + positions
+  {k - lambda_k} (``_plus_positions``, which ``sign_word_from_lambda`` also
+  reads): the number C(i) of - positions above i is #(+ <= i) - i.
 * ``sample_two_sided_inversion`` draws i.i.d. geometric right counts and
   rebuilds values through sigma(i) = i + r_i - l_i, reconstructing each left
   count by the leftward chain with a total-variation stopping budget; its
@@ -32,6 +35,7 @@ more letters than the pre-drawn skips hold, take scalar draws.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +72,6 @@ class YoungDiagram:
     def part(self, k: int) -> int:
         """k-th part (1-indexed), 0 beyond the last."""
         return self.parts[k - 1] if 1 <= k <= len(self.parts) else 0
-
-    def conjugate_part(self, t: int) -> int:
-        """t-th column height, i.e. #{parts >= t}."""
-        return sum(1 for x in self.parts if x >= t)
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,12 @@ def _young_multiplicities(p: QParam, s: GeomStream, k_base: int = 0) -> dict[int
         while True:
             j += 1
             pj = run * q**j
+            # the terms decrease, so once one no longer moves acc none will:
+            # stop there rather than walk on until q**j underflows
+            if acc + pj == acc:
+                break
             acc += pj
-            if acc >= v or pj <= 0.0:
+            if acc >= v:
                 break
             run *= 1.0 - q**j
         mult[j] = 1 + s.geometric(ratio=q**j)
@@ -212,6 +216,18 @@ def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
     return YoungDiagram(tuple(parts))
 
 
+def _plus_positions(parts: tuple[int, ...], hi: int) -> list[int]:
+    """The + positions k - lambda_k <= hi of the sign word, in rank order.
+
+    k - lambda_k increases strictly with k, so entry k-1 is the position of
+    rank k; past the last part lambda_k = 0 and the positions run
+    len(parts)+1, len(parts)+2, ...
+    """
+    plus = [k - x for k, x in enumerate(parts, 1) if k - x <= hi]
+    plus.extend(range(len(parts) + 1, hi + 1))
+    return plus
+
+
 def sign_word_from_lambda(lam: YoungDiagram, lo: int, hi: int) -> tuple[int, ...]:
     """The +-1 word on positions lo..hi encoded by lam.
 
@@ -221,52 +237,13 @@ def sign_word_from_lambda(lam: YoungDiagram, lo: int, hi: int) -> tuple[int, ...
     """
     if hi < lo:
         raise ValueError("sign word requires lo <= hi")
-    plus: set[int] = set()
-    k = 1
-    while True:
-        pos = k - lam.part(k)
-        if pos > hi:
-            break
-        if pos >= lo:
-            plus.add(pos)
-        k += 1
+    plus = set(_plus_positions(lam.parts, hi))
     return tuple(1 if i in plus else -1 for i in range(lo, hi + 1))
 
 
 # --------------------------------------------------------------------------
 # two-sided samplers
 # --------------------------------------------------------------------------
-
-def _interlacing_slots(lam_parts: list[int] | tuple[int, ...], lo: int, hi: int):
-    """Window slots of the sign word for a diagram given as desc part list.
-
-    Returns (plus, minus, kmax, tmax): `plus` lists (position, rank) for +1
-    positions <= hi (ranks are contiguous 1..kmax since positions increase
-    with rank), `minus` lists (position, rank-from-the-right) for -1
-    positions >= lo, again contiguous 1..tmax.
-    """
-    nparts = len(lam_parts)
-    plus = []
-    k = 1
-    while True:
-        part = lam_parts[k - 1] if k <= nparts else 0
-        pos = k - part
-        if pos > hi:
-            break
-        plus.append((pos, k))
-        k += 1
-    lam1 = lam_parts[0] if nparts else 0
-    minus = []
-    t = 1
-    while True:
-        conj = sum(1 for x in lam_parts if x >= t) if t <= lam1 else 0
-        pos = conj - (t - 1)
-        if pos < lo:
-            break
-        minus.append((pos, t))
-        t += 1
-    return plus, minus, len(plus), len(minus)
-
 
 def sample_two_sided_interlacing(
     lo: int, hi: int, p: QParam, s: GeomStream
@@ -279,21 +256,34 @@ def sample_two_sided_interlacing(
     i -> 1-i on positions and values, which preserves the inversion
     structure), and fills the window: +1 slots take w+ letters left to
     right, -1 slots take w- letters right to left.  No truncation error.
+
+    Every count comes from one walk over the + positions <= hi
+    (_plus_positions): kmax of them need w+ letters.  The word has i more
+    + positions <= i than - positions > i (true of the empty diagram, and
+    each box swaps an adjacent (+,-) pair, which keeps it), so C(i) =
+    #(+ <= i) - i counts the - positions above i.  The - positions >= lo
+    need tmax = C(lo-1) w- letters; those above the window take the first
+    C(hi) = kmax - hi of them.
     """
     if hi < lo:
         raise DomainError("window requires lo <= hi")
     _check_stream(p, s)
     lam = sample_young_euler(p, s)
-    plus, minus, kmax, tmax = _interlacing_slots(lam.parts, lo, hi)
+    plus = _plus_positions(lam.parts, hi)
+    kmax = len(plus)
+    first = bisect_left(plus, lo)  # rank - 1 of the first + slot in the window
+    tmax = first - (lo - 1)
     wp = q_shuffle_prefix(kmax, p, s) if kmax else ()
     u = q_shuffle_prefix(tmax, p, s) if tmax else ()
     vals = [0] * (hi - lo + 1)
-    for pos, k in plus:
-        if pos >= lo:
-            vals[pos - lo] = wp[k - 1]
-    for pos, t in minus:
-        if pos <= hi:
-            vals[pos - lo] = 1 - u[t - 1]
+    k, t = kmax - 1, kmax - hi
+    for i in range(hi, lo - 1, -1):
+        if k >= first and plus[k] == i:
+            vals[i - lo] = wp[k]
+            k -= 1
+        else:
+            vals[i - lo] = 1 - u[t]
+            t += 1
     window = PermWindow(lo=lo, hi=hi, values=tuple(vals))
     triple = InterlacingTriple(
         w_plus_prefix=wp,

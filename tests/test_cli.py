@@ -194,22 +194,8 @@ def test_verify_unknown_suite(capsys):
 
 
 # --------------------------------------------------------------------------
-# bench / misc
+# misc
 # --------------------------------------------------------------------------
-
-def test_bench_output_shape(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["bench", "--op", "displacement-pmf", "--q", "0.5", "--reps", "5",
-         "--seed", "1"],
-    )
-    assert code == 0
-    fields = dict(tok.split("=") for tok in out.split())
-    assert fields["op"] == "displacement-pmf"
-    assert fields["reps"] == "5"
-    assert float(fields["total_s"]) >= 0.0
-    assert float(fields["per_op_us"]) >= 0.0
-
 
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])

@@ -26,8 +26,6 @@ def test_qparam_domain():
             QParam(bad)
     with pytest.raises(DomainError):
         QParam(0.5, eps_series=0.0)
-    with pytest.raises(DomainError):
-        QParam(0.5, eps_compare=-1e-9)
 
 
 def test_q_number_examples():

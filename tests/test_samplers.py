@@ -1,6 +1,7 @@
 """Exactness and determinism checks for the scalar and batch samplers."""
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -15,10 +16,10 @@ from mallows.samplers import (
     InterlacingTriple,
     YoungDiagram,
     _diagram_triples,
-    _interlacing_slots,
     _ShuffleState,
     _shuffle_letters,
     _sign_counts,
+    _young_multiplicities,
     batch_finite_r,
     batch_interlacing_windows,
     batch_inversion_position0,
@@ -60,7 +61,6 @@ def test_young_diagram_accessors():
     lam = YoungDiagram((4, 2, 1))
     assert lam.size == 7
     assert [lam.part(k) for k in (1, 2, 3, 4)] == [4, 2, 1, 0]
-    assert [lam.conjugate_part(t) for t in (1, 2, 3, 4, 5)] == [3, 2, 1, 1, 0]
 
 
 def test_young_diagram_rejects_bad_parts():
@@ -195,6 +195,34 @@ def test_young_sampler_size_law():
     assert abs(z) < SIGMA_BOUND, f"mean size z = {z:.2f}"
 
 
+class _SaturatingStream:
+    """Fails the first settle Bernoulli and then settles; every uniform is u."""
+
+    def __init__(self, u):
+        self.u, self.settled = u, False
+
+    def bernoulli(self, prob):
+        settled, self.settled = self.settled, True
+        return settled
+
+    def uniform(self):
+        return self.u
+
+    def geometric(self, ratio):
+        return int(math.log(self.uniform()) / math.log(ratio))
+
+
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.8, 0.95, 0.99])
+@pytest.mark.parametrize("u", [1.0, 1.0 - 2.0**-53])
+def test_young_multiplicities_stop_at_float_saturation(q, u):
+    # uniforms at the top of (0,1] may ask for more mass than the float
+    # partial sums of P(J=j) reach; the walk must stop once a term falls
+    # below half an ulp of the sum, which is within this many steps
+    mult = _young_multiplicities(QParam(q), _SaturatingStream(u))
+    horizon = math.ceil(54 * math.log(2) / -math.log(q)) + 1
+    assert mult and all(1 <= j <= horizon and c >= 1 for j, c in mult.items())
+
+
 def test_young_sampler_parts_sorted():
     s = GeomStream(seed=31, q=0.6)
     for _ in range(500):
@@ -233,26 +261,6 @@ def test_sign_word_crossings_count_boxes(parts):
     assert crossings == lam.size, f"parts {parts}"
 
 
-def test_interlacing_slots_unit_diagram():
-    plus, minus, kmax, tmax = _interlacing_slots((1,), 0, 1)
-    assert plus == [(0, 1)]
-    assert minus == [(1, 1)]
-    assert (kmax, tmax) == (1, 1)
-
-
-def test_interlacing_slots_agree_with_sign_word():
-    s = GeomStream(seed=37, q=0.5)
-    for _ in range(200):
-        lam = sample_young_euler(P5, s)
-        word = sign_word_from_lambda(lam, -5, 5)
-        plus, minus, _, _ = _interlacing_slots(list(lam.parts), -5, 5)
-        plus_pos = {pos for pos, _ in plus if pos >= -5}
-        minus_pos = {pos for pos, _ in minus if pos <= 5}
-        for i in range(-5, 6):
-            assert (i in plus_pos) == (word[i + 5] == 1)
-            assert (i in minus_pos) == (word[i + 5] == -1)
-
-
 def _triples(diagrams):
     """(row, part size, multiplicity) arrays of the batch kernel's layout."""
     out = [(r, k, c) for r, parts in enumerate(diagrams)
@@ -271,15 +279,20 @@ def _random_diagrams(rng, n, max_part):
 
 def _assert_counts_match_slots(diagrams, c, lo, hi):
     for r, parts in enumerate(diagrams):
-        word = sign_word_from_lambda(YoungDiagram(parts), lo, hi)
-        plus, minus, kmax, tmax = _interlacing_slots(parts, lo, hi)
+        # no + lies below 1 - lambda_1 and no - above len(parts), so on
+        # [L..H] ranks count from the ends of the word
+        L, H = min(lo, 1 - (parts[0] if parts else 0)), max(hi, len(parts))
+        word = np.array(sign_word_from_lambda(YoungDiagram(parts), L, H))
+        plus_rank = np.cumsum(word == 1)  # #(+ in [L..i])
+        minus_rank = np.cumsum(word[::-1] == -1)[::-1]  # #(- in [i..H])
+        kmax, tmax = plus_rank[hi - L], minus_rank[lo - L]
         assert (hi + c[r, -1], c[r, 0]) == (kmax, tmax), parts
         for i in range(lo, hi + 1):
             before, at = c[r, i - lo], c[r, i - lo + 1]
             if at == before:
-                assert word[i - lo] == 1 and (i, i + at) in plus, (parts, i)
+                assert word[i - L] == 1 and plus_rank[i - L] == i + at, (parts, i)
             else:
-                assert word[i - lo] == -1 and (i, before) in minus, (parts, i)
+                assert word[i - L] == -1 and minus_rank[i - L] == before, (parts, i)
 
 
 @pytest.mark.parametrize("lo, hi", [(-12, -5), (-1, -1), (0, 0), (3, 9), (-6, 6), (-40, 40)])
@@ -492,15 +505,18 @@ def test_stream_refuses_negative_sizes_without_counting():
         assert s.counter == 4
 
 
-def test_scalar_interlacing_matches_displacement_pmf():
+@pytest.mark.parametrize("i", [0, -3, 4])
+def test_scalar_interlacing_matches_displacement_pmf(i):
+    # a - slot at i takes w- letter C(i) + 1 and C(i) = #(+ <= i) - i >= -i,
+    # so at i = -3 the law check reaches the fourth w- letter and beyond
     q = 0.5
     n_draws = 20_000
     s = GeomStream(seed=79, q=q)
     pmf = displacement_pmf(QParam(q), radius=8)
     counts = {d: 0 for d in range(-3, 4)}
     for _ in range(n_draws):
-        w, _ = sample_two_sided_interlacing(0, 0, QParam(q), s)
-        d = w.value_at(0)
+        w, _ = sample_two_sided_interlacing(i, i, QParam(q), s)
+        d = w.value_at(i) - i
         if -3 <= d <= 3:
             counts[d] += 1
     for disp in range(-3, 4):
