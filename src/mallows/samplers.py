@@ -20,23 +20,27 @@ The two-sided samplers are the heart of the package:
   the verification suites.
 
 ``batch_*`` functions are vectorized Monte Carlo kernels producing the same
-laws at acceptance-test sample sizes.  They consume their stream in a
-different order than the scalar samplers (column-wise rather than per
-sample), so for a fixed seed they do not reproduce the scalar outputs
+laws at acceptance-test sample sizes.  ``batch_finite_r`` and
+``batch_inversion_position0`` consume their stream column-wise rather than
+per sample, so for a fixed seed they do not reproduce the scalar outputs
 draw-for-draw — only the law is shared, which the test suite verifies.
 
-``batch_interlacing_windows`` draws a chunk's diagrams column by column and
-keeps them as sparse (row, part size, multiplicity) triples; the sign-word
-slots (``_sign_counts``), the q-shuffle letters (``_shuffle_letters``) and
-the window fill then run on arrays, a block of rows at a time.  Only the
-rare rows whose diagram is not settled by the exact Bernoulli, or that need
-more letters than the pre-drawn skips hold, take scalar draws.
+``batch_interlacing_windows`` is the scalar interlacing sampler run on a
+block of rows at once: the diagrams come from the part-size search of
+``_young_multiplicities`` applied to every row still drawing
+(``_diagram_triples``), then exactly the shuffle skips the rows need are
+drawn in one call, and the sign-word slots (``_sign_counts``), the letters
+(``_shuffle_letters``) and the window fill run on arrays.  At count=1 it
+draws the same uniforms in the same order as
+``sample_two_sided_interlacing`` and returns the same window.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,46 +171,51 @@ def q_shuffle_prefix(n_letters: int, p: QParam, s: GeomStream) -> tuple[int, ...
 # Young diagrams under the Euler measure
 # --------------------------------------------------------------------------
 
-def _young_multiplicities(p: QParam, s: GeomStream, k_base: int = 0) -> dict[int, int]:
-    """Multiplicities {part size -> count} of an Euler-measure diagram,
-    conditioned on all part sizes <= k_base having multiplicity 0.
+@lru_cache(maxsize=None)
+def _part_search(p: QParam) -> tuple[list[float], list[float]]:
+    """(-<j>_q, q^j) for j = 0..N, N the depth of p's Pochhammer table.
 
-    Lazy exact scheme: certify "all remaining multiplicities are zero" by a
-    Bernoulli with the exact probability prod_{k>k_base}(1-q^k); on failure
-    locate the first nonzero part size J by inverse CDF over
-    P(J=j) = prod_{k_base<i<j}(1-q^i) * q^j, draw its multiplicity
-    conditioned >= 1, and recurse from J.  No truncation anywhere.
+    The search compares U <b>_q with <j>_q down to <N>_q ~ <inf>_q, so it
+    is refused where <inf>_q is not a normal double (from q ~ 0.9977).
     """
-    q = p.q
+    table = pochhammer_table(p)
+    if table.infinite_value < sys.float_info.min:
+        raise DomainError(
+            f"<inf>_q = {table.infinite_value!r} is not a normal double at q={p.q}; "
+            "Euler-measure diagrams cannot be drawn"
+        )
+    return [-v for v in table.values], [p.q**j for j in range(len(table.values))]
+
+
+def _young_multiplicities(p: QParam, s: GeomStream) -> dict[int, int]:
+    """Multiplicities {part size -> count} of an Euler-measure diagram.
+
+    The multiplicity of part size k is geometric with ratio q^k,
+    independently over k, so given no part in 1..b the next part size J
+    has P(J > j) = <j>_q / <b>_q.  One uniform U gives
+    J = min{j > b : <j>_q < U <b>_q}; where there is none the diagram is
+    complete, which has probability <inf>_q / <b>_q (up to the relative
+    error eps_series of the table's last entry).  Otherwise J has
+    multiplicity 1 + geometric(q^J) and the search goes on from b = J.
+    Part sizes increase strictly and stay below the table length, so the
+    loop ends.  _diagram_triples runs the same rounds over many rows.
+    """
+    neg, qpow = _part_search(p)
     mult: dict[int, int] = {}
-    while True:
-        table = pochhammer_table(p, k_base)
-        cert = table.infinite_value / table.value(k_base)
-        if s.bernoulli(cert):
-            return mult
-        v = s.uniform() * (1.0 - cert)
-        acc, run, j = 0.0, 1.0, k_base
-        while True:
-            j += 1
-            pj = run * q**j
-            # the terms decrease, so once one no longer moves acc none will:
-            # stop there rather than walk on until q**j underflows
-            if acc + pj == acc:
-                break
-            acc += pj
-            if acc >= v:
-                break
-            run *= 1.0 - q**j
-        mult[j] = 1 + s.geometric(ratio=q**j)
-        k_base = j
+    b = 0
+    while (j := bisect_right(neg, s.uniform() * neg[b], b + 1)) < len(neg):
+        mult[j] = 1 + s.geometric(ratio=qpow[j])
+        b = j
+    return mult
 
 
 def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
     """Diagram with P(lambda) = <inf>_q * q^|lambda| — Euler's measure.
 
-    Part-size multiplicities are independent geometrics with ratio q^k;
-    termination is decided by an exact Bernoulli (see _young_multiplicities),
-    so the output law carries no truncation error.
+    Part sizes are found in increasing order by the search of
+    _young_multiplicities: one uniform per distinct part size plus one that
+    ends the diagram, and one geometric per multiplicity.  Raises
+    DomainError where <inf>_q is not a normal double (q >~ 0.9977).
     """
     _check_stream(p, s)
     mult = _young_multiplicities(p, s)
@@ -374,31 +383,26 @@ def finite_code_to_r(code: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-#: rows handled together once a chunk's draws are in; bounds the slot and
-#: letter arrays to a few MB whatever the chunk size
+#: rows drawn and filled together; bounds the slot and letter arrays to a
+#: few MB whatever the count
 _BLOCK_ROWS = 2048
 
 
 def batch_interlacing_windows(
-    lo: int, hi: int, p: QParam, s: GeomStream, count: int, chunk: int = 1 << 16
+    lo: int, hi: int, p: QParam, s: GeomStream, count: int
 ) -> np.ndarray:
     """count x width matrix of exact two-sided windows (interlacing law).
 
-    Rows are made in chunks of at most `chunk`.  A chunk draws from s, in
-    this order: the multiplicity columns s.geometrics(rows, ratio=q^k) for
-    k = k0..1; one settle uniform per row, which certifies with the exact
-    probability prod_{k>k0}(1-q^k) that the row has no part above k0; the
-    parts above k0 of each unsettled row, in row order, by the scalar
-    _young_multiplicities; and pre-drawn blocks of shuffle skips for the
-    plus and minus words.  A row needing more letters than a block holds
-    tops it up with scalar s.geometric() draws, in row order, its plus
-    letters before its minus letters.  Nothing is truncated, so the law is
-    exact.
+    Rows are made _BLOCK_ROWS at a time.  A block draws from s as
+    sample_two_sided_interlacing does for each of its rows, in this order:
+    the diagrams, by the rounds of the part-size search (_diagram_triples);
+    then the shuffle skips, exactly as many as the rows have letters, in
+    one s.geometrics call: each row's plus word in row order, then each
+    row's minus word.  So at count=1 both samplers draw the same uniforms
+    in the same order and return the same window (np.log and math.log can
+    differ in the last bit, which moves a geometric draw only when its
+    quotient lies within an ulp of an integer).  Then on arrays:
 
-    After the draws everything runs on arrays, _BLOCK_ROWS rows at a time:
-
-    * the diagram is a list of (row, part size, multiplicity) triples: the
-      nonzero entries of the multiplicity columns and the deep parts;
     * C(i) = #{t >= 1 : lambda'_t - t >= i} for i in lo-1..hi comes from
       the runs of constant column height lambda'_t, plus max(0, -i -
       lambda_1) for the t > lambda_1 (_sign_counts).  Position i carries +
@@ -410,83 +414,59 @@ def batch_interlacing_windows(
     """
     if hi < lo:
         raise DomainError("window requires lo <= hi")
-    if count < 0 or chunk < 1:
-        raise DomainError("need count >= 0 and chunk >= 1")
+    if count < 0:
+        raise DomainError("count must be >= 0")
     _check_stream(p, s)
-    q = p.q
-    # deepest part size sampled column-wise; beyond it one Bernoulli per row
-    k0 = max(8, math.ceil(math.log(1e-6 * (1.0 - q)) / math.log(q)))
-    table = pochhammer_table(p, k0)
-    cert = table.infinite_value / table.value(k0)
-    wp_cols = max(hi, 0) + 16
-    wm_cols = max(-lo, 0) + 16
+    neg, qpow = (np.array(t) for t in _part_search(p))
     positions = np.arange(lo, hi + 1)
     out = np.empty((count, hi - lo + 1), dtype=np.int64)
-    for done in range(0, count, chunk):
-        rows = min(chunk, count - done)
-        row, part, mult = _diagram_triples(p, s, rows, k0, cert)
-        rp = s.geometrics(rows * wp_cols).reshape(rows, wp_cols)
-        rm = s.geometrics(rows * wm_cols).reshape(rows, wm_cols)
-        for b0 in range(0, rows, _BLOCK_ROWS):
-            b1 = min(b0 + _BLOCK_ROWS, rows)
-            nb = b1 - b0
-            t0, t1 = np.searchsorted(row, (b0, b1))
-            c = _sign_counts(row[t0:t1] - b0, part[t0:t1], mult[t0:t1], nb, lo, hi)
-            # plus words in the top rows of one letter matrix, minus below
-            need = np.concatenate((hi + c[:, -1], c[:, 0]))
-            # one column per letter any row needs; beyond the pre-drawn skips
-            # rows top up in row order, plus letters before minus letters
-            width = max(1, int(need.max()))
-            skips = np.zeros((2 * nb, width), dtype=np.int64)
-            skips[:nb, :wp_cols] = rp[b0:b1, :width]
-            skips[nb:, :wm_cols] = rm[b0:b1, :width]
-            kmax, tmax = need[:nb], need[nb:]
-            for r in np.flatnonzero((kmax > wp_cols) | (tmax > wm_cols)):
-                skips[r, wp_cols : kmax[r]] = [s.geometric() for _ in range(wp_cols, kmax[r])]
-                skips[nb + r, wm_cols : tmax[r]] = [s.geometric() for _ in range(wm_cols, tmax[r])]
-            letters = _shuffle_letters(skips, need)
-            # a rank is out of range only where the other sign is taken
-            before, at = c[:, :-1], c[:, 1:]
-            plus_rank = np.clip(positions + at - 1, 0, width - 1)
-            minus_rank = np.clip(before - 1, 0, width - 1)
-            out[done + b0 : done + b1] = np.where(
-                at == before,
-                np.take_along_axis(letters[:nb], plus_rank, axis=1),
-                1 - np.take_along_axis(letters[nb:], minus_rank, axis=1),
-            )
+    for b0 in range(0, count, _BLOCK_ROWS):
+        nb = min(_BLOCK_ROWS, count - b0)
+        row, part, mult = _diagram_triples(s, nb, neg, qpow)
+        c = _sign_counts(row, part, mult, nb, lo, hi)
+        # plus words in the top rows of one letter matrix, minus below
+        need = np.concatenate((hi + c[:, -1], c[:, 0]))
+        width = max(1, int(need.max()))
+        skips = np.zeros((2 * nb, width), dtype=np.int64)
+        skips[np.arange(width) < need[:, None]] = s.geometrics(int(need.sum()))
+        letters = _shuffle_letters(skips, need)
+        # a rank is out of range only where the other sign is taken
+        before, at = c[:, :-1], c[:, 1:]
+        plus_rank = np.clip(positions + at - 1, 0, width - 1)
+        minus_rank = np.clip(before - 1, 0, width - 1)
+        out[b0 : b0 + nb] = np.where(
+            at == before,
+            np.take_along_axis(letters[:nb], plus_rank, axis=1),
+            1 - np.take_along_axis(letters[nb:], minus_rank, axis=1),
+        )
     return out
 
 
 def _diagram_triples(
-    p: QParam, s: GeomStream, rows: int, k0: int, cert: float
+    s: GeomStream, rows: int, neg: np.ndarray, qpow: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Euler-measure diagrams of `rows` rows as int32 (row, part size,
+    """Euler-measure diagrams of `rows` >= 1 rows as int32 (row, part size,
     multiplicity) triples, sorted by row and then by decreasing part size.
 
-    Multiplicities of k = k0..1 are drawn column-wise; a row whose settle
-    uniform exceeds cert draws its parts above k0 from
-    _young_multiplicities, rows in order.  (A geometric draw is at most
-    log(2^-53)/log(q), so int32 multiplicities hold for every q at which a
-    k0-column draw is feasible.)
+    neg and qpow are _part_search's tables as arrays.  Each round, every
+    row still drawing takes one uniform and finds its next part size by
+    the search of _young_multiplicities (one searchsorted), and the rows
+    that found one draw its multiplicity in one s.geometrics call.  For a
+    single row these are _young_multiplicities' draws.
     """
-    q = p.q
-    rows_at, mults = [], []
-    for k in range(k0, 0, -1):
-        mk = s.geometrics(rows, ratio=q**k)
-        nz = mk.nonzero()[0]
-        rows_at.append(nz.astype(np.int32))
-        mults.append(mk[nz].astype(np.int32))
-    deep = []
-    for r in np.flatnonzero(s.uniforms(rows) > cert):
-        extra = _young_multiplicities(p, s, k_base=k0)
-        deep += [(r, k, extra[k]) for k in sorted(extra, reverse=True)]
-    # deep parts first, then the columns in decreasing part size, so a
-    # stable sort by row keeps each row's parts decreasing
-    deep = np.array(deep, dtype=np.int32).reshape(-1, 3)
-    row = np.concatenate([deep[:, 0], *rows_at])
-    sizes = np.repeat(np.arange(k0, 0, -1, dtype=np.int32), [nz.size for nz in rows_at])
-    part = np.concatenate([deep[:, 1], sizes])
-    mult = np.concatenate([deep[:, 2], *mults])
+    active = np.arange(rows)
+    base = np.zeros(rows, dtype=np.int64)
+    rounds = []
+    while active.size:
+        j = np.searchsorted(neg, s.uniforms(active.size) * neg[base], side="right")
+        more = j < neg.size
+        active, base = active[more], j[more]
+        rounds.append((active, base, 1 + s.geometrics(active.size, ratio=qpow[base])))
+    # later rounds hold larger parts, so with them first a stable sort by
+    # row keeps each row's parts decreasing
+    row, part, mult = (
+        np.concatenate([r[i] for r in reversed(rounds)]).astype(np.int32) for i in range(3)
+    )
     order = np.argsort(row, kind="stable")
     return row[order], part[order], mult[order]
 

@@ -79,10 +79,12 @@ class GeomStream:
         r = self.q if ratio is None else ratio
         return int(math.log(self.uniform()) / math.log(r))
 
-    def geometrics(self, n: int, ratio: float | None = None) -> np.ndarray:
+    def geometrics(self, n: int, ratio: float | np.ndarray | None = None) -> np.ndarray:
+        """n draws as geometric(); ratio may also be an array, one per draw."""
         r = self.q if ratio is None else ratio
         u = self.uniforms(n)
-        return np.floor(np.log(u) / math.log(r)).astype(np.int64)
+        log_r = np.log(r) if isinstance(r, np.ndarray) else math.log(r)
+        return np.floor(np.log(u) / log_r).astype(np.int64)
 
     def truncated_geometric(self, limit: int) -> int:
         """Draw from P(k) proportional to q^k on {0..limit} (exact inverse CDF)."""
@@ -100,6 +102,3 @@ class GeomStream:
         w = self.uniforms(n) * top
         k = np.floor(np.log(1.0 - w) / math.log(self.q)).astype(np.int64)
         return np.minimum(k, limit)
-
-    def bernoulli(self, prob: float) -> bool:
-        return self.uniform() <= prob

@@ -16,6 +16,7 @@ from mallows.samplers import (
     InterlacingTriple,
     YoungDiagram,
     _diagram_triples,
+    _part_search,
     _ShuffleState,
     _shuffle_letters,
     _sign_counts,
@@ -195,15 +196,11 @@ def test_young_sampler_size_law():
     assert abs(z) < SIGMA_BOUND, f"mean size z = {z:.2f}"
 
 
-class _SaturatingStream:
-    """Fails the first settle Bernoulli and then settles; every uniform is u."""
+class _ConstantStream:
+    """Every uniform is u."""
 
     def __init__(self, u):
-        self.u, self.settled = u, False
-
-    def bernoulli(self, prob):
-        settled, self.settled = self.settled, True
-        return settled
+        self.u = u
 
     def uniform(self):
         return self.u
@@ -213,14 +210,67 @@ class _SaturatingStream:
 
 
 @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.8, 0.95, 0.99])
-@pytest.mark.parametrize("u", [1.0, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("u", [1.0, 1.0 - 2.0**-53, 2.0**-53])
 def test_young_multiplicities_stop_at_float_saturation(q, u):
-    # uniforms at the top of (0,1] may ask for more mass than the float
-    # partial sums of P(J=j) reach; the walk must stop once a term falls
-    # below half an ulp of the sum, which is within this many steps
-    mult = _young_multiplicities(QParam(q), _SaturatingStream(u))
-    horizon = math.ceil(54 * math.log(2) / -math.log(q)) + 1
-    assert mult and all(1 <= j <= horizon and c >= 1 for j, c in mult.items())
+    # U = 1 asks for a part wherever <j>_q still drops, up to where 1 - q^j
+    # rounds to 1; the search must end there, inside the table
+    mult = _young_multiplicities(QParam(q), _ConstantStream(u))
+    parts = list(mult)
+    assert parts == sorted(set(parts))
+    assert all(1 <= j < len(pochhammer_table(QParam(q)).values) for j in parts)
+    assert all(c >= 1 for c in mult.values())
+
+
+def _assert_size_law(sizes, q):
+    # P(lambda = empty) = <inf>_q, checked by both binomial tails, and
+    # E|lambda| = sum_k k q^k / (1 - q^k)
+    n = sizes.size
+    p_empty = pochhammer_table(QParam(q)).infinite_value
+    empty = int((sizes == 0).sum())
+    assert stats.binom.cdf(empty, n, p_empty) > CHI2_ALPHA
+    assert stats.binom.sf(empty - 1, n, p_empty) > CHI2_ALPHA
+    k = np.arange(1, 20_000)
+    mean_exact = float((k * q**k / (1 - q**k)).sum())
+    z = (sizes.mean() - mean_exact) / (sizes.std(ddof=1) / np.sqrt(n))
+    assert abs(z) < SIGMA_BOUND, f"mean size z = {z:.2f}"
+
+
+@pytest.mark.parametrize("q, n_draws", [(0.95, 4_000), (0.99, 1_500)])
+def test_young_sampler_deep_diagram_law(q, n_draws):
+    s = GeomStream(seed=37, q=q)
+    sizes = np.array([sample_young_euler(QParam(q), s).size for _ in range(n_draws)])
+    _assert_size_law(sizes, q)
+
+
+@pytest.mark.parametrize("q", [0.95, 0.99])
+def test_diagram_triples_deep_diagram_law(q):
+    rows = 20_000
+    tables = map(np.array, _part_search(QParam(q)))
+    row, part, mult = _diagram_triples(GeomStream(seed=41, q=q), rows, *tables)
+    sizes = np.bincount(row, weights=part.astype(np.int64) * mult, minlength=rows)
+    _assert_size_law(sizes, q)
+
+
+@pytest.mark.parametrize("q", [0.998, 0.999])
+def test_diagram_samplers_refuse_subnormal_euler_constant(q):
+    p = QParam(q)
+    with pytest.raises(DomainError):
+        sample_young_euler(p, GeomStream(seed=0, q=q))
+    with pytest.raises(DomainError):
+        sample_two_sided_interlacing(0, 2, p, GeomStream(seed=0, q=q))
+    s = GeomStream(seed=0, q=q)
+    with pytest.raises(DomainError):
+        batch_interlacing_windows(0, 2, p, s, 3)
+    assert s.counter == 0
+
+
+def test_diagram_samplers_still_draw_at_q_0997():
+    q, p = 0.997, QParam(0.997)
+    assert sample_young_euler(p, GeomStream(seed=0, q=q)).size > 0
+    w, _ = sample_two_sided_interlacing(0, 2, p, GeomStream(seed=0, q=q))
+    assert len(set(w.values)) == 3
+    windows = batch_interlacing_windows(0, 2, p, GeomStream(seed=0, q=q), 3)
+    assert all(len(set(row.tolist())) == 3 for row in windows)
 
 
 def test_young_sampler_parts_sorted():
@@ -307,18 +357,16 @@ def test_sign_counts_agree_with_slots(lo, hi):
     _assert_counts_match_slots(diagrams, c, lo, hi)
 
 
-def test_diagram_triples_with_unsettled_rows():
-    # k0 = 3 leaves most rows unsettled at q=0.8: their parts above k0 come
-    # from the scalar fallback and must precede the column-drawn parts
-    p = QParam(0.8)
-    k0 = 3
-    table = pochhammer_table(p, k0)
-    cert = table.infinite_value / table.value(k0)
-    row, part, mult = _diagram_triples(p, GeomStream(seed=103, q=0.8), 300, k0, cert)
+def test_diagram_triples_deep_rows():
+    # at q=0.95 a row has about 19 part sizes, so the search takes many
+    # rounds, each over a different set of rows still drawing
+    p = QParam(0.95)
+    tables = map(np.array, _part_search(p))
+    row, part, mult = _diagram_triples(GeomStream(seed=103, q=0.95), 300, *tables)
     assert (np.diff(row) >= 0).all() and (mult >= 1).all() and row.max() < 300
     same_row = row[1:] == row[:-1]
     assert (part[1:][same_row] < part[:-1][same_row]).all()
-    assert (part > k0).any()
+    assert row.size / 300 > 10
     diagrams = [()] * 300
     for r in range(300):
         sel = row == r
@@ -464,28 +512,44 @@ def test_batch_interlacing_rows_are_windows():
         assert len(set(int(v) for v in row)) == 7
 
 
-def test_batch_interlacing_chunks_and_top_ups():
-    # at q=0.95 many rows need more letters than the pre-drawn skips hold
+def test_batch_interlacing_blocks_make_no_scalar_draw():
+    # 5,000 rows are three blocks; at q=0.95 rows need many letters, and
+    # every draw must still come from the vector calls
     class CountingStream(GeomStream):
-        top_ups = 0
+        scalar = 0
+
+        def uniform(self):
+            self.scalar += 1
+            return super().uniform()
 
         def geometric(self, ratio=None):
-            if ratio is None:
-                self.top_ups += 1
+            self.scalar += 1
             return super().geometric(ratio)
 
     s = CountingStream(seed=109, q=0.95)
-    windows = batch_interlacing_windows(0, 2, QParam(0.95), s, 350, chunk=100)
-    assert windows.shape == (350, 3)
-    assert s.top_ups > 0
+    windows = batch_interlacing_windows(0, 2, QParam(0.95), s, 5_000)
+    assert windows.shape == (5_000, 3)
+    assert s.scalar == 0
     assert all(len(set(row.tolist())) == 3 for row in windows)
 
 
-@pytest.mark.parametrize("count, chunk", [(3, 0), (-1, 1 << 16)])
-def test_batch_interlacing_rejects_bad_sizes(count, chunk):
+def test_batch_interlacing_rejects_negative_count():
     s = GeomStream(seed=0, q=0.5)
     with pytest.raises(DomainError):
-        batch_interlacing_windows(0, 2, P5, s, count, chunk=chunk)
+        batch_interlacing_windows(0, 2, P5, s, -1)
+    assert s.counter == 0
+
+
+@pytest.mark.parametrize(
+    "lo, hi, q", [(-5, 5, 0.5), (0, 0, 0.5), (0, 2, 0.95), (-40, 40, 0.8), (5, 5, 0.97), (-60, -50, 0.6)]
+)
+def test_scalar_interlacing_is_the_kernel_at_count_one(lo, hi, q):
+    p = QParam(q)
+    for seed in range(40):
+        a, b = GeomStream(seed=seed, q=q), GeomStream(seed=seed, q=q)
+        window, _ = sample_two_sided_interlacing(lo, hi, p, a)
+        assert batch_interlacing_windows(lo, hi, p, b, 1)[0].tolist() == list(window.values)
+        assert a.counter == b.counter
 
 
 def test_batch_inversion_rejects_negative_count():

@@ -19,7 +19,7 @@ SIZES = {
     "stationarity": (20_000,),
     "inversion-invariance": (20_000,),
     "exchangeability": (),
-    "two-sampler": (60_000,),
+    "two-sampler": (250_000,),
     "truncation-convergence": (4_000,),
     "lln": (20_000,),
     "one-sided-left-counts": (20_000,),
