@@ -18,6 +18,9 @@ Every infinite series here has positive terms whose ratio eventually drops
 below q^2, so adaptive truncation carries a geometric-domination remainder
 certificate; functions that can accumulate meaningful truncation error
 return an explicit error bound alongside the value.
+
+Each evaluation reads <n>_q off one tuple of table values and fetches a
+longer table only when an index runs past its end (tables share entries).
 """
 from __future__ import annotations
 
@@ -27,11 +30,6 @@ from dataclasses import dataclass, field
 from .errors import DomainError
 from .perm import inversions
 from .qseries import KahanSum, QParam, pochhammer_table
-
-
-def _pv(p: QParam, n: int) -> float:
-    """<n>_q, growing the cached table as needed."""
-    return pochhammer_table(p, n).value(n)
 
 
 @dataclass(frozen=True)
@@ -77,10 +75,13 @@ def _displacement_series(d: int, p: QParam) -> float:
     relative to the partial sum AND the ratio certifies geometric decay.
     """
     q = p.q
+    vals = pochhammer_table(p, d).values
     acc = KahanSum()
     ell = 0
     while True:
-        term = q ** (ell * (ell + d + 2) + d) / (_pv(p, ell + d) * _pv(p, ell))
+        if ell + d >= len(vals):
+            vals = pochhammer_table(p, ell + d).values
+        term = q ** (ell * (ell + d + 2) + d) / (vals[ell + d] * vals[ell])
         acc.add(term)
         ratio = q ** (2 * ell + d + 3) / (
             (1.0 - q ** (ell + 1)) * (1.0 - q ** (ell + d + 1))
@@ -88,8 +89,7 @@ def _displacement_series(d: int, p: QParam) -> float:
         if term <= p.eps_series * acc.value and ratio <= q * q:
             break
         ell += 1
-    table = pochhammer_table(p)
-    return (1.0 - q) * table.infinite_value * acc.value
+    return (1.0 - q) * pochhammer_table(p).infinite_value * acc.value
 
 
 def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
@@ -122,7 +122,8 @@ def joint_rl_pmf(p: QParam, r: int, ell: int) -> float:
         raise DomainError("r and ell must be >= 0")
     q = p.q
     inf_val = pochhammer_table(p).infinite_value
-    return (1.0 - q) * q ** (r * ell + r + ell) * inf_val / (_pv(p, r) * _pv(p, ell))
+    vals = pochhammer_table(p, max(r, ell)).values
+    return (1.0 - q) * q ** (r * ell + r + ell) * inf_val / (vals[r] * vals[ell])
 
 
 def conditional_l_given_r(p: QParam, r: int, ell: int) -> float:
@@ -134,9 +135,9 @@ def conditional_l_given_r(p: QParam, r: int, ell: int) -> float:
     """
     if r < 0 or ell < 0:
         raise DomainError("r and ell must be >= 0")
-    q = p.q
     inf_val = pochhammer_table(p).infinite_value
-    return q ** (ell * (r + 1)) * inf_val / (_pv(p, r) * _pv(p, ell))
+    vals = pochhammer_table(p, max(r, ell)).values
+    return p.q ** (ell * (r + 1)) * inf_val / (vals[r] * vals[ell])
 
 
 def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float]:
@@ -146,13 +147,16 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     0 <= a_m <= d_{m+1}-d_m, then sums the free tail variable a_k (bounded
     below so every row gap b_m stays nonnegative) with a geometric-
     domination stopping certificate per inner sum.
+    A term's exponent sum_j (a_j+1)(b_1+1 + ... + b_j+1) is, by integer prefix
+    sums of the fixed gaps, A (b1+1) + C + (a_k+1)(b1+1+R).
     """
     q = p.q
     k = len(d)
     table = pochhammer_table(p, d[-1] - d[0] + 8)
+    vals = table.values
     pref = (1.0 - q) ** k * q ** (-(k * (k + 1) // 2)) * table.infinite_value
     for m in range(1, k):
-        pref *= table.value(d[m] - d[m - 1])
+        pref *= vals[d[m] - d[m - 1]]
     total = KahanSum()
     err_acc = 0.0
     head_ranges = [range(d[m + 1] - d[m] + 1) for m in range(k - 1)]
@@ -162,30 +166,37 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
         b_rest = [d[j] - d[j - 1] - a_head[j - 1] for j in range(1, k)]
         den_rest = 1.0
         for x in b_rest:
-            den_rest *= _pv(p, x)
+            den_rest *= vals[x]
         for x in a_head:
-            den_rest *= _pv(p, x)
+            den_rest *= vals[x]
+        big_a = head + k - 1  # A, C and R of the docstring
+        big_c = big_r = 0
+        for a_j, b_j in zip(a_head, b_rest):
+            big_c += (a_j + 1) * big_r
+            big_r += b_j + 1
         a_k = max(0, -d[0] - head)
-        inner = KahanSum()
+        b1 = d[0] + head + a_k
+        top = max(b1, a_k) - a_k  # b1 and a_k step together
+        inner = comp = 0.0  # KahanSum.add inlined, same operation order
         while True:
-            b1 = d[0] + head + a_k
-            bs = [b1, *b_rest]
-            a_full = (*a_head, a_k)
-            expo = 0
-            pref_b = 0
-            for j in range(k):
-                pref_b += bs[j] + 1
-                expo += (a_full[j] + 1) * pref_b
-            term = q**expo / (den_rest * _pv(p, b1) * _pv(p, a_k))
-            inner.add(term)
-            # ratio of the a_k+1 term to this one (b1 bumps along with a_k)
-            delta = head + d[-1] + 2 * a_k + 2 * k + 1
-            ratio = q**delta / ((1.0 - q ** (b1 + 1)) * (1.0 - q ** (a_k + 1)))
-            if term <= tol * inner.value and ratio <= q * q:
-                err_acc += term * ratio / (1.0 - ratio)
-                break
+            if a_k + top >= len(vals):
+                vals = pochhammer_table(p, a_k + top).values
+            expo = big_a * (b1 + 1) + big_c + (a_k + 1) * (b1 + 1 + big_r)
+            term = q**expo / (den_rest * vals[b1] * vals[a_k])
+            y = term - comp
+            t = inner + y
+            comp = (t - inner) - y
+            inner = t
+            if term <= tol * inner:
+                # ratio of the next term to this one (b1 bumps along with a_k)
+                delta = head + d[-1] + 2 * a_k + 2 * k + 1
+                ratio = q**delta / ((1.0 - q ** (b1 + 1)) * (1.0 - q ** (a_k + 1)))
+                if ratio <= q * q:
+                    err_acc += term * ratio / (1.0 - ratio)
+                    break
             a_k += 1
-        total.add(inner.value)
+            b1 += 1
+        total.add(inner)
     value = pref * total.value
     rel_inf = table.infinite_error / table.infinite_value
     return value, abs(pref) * err_acc + abs(value) * rel_inf
@@ -239,18 +250,18 @@ def block_p2(p: QParam, b: tuple[int, ...], a: tuple[int, ...]) -> float:
         raise DomainError("b and a must be equal-length, nonempty")
     if any(x < 0 for x in b) or any(x < 0 for x in a):
         raise DomainError("gap coordinates must be >= 0")
-    q = p.q
+    vals = pochhammer_table(p, max(b) + max(a)).values
     num = pochhammer_table(p).infinite_value
     for m in range(1, k):
-        num *= _pv(p, b[m] + a[m - 1])
+        num *= vals[b[m] + a[m - 1]]
     den = 1.0
     for x in b:
-        den *= _pv(p, x)
+        den *= vals[x]
     for x in a:
-        den *= _pv(p, x)
+        den *= vals[x]
     expo = 0
     b_prefix = 0
     for j in range(k):
         b_prefix += b[j]
         expo += a[j] * (b_prefix + j + 1)
-    return num / den * q**expo
+    return num / den * p.q**expo

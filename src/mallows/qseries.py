@@ -20,6 +20,7 @@ never by a fixed term count, so accuracy is uniform in q.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,6 +113,16 @@ def pochhammer_table(p: QParam, n_max: int = 0) -> QPochhammerTable:
     return _build_table(p.q, p.eps_series, size)
 
 
+def normal_table(p: QParam, refusal: str) -> QPochhammerTable:
+    """pochhammer_table(p), or DomainError ending in refusal where <inf>_q is
+    not a normal double (from q ~ 0.9977)."""
+    table = pochhammer_table(p)
+    if table.infinite_value < sys.float_info.min:
+        raise DomainError(f"<inf>_q = {table.infinite_value!r} is not a normal "
+                          f"double at q={p.q}; {refusal}")
+    return table
+
+
 def q_number(m: int, p: QParam) -> float:
     """The q-number [m]_q = sum_{k=0}^{m-1} q^k, with [0]_q = 0.
 
@@ -136,25 +147,23 @@ def q_factorial(n: int, p: QParam) -> float:
     """
     if n < 0:
         raise DomainError("q_factorial requires n >= 0")
-    table = pochhammer_table(p, n)
-    return table.value(n) / (1.0 - p.q) ** n
+    return pochhammer_table(p, n).value(n) / (1.0 - p.q) ** n
 
 
 def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
     """<n>_q as (value, error_bound); pass INFINITY for the infinite product.
 
     Finite products are exact (error_bound 0).  The infinite product returns
-    the partial product at a depth guaranteeing relative error <= eps_series,
-    and reports the achieved absolute bound.
+    the partial product at a depth guaranteeing relative error <= eps_series
+    and its absolute bound, or DomainError where it is not a normal double.
     """
     if n == INFINITY:
-        table = pochhammer_table(p)
+        table = normal_table(p, "no certified value can be returned")
         return table.infinite_value, table.infinite_error
     n = int(n)
     if n < 0:
         raise DomainError("q_pochhammer requires n >= 0 or INFINITY")
-    table = pochhammer_table(p, n)
-    return table.value(n), 0.0
+    return pochhammer_table(p, n).value(n), 0.0
 
 
 def q_binomial(b: int, a: int, p: QParam) -> float:

@@ -37,7 +37,6 @@ draws the same uniforms in the same order as
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError
 from .perm import PermWindow, reconstruct_ell
-from .qseries import QParam, pochhammer_table
+from .qseries import QParam, normal_table
 from .streams import GeomStream
 
 
@@ -178,12 +177,7 @@ def _part_search(p: QParam) -> tuple[list[float], list[float]]:
     The search compares U <b>_q with <j>_q down to <N>_q ~ <inf>_q, so it
     is refused where <inf>_q is not a normal double (from q ~ 0.9977).
     """
-    table = pochhammer_table(p)
-    if table.infinite_value < sys.float_info.min:
-        raise DomainError(
-            f"<inf>_q = {table.infinite_value!r} is not a normal double at q={p.q}; "
-            "Euler-measure diagrams cannot be drawn"
-        )
+    table = normal_table(p, "Euler-measure diagrams cannot be drawn")
     return [-v for v in table.values], [p.q**j for j in range(len(table.values))]
 
 

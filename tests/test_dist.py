@@ -1,6 +1,8 @@
 """Closed-form laws: displacement, joint counts, fdd events, diagram blocks."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import oracles
@@ -187,12 +189,40 @@ def test_fdd_marginalizes_to_displacement():
 
 
 def test_fdd_matches_constrained_series_oracle():
-    for q in (0.3, 0.5):
+    # at q=0.95 the oracle's own poch_inf cut-off limits agreement to ~1e-12
+    for q in (0.3, 0.5, 0.8, 0.95):
         p = QParam(q)
         for d in [(0,), (-1, 1), (0, 0), (0, 1), (-2, 3), (0, 0, 0), (-1, 0, 2)]:
             want = oracles.fdd_sorted_oracle(q, list(d))
             got, _ = fdd_probability(p, FddQuery(len(d), d), 1e-12)
             assert got == pytest.approx(want, rel=1e-8), f"q={q} d={d}"
+
+
+def test_fdd_indices_past_the_first_table():
+    # b1 >= 70 (or a_k >= 70) runs past the default 0..64 table, so the
+    # evaluation must fetch a longer one mid-series
+    assert len(pochhammer_table(P5).values) <= 70
+    pmf = displacement_pmf(P5, radius=70)
+    for d in [(70,), (-70,), (70, 71), (-71, -70)]:
+        got, err = fdd_probability(P5, FddQuery(len(d), d), 1e-12)
+        want = oracles.fdd_sorted_oracle(0.5, list(d))
+        assert got == pytest.approx(want, rel=1e-12), f"d={d}"
+        assert 0.0 <= err <= 1e-12 * got, f"d={d}"
+        if len(d) == 1:
+            assert got == pytest.approx(pmf.prob(d[0]), rel=1e-12), f"d={d}"
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95])
+def test_fdd_reflection_identity(q):
+    # sigma -> (i -> 1 - sigma(1 - i)) preserves the law; with shift
+    # stationarity, P(d_1, ..., d_k) = P(-d_k, ..., -d_1)
+    p = QParam(q)
+    for k in (2, 3):
+        for d in itertools.product(range(-3, 4), repeat=k):
+            got, _ = fdd_probability(p, FddQuery(k, d), 1e-12)
+            mirror = tuple(-x for x in reversed(d))
+            want, _ = fdd_probability(p, FddQuery(k, mirror), 1e-12)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), f"d={d}"
 
 
 def test_fdd_matches_finite_model_dp():

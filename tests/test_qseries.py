@@ -92,6 +92,17 @@ def test_pochhammer_infinite_known_constant():
     assert value == pytest.approx(0.2887880950866, abs=1e-12)
 
 
+def test_pochhammer_infinite_refuses_subnormal_value():
+    # <inf>_q is about e^-822 at q=0.998: no normal double, no honest bound
+    for q in (0.998, 0.999):
+        with pytest.raises(DomainError):
+            q_pochhammer(INFINITY, QParam(q))
+        # the table itself still serves finite products there
+        assert q_factorial(6, QParam(q)) > 0.0
+    value, err = q_pochhammer(INFINITY, QParam(0.997))
+    assert value > 0.0 and err > 0.0
+
+
 def test_q_binomial_symmetry():
     p = QParam(0.37)
     for a in range(21):
