@@ -9,10 +9,12 @@ output starts with a header line describing the run.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
 import sys
+from typing import Iterator
 
 from . import __version__
 from .dist import (
@@ -24,10 +26,11 @@ from .dist import (
 from .errors import DomainError, MallowsError
 from .qseries import QParam
 from .samplers import (
+    _BLOCK_ROWS,
+    batch_inversion_windows,
     q_shuffle_prefix,
     sample_finite_mallows,
     sample_two_sided_interlacing,
-    sample_two_sided_inversion,
 )
 from .streams import GeomStream
 from .verify import SUITE_NAMES, run_suite
@@ -107,6 +110,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise DomainError("count must be >= 1")
 
     uses_eps = args.mode == "two-sided" and args.sampler == "inversion"
+    if uses_eps and not args.eps_tv > 0.0:
+        raise DomainError("--eps-tv must be > 0")
     if args.mode == "finite" or args.mode == "one-sided":
         if args.n is None or args.n < 1:
             raise DomainError(f"{args.mode} mode requires --n >= 1")
@@ -121,10 +126,21 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             return sample_finite_mallows(args.n, p, s).values
         if args.mode == "one-sided":
             return q_shuffle_prefix(args.n, p, s)
-        if args.sampler == "interlacing":
-            return sample_two_sided_interlacing(lo, hi, p, s)[0].values
-        return sample_two_sided_inversion(lo, hi, p, s, args.eps_tv).values
+        return sample_two_sided_interlacing(lo, hi, p, s)[0].values
 
+    def blocks() -> Iterator[list]:
+        """The windows in order, _BLOCK_ROWS per inversion kernel call."""
+        if not uses_eps:
+            for _ in range(args.count):
+                yield [draw()]
+            return
+        for b0 in range(0, args.count, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, args.count - b0)
+            yield batch_inversion_windows(lo, hi, p, s, rows, args.eps_tv)[0].tolist()
+
+    # a refused draw raises before anything reaches stdout
+    windows = blocks()
+    first = next(windows)
     out = sys.stdout
     if args.format == "jsonl":
         header = {
@@ -136,13 +152,17 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "version": __version__,
         }
         out.write(json.dumps(header) + "\n")
-        for _ in range(args.count):
-            vals = draw()
-            out.write(json.dumps({"lo": lo, "hi": hi, "values": list(vals)}) + "\n")
+
+        def line(vals: list) -> str:
+            return json.dumps({"lo": lo, "hi": hi, "values": list(vals)})
     else:
         out.write(",".join(f"p{i}" for i in range(lo, hi + 1)) + "\n")
-        for _ in range(args.count):
-            out.write(",".join(str(v) for v in draw()) + "\n")
+
+        def line(vals: list) -> str:
+            return ",".join(str(v) for v in vals)
+    for block in itertools.chain([first], windows):
+        for vals in block:
+            out.write(line(vals) + "\n")
     return 0
 
 

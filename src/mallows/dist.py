@@ -31,6 +31,10 @@ from .errors import DomainError
 from .perm import inversions
 from .qseries import KahanSum, QParam, pochhammer_table
 
+#: refusal where a series term's denominator, a product of <n>_q values,
+#: underflows to 0 (from q ~ 0.997)
+_UNDERFLOW = "q={q}: a series denominator underflows to 0; the law cannot be evaluated"
+
 
 @dataclass(frozen=True)
 class DisplacementPmf:
@@ -81,7 +85,10 @@ def _displacement_series(d: int, p: QParam) -> float:
     while True:
         if ell + d >= len(vals):
             vals = pochhammer_table(p, ell + d).values
-        term = q ** (ell * (ell + d + 2) + d) / (vals[ell + d] * vals[ell])
+        den = vals[ell + d] * vals[ell]
+        if den == 0.0:
+            raise DomainError(_UNDERFLOW.format(q=q))
+        term = q ** (ell * (ell + d + 2) + d) / den
         acc.add(term)
         ratio = q ** (2 * ell + d + 3) / (
             (1.0 - q ** (ell + 1)) * (1.0 - q ** (ell + d + 1))
@@ -182,7 +189,10 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
             if a_k + top >= len(vals):
                 vals = pochhammer_table(p, a_k + top).values
             expo = big_a * (b1 + 1) + big_c + (a_k + 1) * (b1 + 1 + big_r)
-            term = q**expo / (den_rest * vals[b1] * vals[a_k])
+            den = den_rest * vals[b1] * vals[a_k]
+            if den == 0.0:
+                raise DomainError(_UNDERFLOW.format(q=q))
+            term = q**expo / den
             y = term - comp
             t = inner + y
             comp = (t - inner) - y

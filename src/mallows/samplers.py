@@ -20,10 +20,17 @@ The two-sided samplers are the heart of the package:
   the verification suites.
 
 ``batch_*`` functions are vectorized Monte Carlo kernels producing the same
-laws at acceptance-test sample sizes.  ``batch_finite_r`` and
-``batch_inversion_position0`` consume their stream column-wise rather than
-per sample, so for a fixed seed they do not reproduce the scalar outputs
-draw-for-draw — only the law is shared, which the test suite verifies.
+laws at acceptance-test sample sizes.  ``batch_finite_r`` consumes its
+stream column-wise rather than per sample, so for a fixed seed it does not
+reproduce the scalar outputs draw-for-draw — only the law is shared, which
+the test suite verifies.
+
+``batch_inversion_windows`` is the one implementation of the inversion
+route: all rows' right counts in one call, the in-window chains as array
+steps, then rounds of left draws over the rows whose lowest chain is still
+short of eps_tv.  ``sample_two_sided_inversion`` is its count=1 case and
+``batch_inversion_position0`` its [0..0] case, so both return what the
+kernel returns for the same stream.
 
 ``batch_interlacing_windows`` is the scalar interlacing sampler run on a
 block of rows at once: the diagrams come from the part-size search of
@@ -43,8 +50,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
-from .perm import PermWindow, reconstruct_ell
+from .errors import DomainError, NotInjectiveError
+from .perm import PermWindow
 from .qseries import QParam, normal_table
 from .streams import GeomStream
 
@@ -301,42 +308,15 @@ def sample_two_sided_inversion(
 ) -> PermWindow:
     """Window of the two-sided law via i.i.d. geometric right counts.
 
-    Left counts are reconstructed by the leftward chain, all positions
-    sharing one lazily drawn sequence of right counts to the left of the
-    window; each chain stops once the probability of any further increment
-    is <= eps_tv, so the window law is within (hi-lo+1)*eps_tv of exact in
-    total variation (union bound).  Raises NotInjectiveError if the rebuilt
-    values collide (astronomically rare; a sign eps_tv is too loose).
+    The count=1 case of batch_inversion_windows: left counts come from the
+    leftward chains, all positions sharing one lazily drawn sequence of
+    right counts to the left of the window; each chain stops once the
+    probability of any further increment is <= eps_tv, so the window law is
+    within (hi-lo+1)*eps_tv of exact in total variation (union bound).
+    Truncation keeps the order of the values, so they never collide.
     """
-    if hi < lo:
-        raise DomainError("window requires lo <= hi")
-    if eps_tv <= 0.0:
-        raise DomainError("eps_tv must be > 0")
-    _check_stream(p, s)
-    width = hi - lo + 1
-    r = [s.geometric() for _ in range(width)]
-    left_cache: list[int] = []
-    vals = []
-    for j in range(lo, hi + 1):
-        cursor = 0
-
-        def extend() -> int:
-            nonlocal cursor
-            if cursor == len(left_cache):
-                left_cache.append(s.geometric())
-            out = left_cache[cursor]
-            cursor += 1
-            return out
-
-        ell_j, _, _ = reconstruct_ell(r, lo, j, p, eps_tv, extend)
-        vals.append(j + r[j - lo] - ell_j)
-    if len(set(vals)) != width:
-        from .errors import NotInjectiveError
-
-        raise NotInjectiveError(
-            "window rebuild collided; eps_tv is too loose for this window"
-        )
-    return PermWindow(lo=lo, hi=hi, values=tuple(vals))
+    values, _ = batch_inversion_windows(lo, hi, p, s, 1, eps_tv)
+    return PermWindow(lo=lo, hi=hi, values=tuple(values[0].tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -541,35 +521,94 @@ def _shuffle_letters(skips: np.ndarray, n: np.ndarray) -> np.ndarray:
     return out.T
 
 
+def batch_inversion_windows(
+    lo: int, hi: int, p: QParam, s: GeomStream, count: int, eps_tv: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, left counts): two count x width matrices of two-sided
+    windows rebuilt from i.i.d. geometric right counts.
+
+    Each position j runs reconstruct_ell's leftward chain: state x starts
+    at r_j and meets r_{j-1}, r_{j-2}, ...; a right count above x is a left
+    inversion of j (ell_j += 1), otherwise x increments.  Inside the window
+    the chains are exact and take width-1 array steps (at offset t the
+    chains of positions lo+t..hi meet r[:, :-t]).  Left of the window the
+    chains of a row share one lazily drawn sequence of right counts, and a
+    chain stops once q^(x+1)/(1-q) <= eps_tv, i.e. once
+    x >= x* = ceil(log(eps_tv (1-q)) / log q - 1), so each window law is
+    within width * eps_tv of exact in total variation.  The values are
+    sigma(j) = j + r_j - ell_j.
+
+    Draws: every row's right counts, row by row, in one s.geometrics call;
+    then rounds of one s.geometrics call with one draw for each row whose
+    lowest chain is still below x*: first the rows whose lowest chain took
+    no step in the previous round, then the other rows still drawing.  At
+    count=1 these are the draws of one reconstruct_ell chain per position
+    over a lazily extended cache, in the same order.
+
+    Whatever eps_tv, a row's values are distinct and in the order of the
+    exact ones: a chain's state counts the smaller values at the positions
+    it has reached and to the right of j, so a chain stops no further left
+    than any chain of a smaller value, and j + r_j - ell_j never rises as a
+    chain goes left.  A collision is therefore a defect and raises
+    NotInjectiveError.
+    """
+    if hi < lo:
+        raise DomainError("window requires lo <= hi")
+    if count < 0:
+        raise DomainError("count must be >= 0")
+    if not 0.0 < eps_tv < math.inf:
+        raise DomainError("eps_tv must be finite and > 0")
+    _check_stream(p, s)
+    q = p.q
+    tail = eps_tv * (1.0 - q)
+    if tail == 0.0:
+        raise DomainError(f"eps_tv * (1-q) underflows to 0 at eps_tv={eps_tv!r}")
+    xstar = math.ceil(math.log(tail) / math.log(q) - 1.0)
+    width = hi - lo + 1
+    r = s.geometrics(count * width).reshape(count, width)
+    x = r.copy()
+    ell = np.zeros_like(r)
+    for t in range(1, width):
+        hit = r[:, :-t] > x[:, t:]
+        ell[:, t:] += hit
+        x[:, t:] += ~hit
+    # a draw above a row's lowest chain leaves it, any other steps every
+    # live chain of the row, so the lowest chains (state low, hits) alone
+    # set the rounds; the other live chains are kept flat, as chain index
+    # into the row-major window, row and state
+    low = x.min(axis=1)
+    lowest = x == low[:, None]
+    chain = np.flatnonzero(~lowest & (x < xstar))
+    row, state = chain // width, x.reshape(-1)[chain]
+    hits = np.zeros(count, dtype=np.int64)
+    chain_hits = np.zeros(count * width, dtype=np.int64)
+    slot = np.empty(count, dtype=np.int64)
+    active = np.flatnonzero(low < xstar)
+    while active.size:
+        draws = s.geometrics(active.size)
+        if chain.size:  # a live chain's row is active: low <= its state
+            slot[active] = np.arange(active.size)
+            hit = draws[slot[row]] > state
+            chain_hits[chain[hit]] += 1
+            state += ~hit
+            live = state < xstar
+            chain, row, state = chain[live], row[live], state[live]
+        stay = draws > low[active]
+        hits[active[stay]] += 1
+        stepped = active[~stay]
+        low[stepped] += 1
+        active = np.concatenate((active[stay], stepped[low[stepped] < xstar]))
+    ell += lowest * hits[:, None] + chain_hits.reshape(count, width)
+    values = np.arange(lo, hi + 1) + r - ell
+    if np.any(np.diff(np.sort(values, axis=1), axis=1) == 0):
+        raise NotInjectiveError("window rebuild collided")
+    return values, ell
+
+
 def batch_inversion_position0(
     p: QParam, s: GeomStream, count: int, eps_tv: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(displacement, left count) at position 0 from the inversion sampler.
-
-    Vectorized leftward chains: every row keeps state x (initially r_0) and
-    processes shared-law i.i.d. geometric draws moving left; a draw above x
-    adds a left inversion, otherwise x increments; a row retires once
-    q^(x+1)/(1-q) <= eps_tv.  Returns (d0, ell0) with d0 = r0 - ell0.
-    """
-    if count < 0:
-        raise DomainError("count must be >= 0")
-    if eps_tv <= 0.0:
-        raise DomainError("eps_tv must be > 0")
-    _check_stream(p, s)
-    q = p.q
-    xstar = math.ceil(math.log(eps_tv * (1.0 - q)) / math.log(q) - 1.0)
-    r0 = s.geometrics(count)
-    x = r0.copy()
-    ell = np.zeros(count, dtype=np.int64)
-    active = np.nonzero(x < xstar)[0]
-    while active.size:
-        draws = s.geometrics(active.size)
-        xa = x[active]
-        trivial = draws > xa
-        ell[active[trivial]] += 1
-        bumped = active[~trivial]
-        x[bumped] += 1
-        active = np.concatenate(
-            [active[trivial], bumped[x[bumped] < xstar]]
-        )
-    return r0 - ell, ell
+    """(displacement, left count) at position 0: batch_inversion_windows on
+    [0..0], as two arrays of length count.  d0 = r0 - ell0."""
+    d0, ell0 = batch_inversion_windows(0, 0, p, s, count, eps_tv)
+    return d0[:, 0], ell0[:, 0]

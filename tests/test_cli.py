@@ -3,10 +3,16 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from mallows import __version__
+from mallows import GeomStream, QParam, __version__
 from mallows.cli import main
+from mallows.samplers import (
+    _BLOCK_ROWS,
+    batch_inversion_windows,
+    sample_two_sided_inversion,
+)
 
 
 def run_cli(capsys, argv):
@@ -59,6 +65,60 @@ def test_sample_inversion_reports_eps(capsys):
     )
     assert code == 0
     assert json.loads(out.splitlines()[0])["eps_tv"] == 1e-6
+
+
+INVERSION = ["sample", "--mode", "two-sided", "--sampler", "inversion", "--q", "0.5"]
+
+
+def test_sample_inversion_count_one_is_the_scalar_sampler(capsys):
+    for seed in range(1, 21):
+        code, out, err = run_cli(
+            capsys, INVERSION + ["--window", "-5:5", "--count", "1", "--seed", str(seed)]
+        )
+        w = sample_two_sided_inversion(-5, 5, QParam(0.5), GeomStream(seed, 0.5), 1e-9)
+        header = {"q": 0.5, "seed": seed, "mode": "two-sided", "window": [-5, 5],
+                  "eps_tv": 1e-9, "version": __version__}
+        assert code == 0 and err == ""
+        assert out == json.dumps(header) + "\n" + json.dumps(w.to_json()) + "\n"
+
+
+def test_sample_inversion_draws_kernel_blocks(capsys):
+    count = _BLOCK_ROWS + 3
+    code, out, _ = run_cli(
+        capsys, INVERSION + ["--window", "-2:2", "--count", str(count), "--seed", "5"]
+    )
+    assert code == 0
+    rows = [json.loads(line)["values"] for line in out.splitlines()[1:]]
+    s, p = GeomStream(5, 0.5), QParam(0.5)
+    blocks = [batch_inversion_windows(-2, 2, p, s, n, 1e-9)[0] for n in (_BLOCK_ROWS, 3)]
+    assert rows == np.vstack(blocks).tolist()
+
+
+def test_sample_inversion_csv(capsys):
+    code, out, _ = run_cli(
+        capsys, INVERSION + ["--window", "-1:2", "--count", "6", "--seed", "8",
+                             "--eps-tv", "1e-6", "--format", "csv"]
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "p-1,p0,p1,p2"
+    values, _ = batch_inversion_windows(-1, 2, QParam(0.5), GeomStream(8, 0.5), 6, 1e-6)
+    assert [[int(v) for v in line.split(",")] for line in lines[1:]] == values.tolist()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [INVERSION + ["--window", "-2:2", "--eps-tv", "0"],
+     INVERSION + ["--window", "-2:2", "--eps-tv", "nan"],
+     INVERSION + ["--window", "-2:2", "--eps-tv", "inf"],
+     ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.999"]],
+)
+def test_refused_sample_prints_nothing(capsys, argv):
+    for fmt in ("jsonl", "csv"):
+        code, out, err = run_cli(capsys, argv + ["--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert "error[" in err
 
 
 def test_sample_finite_csv(capsys):
@@ -152,6 +212,14 @@ def test_pmf_fdd_json(capsys):
     assert rec["query"] == [-1, 1]
     assert rec["value"] == pytest.approx(0.0324822696, abs=1e-9)
     assert rec["error_bound"] < 1e-12
+
+
+@pytest.mark.parametrize("law", [["displacement"], ["fdd", "--d", "0,1"]])
+def test_pmf_near_one_is_a_domain_error(capsys, law):
+    code, out, err = run_cli(capsys, ["pmf", *law, "--q", "0.997"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[DOMAIN]")
 
 
 def test_pmf_fdd_requires_d(capsys):

@@ -225,6 +225,17 @@ def test_fdd_reflection_identity(q):
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), f"d={d}"
 
 
+@pytest.mark.parametrize("q", [0.997, 0.999])
+def test_laws_refuse_underflowing_denominators(q):
+    # a product of <n>_q values underflows to 0 within the series here
+    p = QParam(q)
+    with pytest.raises(DomainError):
+        displacement_pmf(p, radius=0)
+    for d in [(0,), (-1, 1), (2, 0), (0, 0, 0)]:
+        with pytest.raises(DomainError):
+            fdd_probability(p, FddQuery(len(d), d), 1e-12)
+
+
 def test_fdd_matches_finite_model_dp():
     # pins centered in a size-50 model approximate the two-sided law to
     # roughly q^24 (measured diff <= 1.3e-8 across these cases)

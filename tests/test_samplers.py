@@ -1,6 +1,7 @@
 """Exactness and determinism checks for the scalar and batch samplers."""
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -9,8 +10,9 @@ import pytest
 from scipy import stats
 
 import oracles
-from mallows.dist import displacement_pmf
+from mallows.dist import FddQuery, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
+from mallows.perm import reconstruct_ell
 from mallows.qseries import QParam, pochhammer_table
 from mallows.samplers import (
     InterlacingTriple,
@@ -24,6 +26,7 @@ from mallows.samplers import (
     batch_finite_r,
     batch_interlacing_windows,
     batch_inversion_position0,
+    batch_inversion_windows,
     finite_code_to_r,
     finite_r_codes,
     q_shuffle_prefix,
@@ -430,6 +433,100 @@ def test_inversion_sampler_rejects_bad_eps():
     s = GeomStream(seed=0, q=0.5)
     with pytest.raises(DomainError):
         sample_two_sided_inversion(0, 0, P5, s, 0.0)
+
+
+def _chain_replay(lo, hi, p, s, eps_tv):
+    """Window by one reconstruct_ell chain per position: the right counts
+    first, then one lazily drawn cache of right counts left of the window
+    that every chain reads from its start."""
+    r = [s.geometric() for _ in range(hi - lo + 1)]
+    cache: list[int] = []
+    window = []
+    for j in range(lo, hi + 1):
+        depth = itertools.count()
+
+        def extend() -> int:
+            k = next(depth)
+            if k == len(cache):
+                cache.append(s.geometric())
+            return cache[k]
+
+        ell, certified, _ = reconstruct_ell(r, lo, j, p, eps_tv, extend)
+        assert certified
+        window.append(j + r[j - lo] - ell)
+    return window
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.8, 0.95])
+@pytest.mark.parametrize("eps_tv", [1e-3, 1e-9])
+def test_inversion_kernel_at_count_one_is_the_chain_replay(q, eps_tv):
+    p = QParam(q)
+    for lo, hi in ((-5, 5), (0, 0), (3, 9), (-12, 12)):
+        for seed in range(1, 6):
+            a, b = GeomStream(seed=seed, q=q), GeomStream(seed=seed, q=q)
+            for _ in range(3):
+                values, ell = batch_inversion_windows(lo, hi, p, a, 1, eps_tv)
+                assert values.shape == ell.shape == (1, hi - lo + 1)
+                assert values[0].tolist() == _chain_replay(lo, hi, p, b, eps_tv)
+                assert a.counter == b.counter
+    s = GeomStream(seed=7, q=q)
+    w = sample_two_sided_inversion(-5, 5, p, s, eps_tv)
+    assert list(w.values) == _chain_replay(-5, 5, p, GeomStream(seed=7, q=q), eps_tv)
+
+
+def test_inversion_kernel_joint_law_of_two_positions():
+    q, n_draws = 0.5, 200_000
+    p = QParam(q)
+    values, ell = batch_inversion_windows(-1, 0, p, GeomStream(seed=97, q=q), n_draws, 1e-9)
+    assert ell.min() >= 0
+    # cells (d_-1, d_0) in [-4..4]^2, row-major
+    d = values - np.arange(-1, 1) + 4
+    inside = np.all((d >= 0) & (d <= 8), axis=1)
+    observed = np.bincount(d[inside] @ np.array([9, 1]), minlength=81)
+    cells = itertools.product(range(-4, 5), repeat=2)
+    probs = np.array([fdd_probability(p, FddQuery(2, c), 1e-12)[0] for c in cells])
+    # d_-1 = d_0 + 1 maps both positions to one value
+    assert not observed[probs == 0.0].any()
+    keep = probs * n_draws >= 5.0
+    counts = np.append(observed[keep], n_draws - observed[keep].sum())
+    expected = np.append(probs[keep], 1.0 - probs[keep].sum()) * n_draws
+    stat = chi2_stat(counts, expected)
+    thr = chi2_threshold(len(counts) - 1)
+    assert stat < thr, f"chi2 {stat:.2f} >= {thr:.2f}"
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+def test_inversion_kernel_keeps_the_value_order_at_any_eps(q):
+    # chains stopped early miss left inversions but keep the order of the
+    # values, so even a loose eps_tv never collides
+    p = QParam(q)
+    for seed in range(1, 21):
+        exact, _ = batch_inversion_windows(-5, 5, p, GeomStream(seed=seed, q=q), 1, 1e-12)
+        for eps_tv in (0.5, 0.99, 1e3):
+            loose, _ = batch_inversion_windows(-5, 5, p, GeomStream(seed=seed, q=q), 1, eps_tv)
+            assert len(set(loose[0].tolist())) == 11
+            assert np.argsort(loose[0]).tolist() == np.argsort(exact[0]).tolist()
+    rows, _ = batch_inversion_windows(-5, 5, p, GeomStream(seed=0, q=q), 2000, 0.5)
+    assert np.all(np.diff(np.sort(rows, axis=1), axis=1) > 0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, count, eps_tv",
+    [(1, 0, 5, 1e-9), (0, 2, -1, 1e-9), (0, 2, 5, 0.0), (0, 2, 5, -1e-9),
+     (0, 2, 5, math.nan), (0, 2, 5, math.inf), (0, 2, 5, 5e-324)],
+)
+def test_inversion_kernel_refusals_draw_nothing(lo, hi, count, eps_tv):
+    s = GeomStream(seed=0, q=0.5)
+    with pytest.raises(DomainError):
+        batch_inversion_windows(lo, hi, P5, s, count, eps_tv)
+    assert s.counter == 0
+
+
+def test_inversion_kernel_count_zero():
+    s = GeomStream(seed=0, q=0.5)
+    values, ell = batch_inversion_windows(-2, 2, P5, s, 0, 1e-9)
+    assert values.shape == ell.shape == (0, 5)
+    assert s.counter == 0
 
 
 # --------------------------------------------------------------------------
