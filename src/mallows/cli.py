@@ -16,6 +16,8 @@ import re
 import sys
 from typing import Iterator
 
+import numpy as np
+
 from . import __version__
 from .dist import (
     FddQuery,
@@ -27,9 +29,9 @@ from .errors import DomainError, MallowsError
 from .qseries import QParam
 from .samplers import (
     _BLOCK_ROWS,
+    batch_finite_words,
     batch_inversion_windows,
-    q_shuffle_prefix,
-    sample_finite_mallows,
+    batch_shuffle_prefixes,
     sample_two_sided_interlacing,
 )
 from .streams import GeomStream
@@ -102,6 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # sample
 # --------------------------------------------------------------------------
 
+#: letters per finite or one-sided kernel call: _BLOCK_ROWS words up to
+#: n = 64, fewer beyond, so a call's arrays stay near 1 MB whatever n
+_BLOCK_LETTERS = 64 * _BLOCK_ROWS
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     p = QParam(args.q)
@@ -122,21 +129,26 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         lo, hi = _parse_window(args.window)
 
     def draw() -> tuple[int, ...]:
-        if args.mode == "finite":
-            return sample_finite_mallows(args.n, p, s).values
-        if args.mode == "one-sided":
-            return q_shuffle_prefix(args.n, p, s)
         return sample_two_sided_interlacing(lo, hi, p, s)[0].values
 
+    def kernel(rows: int) -> np.ndarray:
+        if uses_eps:
+            return batch_inversion_windows(lo, hi, p, s, rows, args.eps_tv)[0]
+        if args.mode == "finite":
+            return batch_finite_words(args.n, p, s, rows)
+        return batch_shuffle_prefixes(args.n, p, s, rows)
+
     def blocks() -> Iterator[list]:
-        """The windows in order, _BLOCK_ROWS per inversion kernel call."""
-        if not uses_eps:
+        """The windows in order, one kernel call per block except for the
+        interlacing sampler, which draws one window at a time."""
+        if args.mode == "two-sided" and not uses_eps:
             for _ in range(args.count):
                 yield [draw()]
             return
-        for b0 in range(0, args.count, _BLOCK_ROWS):
-            rows = min(_BLOCK_ROWS, args.count - b0)
-            yield batch_inversion_windows(lo, hi, p, s, rows, args.eps_tv)[0].tolist()
+        # finite words and prefixes are the same whatever the block size
+        per_call = _BLOCK_ROWS if uses_eps else max(1, min(_BLOCK_ROWS, _BLOCK_LETTERS // args.n))
+        for b0 in range(0, args.count, per_call):
+            yield kernel(min(per_call, args.count - b0)).tolist()
 
     # a refused draw raises before anything reaches stdout
     windows = blocks()

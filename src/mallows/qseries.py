@@ -150,12 +150,35 @@ def q_factorial(n: int, p: QParam) -> float:
     return pochhammer_table(p, n).value(n) / (1.0 - p.q) ** n
 
 
+def _product_error(q: float, n: int, value: float) -> float:
+    """Absolute bound on |value - <n>_q| for value the table's rounded
+    product of the rounded factors fl(1 - fl(q**k)), k = 1..n.
+
+    With u = 2^-52 (twice the unit roundoff, which also covers rounding
+    in this evaluation) and eta = 2^-1074: q**k is within u q^k + eta and
+    the subtraction rounds once, so factor k is (1-q^k)(1+e_k) with
+    |e_k| <= u + (1+u)(u q^k + eta)/(1-q^k), the cancellation term that
+    grows near q = 1.  Each product rounds by u relative or eta absolute.
+    With S the sum of e_k + u + e_k u and T = expm1(S), the computed value
+    is <n>_q (1+t) + a with |t| <= T and |a| <= n eta (1+T), which gives
+    |value - <n>_q| <= (value T + n eta (1+T)) / (1-T).
+    """
+    u, eta = 2.0**-52, 2.0**-1074
+    e = math.fsum(u + (1.0 + u) * (u * q**k + eta) / (1.0 - q**k) for k in range(1, n + 1))
+    t = math.expm1(e * (1.0 + u) + n * u)
+    if not t < 1.0:
+        raise DomainError(f"no error bound for <{n}>_q at q={q}: rounding may exceed the value")
+    return (value * t + n * eta * (1.0 + t)) / (1.0 - t)
+
+
 def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
     """<n>_q as (value, error_bound); pass INFINITY for the infinite product.
 
-    Finite products are exact (error_bound 0).  The infinite product returns
-    the partial product at a depth guaranteeing relative error <= eps_series
-    and its absolute bound, or DomainError where it is not a normal double.
+    A finite product comes with an absolute bound on its rounding error
+    (_product_error; 0 only for the empty product n = 0).  The infinite
+    product returns the partial product at a depth guaranteeing relative
+    error <= eps_series and its absolute bound, or DomainError where it is
+    not a normal double.
     """
     if n == INFINITY:
         table = normal_table(p, "no certified value can be returned")
@@ -163,7 +186,8 @@ def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
     n = int(n)
     if n < 0:
         raise DomainError("q_pochhammer requires n >= 0 or INFINITY")
-    return pochhammer_table(p, n).value(n), 0.0
+    value = pochhammer_table(p, n).value(n)
+    return value, _product_error(p.q, n, value)
 
 
 def q_binomial(b: int, a: int, p: QParam) -> float:

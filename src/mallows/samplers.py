@@ -25,6 +25,12 @@ stream column-wise rather than per sample, so for a fixed seed it does not
 reproduce the scalar outputs draw-for-draw — only the law is shared, which
 the test suite verifies.
 
+``batch_finite_words`` and ``batch_shuffle_prefixes`` are
+``sample_finite_mallows`` and ``q_shuffle_prefix`` on count rows at once:
+they draw what count successive scalar calls draw, in the same order and in
+one call, and build the words with ``_shuffle_letters``, so they return the
+same rows and leave the same ``counter``.
+
 ``batch_inversion_windows`` is the one implementation of the inversion
 route: all rows' right counts in one call, the in-window chains as array
 steps, then rounds of left draws over the rows whose lowest chain is still
@@ -338,6 +344,36 @@ def batch_finite_r(n: int, p: QParam, s: GeomStream, count: int) -> np.ndarray:
     return out
 
 
+def batch_finite_words(n: int, p: QParam, s: GeomStream, count: int) -> np.ndarray:
+    """count x n matrix whose rows are what count successive
+    sample_finite_mallows(n, p, s) calls return, from the same draws.
+
+    Right count i (0-based) is a truncated geometric with limit n-1-i, all
+    rows' drawn row by row in one call (the last is 0 and draws nothing).
+    Elimination takes the (r_i+1)-th smallest unused value, the q-shuffle
+    rule, so _shuffle_letters builds the words.
+    """
+    if n < 1 or count < 0:
+        raise DomainError("need n >= 1 and count >= 0")
+    _check_stream(p, s)
+    skips = np.zeros((count, n), dtype=np.int64)
+    skips[:, :-1] = s.truncated_geometrics(
+        count * (n - 1), np.tile(np.arange(n - 1, 0, -1), count)
+    ).reshape(count, n - 1)
+    return _shuffle_letters(skips, np.full(count, n))
+
+
+def batch_shuffle_prefixes(n: int, p: QParam, s: GeomStream, count: int) -> np.ndarray:
+    """count x n matrix whose rows are what count successive
+    q_shuffle_prefix(n, p, s) calls return, from the same draws (all rows'
+    geometric skips, row by row, in one call)."""
+    if n < 1 or count < 0:
+        raise DomainError("need n >= 1 and count >= 0")
+    _check_stream(p, s)
+    skips = s.geometrics(count * n).reshape(count, n)
+    return _shuffle_letters(skips, np.full(count, n))
+
+
 def finite_r_codes(r_matrix: np.ndarray) -> np.ndarray:
     """Mixed-radix code of each row; a bijection onto 0..n!-1."""
     count, n = r_matrix.shape
@@ -498,7 +534,12 @@ def _shuffle_letters(skips: np.ndarray, n: np.ndarray) -> np.ndarray:
     w enters d at rank m = #{k : d_k <= R + 1} as d_m = R + 1, and the d_k
     after it drop by one.  Each letter column is a fixed number of array
     operations over the rows still drawing, which are a prefix once rows
-    are sorted by decreasing n.
+    are sorted by decreasing n.  d_k = 1 means no unused value below s_k:
+    such a d_k counts in every m and never moves, so the leading d_k that
+    are 1 in every row still drawing are skipped, and a column costs about
+    the letters above the rows' lowest unused value rather than all i of
+    them.  That prefix is extended every 16th column, which keeps the scan
+    off the narrow blocks of the interlacing kernel.
     """
     rows, width = skips.shape
     order = np.argsort(-n, kind="stable")
@@ -510,11 +551,16 @@ def _shuffle_letters(skips: np.ndarray, n: np.ndarray) -> np.ndarray:
     d = np.zeros((width + 1, rows), dtype=r1.dtype)
     span, index = np.arange(width + 1)[:, None], np.arange(rows)
     active = np.searchsorted(-need, -np.arange(int(need[0]) if rows else 0)).tolist()
+    z = 0  # d_0..d_{z-1} are 1 in every row still drawing
     for i, a in enumerate(active):
+        while i % 16 == 0 and z < i and (d[z + 1, :a] == 1).all():
+            z += 1
         ri = r1[i, :a]
-        m = (d[1 : i + 1, :a] <= ri).sum(axis=0)
+        m = (d[z + 1 : i + 1, :a] <= ri).sum(axis=0)
+        if z:  # narrow blocks skip nothing; spare them an array add
+            m += z
         letters[i, :a] = ri + m
-        np.copyto(d[1 : i + 2, :a], d[: i + 1, :a] - 1, where=span[: i + 1] >= m)
+        np.copyto(d[z + 1 : i + 2, :a], d[z : i + 1, :a] - 1, where=span[z : i + 1] >= m)
         d[m + 1, index[:a]] = ri
     out = np.empty_like(letters)
     out[:, order] = letters

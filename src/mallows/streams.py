@@ -95,10 +95,19 @@ class GeomStream:
         k = int(math.log(1.0 - w) / math.log(self.q))
         return min(k, limit)
 
-    def truncated_geometrics(self, n: int, limit: int) -> np.ndarray:
-        if limit <= 0:
+    def truncated_geometrics(self, n: int, limit: int | np.ndarray) -> np.ndarray:
+        """n draws as truncated_geometric(limit); limit may also be an int
+        array of n limits >= 1, one per draw."""
+        if isinstance(limit, np.ndarray):
+            if limit.shape != (_size(n),) or not np.all(limit >= 1):
+                raise DomainError("need one limit >= 1 per draw")
+            # one Python ** per limit value, so top has the scalar draw's bits
+            powers = [self.q ** (k + 1) for k in range(int(limit.max(initial=0)) + 1)]
+            top = 1.0 - np.array(powers)[limit]
+        elif limit <= 0:
             return np.zeros(_size(n), dtype=np.int64)
-        top = 1.0 - self.q ** (limit + 1)
+        else:
+            top = 1.0 - self.q ** (limit + 1)
         w = self.uniforms(n) * top
         k = np.floor(np.log(1.0 - w) / math.log(self.q)).astype(np.int64)
         return np.minimum(k, limit)

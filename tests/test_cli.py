@@ -1,6 +1,7 @@
 """End-to-end CLI checks through main(argv) — no subprocesses needed."""
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -11,6 +12,8 @@ from mallows.cli import main
 from mallows.samplers import (
     _BLOCK_ROWS,
     batch_inversion_windows,
+    q_shuffle_prefix,
+    sample_finite_mallows,
     sample_two_sided_inversion,
 )
 
@@ -106,12 +109,55 @@ def test_sample_inversion_csv(capsys):
     assert [[int(v) for v in line.split(",")] for line in lines[1:]] == values.tolist()
 
 
+WORD_SCALARS = {
+    "finite": lambda n, p, s: sample_finite_mallows(n, p, s).values,
+    "one-sided": q_shuffle_prefix,
+}
+
+
+@pytest.mark.parametrize("mode", list(WORD_SCALARS))
+def test_sample_words_are_the_scalar_twins(capsys, mode):
+    # kernel blocks print what one scalar call per window printed, for
+    # every count: the first `count` windows of one stream
+    n, counts = 6, (1, 250, _BLOCK_ROWS + 3)
+    for seed in range(1, 21):
+        s, p = GeomStream(seed, 0.5), QParam(0.5)
+        words = [WORD_SCALARS[mode](n, p, s) for _ in range(max(counts))]
+        header = {"q": 0.5, "seed": seed, "mode": mode, "window": [1, n],
+                  "eps_tv": None, "version": __version__}
+        jsonl = [json.dumps(header)] + [
+            json.dumps({"lo": 1, "hi": n, "values": list(w)}) for w in words]
+        csv = [",".join(f"p{i}" for i in range(1, n + 1))] + [
+            ",".join(map(str, w)) for w in words]
+        for count, (fmt, lines) in itertools.product(counts, (("jsonl", jsonl), ("csv", csv))):
+            code, out, err = run_cli(capsys, [
+                "sample", "--mode", mode, "--n", str(n), "--q", "0.5", "--count", str(count),
+                "--seed", str(seed), "--format", fmt])
+            assert code == 0 and err == ""
+            assert out == "".join(line + "\n" for line in lines[: count + 1]), (seed, count, fmt)
+
+
+@pytest.mark.parametrize("mode", list(WORD_SCALARS))
+def test_sample_long_words_take_fewer_rows_per_call(capsys, mode):
+    # n = 300 puts 436 words in a call, so 500 words take two calls
+    n, count = 300, 500
+    code, out, _ = run_cli(capsys, ["sample", "--mode", mode, "--n", str(n), "--q", "0.8",
+                                    "--count", str(count), "--seed", "3", "--format", "csv"])
+    s, p = GeomStream(3, 0.8), QParam(0.8)
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        ",".join(map(str, WORD_SCALARS[mode](n, p, s))) for _ in range(count)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [INVERSION + ["--window", "-2:2", "--eps-tv", "0"],
      INVERSION + ["--window", "-2:2", "--eps-tv", "nan"],
      INVERSION + ["--window", "-2:2", "--eps-tv", "inf"],
-     ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.999"]],
+     ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.999"],
+     ["sample", "--mode", "finite", "--n", "0", "--q", "0.5"],
+     ["sample", "--mode", "one-sided", "--n", "0", "--q", "0.5"],
+     ["sample", "--mode", "finite", "--q", "0.5"]],
 )
 def test_refused_sample_prints_nothing(capsys, argv):
     for fmt in ("jsonl", "csv"):

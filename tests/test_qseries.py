@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 
 from mallows.errors import DomainError
@@ -61,12 +62,21 @@ def test_q_factorial_product_form():
 
 
 def test_pochhammer_finite_matches_direct_product():
-    for q in Q_GRID:
+    # the bound must contain a 256-bit product over the same double q
+    sizes = set(range(41)) | {200, 1000}
+    for q in (0.05, 0.3, 0.5, 0.8, 0.95, 0.99):
         p = QParam(q)
-        for n in range(0, 40):
-            value, err = q_pochhammer(n, p)
-            assert err == 0.0
-            assert value == pytest.approx(poch(q, n), rel=1e-13), f"q={q} n={n}"
+        with mpmath.workprec(256):
+            exact = [mpmath.mpf(1)]
+            for k in range(1, max(sizes) + 1):
+                exact.append(exact[-1] * (1 - mpmath.mpf(q) ** k))
+            for n in sorted(sizes):
+                value, err = q_pochhammer(n, p)
+                assert abs(mpmath.mpf(value) - exact[n]) <= err, f"q={q} n={n}"
+                assert err <= 1e-12 * value, f"q={q} n={n}: bound {err} is loose"
+                if n < 40:
+                    assert value == pytest.approx(poch(q, n), rel=1e-13), f"q={q} n={n}"
+    assert q_pochhammer(0, QParam(0.5)) == (1.0, 0.0)
 
 
 def test_pochhammer_monotone_decreasing():

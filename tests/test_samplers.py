@@ -24,9 +24,11 @@ from mallows.samplers import (
     _sign_counts,
     _young_multiplicities,
     batch_finite_r,
+    batch_finite_words,
     batch_interlacing_windows,
     batch_inversion_position0,
     batch_inversion_windows,
+    batch_shuffle_prefixes,
     finite_code_to_r,
     finite_r_codes,
     q_shuffle_prefix,
@@ -395,6 +397,22 @@ def test_shuffle_letters_match_scalar_shuffle(q):
         assert not letters[r, n[r]:].any()
 
 
+def test_shuffle_letters_past_a_settled_prefix():
+    # few long rows: the letters below every row's lowest unused value are
+    # skipped, so large early and late skips must still land as the scalar
+    # shuffle puts them
+    rng = np.random.default_rng(109)
+    rows, width = 3, 400
+    skips = rng.geometric(0.5, size=(rows, width)) - 1
+    skips[:, [0, 150, 151, 390]] += (40, 7, 90, 3)
+    skips[1, 200:260] = 0
+    n = np.array([width, 260, 151])
+    letters = _shuffle_letters(skips, n)
+    for r in range(rows):
+        st = _ShuffleState()
+        assert letters[r, : n[r]].tolist() == [st.take(int(k)) for k in skips[r, : n[r]]]
+
+
 # --------------------------------------------------------------------------
 # two-sided samplers
 # --------------------------------------------------------------------------
@@ -585,6 +603,49 @@ def test_batch_finite_r_matches_scalar_law():
     stat = chi2_stat(counts, expected)
     thr = chi2_threshold(5)
     assert stat < thr, f"chi2 {stat:.2f} >= {thr:.2f}"
+
+
+WORD_KERNELS = [
+    (batch_finite_words, lambda n, p, s: sample_finite_mallows(n, p, s).values),
+    (batch_shuffle_prefixes, q_shuffle_prefix),
+]
+
+
+@pytest.mark.parametrize("kernel, scalar", WORD_KERNELS)
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+def test_word_kernels_are_successive_scalar_calls(kernel, scalar, q):
+    p = QParam(q)
+    for n, count, seed in itertools.product((1, 3, 20), (0, 1, 7), (1, 2, 3)):
+        a, b = GeomStream(seed, q), GeomStream(seed, q)
+        words = kernel(n, p, a, count)
+        assert words.shape == (count, n) and words.dtype == np.int64
+        assert [tuple(w) for w in words.tolist()] == [scalar(n, p, b) for _ in range(count)]
+        assert a.counter == b.counter, f"n={n} count={count} seed={seed}"
+
+
+@pytest.mark.parametrize("kernel", [k for k, _ in WORD_KERNELS])
+def test_word_kernel_refusals_draw_nothing(kernel):
+    for n, count, q in ((0, 5, 0.5), (-2, 5, 0.5), (4, -1, 0.5), (4, 5, 0.3)):
+        s = GeomStream(seed=0, q=q)
+        with pytest.raises(DomainError):
+            kernel(n, P5, s, count)
+        assert s.counter == 0
+
+
+def test_truncated_geometrics_array_limit_is_the_scalar_draw():
+    # one limit per draw, up to where q**(limit+1) needs many bits of pow
+    for q in (0.05, 0.5, 0.999):
+        limits = np.arange(1, 301).repeat(3)
+        a, b = GeomStream(seed=11, q=q), GeomStream(seed=11, q=q)
+        got = a.truncated_geometrics(limits.size, limits)
+        assert got.tolist() == [b.truncated_geometric(int(k)) for k in limits]
+        assert a.counter == b.counter
+    s = GeomStream(seed=0, q=0.5)
+    for n, limits in ((3, np.array([2, 0, 1])), (2, np.array([1, 1, 1])), (1, np.array([[1]]))):
+        with pytest.raises(DomainError):
+            s.truncated_geometrics(n, limits)
+    assert s.counter == 0
+    assert s.truncated_geometrics(0, np.zeros(0, dtype=np.int64)).size == 0
 
 
 def test_batch_interlacing_matches_displacement_pmf():
