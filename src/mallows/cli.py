@@ -32,6 +32,8 @@ from .samplers import (
     batch_finite_words,
     batch_inversion_windows,
     batch_shuffle_prefixes,
+    q_shuffle_prefix,
+    sample_finite_mallows,
     sample_two_sided_interlacing,
 )
 from .streams import GeomStream
@@ -104,9 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # sample
 # --------------------------------------------------------------------------
 
-#: letters per finite or one-sided kernel call: _BLOCK_ROWS words up to
-#: n = 64, fewer beyond, so a call's arrays stay near 1 MB whatever n
-_BLOCK_LETTERS = 64 * _BLOCK_ROWS
+#: longest finite or one-sided word drawn by its kernel (a call's arrays
+#: stay near 1 MB); longer words come from the scalar samplers, which draw
+#: the same values
+_KERNEL_WORD_MAX = 64
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -128,7 +131,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             raise DomainError("two-sided mode requires --window LO:HI")
         lo, hi = _parse_window(args.window)
 
+    on_kernel = uses_eps or args.mode != "two-sided" and args.n <= _KERNEL_WORD_MAX
+
     def draw() -> tuple[int, ...]:
+        if args.mode == "finite":
+            return sample_finite_mallows(args.n, p, s).values
+        if args.mode == "one-sided":
+            return q_shuffle_prefix(args.n, p, s)
         return sample_two_sided_interlacing(lo, hi, p, s)[0].values
 
     def kernel(rows: int) -> np.ndarray:
@@ -139,16 +148,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         return batch_shuffle_prefixes(args.n, p, s, rows)
 
     def blocks() -> Iterator[list]:
-        """The windows in order, one kernel call per block except for the
-        interlacing sampler, which draws one window at a time."""
-        if args.mode == "two-sided" and not uses_eps:
+        """The windows in order, _BLOCK_ROWS per kernel call, or one at a
+        time for the interlacing sampler and long words."""
+        if not on_kernel:
             for _ in range(args.count):
                 yield [draw()]
             return
-        # finite words and prefixes are the same whatever the block size
-        per_call = _BLOCK_ROWS if uses_eps else max(1, min(_BLOCK_ROWS, _BLOCK_LETTERS // args.n))
-        for b0 in range(0, args.count, per_call):
-            yield kernel(min(per_call, args.count - b0)).tolist()
+        for b0 in range(0, args.count, _BLOCK_ROWS):
+            yield kernel(min(_BLOCK_ROWS, args.count - b0)).tolist()
 
     # a refused draw raises before anything reaches stdout
     windows = blocks()

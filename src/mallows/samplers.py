@@ -20,16 +20,14 @@ The two-sided samplers are the heart of the package:
   the verification suites.
 
 ``batch_*`` functions are vectorized Monte Carlo kernels producing the same
-laws at acceptance-test sample sizes.  ``batch_finite_r`` consumes its
-stream column-wise rather than per sample, so for a fixed seed it does not
-reproduce the scalar outputs draw-for-draw — only the law is shared, which
-the test suite verifies.
+laws at acceptance-test sample sizes.
 
 ``batch_finite_words`` and ``batch_shuffle_prefixes`` are
 ``sample_finite_mallows`` and ``q_shuffle_prefix`` on count rows at once:
 they draw what count successive scalar calls draw, in the same order and in
 one call, and build the words with ``_shuffle_letters``, so they return the
-same rows and leave the same ``counter``.
+same rows and leave the same ``counter``.  ``batch_finite_r`` is the right
+counts behind ``batch_finite_words``.
 
 ``batch_inversion_windows`` is the one implementation of the inversion
 route: all rows' right counts in one call, the in-window chains as array
@@ -333,14 +331,18 @@ def batch_finite_r(n: int, p: QParam, s: GeomStream, count: int) -> np.ndarray:
     """count x n matrix of independent truncated-geometric right counts.
 
     Column i (0-based) has support {0..n-1-i}; each row encodes one finite
-    Mallows word, recoverable through eliminate_right.
+    Mallows word, recoverable through eliminate_right.  All rows are drawn
+    row by row in one call (the last column is 0 and draws nothing), so
+    row k holds the right counts of the k-th of count successive
+    sample_finite_mallows calls.
     """
     if n < 1 or count < 0:
         raise DomainError("need n >= 1 and count >= 0")
     _check_stream(p, s)
     out = np.zeros((count, n), dtype=np.int64)
-    for i in range(n - 1):
-        out[:, i] = s.truncated_geometrics(count, n - 1 - i)
+    out[:, :-1] = s.truncated_geometrics(
+        count * (n - 1), np.tile(np.arange(n - 1, 0, -1), count)
+    ).reshape(count, n - 1)
     return out
 
 
@@ -348,19 +350,10 @@ def batch_finite_words(n: int, p: QParam, s: GeomStream, count: int) -> np.ndarr
     """count x n matrix whose rows are what count successive
     sample_finite_mallows(n, p, s) calls return, from the same draws.
 
-    Right count i (0-based) is a truncated geometric with limit n-1-i, all
-    rows' drawn row by row in one call (the last is 0 and draws nothing).
     Elimination takes the (r_i+1)-th smallest unused value, the q-shuffle
-    rule, so _shuffle_letters builds the words.
+    rule, so _shuffle_letters builds the words from batch_finite_r.
     """
-    if n < 1 or count < 0:
-        raise DomainError("need n >= 1 and count >= 0")
-    _check_stream(p, s)
-    skips = np.zeros((count, n), dtype=np.int64)
-    skips[:, :-1] = s.truncated_geometrics(
-        count * (n - 1), np.tile(np.arange(n - 1, 0, -1), count)
-    ).reshape(count, n - 1)
-    return _shuffle_letters(skips, np.full(count, n))
+    return _shuffle_letters(batch_finite_r(n, p, s, count), np.full(count, n))
 
 
 def batch_shuffle_prefixes(n: int, p: QParam, s: GeomStream, count: int) -> np.ndarray:
@@ -534,12 +527,7 @@ def _shuffle_letters(skips: np.ndarray, n: np.ndarray) -> np.ndarray:
     w enters d at rank m = #{k : d_k <= R + 1} as d_m = R + 1, and the d_k
     after it drop by one.  Each letter column is a fixed number of array
     operations over the rows still drawing, which are a prefix once rows
-    are sorted by decreasing n.  d_k = 1 means no unused value below s_k:
-    such a d_k counts in every m and never moves, so the leading d_k that
-    are 1 in every row still drawing are skipped, and a column costs about
-    the letters above the rows' lowest unused value rather than all i of
-    them.  That prefix is extended every 16th column, which keeps the scan
-    off the narrow blocks of the interlacing kernel.
+    are sorted by decreasing n.
     """
     rows, width = skips.shape
     order = np.argsort(-n, kind="stable")
@@ -551,16 +539,11 @@ def _shuffle_letters(skips: np.ndarray, n: np.ndarray) -> np.ndarray:
     d = np.zeros((width + 1, rows), dtype=r1.dtype)
     span, index = np.arange(width + 1)[:, None], np.arange(rows)
     active = np.searchsorted(-need, -np.arange(int(need[0]) if rows else 0)).tolist()
-    z = 0  # d_0..d_{z-1} are 1 in every row still drawing
     for i, a in enumerate(active):
-        while i % 16 == 0 and z < i and (d[z + 1, :a] == 1).all():
-            z += 1
         ri = r1[i, :a]
-        m = (d[z + 1 : i + 1, :a] <= ri).sum(axis=0)
-        if z:  # narrow blocks skip nothing; spare them an array add
-            m += z
+        m = (d[1 : i + 1, :a] <= ri).sum(axis=0)
         letters[i, :a] = ri + m
-        np.copyto(d[z + 1 : i + 2, :a], d[z : i + 1, :a] - 1, where=span[z : i + 1] >= m)
+        np.copyto(d[1 : i + 2, :a], d[: i + 1, :a] - 1, where=span[: i + 1] >= m)
         d[m + 1, index[:a]] = ri
     out = np.empty_like(letters)
     out[:, order] = letters

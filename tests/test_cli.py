@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mallows import GeomStream, QParam, __version__
-from mallows.cli import main
+from mallows.cli import _KERNEL_WORD_MAX, main
 from mallows.samplers import (
     _BLOCK_ROWS,
     batch_inversion_windows,
@@ -138,9 +138,11 @@ def test_sample_words_are_the_scalar_twins(capsys, mode):
 
 
 @pytest.mark.parametrize("mode", list(WORD_SCALARS))
-def test_sample_long_words_take_fewer_rows_per_call(capsys, mode):
-    # n = 300 puts 436 words in a call, so 500 words take two calls
-    n, count = 300, 500
+@pytest.mark.parametrize("n", [_KERNEL_WORD_MAX, _KERNEL_WORD_MAX + 1])
+def test_sample_words_either_side_of_the_kernel_limit(capsys, mode, n):
+    # the longest kernel word and the shortest scalar one print the same
+    # words as the scalar sampler
+    count = 300
     code, out, _ = run_cli(capsys, ["sample", "--mode", mode, "--n", str(n), "--q", "0.8",
                                     "--count", str(count), "--seed", "3", "--format", "csv"])
     s, p = GeomStream(3, 0.8), QParam(0.8)

@@ -64,7 +64,7 @@ def test_q_factorial_product_form():
 def test_pochhammer_finite_matches_direct_product():
     # the bound must contain a 256-bit product over the same double q
     sizes = set(range(41)) | {200, 1000}
-    for q in (0.05, 0.3, 0.5, 0.8, 0.95, 0.99):
+    for q in sorted(set(Q_GRID) | {0.05, 0.8, 0.95, 0.99}):
         p = QParam(q)
         with mpmath.workprec(256):
             exact = [mpmath.mpf(1)]

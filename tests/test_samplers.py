@@ -397,22 +397,6 @@ def test_shuffle_letters_match_scalar_shuffle(q):
         assert not letters[r, n[r]:].any()
 
 
-def test_shuffle_letters_past_a_settled_prefix():
-    # few long rows: the letters below every row's lowest unused value are
-    # skipped, so large early and late skips must still land as the scalar
-    # shuffle puts them
-    rng = np.random.default_rng(109)
-    rows, width = 3, 400
-    skips = rng.geometric(0.5, size=(rows, width)) - 1
-    skips[:, [0, 150, 151, 390]] += (40, 7, 90, 3)
-    skips[1, 200:260] = 0
-    n = np.array([width, 260, 151])
-    letters = _shuffle_letters(skips, n)
-    for r in range(rows):
-        st = _ShuffleState()
-        assert letters[r, : n[r]].tolist() == [st.take(int(k)) for k in skips[r, : n[r]]]
-
-
 # --------------------------------------------------------------------------
 # two-sided samplers
 # --------------------------------------------------------------------------
