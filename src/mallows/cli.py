@@ -223,7 +223,10 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     p = QParam(args.q)
-    sizes = tuple(int(x) for x in args.sizes.split(",") if x)
+    try:
+        sizes = tuple(int(x) for x in args.sizes.split(",") if x)
+    except ValueError as exc:
+        raise DomainError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from exc
     report = run_suite(args.suite, sizes, p, seed)
     out = sys.stdout
     for c in report.cases:

@@ -222,8 +222,8 @@ def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, floa
     implied values mean the event is impossible and the exact answer (0, 0)
     is returned rather than an error.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be > 0")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be > 0, got {tol}")
     d = query.d
     k = query.k
     vals = tuple(d[m] + m + 1 for m in range(k))

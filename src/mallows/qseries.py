@@ -44,8 +44,8 @@ class QParam:
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"q must lie strictly in (0,1), got {self.q}")
-        if self.eps_series <= 0.0:
-            raise DomainError("eps_series must be positive")
+        if not 0.0 < self.eps_series < math.inf:
+            raise DomainError(f"eps_series must be finite and > 0, got {self.eps_series}")
 
 
 class KahanSum:

@@ -40,10 +40,10 @@ kernel returns for the same stream.
 block of rows at once: the diagrams come from the part-size search of
 ``_young_multiplicities`` applied to every row still drawing
 (``_diagram_triples``), then exactly the shuffle skips the rows need are
-drawn in one call, and the sign-word slots (``_sign_counts``), the letters
-(``_shuffle_letters``) and the window fill run on arrays.  At count=1 it
-draws the same uniforms in the same order as
-``sample_two_sided_interlacing`` and returns the same window.
+drawn in one call, and the sign-word slots (``_sign_counts``, the + position
+rule of ``_plus_positions``), the letters (``_shuffle_letters``) and the
+window fill run on arrays.  At count=1 it draws the same uniforms in the
+same order as ``sample_two_sided_interlacing`` and returns the same window.
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NotInjectiveError
-from .perm import PermWindow
+from .perm import PermWindow, eliminate_right
 from .qseries import QParam, normal_table
 from .streams import GeomStream
 
@@ -135,32 +135,7 @@ def sample_finite_mallows(n: int, p: QParam, s: GeomStream) -> PermWindow:
         raise DomainError("n must be >= 1")
     _check_stream(p, s)
     r = [s.truncated_geometric(n - i) for i in range(1, n + 1)]
-    from .perm import eliminate_right
-
     return eliminate_right(r)
-
-
-class _ShuffleState:
-    """Incremental q-shuffle: hand out the (R+1)-th smallest unused value."""
-
-    __slots__ = ("used", "smallest")
-
-    def __init__(self) -> None:
-        self.used: set[int] = set()
-        self.smallest = 1
-
-    def take(self, skip: int) -> int:
-        v = self.smallest
-        while True:
-            if v not in self.used:
-                if skip == 0:
-                    break
-                skip -= 1
-            v += 1
-        self.used.add(v)
-        while self.smallest in self.used:
-            self.smallest += 1
-        return v
 
 
 def q_shuffle_prefix(n_letters: int, p: QParam, s: GeomStream) -> tuple[int, ...]:
@@ -173,8 +148,10 @@ def q_shuffle_prefix(n_letters: int, p: QParam, s: GeomStream) -> tuple[int, ...
     if n_letters < 1:
         raise DomainError("n_letters must be >= 1")
     _check_stream(p, s)
-    st = _ShuffleState()
-    return tuple(st.take(s.geometric()) for _ in range(n_letters))
+    skips = [s.geometric() for _ in range(n_letters)]
+    # the unused values in decreasing order, so each pop is near the end
+    unused = list(range(n_letters + max(skips), 0, -1))
+    return tuple(unused.pop(-1 - r) for r in skips)
 
 
 # --------------------------------------------------------------------------
@@ -406,11 +383,11 @@ def batch_interlacing_windows(
     differ in the last bit, which moves a geometric draw only when its
     quotient lies within an ulp of an integer).  Then on arrays:
 
-    * C(i) = #{t >= 1 : lambda'_t - t >= i} for i in lo-1..hi comes from
-      the runs of constant column height lambda'_t, plus max(0, -i -
-      lambda_1) for the t > lambda_1 (_sign_counts).  Position i carries +
-      with rank i + C(i) when C(i) = C(i-1), else - with rank C(i-1); the
-      row needs kmax = hi + C(hi) plus and tmax = C(lo-1) minus letters;
+    * C(i) = #(+ <= i) - i for i in lo-1..hi counts the + positions
+      k - lambda_k of _plus_positions, each row's parts ranked in triple
+      order (_sign_counts).  Position i carries + with rank i + C(i) when
+      C(i) = C(i-1), else - with rank C(i-1); the row needs kmax = hi +
+      C(hi) plus and tmax = C(lo-1) minus letters;
     * the letters follow the sorted-rank rule of _shuffle_letters;
     * the window is filled by take_along_axis: + slots take plus letters
       by rank, - slots take 1 - (minus letter) by rank from the right.
@@ -477,44 +454,29 @@ def _diagram_triples(
 def _sign_counts(
     row: np.ndarray, part: np.ndarray, mult: np.ndarray, nrows: int, lo: int, hi: int
 ) -> np.ndarray:
-    """nrows x (hi-lo+2) matrix with C[r, i-lo+1] = #{t >= 1 : lambda'_t - t >= i}
-    for i = lo-1..hi, the diagrams given as triples sorted by row and then
-    by decreasing part size.
+    """nrows x (hi-lo+2) matrix with C[r, i-lo+1] = #(+ <= i) - i for
+    i = lo-1..hi, the diagrams given as triples sorted by row and then by
+    decreasing part size.
 
-    C(i) counts the - positions of the sign word above i: they are the
-    lambda'_t - t + 1.  On a run t in (b, a] of constant column height
-    lambda'_t = h (a a part size, b the next smaller one or 0, h the number
-    of parts >= a) the values lambda'_t - t fill [h-a, h-b-1]; the
-    t > lambda_1 fill (-inf, -lambda_1-1].  The values are distinct, so
-    C(i) is the number above hi plus a suffix sum of their indicator on
-    lo-1..hi, which is built from interval end points.
+    This is the rule of _plus_positions on arrays: with a row's parts
+    lambda_1 >= ... >= lambda_L in triple order, part k sits at + position
+    k - lambda_k, and the + positions past the parts are L+1, L+2, ..., so
+    #(+ <= i) = #{k <= L : k - lambda_k <= i} + max(0, i - L).  C(i)
+    counts the - positions above i.
     """
     ncols = hi - lo + 2
-    start = np.searchsorted(row, np.arange(nrows + 1))
-    cm = np.cumsum(mult, dtype=np.int64)
-    height = cm - np.concatenate(([0], cm))[start[row]]
-    nxt = np.zeros(row.size, dtype=np.int64)
-    same = np.flatnonzero(row[1:] == row[:-1])
-    nxt[same] = part[same + 1]
-    lam1 = np.zeros(nrows, dtype=np.int64)
-    nonempty = start[:-1] < start[1:]
-    lam1[nonempty] = part[start[:-1][nonempty]]
-    # intervals [first, last] of values; the tail's start below lo-1 is
-    # clipped to lo-1, which changes no count taken here
-    rid = np.concatenate((row, np.arange(nrows)))
-    first = np.concatenate((height - part, np.full(nrows, lo - 1)))
-    last = np.concatenate((height - nxt - 1, -lam1 - 1))
-    above = np.bincount(
-        rid, weights=np.maximum(0, last - np.maximum(first, hi + 1) + 1), minlength=nrows
-    ).astype(np.int64)
-    first = np.maximum(first, lo - 1) - (lo - 1)
-    last = np.minimum(last, hi) - (lo - 1)
-    keep = first <= last
-    rid, first, last = rid[keep] * (ncols + 1), first[keep], last[keep]
-    size = nrows * (ncols + 1)
-    edges = np.bincount(rid + first, minlength=size) - np.bincount(rid + last + 1, minlength=size)
-    indicator = np.cumsum(edges.reshape(nrows, ncols + 1)[:, :ncols], axis=1)
-    return above[:, None] + np.cumsum(indicator[:, ::-1], axis=1)[:, ::-1]
+    nparts = np.bincount(row, weights=mult, minlength=nrows).astype(np.int64)
+    # the parts one by one, in int32 like the triples (a deep row has tens
+    # of parts): entry j of a row whose first entry is f has rank
+    # k = j + 1 - f and col = k - lambda_k - (lo-1); column 0 also takes the
+    # + positions below lo-1, and column ncols, dropped, those past hi
+    first = (np.cumsum(nparts) - nparts + (lo - 1)).astype(np.int32)
+    col = np.arange(1, int(nparts.sum()) + 1, dtype=np.int32) - np.repeat(first, nparts)
+    col = np.clip(col - np.repeat(part, mult), 0, ncols)
+    plus = np.bincount(np.repeat(row * (ncols + 1), mult) + col, minlength=nrows * (ncols + 1))
+    below = np.cumsum(plus.reshape(nrows, ncols + 1)[:, :ncols], axis=1)
+    i = np.arange(lo - 1, hi + 1)
+    return below + np.maximum(0, i - nparts[:, None]) - i
 
 
 def _shuffle_letters(skips: np.ndarray, n: np.ndarray) -> np.ndarray:

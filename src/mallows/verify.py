@@ -14,14 +14,14 @@ thresholds and report samples_used = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 from scipy import stats
 
 from .dist import conditional_l_given_r, displacement_pmf
-from .errors import UnknownSuiteError
+from .errors import DomainError, UnknownSuiteError
 from .oracle import oracle_enumerate
 from .perm import adjacent_swap_r, eliminate_right
 from .qseries import QParam
@@ -332,7 +332,8 @@ def run_suite(
 
     sizes overrides the suite's Monte Carlo sample counts (first entry =
     draws per case); pass () for the defaults.  Raises UnknownSuiteError
-    for a name outside SUITE_NAMES.
+    for a name outside SUITE_NAMES and DomainError for a size below 1,
+    before anything is drawn.
 
     Note: the lln suite pins the window average of the left inversion count
     to q/(1+q).  The implemented joint law has E[L] = q/(1-q) (its L
@@ -345,5 +346,7 @@ def run_suite(
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose one of {', '.join(SUITE_NAMES)}"
         )
+    if any(n < 1 for n in sizes):
+        raise DomainError(f"sizes must be >= 1, got {tuple(sizes)}")
     cases = _SUITES[name](p, seed, tuple(sizes))
     return _assemble(name, cases, seed, p.q)

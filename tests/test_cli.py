@@ -270,6 +270,13 @@ def test_pmf_near_one_is_a_domain_error(capsys, law):
     assert err.startswith("error[DOMAIN]")
 
 
+def test_pmf_fdd_nan_tolerance_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, ["pmf", "fdd", "--q", "0.5", "--d", "0", "--tol", "nan"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[DOMAIN]")
+
+
 def test_pmf_fdd_requires_d(capsys):
     code, _, err = run_cli(capsys, ["pmf", "fdd", "--q", "0.5"])
     assert code == 2
@@ -301,6 +308,20 @@ def test_verify_lln_exits_nonzero(capsys):
     assert code == 1
     assert "FAIL" in out
     assert out.strip().splitlines()[-1].startswith("OVERALL FAIL")
+
+
+@pytest.mark.parametrize(
+    "suite, sizes",
+    [("displacement", "abc"), ("displacement", "1000,x"), ("displacement", "0"),
+     ("finite-oracle", "0"), ("two-sampler", "0"), ("lln", "0"), ("lln", "-5")],
+)
+def test_verify_bad_sizes_are_domain_errors(capsys, suite, sizes):
+    # exit 1 is kept for a failed verification; bad input is exit 2
+    code, out, err = run_cli(
+        capsys, ["verify", "--suite", suite, "--q", "0.5", "--sizes", sizes])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[DOMAIN]")
 
 
 def test_verify_unknown_suite(capsys):

@@ -150,6 +150,14 @@ def test_fdd_query_validation():
         FddQuery(2, (1,))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+def test_fdd_refuses_tolerance_outside_positive_reals(tol):
+    # with tol = nan no term would ever pass `term <= tol * inner`, so the
+    # series would run on for ever
+    with pytest.raises(DomainError):
+        fdd_probability(P5, FddQuery(1, (0,)), tol)
+
+
 def test_fdd_frozen_values():
     for d, want in FDD_FROZEN.items():
         val, err = fdd_probability(P5, FddQuery(len(d), d), 1e-12)

@@ -25,8 +25,9 @@ def test_qparam_domain():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(DomainError):
             QParam(bad)
-    with pytest.raises(DomainError):
-        QParam(0.5, eps_series=0.0)
+    for bad in (0.0, -1e-12, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            QParam(0.5, eps_series=bad)
 
 
 def test_q_number_examples():

@@ -19,7 +19,6 @@ from mallows.samplers import (
     YoungDiagram,
     _diagram_triples,
     _part_search,
-    _ShuffleState,
     _shuffle_letters,
     _sign_counts,
     _young_multiplicities,
@@ -350,7 +349,9 @@ def _assert_counts_match_slots(diagrams, c, lo, hi):
                 assert word[i - L] == -1 and minus_rank[i - L] == before, (parts, i)
 
 
-@pytest.mark.parametrize("lo, hi", [(-12, -5), (-1, -1), (0, 0), (3, 9), (-6, 6), (-40, 40)])
+@pytest.mark.parametrize(
+    "lo, hi", [(-12, -5), (-1, -1), (0, 0), (3, 9), (-6, 6), (-40, 40), (50, 60), (1, 1)]
+)
 def test_sign_counts_agree_with_slots(lo, hi):
     # shallow and deep diagrams, empty ones among them, in one batch
     rng = np.random.default_rng(101)
@@ -391,8 +392,9 @@ def test_shuffle_letters_match_scalar_shuffle(q):
     letters = _shuffle_letters(skips, n)
     assert letters.shape == (rows, width)
     for r in range(rows):
-        st = _ShuffleState()
-        want = [st.take(int(skips[r, i])) for i in range(n[r])]
+        # letter i is the (skip+1)-th smallest value not used yet
+        unused = list(range(1, width + int(skips[r].max()) + 1))
+        want = [unused.pop(int(k)) for k in skips[r, : n[r]]]
         assert letters[r, : n[r]].tolist() == want
         assert not letters[r, n[r]:].any()
 
@@ -683,7 +685,9 @@ def test_batch_interlacing_rejects_negative_count():
 
 
 @pytest.mark.parametrize(
-    "lo, hi, q", [(-5, 5, 0.5), (0, 0, 0.5), (0, 2, 0.95), (-40, 40, 0.8), (5, 5, 0.97), (-60, -50, 0.6)]
+    "lo, hi, q",
+    [(-5, 5, 0.5), (0, 0, 0.5), (0, 2, 0.95), (-40, 40, 0.8), (5, 5, 0.97), (-60, -50, 0.6),
+     (50, 60, 0.5), (0, 2, 0.99)],
 )
 def test_scalar_interlacing_is_the_kernel_at_count_one(lo, hi, q):
     p = QParam(q)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from mallows.errors import UnknownSuiteError
+from mallows.errors import DomainError, UnknownSuiteError
 from mallows.qseries import QParam
 from mallows.verify import SUITE_NAMES, run_suite
 
@@ -52,6 +52,14 @@ def test_lln_suite_fails_by_construction():
 def test_unknown_suite_rejected():
     with pytest.raises(UnknownSuiteError):
         run_suite("no-such-suite", (), P5, seed=0)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+@pytest.mark.parametrize("sizes", [(0,), (-1,), (1000, 0)])
+def test_sizes_below_one_rejected(name, sizes):
+    # a suite of zero draws would pass having checked nothing
+    with pytest.raises(DomainError):
+        run_suite(name, sizes, P5, seed=0)
 
 
 def test_reports_are_deterministic():
