@@ -4,7 +4,8 @@ Four families of quantities:
 
 * ``displacement_pmf`` — the law of the displacement D = sigma(j) - j at any
   fixed position (the law does not depend on j), tabulated on [-M..M] with a
-  certified bound on the a-priori tail mass outside the table.
+  certified bound on the a-priori tail mass outside the table.  It is the
+  k=1 case of the finite-dimensional series below, not a series of its own.
 * ``joint_rl_pmf`` / ``conditional_l_given_r`` — the joint law of the
   right/left inversion counts (R, L) at a position and the conditional law
   of L given R.  Both marginals are geometric with ratio q; R and L are
@@ -25,15 +26,12 @@ longer table only when an index runs past its end (tables share entries).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .perm import inversions
-from .qseries import KahanSum, QParam, pochhammer_table
-
-#: refusal where a series term's denominator, a product of <n>_q values,
-#: underflows to 0 (from q ~ 0.997)
-_UNDERFLOW = "q={q}: a series denominator underflows to 0; the law cannot be evaluated"
+from .qseries import UNDERFLOW, QParam, pochhammer_table, quotient
 
 
 @dataclass(frozen=True)
@@ -71,49 +69,22 @@ class FddQuery:
             raise DomainError(f"expected {self.k} displacements, got {len(self.d)}")
 
 
-def _displacement_series(d: int, p: QParam) -> float:
-    """P(D=d) for d >= 0: (1-q)<inf> sum_l q^(l^2+l*d+2l+d)/(<l+d><l>).
-
-    Terms are positive and the term ratio q^(2l+d+3)/((1-q^(l+1))(1-q^(l+d+1)))
-    is eventually < q^2, so the loop stops once the next term is negligible
-    relative to the partial sum AND the ratio certifies geometric decay.
-    """
-    q = p.q
-    vals = pochhammer_table(p, d).values
-    acc = KahanSum()
-    ell = 0
-    while True:
-        if ell + d >= len(vals):
-            vals = pochhammer_table(p, ell + d).values
-        den = vals[ell + d] * vals[ell]
-        if den == 0.0:
-            raise DomainError(_UNDERFLOW.format(q=q))
-        term = q ** (ell * (ell + d + 2) + d) / den
-        acc.add(term)
-        ratio = q ** (2 * ell + d + 3) / (
-            (1.0 - q ** (ell + 1)) * (1.0 - q ** (ell + d + 1))
-        )
-        if term <= p.eps_series * acc.value and ratio <= q * q:
-            break
-        ell += 1
-    return (1.0 - q) * pochhammer_table(p).infinite_value * acc.value
-
-
 def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
     """Tabulate the displacement law on [-radius..radius].
 
-    The law is symmetric about 0, so only d >= 0 is evaluated and the
-    negative half reuses the same floats (symmetry is bit-exact).  The tail
-    bound 2 q^radius dominates P(|D| > radius) because |D| > m forces more
-    than m right (or left) inversions at the position.
+    P(D=d) for d >= 0 is the k=1 fdd series
+    (1-q)<inf> sum_l q^(l^2+l*d+2l+d)/(<l+d><l>), so each entry is the value
+    fdd_probability(p, FddQuery(1, (d,)), p.eps_series) returns.  The law is
+    symmetric about 0, so only d >= 0 is evaluated and the negative half
+    reuses the same floats (symmetry is bit-exact).  The tail bound
+    2 q^radius dominates P(|D| > radius) because |D| > m forces more than m
+    right (or left) inversions at the position.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
     probs: dict[int, float] = {}
     for d in range(radius + 1):
-        v = _displacement_series(d, p)
-        probs[d] = v
-        probs[-d] = v
+        probs[d] = probs[-d] = _fdd_sorted((d,), p, p.eps_series)[0]
     return DisplacementPmf(
         q=p.q, radius=radius, probs=probs, tail_bound=2.0 * p.q**radius
     )
@@ -130,7 +101,7 @@ def joint_rl_pmf(p: QParam, r: int, ell: int) -> float:
     q = p.q
     inf_val = pochhammer_table(p).infinite_value
     vals = pochhammer_table(p, max(r, ell)).values
-    return (1.0 - q) * q ** (r * ell + r + ell) * inf_val / (vals[r] * vals[ell])
+    return quotient((1.0 - q) * q ** (r * ell + r + ell) * inf_val, vals[r] * vals[ell], p)
 
 
 def conditional_l_given_r(p: QParam, r: int, ell: int) -> float:
@@ -144,7 +115,7 @@ def conditional_l_given_r(p: QParam, r: int, ell: int) -> float:
         raise DomainError("r and ell must be >= 0")
     inf_val = pochhammer_table(p).infinite_value
     vals = pochhammer_table(p, max(r, ell)).values
-    return p.q ** (ell * (r + 1)) * inf_val / (vals[r] * vals[ell])
+    return quotient(p.q ** (ell * (r + 1)) * inf_val, vals[r] * vals[ell], p)
 
 
 def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float]:
@@ -164,7 +135,7 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     pref = (1.0 - q) ** k * q ** (-(k * (k + 1) // 2)) * table.infinite_value
     for m in range(1, k):
         pref *= vals[d[m] - d[m - 1]]
-    total = KahanSum()
+    inners = []
     err_acc = 0.0
     head_ranges = [range(d[m + 1] - d[m] + 1) for m in range(k - 1)]
     for a_head in itertools.product(*head_ranges):
@@ -184,14 +155,14 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
         a_k = max(0, -d[0] - head)
         b1 = d[0] + head + a_k
         top = max(b1, a_k) - a_k  # b1 and a_k step together
-        inner = comp = 0.0  # KahanSum.add inlined, same operation order
+        inner = comp = 0.0  # compensated (Kahan) sum
         while True:
             if a_k + top >= len(vals):
                 vals = pochhammer_table(p, a_k + top).values
             expo = big_a * (b1 + 1) + big_c + (a_k + 1) * (b1 + 1 + big_r)
             den = den_rest * vals[b1] * vals[a_k]
             if den == 0.0:
-                raise DomainError(_UNDERFLOW.format(q=q))
+                raise DomainError(UNDERFLOW.format(q=q))
             term = q**expo / den
             y = term - comp
             t = inner + y
@@ -206,8 +177,8 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
                     break
             a_k += 1
             b1 += 1
-        total.add(inner)
-    value = pref * total.value
+        inners.append(inner)
+    value = pref * math.fsum(inners)
     rel_inf = table.infinite_error / table.infinite_value
     return value, abs(pref) * err_acc + abs(value) * rel_inf
 
@@ -274,4 +245,4 @@ def block_p2(p: QParam, b: tuple[int, ...], a: tuple[int, ...]) -> float:
     for j in range(k):
         b_prefix += b[j]
         expo += a[j] * (b_prefix + j + 1)
-    return num / den * p.q**expo
+    return quotient(num, den, p) * p.q**expo

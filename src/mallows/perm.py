@@ -106,8 +106,8 @@ class InversionCounts:
         for name in ("r", "ell", "ell_certified"):
             if len(getattr(self, name)) != width:
                 raise ValueError(f"{name} must have length {width}")
-        if self.residual_bound < 0.0:
-            raise ValueError("residual_bound must be >= 0")
+        if not self.residual_bound >= 0.0:
+            raise ValueError(f"residual_bound must be >= 0, got {self.residual_bound!r}")
 
     def to_json(self) -> dict:
         return {
@@ -194,14 +194,15 @@ def eliminate_right(r: Sequence[int]) -> PermWindow:
     (3, 1, 2, 4)
     """
     n = len(r)
-    remaining = list(range(1, n + 1))
+    # the unused values in decreasing order, so each pop is near the end
+    remaining = list(range(n, 0, -1))
     word = []
     for i, ri in enumerate(r):
         if not 0 <= ri <= n - i - 1:
             raise RejectSupportError(
                 f"r[{i}] = {ri} outside truncated-geometric support 0..{n - i - 1}"
             )
-        word.append(remaining.pop(ri))
+        word.append(remaining.pop(-1 - ri))
     return PermWindow(lo=1, hi=n, values=tuple(word))
 
 

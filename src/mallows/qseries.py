@@ -29,6 +29,10 @@ from .errors import DomainError
 #: Token accepted by :func:`q_pochhammer` for the infinite product <inf>_q.
 INFINITY = math.inf
 
+#: refusal where a denominator, a product of <n>_q values or of factors
+#: 1-q, underflows to 0 (for q near 1)
+UNDERFLOW = "q={q}: a denominator underflows to 0; the value cannot be returned"
+
 
 @dataclass(frozen=True)
 class QParam:
@@ -48,23 +52,6 @@ class QParam:
             raise DomainError(f"eps_series must be finite and > 0, got {self.eps_series}")
 
 
-class KahanSum:
-    """Compensated accumulator for series whose terms span many magnitudes."""
-
-    __slots__ = ("value", "_c")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> float:
-        y = x - self._c
-        t = self.value + y
-        self._c = (t - self.value) - y
-        self.value = t
-        return self.value
-
-
 @dataclass(frozen=True)
 class QPochhammerTable:
     """Memoized table of <n>_q for n = 0..N plus the certified infinite limit.
@@ -74,7 +61,6 @@ class QPochhammerTable:
     infinite_error bounds |<inf>_q - infinite_value| (absolute).
     """
 
-    q: float
     values: tuple[float, ...]
     infinite_value: float
     infinite_error: float
@@ -98,9 +84,7 @@ def _build_table(q: float, eps_series: float, n_max: int) -> QPochhammerTable:
         prod *= 1.0 - q**k
         vals.append(prod)
     err = prod * q ** (n_max + 1) / (1.0 - q)
-    return QPochhammerTable(
-        q=q, values=tuple(vals), infinite_value=prod, infinite_error=err
-    )
+    return QPochhammerTable(values=tuple(vals), infinite_value=prod, infinite_error=err)
 
 
 def pochhammer_table(p: QParam, n_max: int = 0) -> QPochhammerTable:
@@ -123,6 +107,13 @@ def normal_table(p: QParam, refusal: str) -> QPochhammerTable:
     return table
 
 
+def quotient(num: float, den: float, p: QParam) -> float:
+    """num / den, or DomainError where den underflowed to 0."""
+    if den == 0.0:
+        raise DomainError(UNDERFLOW.format(q=p.q))
+    return num / den
+
+
 def q_number(m: int, p: QParam) -> float:
     """The q-number [m]_q = sum_{k=0}^{m-1} q^k, with [0]_q = 0.
 
@@ -131,23 +122,20 @@ def q_number(m: int, p: QParam) -> float:
     """
     if m < 0:
         raise DomainError("q_number requires m >= 0")
-    acc = KahanSum()
-    term = 1.0
-    for _ in range(m):
-        acc.add(term)
-        term *= p.q
-    return acc.value
+    return math.fsum(p.q**k for k in range(m))
 
 
 def q_factorial(n: int, p: QParam) -> float:
     """The q-factorial [n!]_q = prod_{i=1..n} (1-q^i)/(1-q); [0!]_q = 1.
+
+    DomainError where (1-q)^n underflows to 0.
 
     >>> q_factorial(3, QParam(0.5))
     2.625
     """
     if n < 0:
         raise DomainError("q_factorial requires n >= 0")
-    return pochhammer_table(p, n).value(n) / (1.0 - p.q) ** n
+    return quotient(pochhammer_table(p, n).value(n), (1.0 - p.q) ** n, p)
 
 
 def _product_error(q: float, n: int, value: float) -> float:
@@ -194,9 +182,10 @@ def q_binomial(b: int, a: int, p: QParam) -> float:
     """Gaussian binomial <b+a>_q / (<b>_q <a>_q).
 
     Equals the generating function sum of q^|lam| over Young diagrams fitting
-    in a b x a box; equals 1 whenever a = 0 or b = 0.
+    in a b x a box; equals 1 whenever a = 0 or b = 0.  DomainError where
+    <b>_q <a>_q underflows to 0.
     """
     if a < 0 or b < 0:
         raise DomainError("q_binomial requires a, b >= 0")
     table = pochhammer_table(p, a + b)
-    return table.value(a + b) / (table.value(a) * table.value(b))
+    return quotient(table.value(a + b), table.value(a) * table.value(b), p)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -15,7 +16,8 @@ from mallows.dist import (
     joint_rl_pmf,
 )
 from mallows.errors import DomainError
-from mallows.qseries import QParam, pochhammer_table
+from mallows.qseries import QParam, pochhammer_table, q_binomial, q_factorial, q_number
+from mallows.verify import run_suite
 
 P5 = QParam(0.5)
 Q_GRID = (0.3, 0.5, 0.8)
@@ -221,6 +223,19 @@ def test_fdd_indices_past_the_first_table():
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95])
+def test_displacement_pmf_is_the_k1_fdd_series(q):
+    p = QParam(q)
+    radius = 70
+    pmf = displacement_pmf(p, radius)
+    for d in range(radius + 1):
+        got, _ = fdd_probability(p, FddQuery(1, (d,)), p.eps_series)
+        assert pmf.prob(d) == got, f"d={d}"
+        # d < 0 sums the mirrored series, so it agrees to rounding only
+        got, _ = fdd_probability(p, FddQuery(1, (-d,)), p.eps_series)
+        assert pmf.prob(-d) == pytest.approx(got, rel=1e-13, abs=0.0), f"d={-d}"
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95])
 def test_fdd_reflection_identity(q):
     # sigma -> (i -> 1 - sigma(1 - i)) preserves the law; with shift
     # stationarity, P(d_1, ..., d_k) = P(-d_k, ..., -d_1)
@@ -242,6 +257,28 @@ def test_laws_refuse_underflowing_denominators(q):
     for d in [(0,), (-1, 1), (2, 0), (0, 0, 0)]:
         with pytest.raises(DomainError):
             fdd_probability(p, FddQuery(len(d), d), 1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: q_factorial(200, p),
+        lambda p: q_binomial(3000, 3000, p),
+        lambda p: conditional_l_given_r(p, 3000, 0),
+        lambda p: joint_rl_pmf(p, 3000, 0),
+        lambda p: block_p2(p, (3000,), (0,)),
+    ],
+    ids=["q_factorial", "q_binomial", "conditional_l_given_r", "joint_rl_pmf", "block_p2"],
+)
+def test_underflowing_quotients_are_domain_errors(call):
+    # <3000>_q and (1-q)^200 underflow to 0 at q = 0.999
+    p = QParam(0.999)
+    with pytest.raises(DomainError):
+        call(p)
+    # what the laws benchmark evaluates at this q still works
+    want = math.prod(q_number(i, p) for i in range(1, 7))
+    assert q_factorial(6, p) == pytest.approx(want, rel=1e-12)
+    assert run_suite("exchangeability", (), p, 0).overall_pass
 
 
 def test_fdd_matches_finite_model_dp():

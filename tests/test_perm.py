@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 from itertools import permutations
 
 import pytest
@@ -85,6 +86,15 @@ def test_inversion_counts_json_keys():
     assert InversionCounts.from_json(blob) == ic
 
 
+def test_inversion_counts_refuse_nan_residual():
+    ic = inversion_counts_window(window_of((2, 1)))
+    with pytest.raises(ValueError):
+        InversionCounts(lo=0, hi=0, r=(0,), ell=(0,), ell_certified=(True,),
+                        residual_bound=float("nan"))
+    with pytest.raises(ValueError):
+        InversionCounts.from_json({**ic.to_json(), "residual": "nan"})
+
+
 # --------------------------------------------------------------------------
 # elimination codecs
 # --------------------------------------------------------------------------
@@ -93,6 +103,14 @@ def test_eliminate_right_examples():
     assert eliminate_right((2, 0, 0, 0)).values == (3, 1, 2, 4)
     assert eliminate_right((3, 2, 1, 0)).values == (4, 3, 2, 1)
     assert eliminate_right((0,)).values == (1,)
+    # random right counts: word entry i is the (r_i+1)-th smallest unused value
+    rng = random.Random(5)
+    for n in (1, 5, 300):
+        for _ in range(20):
+            r = [rng.randrange(n - i) for i in range(n)]
+            unused = list(range(1, n + 1))
+            want = tuple(unused.pop(ri) for ri in r)
+            assert eliminate_right(r).values == want, f"r={r}"
 
 
 def test_eliminate_left_examples():
@@ -105,6 +123,8 @@ def test_eliminate_right_support():
         eliminate_right((4, 0, 0, 0))  # r[0] must be <= 3
     with pytest.raises(RejectSupportError):
         eliminate_right((0, 0, 0, 1))  # last entry must be 0
+    with pytest.raises(RejectSupportError, match=r"r\[2\] = -1 "):
+        eliminate_right((0, 0, -1, 0))
     with pytest.raises(RejectSupportError):
         eliminate_left((1, 0, 0, 0))  # l[0] must be 0
 
