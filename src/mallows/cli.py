@@ -9,14 +9,11 @@ output starts with a header line describing the run.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import re
 import sys
-from typing import Iterator
-
-import numpy as np
+from typing import Iterable
 
 from . import __version__
 from .dist import (
@@ -131,56 +128,43 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             raise DomainError("two-sided mode requires --window LO:HI")
         lo, hi = _parse_window(args.window)
 
-    on_kernel = uses_eps or args.mode != "two-sided" and args.n <= _KERNEL_WORD_MAX
-
-    def draw() -> tuple[int, ...]:
-        if args.mode == "finite":
-            return sample_finite_mallows(args.n, p, s).values
-        if args.mode == "one-sided":
-            return q_shuffle_prefix(args.n, p, s)
-        return sample_two_sided_interlacing(lo, hi, p, s)[0].values
-
-    def kernel(rows: int) -> np.ndarray:
+    def block(rows: int) -> Iterable:
+        """The next `rows` windows in draw order: one kernel call, or one
+        scalar call per window, made as the window is read, for the
+        interlacing sampler and long words (so they are never all held)."""
         if uses_eps:
-            return batch_inversion_windows(lo, hi, p, s, rows, args.eps_tv)[0]
+            return batch_inversion_windows(lo, hi, p, s, rows, args.eps_tv)[0].tolist()
+        if args.mode == "two-sided":
+            return (sample_two_sided_interlacing(lo, hi, p, s)[0].values for _ in range(rows))
+        if args.n <= _KERNEL_WORD_MAX:
+            kernel = batch_finite_words if args.mode == "finite" else batch_shuffle_prefixes
+            return kernel(args.n, p, s, rows).tolist()
         if args.mode == "finite":
-            return batch_finite_words(args.n, p, s, rows)
-        return batch_shuffle_prefixes(args.n, p, s, rows)
+            return (sample_finite_mallows(args.n, p, s).values for _ in range(rows))
+        return (q_shuffle_prefix(args.n, p, s) for _ in range(rows))
 
-    def blocks() -> Iterator[list]:
-        """The windows in order, _BLOCK_ROWS per kernel call, or one at a
-        time for the interlacing sampler and long words."""
-        if not on_kernel:
-            for _ in range(args.count):
-                yield [draw()]
-            return
-        for b0 in range(0, args.count, _BLOCK_ROWS):
-            yield kernel(min(_BLOCK_ROWS, args.count - b0)).tolist()
-
-    # a refused draw raises before anything reaches stdout
-    windows = blocks()
-    first = next(windows)
-    out = sys.stdout
     if args.format == "jsonl":
-        header = {
+        header = json.dumps({
             "q": args.q,
             "seed": seed,
             "mode": args.mode,
             "window": [lo, hi],
             "eps_tv": args.eps_tv if uses_eps else None,
             "version": __version__,
-        }
-        out.write(json.dumps(header) + "\n")
+        })
 
         def line(vals: list) -> str:
             return json.dumps({"lo": lo, "hi": hi, "values": list(vals)})
     else:
-        out.write(",".join(f"p{i}" for i in range(lo, hi + 1)) + "\n")
+        header = ",".join(f"p{i}" for i in range(lo, hi + 1))
 
         def line(vals: list) -> str:
             return ",".join(str(v) for v in vals)
-    for block in itertools.chain([first], windows):
-        for vals in block:
+    out = sys.stdout
+    for b0 in range(0, args.count, _BLOCK_ROWS):
+        for i, vals in enumerate(block(min(_BLOCK_ROWS, args.count - b0))):
+            if b0 + i == 0:  # a refused draw raises before anything reaches stdout
+                out.write(header + "\n")
             out.write(line(vals) + "\n")
     return 0
 
@@ -189,12 +173,17 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 # pmf
 # --------------------------------------------------------------------------
 
+#: the one format each law writes
+_PMF_FORMATS = {"displacement": "csv", "joint-rl": "json", "fdd": "json"}
+
+
 def _cmd_pmf(args: argparse.Namespace) -> int:
+    fmt = _PMF_FORMATS[args.law]
+    if args.format not in (None, fmt):
+        raise DomainError(f"{args.law} pmf is exported as {fmt.upper()}")
     p = QParam(args.q)
     out = sys.stdout
     if args.law == "displacement":
-        if args.format not in (None, "csv"):
-            raise DomainError("displacement pmf is exported as CSV")
         pmf = displacement_pmf(p, args.radius)
         out.write("d,probability\n")
         for d in range(-pmf.radius, pmf.radius + 1):

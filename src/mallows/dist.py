@@ -107,15 +107,14 @@ def joint_rl_pmf(p: QParam, r: int, ell: int) -> float:
 def conditional_l_given_r(p: QParam, r: int, ell: int) -> float:
     """P(L=ell | R=r) = q^(ell*(r+1)) <inf> / (<r><ell>).
 
-    Equals joint_rl_pmf / ((1-q) q^r).  At ell=0 this is <inf>/<r>, the
-    probability that the leftward reconstruction chain started from state r
-    never sees a trivial transition.
+    Given R=r, L is the length of row r+1 of the q^|lambda| diagram, so this
+    is block_p2 at k=1.  At ell=0 it is <inf>/<r>, the probability that the
+    leftward reconstruction chain started from state r never sees a trivial
+    transition.
     """
     if r < 0 or ell < 0:
         raise DomainError("r and ell must be >= 0")
-    inf_val = pochhammer_table(p).infinite_value
-    vals = pochhammer_table(p, max(r, ell)).values
-    return quotient(p.q ** (ell * (r + 1)) * inf_val, vals[r] * vals[ell], p)
+    return block_p2(p, (r,), (ell,))
 
 
 def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float]:
@@ -132,7 +131,13 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     k = len(d)
     table = pochhammer_table(p, d[-1] - d[0] + 8)
     vals = table.values
-    pref = (1.0 - q) ** k * q ** (-(k * (k + 1) // 2)) * table.infinite_value
+    try:
+        shift = q ** -(k * (k + 1) // 2)
+    except OverflowError:
+        raise DomainError(
+            f"q={q}: q^-{k * (k + 1) // 2} overflows; the value cannot be returned"
+        ) from None
+    pref = (1.0 - q) ** k * shift * table.infinite_value
     for m in range(1, k):
         pref *= vals[d[m] - d[m - 1]]
     inners = []

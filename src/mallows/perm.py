@@ -207,26 +207,22 @@ def eliminate_right(r: Sequence[int]) -> PermWindow:
 
 
 def eliminate_left(ell: Sequence[int]) -> PermWindow:
-    """Unique word of {1..n} with left counts ell, built right to left.
+    """Unique word of {1..n} with left counts ell.
 
-    At step i (from n down to 1) all values not yet placed sit at positions
-    < i except the one chosen now, so w_i is the (m - ell_i)-th smallest of
-    the m remaining values.
+    The left counts of w are the right counts, read backwards, of its
+    reflection i -> n+1-i, v -> n+1-v, so w is the reflected
+    eliminate_right(ell[::-1]).  Support is checked from the right, the
+    order in which the word is built.
 
     >>> eliminate_left((0, 1, 1, 0)).values
     (3, 1, 2, 4)
     """
     n = len(ell)
-    remaining = list(range(1, n + 1))
-    word = [0] * n
-    for i in range(n, 0, -1):
-        li = ell[i - 1]
-        if not 0 <= li <= i - 1:
-            raise RejectSupportError(
-                f"ell[{i - 1}] = {li} outside support 0..{i - 1}"
-            )
-        word[i - 1] = remaining.pop(len(remaining) - 1 - li)
-    return PermWindow(lo=1, hi=n, values=tuple(word))
+    for i in range(n - 1, -1, -1):
+        if not 0 <= ell[i] <= i:
+            raise RejectSupportError(f"ell[{i}] = {ell[i]} outside support 0..{i}")
+    word = eliminate_right(ell[::-1]).values
+    return PermWindow(lo=1, hi=n, values=tuple(n + 1 - v for v in reversed(word)))
 
 
 def reconstruct_ell(

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy import stats
 
 from .dist import conditional_l_given_r, displacement_pmf
 from .errors import DomainError, UnknownSuiteError
@@ -124,6 +123,8 @@ def chi_square_case(
     exp_arr = np.asarray(groups_exp)
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     df = max(len(groups_obs) - 1, 1)
+    from scipy import stats  # loaded by the first statistical case only
+
     threshold = float(stats.chi2.ppf(1.0 - alpha, df))
     return CaseResult(name, stat, threshold, stat <= threshold, n)
 
@@ -136,6 +137,8 @@ def ks_case(
     For integer-valued samples the tie-heavy statistic makes the test
     conservative, which is the safe direction for a regression gate.
     """
+    from scipy import stats  # loaded by the first statistical case only
+
     d = float(stats.ks_2samp(xs, ys, method="asymp").statistic)
     n, m = len(xs), len(ys)
     c_alpha = math.sqrt(-math.log(alpha / 2.0) / 2.0)

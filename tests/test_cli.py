@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +17,10 @@ from mallows.samplers import (
     batch_inversion_windows,
     q_shuffle_prefix,
     sample_finite_mallows,
+    sample_two_sided_interlacing,
     sample_two_sided_inversion,
 )
+from mallows.verify import SUITE_NAMES
 
 
 def run_cli(capsys, argv):
@@ -133,6 +138,28 @@ def test_sample_words_are_the_scalar_twins(capsys, mode):
             code, out, err = run_cli(capsys, [
                 "sample", "--mode", mode, "--n", str(n), "--q", "0.5", "--count", str(count),
                 "--seed", str(seed), "--format", fmt])
+            assert code == 0 and err == ""
+            assert out == "".join(line + "\n" for line in lines[: count + 1]), (seed, count, fmt)
+
+
+def test_sample_interlacing_is_successive_scalar_calls(capsys):
+    # `count` windows print what `count` successive scalar calls on one
+    # stream return, for counts below, at and past one block
+    lo, hi, counts = -2, 2, (1, 5, _BLOCK_ROWS + 3)
+    for seed in range(1, 6):
+        s, p = GeomStream(seed, 0.5), QParam(0.5)
+        windows = [sample_two_sided_interlacing(lo, hi, p, s)[0].values
+                   for _ in range(max(counts))]
+        header = {"q": 0.5, "seed": seed, "mode": "two-sided", "window": [lo, hi],
+                  "eps_tv": None, "version": __version__}
+        jsonl = [json.dumps(header)] + [
+            json.dumps({"lo": lo, "hi": hi, "values": list(w)}) for w in windows]
+        csv = [",".join(f"p{i}" for i in range(lo, hi + 1))] + [
+            ",".join(map(str, w)) for w in windows]
+        for count, (fmt, lines) in itertools.product(counts, (("jsonl", jsonl), ("csv", csv))):
+            code, out, err = run_cli(capsys, [
+                "sample", "--mode", "two-sided", "--window", f"{lo}:{hi}", "--q", "0.5",
+                "--count", str(count), "--seed", str(seed), "--format", fmt])
             assert code == 0 and err == ""
             assert out == "".join(line + "\n" for line in lines[: count + 1]), (seed, count, fmt)
 
@@ -277,6 +304,26 @@ def test_pmf_fdd_nan_tolerance_is_a_domain_error(capsys):
     assert err.startswith("error[DOMAIN]")
 
 
+PMF_OUTPUT = {
+    "displacement": (["displacement", "--radius", "1"], "csv",
+                     "d,probability\n-1,0.16903544585520072\n0,0.22064303609653282\n"
+                     "1,0.16903544585520072\ntail_bound,1.0\n"),
+    "joint-rl": (["joint-rl", "--r", "2", "--ell", "1"], "json",
+                 '{"r": 2, "ell": 1, "value": 0.0240656745905502}\n'),
+    "fdd": (["fdd", "--d", "0"], "json",
+            '{"query": [0], "value": 0.22064303609653282, '
+            '"error_bound": 1.9676864930063477e-19}\n'),
+}
+
+
+@pytest.mark.parametrize("law", list(PMF_OUTPUT))
+def test_pmf_writes_its_one_format(capsys, law):
+    argv, fmt, want = PMF_OUTPUT[law]
+    for extra in ([], ["--format", fmt]):
+        code, out, err = run_cli(capsys, ["pmf", *argv, "--q", "0.5", *extra])
+        assert (code, out, err) == (0, want, "")
+
+
 def test_pmf_fdd_requires_d(capsys):
     code, _, err = run_cli(capsys, ["pmf", "fdd", "--q", "0.5"])
     assert code == 2
@@ -324,6 +371,27 @@ def test_verify_bad_sizes_are_domain_errors(capsys, suite, sizes):
     assert err.startswith("error[DOMAIN]")
 
 
+def test_verify_help_lists_the_suites(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # no wrapping inside a suite name
+    code, out, _ = run_cli(capsys, ["verify", "--help"])
+    assert code == 0
+    assert f"one of: {', '.join(SUITE_NAMES)}" in out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported by the first statistical case, not by the CLI
+    import mallows
+
+    code = ("import sys, mallows.cli; from mallows import QParam; "
+            "from mallows.verify import run_suite; "
+            "assert 'scipy' not in sys.modules; "
+            "assert run_suite('exchangeability', (), QParam(0.5), 0).overall_pass; "
+            "assert 'scipy' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mallows.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, ["verify", "--suite", "bogus", "--q", "0.5"])
     assert code == 2
@@ -333,6 +401,31 @@ def test_verify_unknown_suite(capsys):
 # --------------------------------------------------------------------------
 # misc
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "--mode", "two-sided", "--window", "3", "--q", "0.5"],
+     ["sample", "--mode", "two-sided", "--window", "a:b", "--q", "0.5"],
+     ["sample", "--mode", "two-sided", "--window", "2:1", "--q", "0.5"],
+     ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.5", "--count", "0"],
+     ["sample", "--mode", "two-sided", "--q", "0.5"],
+     ["pmf", "displacement", "--q", "0.5", "--radius", "-1"],
+     ["pmf", "fdd", "--q", "0.5", "--d", "1,x"],
+     ["pmf", "displacement", "--q", "0.5", "--format", "json"],
+     ["pmf", "joint-rl", "--q", "0.5", "--format", "csv"],
+     ["pmf", "fdd", "--q", "0.5", "--d", "0", "--format", "csv"],
+     ["pmf", "fdd", "--q", "1e-200", "--d", "0,1"],
+     ["pmf", "displacement", "--q", "1e-310"]],
+    ids=["window-one-number", "window-not-integers", "window-reversed", "count-zero",
+         "no-window", "negative-radius", "d-not-integers", "displacement-json",
+         "joint-rl-csv", "fdd-csv", "fdd-overflow", "displacement-overflow"],
+)
+def test_domain_refusals(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[DOMAIN]")
+
 
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])

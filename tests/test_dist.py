@@ -17,6 +17,14 @@ from mallows.dist import (
 )
 from mallows.errors import DomainError
 from mallows.qseries import QParam, pochhammer_table, q_binomial, q_factorial, q_number
+from mallows.samplers import (
+    batch_interlacing_windows,
+    q_shuffle_prefix,
+    sample_finite_mallows,
+    sample_truncated_geometric,
+    sample_two_sided_interlacing,
+)
+from mallows.streams import GeomStream
 from mallows.verify import run_suite
 
 P5 = QParam(0.5)
@@ -104,6 +112,16 @@ def test_joint_rl_symmetric():
     for r in range(0, 8):
         for ell in range(0, 8):
             assert joint_rl_pmf(P5, r, ell) == joint_rl_pmf(P5, ell, r)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.95])
+def test_joint_rl_symmetric_bit_exact(q):
+    # one power q^(r*ell+r+ell) keeps the law bit-exactly symmetric where
+    # powers of q are inexact
+    p = QParam(q)
+    for r in range(0, 40):
+        for ell in range(0, r):
+            assert joint_rl_pmf(p, r, ell) == joint_rl_pmf(p, ell, r), (r, ell)
 
 
 def test_left_count_mean():
@@ -279,6 +297,33 @@ def test_underflowing_quotients_are_domain_errors(call):
     want = math.prod(q_number(i, p) for i in range(1, 7))
     assert q_factorial(6, p) == pytest.approx(want, rel=1e-12)
     assert run_suite("exchangeability", (), p, 0).overall_pass
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: block_p2(P5, (1, 2), (1,)),
+        lambda s: block_p2(P5, (1, -1), (0, 0)),
+        lambda s: q_number(-1, P5),
+        lambda s: q_factorial(-1, P5),
+        lambda s: fdd_probability(QParam(1e-200), FddQuery(2, (0, 1)), 1e-12),
+        lambda s: displacement_pmf(QParam(1e-310), 10),
+        lambda s: sample_truncated_geometric(-1, P5, s),
+        lambda s: sample_finite_mallows(0, P5, s),
+        lambda s: q_shuffle_prefix(0, P5, s),
+        lambda s: sample_two_sided_interlacing(2, 1, P5, s),
+        lambda s: batch_interlacing_windows(2, 1, P5, s, 5),
+    ],
+    ids=["block_p2-lengths", "block_p2-negative-gap", "q_number", "q_factorial",
+         "fdd-overflow", "displacement-overflow", "truncated-geometric", "finite",
+         "shuffle-prefix", "interlacing", "interlacing-kernel"],
+)
+def test_library_refusals_draw_nothing(call):
+    # q^-(k(k+1)/2) overflows at k=2, q=1e-200 and at k=1, q=1e-310
+    s = GeomStream(seed=0, q=0.5)
+    with pytest.raises(DomainError):
+        call(s)
+    assert s.counter == 0
 
 
 def test_fdd_matches_finite_model_dp():

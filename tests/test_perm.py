@@ -129,6 +129,16 @@ def test_eliminate_right_support():
         eliminate_left((1, 0, 0, 0))  # l[0] must be 0
 
 
+def test_eliminate_left_support_names_the_rightmost_bad_entry():
+    # support is checked right to left, the order the word is built in
+    with pytest.raises(RejectSupportError, match=r"^ell\[0\] = 1 outside support 0\.\.0$"):
+        eliminate_left((1, 0, 0, 0))
+    with pytest.raises(RejectSupportError, match=r"^ell\[3\] = 4 outside support 0\.\.3$"):
+        eliminate_left((1, 0, -1, 4))
+    with pytest.raises(RejectSupportError, match=r"^ell\[2\] = -1 outside support 0\.\.2$"):
+        eliminate_left((1, 0, -1, 0))
+
+
 def test_codec_round_trip_small_n():
     # every permutation survives r -> word -> r and l -> word -> l
     for n in range(1, 7):
