@@ -20,6 +20,7 @@ see reconstruct_ell.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -187,6 +188,14 @@ def inversion_counts_window(w: PermWindow) -> InversionCounts:
     )
 
 
+def _pop_letters(r: Sequence[int]) -> tuple[int, ...]:
+    """Word whose letter i is the (r_i+1)-th smallest positive integer not
+    used yet: the q-shuffle rule, and elimination where r_i <= n-1-i."""
+    # the unused values in decreasing order, so each pop is near the end
+    unused = list(range(len(r) + max(r, default=0), 0, -1))
+    return tuple(unused.pop(-1 - ri) for ri in r)
+
+
 def eliminate_right(r: Sequence[int]) -> PermWindow:
     """Unique word of {1..n} whose right counts are r (elimination algorithm).
 
@@ -194,16 +203,12 @@ def eliminate_right(r: Sequence[int]) -> PermWindow:
     (3, 1, 2, 4)
     """
     n = len(r)
-    # the unused values in decreasing order, so each pop is near the end
-    remaining = list(range(n, 0, -1))
-    word = []
     for i, ri in enumerate(r):
         if not 0 <= ri <= n - i - 1:
             raise RejectSupportError(
                 f"r[{i}] = {ri} outside truncated-geometric support 0..{n - i - 1}"
             )
-        word.append(remaining.pop(-1 - ri))
-    return PermWindow(lo=1, hi=n, values=tuple(word))
+    return PermWindow(lo=1, hi=n, values=_pop_letters(r))
 
 
 def eliminate_left(ell: Sequence[int]) -> PermWindow:
@@ -225,6 +230,23 @@ def eliminate_left(ell: Sequence[int]) -> PermWindow:
     return PermWindow(lo=1, hi=n, values=tuple(n + 1 - v for v in reversed(word)))
 
 
+def _chain_horizon(q: float, eps_tv: float) -> int:
+    """Smallest state x >= 0 with q^(x+1)/(1-q) <= eps_tv, where every
+    leftward chain stops.  The log estimate can land one past it where the
+    bound meets eps_tv exactly, so it is stepped to that state."""
+    if not 0.0 < eps_tv < math.inf:
+        raise DomainError(f"eps_tv must be finite and > 0, got {eps_tv!r}")
+    tail = eps_tv * (1.0 - q)
+    if tail == 0.0:
+        raise DomainError(f"eps_tv * (1-q) underflows to 0 at eps_tv={eps_tv!r}")
+    x = max(0, math.ceil(math.log(tail) / math.log(q) - 1.0))
+    while x > 0 and q**x / (1.0 - q) <= eps_tv:
+        x -= 1
+    while q ** (x + 1) / (1.0 - q) > eps_tv:
+        x += 1
+    return x
+
+
 def reconstruct_ell(
     r_window: Sequence[int],
     lo: int,
@@ -240,14 +262,15 @@ def reconstruct_ell(
     unchanged) or r_i <= x (state increments).  Under geometric data the
     probability that any index left of the current one still contributes is
     at most q^(x+1)/(1-q), so the chain stops once that bound drops to
-    eps_tv.  All values already inside the window are consumed exactly; the
-    bound only governs how far `extend` (drawing r values for lo-1, lo-2,
-    ...) is consulted.  Without a callback the result may come back
-    uncertified (certified=False, residual > eps_tv).
+    eps_tv (_chain_horizon).  All values inside the window are consumed
+    exactly; the bound only governs how far `extend` (drawing r values for
+    lo-1, lo-2, ...) is consulted.  Without a callback the result may come
+    back uncertified (certified=False, residual > eps_tv).
     """
     if not lo <= j < lo + len(r_window):
         raise ValueError("j outside the provided window")
     q = p.q
+    xstar = _chain_horizon(q, eps_tv)
     x = int(r_window[j - lo])
     ell = 0
     for i in range(j - 1, lo - 1, -1):
@@ -255,15 +278,13 @@ def reconstruct_ell(
             ell += 1
         else:
             x += 1
-    residual = q ** (x + 1) / (1.0 - q)
     if extend is not None:
-        while residual > eps_tv:
+        while x < xstar:
             if extend() > x:
                 ell += 1
             else:
                 x += 1
-                residual = q ** (x + 1) / (1.0 - q)
-    return ell, residual <= eps_tv, residual
+    return ell, x >= xstar, q ** (x + 1) / (1.0 - q)
 
 
 def rebuild_sigma(ic: InversionCounts) -> PermWindow:
@@ -369,6 +390,7 @@ def validate_r_window(
     if any(v < 0 for v in r_window):
         raise DomainError("right counts must be nonnegative")
     q = p.q
+    xstar = _chain_horizon(q, eps_tv)
     n = len(r_window)
     hi = lo + n - 1
     zeros = tuple(lo + k for k in range(n) if r_window[k] == 0)
@@ -381,14 +403,12 @@ def validate_r_window(
         for i in range(j - 1, lo - 1, -1):
             if r_window[i - lo] > x:
                 lj += 1
-                if not flagged and q ** (x + 1) / (1.0 - q) <= eps_tv:
-                    flagged = True
+                flagged = flagged or x >= xstar
             else:
                 x += 1
-        resj = q ** (x + 1) / (1.0 - q)
         ell.append(lj)
-        certified.append(resj <= eps_tv)
-        residuals.append(resj)
+        certified.append(x >= xstar)
+        residuals.append(q ** (x + 1) / (1.0 - q))
     counts = InversionCounts(
         lo=lo,
         hi=hi,

@@ -47,7 +47,6 @@ same order as ``sample_two_sided_interlacing`` and returns the same window.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NotInjectiveError
-from .perm import PermWindow, eliminate_right
+from .perm import PermWindow, _chain_horizon, _pop_letters, eliminate_right
 from .qseries import QParam, normal_table
 from .streams import GeomStream
 
@@ -122,20 +121,18 @@ def sample_truncated_geometric(limit: int, p: QParam, s: GeomStream) -> int:
     if limit < 0:
         raise DomainError("limit must be >= 0")
     _check_stream(p, s)
-    return s.truncated_geometric(limit)
+    return int(s.truncated_geometrics(1, limit)[0])
 
 
 def sample_finite_mallows(n: int, p: QParam, s: GeomStream) -> PermWindow:
     """Word of {1..n} with P(sigma) = q^inv(sigma) / [n!]_q.
 
-    Draws independent truncated-geometric right counts (limit n-i at
-    position i) and applies the elimination algorithm.
+    Applies the elimination algorithm to batch_finite_r's one row of
+    truncated-geometric right counts (limit n-i at position i).
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    _check_stream(p, s)
-    r = [s.truncated_geometric(n - i) for i in range(1, n + 1)]
-    return eliminate_right(r)
+    return eliminate_right(batch_finite_r(n, p, s, 1)[0].tolist())
 
 
 def q_shuffle_prefix(n_letters: int, p: QParam, s: GeomStream) -> tuple[int, ...]:
@@ -148,10 +145,7 @@ def q_shuffle_prefix(n_letters: int, p: QParam, s: GeomStream) -> tuple[int, ...
     if n_letters < 1:
         raise DomainError("n_letters must be >= 1")
     _check_stream(p, s)
-    skips = [s.geometric() for _ in range(n_letters)]
-    # the unused values in decreasing order, so each pop is near the end
-    unused = list(range(n_letters + max(skips), 0, -1))
-    return tuple(unused.pop(-1 - r) for r in skips)
+    return _pop_letters(s.geometrics(n_letters).tolist())
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +180,7 @@ def _young_multiplicities(p: QParam, s: GeomStream) -> dict[int, int]:
     mult: dict[int, int] = {}
     b = 0
     while (j := bisect_right(neg, s.uniform() * neg[b], b + 1)) < len(neg):
-        mult[j] = 1 + s.geometric(ratio=qpow[j])
+        mult[j] = 1 + int(s.geometrics(1, qpow[j])[0])
         b = j
     return mult
 
@@ -264,8 +258,9 @@ def sample_two_sided_interlacing(
     kmax = len(plus)
     first = bisect_left(plus, lo)  # rank - 1 of the first + slot in the window
     tmax = first - (lo - 1)
-    wp = q_shuffle_prefix(kmax, p, s) if kmax else ()
-    u = q_shuffle_prefix(tmax, p, s) if tmax else ()
+    # both words' skips in one call, the plus word first (the kernel's order)
+    skips = s.geometrics(kmax + tmax).tolist()
+    wp, u = _pop_letters(skips[:kmax]), _pop_letters(skips[kmax:])
     vals = [0] * (hi - lo + 1)
     k, t = kmax - 1, kmax - hi
     for i in range(hi, lo - 1, -1):
@@ -379,9 +374,9 @@ def batch_interlacing_windows(
     then the shuffle skips, exactly as many as the rows have letters, in
     one s.geometrics call: each row's plus word in row order, then each
     row's minus word.  So at count=1 both samplers draw the same uniforms
-    in the same order and return the same window (np.log and math.log can
-    differ in the last bit, which moves a geometric draw only when its
-    quotient lies within an ulp of an integer).  Then on arrays:
+    in the same order and return the same window (np.log and math.log of a
+    multiplicity's ratio can differ in the last bit, which moves a draw
+    only when its quotient lies within an ulp of an integer).  Then on arrays:
 
     * C(i) = #(+ <= i) - i for i in lo-1..hi counts the + positions
       k - lambda_k of _plus_positions, each row's parts ranked in triple
@@ -524,9 +519,9 @@ def batch_inversion_windows(
     the chains are exact and take width-1 array steps (at offset t the
     chains of positions lo+t..hi meet r[:, :-t]).  Left of the window the
     chains of a row share one lazily drawn sequence of right counts, and a
-    chain stops once q^(x+1)/(1-q) <= eps_tv, i.e. once
-    x >= x* = ceil(log(eps_tv (1-q)) / log q - 1), so each window law is
-    within width * eps_tv of exact in total variation.  The values are
+    chain stops once q^(x+1)/(1-q) <= eps_tv, i.e. at reconstruct_ell's
+    horizon x* = _chain_horizon(q, eps_tv), so each window law is within
+    width * eps_tv of exact in total variation.  The values are
     sigma(j) = j + r_j - ell_j.
 
     Draws: every row's right counts, row by row, in one s.geometrics call;
@@ -547,14 +542,8 @@ def batch_inversion_windows(
         raise DomainError("window requires lo <= hi")
     if count < 0:
         raise DomainError("count must be >= 0")
-    if not 0.0 < eps_tv < math.inf:
-        raise DomainError("eps_tv must be finite and > 0")
+    xstar = _chain_horizon(p.q, eps_tv)
     _check_stream(p, s)
-    q = p.q
-    tail = eps_tv * (1.0 - q)
-    if tail == 0.0:
-        raise DomainError(f"eps_tv * (1-q) underflows to 0 at eps_tv={eps_tv!r}")
-    xstar = math.ceil(math.log(tail) / math.log(q) - 1.0)
     width = hi - lo + 1
     r = s.geometrics(count * width).reshape(count, width)
     x = r.copy()

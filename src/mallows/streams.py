@@ -74,40 +74,22 @@ class GeomStream:
         return 1.0 - self._gen.random(n)
 
     # -- geometric laws ----------------------------------------------------
-    def geometric(self, ratio: float | None = None) -> int:
-        """Draw from P(k) = (1-ratio) ratio^k on {0,1,2,...}."""
-        r = self.q if ratio is None else ratio
-        return int(math.log(self.uniform()) / math.log(r))
-
     def geometrics(self, n: int, ratio: float | np.ndarray | None = None) -> np.ndarray:
-        """n draws as geometric(); ratio may also be an array, one per draw."""
+        """n draws from P(k) = (1-r) r^k; r is ratio (default q) or one per draw."""
         r = self.q if ratio is None else ratio
         u = self.uniforms(n)
         log_r = np.log(r) if isinstance(r, np.ndarray) else math.log(r)
         return np.floor(np.log(u) / log_r).astype(np.int64)
 
-    def truncated_geometric(self, limit: int) -> int:
-        """Draw from P(k) proportional to q^k on {0..limit} (exact inverse CDF)."""
-        if limit <= 0:
-            return 0
-        top = 1.0 - self.q ** (limit + 1)
-        w = self.uniform() * top
-        k = int(math.log(1.0 - w) / math.log(self.q))
-        return min(k, limit)
-
     def truncated_geometrics(self, n: int, limit: int | np.ndarray) -> np.ndarray:
-        """n draws as truncated_geometric(limit); limit may also be an int
-        array of n limits >= 1, one per draw."""
+        """n draws from P(k) proportional to q^k on {0..limit} (exact inverse
+        CDF); limit may also be an int array of n limits >= 1, one per draw."""
         if isinstance(limit, np.ndarray):
             if limit.shape != (_size(n),) or not np.all(limit >= 1):
                 raise DomainError("need one limit >= 1 per draw")
-            # one Python ** per limit value, so top has the scalar draw's bits
-            powers = [self.q ** (k + 1) for k in range(int(limit.max(initial=0)) + 1)]
-            top = 1.0 - np.array(powers)[limit]
         elif limit <= 0:
             return np.zeros(_size(n), dtype=np.int64)
-        else:
-            top = 1.0 - self.q ** (limit + 1)
+        top = 1.0 - self.q ** (limit + 1)
         w = self.uniforms(n) * top
         k = np.floor(np.log(1.0 - w) / math.log(self.q)).astype(np.int64)
         return np.minimum(k, limit)

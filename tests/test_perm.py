@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from itertools import permutations
 
@@ -19,6 +20,7 @@ from mallows.perm import (
     PermWindow,
     VERDICT_CONSISTENT,
     VERDICT_SUSPECT,
+    _chain_horizon,
     adjacent_swap_r,
     eliminate_left,
     eliminate_right,
@@ -217,11 +219,38 @@ def test_reconstruct_ell_geometric_extension_terminates():
     s = GeomStream(seed=99, q=0.5)
     for j in range(-2, 3):
         ell, certified, residual = reconstruct_ell(
-            (1, 0, 2, 0, 1), -2, j, P5, 1e-9, s.geometric
+            (1, 0, 2, 0, 1), -2, j, P5, 1e-9, lambda: int(s.geometrics(1)[0])
         )
         assert certified
         assert residual <= 1e-9
         assert ell >= 0
+
+
+@pytest.mark.parametrize("eps_tv", [-1e-9, 0.0, math.nan, math.inf])
+def test_chain_budgets_outside_zero_inf_are_refused_before_any_draw(eps_tv):
+    calls = 0
+
+    def zeros():
+        nonlocal calls
+        calls += 1
+        return 0
+
+    with pytest.raises(DomainError):
+        reconstruct_ell((0, 0, 0), 0, 2, P5, eps_tv, zeros)
+    assert calls == 0
+    with pytest.raises(DomainError):
+        validate_r_window([0, 1, 0], 0, P5, eps_tv)
+
+
+@pytest.mark.parametrize("q", [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95])
+def test_chain_horizon_is_the_first_state_within_budget(q):
+    # q^k/(1-q) puts eps_tv on the boundary, where a log estimate can land
+    # one state past it
+    for k in range(1, 60):
+        for eps_tv in (q**k / (1.0 - q), q**k, 2.0**-k, 10.0 ** -(k % 15 + 1)):
+            x = _chain_horizon(q, eps_tv)
+            assert x >= 0 and q ** (x + 1) / (1.0 - q) <= eps_tv
+            assert x == 0 or q**x / (1.0 - q) > eps_tv, f"k={k} eps_tv={eps_tv!r}"
 
 
 # --------------------------------------------------------------------------
@@ -368,7 +397,7 @@ def test_validate_divergent_pattern(lo, eps_tv, verdict):
 def test_validate_geometric_windows_consistent():
     s = GeomStream(seed=123, q=0.5)
     for trial in range(100):
-        r = [s.geometric() for _ in range(30)]
+        r = s.geometrics(30).tolist()
         rep = validate_r_window(r, -15, P5, 1e-9)
         assert rep.verdict == VERDICT_CONSISTENT, f"trial {trial}"
 

@@ -209,8 +209,8 @@ class _ConstantStream:
     def uniform(self):
         return self.u
 
-    def geometric(self, ratio):
-        return int(math.log(self.uniform()) / math.log(ratio))
+    def geometrics(self, n, ratio):
+        return np.floor(np.log(np.full(n, self.u)) / np.log(ratio)).astype(np.int64)
 
 
 @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.8, 0.95, 0.99])
@@ -443,7 +443,7 @@ def _chain_replay(lo, hi, p, s, eps_tv):
     """Window by one reconstruct_ell chain per position: the right counts
     first, then one lazily drawn cache of right counts left of the window
     that every chain reads from its start."""
-    r = [s.geometric() for _ in range(hi - lo + 1)]
+    r = s.geometrics(hi - lo + 1).tolist()
     cache: list[int] = []
     window = []
     for j in range(lo, hi + 1):
@@ -452,7 +452,7 @@ def _chain_replay(lo, hi, p, s, eps_tv):
         def extend() -> int:
             k = next(depth)
             if k == len(cache):
-                cache.append(s.geometric())
+                cache.append(int(s.geometrics(1)[0]))
             return cache[k]
 
         ell, certified, _ = reconstruct_ell(r, lo, j, p, eps_tv, extend)
@@ -464,6 +464,17 @@ def _chain_replay(lo, hi, p, s, eps_tv):
 @pytest.mark.parametrize("q", [0.05, 0.3, 0.8, 0.95])
 @pytest.mark.parametrize("eps_tv", [1e-3, 1e-9])
 def test_inversion_kernel_at_count_one_is_the_chain_replay(q, eps_tv):
+    _assert_kernel_is_chain_replay(q, eps_tv)
+
+
+@pytest.mark.parametrize("eps_tv", [2.0**-28, 2.0**-30])
+def test_inversion_kernel_stops_where_the_chain_does_at_boundary_eps(eps_tv):
+    # q^(x+1)/(1-q) meets eps_tv exactly at some state x; the chain stops
+    # there, and so must the kernel's horizon
+    _assert_kernel_is_chain_replay(0.5, eps_tv)
+
+
+def _assert_kernel_is_chain_replay(q, eps_tv):
     p = QParam(q)
     for lo, hi in ((-5, 5), (0, 0), (3, 9), (-12, 12)):
         for seed in range(1, 6):
@@ -601,7 +612,7 @@ WORD_KERNELS = [
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
 def test_word_kernels_are_successive_scalar_calls(kernel, scalar, q):
     p = QParam(q)
-    for n, count, seed in itertools.product((1, 3, 20), (0, 1, 7), (1, 2, 3)):
+    for n, count, seed in itertools.product((1, 3, 20, 100), (0, 1, 7), (1, 2, 3)):
         a, b = GeomStream(seed, q), GeomStream(seed, q)
         words = kernel(n, p, a, count)
         assert words.shape == (count, n) and words.dtype == np.int64
@@ -619,12 +630,19 @@ def test_word_kernel_refusals_draw_nothing(kernel):
 
 
 def test_truncated_geometrics_array_limit_is_the_scalar_draw():
-    # one limit per draw, up to where q**(limit+1) needs many bits of pow
+    # one limit per draw, up to where q**(limit+1) needs many bits of pow,
+    # against the inverse CDF of the same uniforms one Python float at a time
+    def inverse_cdf(u, limit, q):
+        return min(limit, int(math.log(1.0 - u * (1.0 - q ** (limit + 1))) / math.log(q)))
+
     for q in (0.05, 0.5, 0.999):
         limits = np.arange(1, 301).repeat(3)
         a, b = GeomStream(seed=11, q=q), GeomStream(seed=11, q=q)
         got = a.truncated_geometrics(limits.size, limits)
-        assert got.tolist() == [b.truncated_geometric(int(k)) for k in limits]
+        u = b.uniforms(limits.size).tolist()
+        assert got.tolist() == [inverse_cdf(v, k, q) for v, k in zip(u, limits.tolist())]
+        got = a.truncated_geometrics(50, 7)
+        assert got.tolist() == [inverse_cdf(v, 7, q) for v in b.uniforms(50).tolist()]
         assert a.counter == b.counter
     s = GeomStream(seed=0, q=0.5)
     for n, limits in ((3, np.array([2, 0, 1])), (2, np.array([1, 1, 1])), (1, np.array([[1]]))):
@@ -665,10 +683,6 @@ def test_batch_interlacing_blocks_make_no_scalar_draw():
         def uniform(self):
             self.scalar += 1
             return super().uniform()
-
-        def geometric(self, ratio=None):
-            self.scalar += 1
-            return super().geometric(ratio)
 
     s = CountingStream(seed=109, q=0.95)
     windows = batch_interlacing_windows(0, 2, QParam(0.95), s, 5_000)
