@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--q", type=float, default=0.5)
     vp.add_argument("--seed", type=int, default=None)
     vp.add_argument("--sizes", type=str, default="",
-                    help="comma-separated Monte Carlo sizes override")
+                    help="one Monte Carlo count, draws per case (default: the suite's)")
     return parser
 
 
@@ -117,8 +117,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise DomainError("count must be >= 1")
 
     uses_eps = args.mode == "two-sided" and args.sampler == "inversion"
-    if uses_eps and not args.eps_tv > 0.0:
-        raise DomainError("--eps-tv must be > 0")
     if args.mode == "finite" or args.mode == "one-sided":
         if args.n is None or args.n < 1:
             raise DomainError(f"{args.mode} mode requires --n >= 1")

@@ -247,6 +247,24 @@ def _chain_horizon(q: float, eps_tv: float) -> int:
     return x
 
 
+def _window_chain(
+    r_window: Sequence[int], lo: int, j: int, xstar: int
+) -> tuple[int, int, bool]:
+    """(left count, state, late) of the leftward chain of j run over the
+    window down to lo; late is whether a left inversion was counted at a
+    state >= xstar, past the horizon."""
+    x = int(r_window[j - lo])
+    ell = 0
+    late = False
+    for i in range(j - 1, lo - 1, -1):
+        if r_window[i - lo] > x:
+            ell += 1
+            late = late or x >= xstar
+        else:
+            x += 1
+    return ell, x, late
+
+
 def reconstruct_ell(
     r_window: Sequence[int],
     lo: int,
@@ -271,13 +289,7 @@ def reconstruct_ell(
         raise ValueError("j outside the provided window")
     q = p.q
     xstar = _chain_horizon(q, eps_tv)
-    x = int(r_window[j - lo])
-    ell = 0
-    for i in range(j - 1, lo - 1, -1):
-        if r_window[i - lo] > x:
-            ell += 1
-        else:
-            x += 1
+    ell, x, _ = _window_chain(r_window, lo, j, xstar)
     if extend is not None:
         while x < xstar:
             if extend() > x:
@@ -394,33 +406,19 @@ def validate_r_window(
     n = len(r_window)
     hi = lo + n - 1
     zeros = tuple(lo + k for k in range(n) if r_window[k] == 0)
-    ell, certified, residuals = [], [], []
-    flagged = False
-    for j in range(lo, hi + 1):
-        # reconstruct_ell's chain, watching for increments past the horizon
-        x = int(r_window[j - lo])
-        lj = 0
-        for i in range(j - 1, lo - 1, -1):
-            if r_window[i - lo] > x:
-                lj += 1
-                flagged = flagged or x >= xstar
-            else:
-                x += 1
-        ell.append(lj)
-        certified.append(x >= xstar)
-        residuals.append(q ** (x + 1) / (1.0 - q))
+    chains = [_window_chain(r_window, lo, j, xstar) for j in range(lo, hi + 1)]
     counts = InversionCounts(
         lo=lo,
         hi=hi,
         r=tuple(int(v) for v in r_window),
-        ell=tuple(ell),
-        ell_certified=tuple(certified),
-        residual_bound=sum(residuals),
+        ell=tuple(lj for lj, _, _ in chains),
+        ell_certified=tuple(x >= xstar for _, x, _ in chains),
+        residual_bound=sum(q ** (x + 1) / (1.0 - q) for _, x, _ in chains),
     )
-    if flagged:
+    if any(late for _, _, late in chains):
         verdict = VERDICT_SUSPECT
     else:
-        values = [lo + k + r_window[k] - ell[k] for k in range(n)]
+        values = [lo + k + r_window[k] - counts.ell[k] for k in range(n)]
         verdict = (
             VERDICT_CONSISTENT if len(set(values)) == n else VERDICT_INVALID
         )

@@ -77,7 +77,7 @@ def _table_size(p: QParam) -> int:
 
 
 @lru_cache(maxsize=None)
-def _build_table(q: float, eps_series: float, n_max: int) -> QPochhammerTable:
+def _build_table(q: float, n_max: int) -> QPochhammerTable:
     vals = [1.0]
     prod = 1.0
     for k in range(1, n_max + 1):
@@ -94,7 +94,7 @@ def pochhammer_table(p: QParam, n_max: int = 0) -> QPochhammerTable:
     size = 64
     while size < need:
         size *= 2
-    return _build_table(p.q, p.eps_series, size)
+    return _build_table(p.q, size)
 
 
 def normal_table(p: QParam, refusal: str) -> QPochhammerTable:

@@ -38,7 +38,7 @@ kernel returns for the same stream.
 
 ``batch_interlacing_windows`` is the scalar interlacing sampler run on a
 block of rows at once: the diagrams come from the part-size search of
-``_young_multiplicities`` applied to every row still drawing
+``sample_young_euler`` applied to every row still drawing
 (``_diagram_triples``), then exactly the shuffle skips the rows need are
 drawn in one call, and the sign-word slots (``_sign_counts``, the + position
 rule of ``_plus_positions``), the letters (``_shuffle_letters``) and the
@@ -163,8 +163,8 @@ def _part_search(p: QParam) -> tuple[list[float], list[float]]:
     return [-v for v in table.values], [p.q**j for j in range(len(table.values))]
 
 
-def _young_multiplicities(p: QParam, s: GeomStream) -> dict[int, int]:
-    """Multiplicities {part size -> count} of an Euler-measure diagram.
+def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
+    """Diagram with P(lambda) = <inf>_q * q^|lambda| — Euler's measure.
 
     The multiplicity of part size k is geometric with ratio q^k,
     independently over k, so given no part in 1..b the next part size J
@@ -174,31 +174,19 @@ def _young_multiplicities(p: QParam, s: GeomStream) -> dict[int, int]:
     error eps_series of the table's last entry).  Otherwise J has
     multiplicity 1 + geometric(q^J) and the search goes on from b = J.
     Part sizes increase strictly and stay below the table length, so the
-    loop ends.  _diagram_triples runs the same rounds over many rows.
-    """
-    neg, qpow = _part_search(p)
-    mult: dict[int, int] = {}
-    b = 0
-    while (j := bisect_right(neg, s.uniform() * neg[b], b + 1)) < len(neg):
-        mult[j] = 1 + int(s.geometrics(1, qpow[j])[0])
-        b = j
-    return mult
-
-
-def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
-    """Diagram with P(lambda) = <inf>_q * q^|lambda| — Euler's measure.
-
-    Part sizes are found in increasing order by the search of
-    _young_multiplicities: one uniform per distinct part size plus one that
-    ends the diagram, and one geometric per multiplicity.  Raises
+    loop ends.  Draws: one uniform per distinct part size plus one that
+    ends the diagram, and one geometric per multiplicity;
+    _diagram_triples runs the same rounds over many rows.  Raises
     DomainError where <inf>_q is not a normal double (q >~ 0.9977).
     """
     _check_stream(p, s)
-    mult = _young_multiplicities(p, s)
+    neg, qpow = _part_search(p)
     parts: list[int] = []
-    for k in sorted(mult, reverse=True):
-        parts.extend([k] * mult[k])
-    return YoungDiagram(tuple(parts))
+    b = 0
+    while (j := bisect_right(neg, s.uniform() * neg[b], b + 1)) < len(neg):
+        parts.extend([j] * (1 + int(s.geometrics(1, qpow[j])[0])))
+        b = j
+    return YoungDiagram(tuple(reversed(parts)))
 
 
 def _plus_positions(parts: tuple[int, ...], hi: int) -> list[int]:
@@ -425,9 +413,9 @@ def _diagram_triples(
 
     neg and qpow are _part_search's tables as arrays.  Each round, every
     row still drawing takes one uniform and finds its next part size by
-    the search of _young_multiplicities (one searchsorted), and the rows
+    the search of sample_young_euler (one searchsorted), and the rows
     that found one draw its multiplicity in one s.geometrics call.  For a
-    single row these are _young_multiplicities' draws.
+    single row these are sample_young_euler's draws.
     """
     active = np.arange(rows)
     base = np.zeros(rows, dtype=np.int64)
@@ -561,7 +549,7 @@ def batch_inversion_windows(
     chain = np.flatnonzero(~lowest & (x < xstar))
     row, state = chain // width, x.reshape(-1)[chain]
     hits = np.zeros(count, dtype=np.int64)
-    chain_hits = np.zeros(count * width, dtype=np.int64)
+    flat_ell = ell.reshape(-1)  # a view: ell is contiguous
     slot = np.empty(count, dtype=np.int64)
     active = np.flatnonzero(low < xstar)
     while active.size:
@@ -569,7 +557,7 @@ def batch_inversion_windows(
         if chain.size:  # a live chain's row is active: low <= its state
             slot[active] = np.arange(active.size)
             hit = draws[slot[row]] > state
-            chain_hits[chain[hit]] += 1
+            flat_ell[chain[hit]] += 1
             state += ~hit
             live = state < xstar
             chain, row, state = chain[live], row[live], state[live]
@@ -578,7 +566,7 @@ def batch_inversion_windows(
         stepped = active[~stay]
         low[stepped] += 1
         active = np.concatenate((active[stay], stepped[low[stepped] < xstar]))
-    ell += lowest * hits[:, None] + chain_hits.reshape(count, width)
+    ell += lowest * hits[:, None]
     values = np.arange(lo, hi + 1) + r - ell
     if np.any(np.diff(np.sort(values, axis=1), axis=1) == 0):
         raise NotInjectiveError("window rebuild collided")

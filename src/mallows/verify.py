@@ -328,10 +328,10 @@ def run_suite(
 ) -> VerificationReport:
     """Run one named suite and return its report.
 
-    sizes overrides the suite's Monte Carlo sample counts (first entry =
-    draws per case); pass () for the defaults.  Raises UnknownSuiteError
-    for a name outside SUITE_NAMES and DomainError for a size below 1,
-    before anything is drawn.
+    sizes is one count, (draws per case,), overriding the suite's Monte
+    Carlo sample count; pass () for the default.  Raises UnknownSuiteError
+    for a name outside SUITE_NAMES and DomainError for more than one count
+    or a count below 1, before anything is drawn.
 
     Note: the lln suite pins the window average of the left inversion count
     to q/(1+q).  The implemented joint law has E[L] = q/(1-q) (its L
@@ -344,7 +344,7 @@ def run_suite(
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose one of {', '.join(SUITE_NAMES)}"
         )
-    if any(n < 1 for n in sizes):
-        raise DomainError(f"sizes must be >= 1, got {tuple(sizes)}")
+    if len(sizes) > 1 or any(n < 1 for n in sizes):
+        raise DomainError(f"sizes must be one count >= 1, got {tuple(sizes)}")
     cases = _SUITES[name](p, seed, tuple(sizes))
     return _assemble(name, cases, seed, p.q)

@@ -360,6 +360,7 @@ def test_verify_lln_exits_nonzero(capsys):
 @pytest.mark.parametrize(
     "suite, sizes",
     [("displacement", "abc"), ("displacement", "1000,x"), ("displacement", "0"),
+     ("displacement", "1000,2000"),
      ("finite-oracle", "0"), ("two-sampler", "0"), ("lln", "0"), ("lln", "-5")],
 )
 def test_verify_bad_sizes_are_domain_errors(capsys, suite, sizes):

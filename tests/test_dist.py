@@ -372,3 +372,40 @@ def test_block_p2_matches_diagram_enumeration(b, a):
     want = oracles.diagram_pinned_prob(0.5, pins)
     got = block_p2(P5, b, a)
     assert got == pytest.approx(want, abs=1e-9), f"pins {pins}"
+
+
+def _fdd_by_blocks(p, d):
+    """(1-q)^k sum q^(B_1+...+B_k) block_p2(p, b, a) over the gap
+    coordinates of nondecreasing d: b = (d_0 + a_1+...+a_{k-1} + a_k,
+    d_1 - d_0 - a_1, ..., d_{k-1} - d_{k-2} - a_{k-1}) with
+    0 <= a_m <= d_m - d_{m-1}, a_k >= 0 keeping b_1 >= 0, and
+    B_j = b_1 + ... + b_j.  Each a_k sum stops once its terms fall below
+    1e-30 of its own largest term."""
+    k = len(d)
+    total = 0.0
+    for a_head in itertools.product(*(range(d[m] - d[m - 1] + 1) for m in range(1, k))):
+        head = sum(a_head)
+        b_rest = tuple(d[m] - d[m - 1] - a_head[m - 1] for m in range(1, k))
+        a_k = max(0, -d[0] - head)
+        largest = 0.0
+        while True:
+            b = (d[0] + head + a_k,) + b_rest
+            expo = sum(itertools.accumulate(b))
+            term = p.q**expo * block_p2(p, b, a_head + (a_k,))
+            total += term
+            largest = max(largest, term)
+            if term < 1e-30 * largest:
+                break
+            a_k += 1
+    return (1.0 - p.q) ** k * total
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.8, 0.95])
+def test_fdd_is_a_sum_of_diagram_block_laws(q):
+    # the sorted fdd series regrouped by pinned rows: the two evaluators
+    # share only the Pochhammer table
+    p = QParam(q)
+    for k in (1, 2, 3):
+        for d in itertools.combinations_with_replacement(range(-2, 3), k):
+            want, _ = fdd_probability(p, FddQuery(k, d), 1e-15)
+            assert _fdd_by_blocks(p, d) == pytest.approx(want, rel=1e-14), f"d={d}"

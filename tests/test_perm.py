@@ -394,6 +394,17 @@ def test_validate_divergent_pattern(lo, eps_tv, verdict):
     assert rep.verdict == verdict, f"lo={lo} eps={eps_tv}"
 
 
+@pytest.mark.parametrize("r_right, verdict", [(2, VERDICT_SUSPECT), (1, VERDICT_CONSISTENT)])
+def test_validate_suspect_from_a_left_inversion_at_the_horizon(r_right, verdict):
+    # at q=0.5, eps_tv=0.25 the horizon is x* = 2: the chain of position 1
+    # starts at r_right and meets 3 > r_right, a left inversion counted at
+    # state r_right, which is past the horizon exactly when r_right >= 2
+    assert _chain_horizon(0.5, 0.25) == 2
+    rep = validate_r_window([3, r_right], 0, P5, 0.25)
+    assert rep.counts.ell == (0, 1)
+    assert rep.verdict == verdict
+
+
 def test_validate_geometric_windows_consistent():
     s = GeomStream(seed=123, q=0.5)
     for trial in range(100):

@@ -21,7 +21,6 @@ from mallows.samplers import (
     _part_search,
     _shuffle_letters,
     _sign_counts,
-    _young_multiplicities,
     batch_finite_r,
     batch_finite_words,
     batch_interlacing_windows,
@@ -201,10 +200,10 @@ def test_young_sampler_size_law():
 
 
 class _ConstantStream:
-    """Every uniform is u."""
+    """Ratio q; every uniform is u."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, q, u):
+        self.q, self.u = q, u
 
     def uniform(self):
         return self.u
@@ -218,11 +217,9 @@ class _ConstantStream:
 def test_young_multiplicities_stop_at_float_saturation(q, u):
     # U = 1 asks for a part wherever <j>_q still drops, up to where 1 - q^j
     # rounds to 1; the search must end there, inside the table
-    mult = _young_multiplicities(QParam(q), _ConstantStream(u))
-    parts = list(mult)
-    assert parts == sorted(set(parts))
+    parts = sample_young_euler(QParam(q), _ConstantStream(q, u)).parts
+    assert list(parts) == sorted(parts, reverse=True)
     assert all(1 <= j < len(pochhammer_table(QParam(q)).values) for j in parts)
-    assert all(c >= 1 for c in mult.values())
 
 
 def _assert_size_law(sizes, q):

@@ -62,6 +62,13 @@ def test_sizes_below_one_rejected(name, sizes):
         run_suite(name, sizes, P5, seed=0)
 
 
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_more_than_one_size_rejected(name):
+    # every suite reads one count; a second one would be dropped unread
+    with pytest.raises(DomainError):
+        run_suite(name, (2000, 5), P5, seed=0)
+
+
 def test_reports_are_deterministic():
     a = run_suite("displacement", (20_000,), P5, seed=7)
     b = run_suite("displacement", (20_000,), P5, seed=7)
