@@ -200,12 +200,15 @@ def test_young_sampler_size_law():
 
 
 class _ConstantStream:
-    """Ratio q; every uniform is u."""
+    """Ratio q; every uniform is u.  Counts its uniform calls and fails once
+    they pass limit, so a search that does not end fails instead of hanging."""
 
-    def __init__(self, q, u):
-        self.q, self.u = q, u
+    def __init__(self, q, u, limit):
+        self.q, self.u, self.limit, self.calls = q, u, limit, 0
 
     def uniform(self):
+        self.calls += 1
+        assert self.calls <= self.limit, "the part search did not end"
         return self.u
 
     def geometrics(self, n, ratio):
@@ -217,9 +220,18 @@ class _ConstantStream:
 def test_young_multiplicities_stop_at_float_saturation(q, u):
     # U = 1 asks for a part wherever <j>_q still drops, up to where 1 - q^j
     # rounds to 1; the search must end there, inside the table
-    parts = sample_young_euler(QParam(q), _ConstantStream(q, u)).parts
-    assert list(parts) == sorted(parts, reverse=True)
-    assert all(1 <= j < len(pochhammer_table(QParam(q)).values) for j in parts)
+    values = pochhammer_table(QParam(q)).values
+    s = _ConstantStream(q, u, limit=len(values))
+    parts = sample_young_euler(QParam(q), s).parts
+    sizes = set(parts)
+    # one uniform per distinct part size, found once each, and one that ends
+    assert len(sizes) == s.calls - 1
+    assert all(1 <= j < len(values) for j in sizes)
+    if u > 0.5:
+        # every geometric is 0: each size has multiplicity 1
+        assert len(parts) == len(sizes)
+    if u == 1.0:
+        assert sizes == {j for j in range(1, len(values)) if values[j] < values[j - 1]}
 
 
 def _assert_size_law(sizes, q):
