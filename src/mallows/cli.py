@@ -95,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--q", type=float, default=0.5)
     vp.add_argument("--seed", type=int, default=None)
     vp.add_argument("--sizes", type=str, default="",
-                    help="one Monte Carlo count, draws per case (default: the suite's)")
+                    help="one integer, the draws per case (default: the suite's; "
+                         "exchangeability takes none); too few to test exits 2")
     return parser
 
 
@@ -211,9 +212,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     p = QParam(args.q)
     try:
-        sizes = tuple(int(x) for x in args.sizes.split(",") if x)
+        sizes = (int(args.sizes),) if args.sizes else ()
     except ValueError as exc:
-        raise DomainError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from exc
+        raise DomainError(f"--sizes must be one integer, got {args.sizes!r}") from exc
     report = run_suite(args.suite, sizes, p, seed)
     out = sys.stdout
     for c in report.cases:

@@ -1,10 +1,10 @@
 """Statistical verification suites: samplers vs formulas vs each other.
 
-Each suite draws on its own substream (spawned from the master seed by case
-label), computes one or more test statistics with fixed thresholds, and
-returns a :class:`VerificationReport`.  Reports are deterministic functions
-of (suite, seed, q, sizes); cases are ordered by name and every case records
-the statistic and threshold that decided it.
+Each suite draws on substreams spawned by case label from the one master
+stream that run_suite builds, computes one or more test statistics with
+fixed thresholds, and returns its cases; run_suite sorts them by name into
+a :class:`VerificationReport`, a deterministic function of (suite, seed, q,
+count).  Every case records the statistic and threshold that decided it.
 
 Threshold policy: chi-square cases test at alpha = 0.001, KS cases at
 alpha = 0.01, both chosen so a full default run false-fails well under 5%
@@ -72,17 +72,6 @@ class VerificationReport:
         }
 
 
-def _assemble(suite: str, cases: list[CaseResult], seed: int, q: float) -> VerificationReport:
-    ordered = tuple(sorted(cases, key=lambda c: c.name))
-    return VerificationReport(
-        suite=suite,
-        cases=ordered,
-        overall_pass=all(c.passed for c in ordered),
-        seed=seed,
-        q=q,
-    )
-
-
 # --------------------------------------------------------------------------
 # statistic helpers
 # --------------------------------------------------------------------------
@@ -97,7 +86,8 @@ def chi_square_case(
     """Pearson chi-square with greedy pooling of low-expectation cells.
 
     Cells are pooled left to right until each group's expected count is at
-    least min_expected; a deficient final group is merged backwards.
+    least min_expected; a deficient final group is merged backwards.  Fewer
+    than two groups leave nothing to test, and DomainError is raised.
     """
     n = int(observed.sum())
     exp = probs * n
@@ -111,17 +101,17 @@ def chi_square_case(
             groups_obs.append(acc_o)
             groups_exp.append(acc_e)
             acc_o = acc_e = 0.0
-    if acc_e > 0.0:
-        if groups_exp:
-            groups_obs[-1] += acc_o
-            groups_exp[-1] += acc_e
-        else:
-            groups_obs.append(acc_o)
-            groups_exp.append(acc_e)
+    if acc_e > 0.0 and groups_exp:
+        groups_obs[-1] += acc_o
+        groups_exp[-1] += acc_e
+    if len(groups_obs) < 2:
+        raise DomainError(
+            f"{name}: {n} samples make fewer than 2 groups of expected count >= {min_expected}"
+        )
     obs_arr = np.asarray(groups_obs)
     exp_arr = np.asarray(groups_exp)
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
-    df = max(len(groups_obs) - 1, 1)
+    df = len(groups_obs) - 1
     from scipy import stats  # loaded by the first statistical case only
 
     threshold = float(stats.chi2.ppf(1.0 - alpha, df))
@@ -134,12 +124,15 @@ def ks_case(
     """Two-sample KS with the asymptotic critical value.
 
     For integer-valued samples the tie-heavy statistic makes the test
-    conservative, which is the safe direction for a regression gate.
+    conservative, which is the safe direction for a regression gate.  An
+    empty sample raises DomainError.
     """
+    n, m = len(xs), len(ys)
+    if n == 0 or m == 0:
+        raise DomainError(f"{name}: an empty sample cannot be tested ({n} and {m} values)")
     from scipy import stats  # loaded by the first statistical case only
 
     d = float(stats.ks_2samp(xs, ys, method="asymp").statistic)
-    n, m = len(xs), len(ys)
     c_alpha = math.sqrt(-math.log(alpha / 2.0) / 2.0)
     threshold = c_alpha * math.sqrt((n + m) / (n * m))
     return CaseResult(name, d, threshold, d <= threshold, n + m)
@@ -171,9 +164,7 @@ def _bin_displacements(d0: np.ndarray, radius: int) -> np.ndarray:
 # suites
 # --------------------------------------------------------------------------
 
-def _suite_finite_oracle(p: QParam, seed: int, sizes: tuple[int, ...]) -> list[CaseResult]:
-    draws = sizes[0] if sizes else 200_000
-    master = GeomStream(seed=seed, q=p.q)
+def _suite_finite_oracle(p: QParam, master: GeomStream, draws: int) -> list[CaseResult]:
     cases = []
     for n in (3, 4, 5):
         s = master.spawn(f"finite-oracle-n{n}")
@@ -189,30 +180,21 @@ def _suite_finite_oracle(p: QParam, seed: int, sizes: tuple[int, ...]) -> list[C
     return cases
 
 
-def _suite_displacement(p: QParam, seed: int, sizes: tuple[int, ...]) -> list[CaseResult]:
-    draws = sizes[0] if sizes else 200_000
-    s = GeomStream(seed=seed, q=p.q).spawn("displacement")
-    w = batch_interlacing_windows(0, 0, p, s, draws)
+def _suite_displacement(p: QParam, master: GeomStream, draws: int) -> list[CaseResult]:
+    w = batch_interlacing_windows(0, 0, p, master.spawn("displacement"), draws)
     radius = 8
     observed = _bin_displacements(w[:, 0], radius).astype(float)
     return [chi_square_case("chi-square-d0", observed, _displacement_bin_probs(p, radius))]
 
 
-def _suite_stationarity(p: QParam, seed: int, sizes: tuple[int, ...]) -> list[CaseResult]:
-    draws = sizes[0] if sizes else 100_000
-    master = GeomStream(seed=seed, q=p.q)
+def _suite_stationarity(p: QParam, master: GeomStream, draws: int) -> list[CaseResult]:
     d0 = batch_interlacing_windows(0, 0, p, master.spawn("pos0"), draws)[:, 0]
     d5 = batch_interlacing_windows(5, 5, p, master.spawn("pos5"), draws)[:, 0] - 5
     return [ks_case("ks-d0-vs-d5", d0, d5)]
 
 
-def _suite_inversion_invariance(
-    p: QParam, seed: int, sizes: tuple[int, ...]
-) -> list[CaseResult]:
-    draws = sizes[0] if sizes else 100_000
-    master = GeomStream(seed=seed, q=p.q)
+def _suite_inversion_invariance(p: QParam, master: GeomStream, draws: int) -> list[CaseResult]:
     lo, hi = -3, 3
-    width = hi - lo + 1
 
     def self_contained_rows(label: str) -> np.ndarray:
         w = batch_interlacing_windows(lo, hi, p, master.spawn(label), draws)
@@ -226,7 +208,7 @@ def _suite_inversion_invariance(
     return [ks_case("ks-sigma-vs-inverse", sigma0, inv_sigma0)]
 
 
-def _suite_exchangeability(p: QParam, seed: int, sizes: tuple[int, ...]) -> list[CaseResult]:
+def _suite_exchangeability(p: QParam, master: GeomStream, draws: None) -> list[CaseResult]:
     q = p.q
     # r-code identity: swapping adjacent positions multiplies the weight by
     # q^{+1} or q^{-1} according to whether an inversion is created
@@ -251,21 +233,15 @@ def _suite_exchangeability(p: QParam, seed: int, sizes: tuple[int, ...]) -> list
     return cases
 
 
-def _suite_two_sampler(p: QParam, seed: int, sizes: tuple[int, ...]) -> list[CaseResult]:
-    draws = sizes[0] if sizes else 200_000
-    master = GeomStream(seed=seed, q=p.q)
+def _suite_two_sampler(p: QParam, master: GeomStream, draws: int) -> list[CaseResult]:
     d_inter = batch_interlacing_windows(0, 0, p, master.spawn("interlacing"), draws)[:, 0]
     d_inv, _ = batch_inversion_position0(p, master.spawn("inversion"), draws, 1e-6)
     tv = tv_distance_counts(d_inter, d_inv)
     return [CaseResult("tv-d0", tv, 0.01, tv <= 0.01, 2 * draws)]
 
 
-def _suite_truncation_convergence(
-    p: QParam, seed: int, sizes: tuple[int, ...]
-) -> list[CaseResult]:
-    draws = sizes[0] if sizes else 20_000
-    s = GeomStream(seed=seed, q=p.q).spawn("truncation")
-    w = batch_interlacing_windows(-40, 40, p, s, draws)
+def _suite_truncation_convergence(p: QParam, master: GeomStream, draws: int) -> list[CaseResult]:
+    w = batch_interlacing_windows(-40, 40, p, master.spawn("truncation"), draws)
     center = w[:, 40]
     fracs = []
     for n in (5, 10, 20, 40):
@@ -279,23 +255,28 @@ def _suite_truncation_convergence(
     ]
 
 
-def _suite_lln(p: QParam, seed: int, sizes: tuple[int, ...]) -> list[CaseResult]:
-    draws = sizes[0] if sizes else 200_000
-    s = GeomStream(seed=seed, q=p.q).spawn("lln")
-    _, ell0 = batch_inversion_position0(p, s, draws, 1e-6)
+def _suite_lln(p: QParam, master: GeomStream, draws: int) -> list[CaseResult]:
+    """z-score of the mean left count at position 0 against q/(1+q).
+
+    The implemented joint law has E[L] = q/(1-q) (its L marginal is
+    geometric with ratio q, matching the R marginal by symmetry), so this
+    suite fails by construction; q/(1+q) is the density of adjacent
+    descents, a different statistic, kept as specified and in the README.
+    """
+    if draws < 2:
+        raise DomainError(f"lln needs at least 2 draws for a standard error, got {draws}")
+    _, ell0 = batch_inversion_position0(p, master.spawn("lln"), draws, 1e-6)
     target = p.q / (1.0 + p.q)
     mean = float(ell0.mean())
     se = float(ell0.std(ddof=1)) / math.sqrt(draws)
+    if not se > 0.0:
+        raise DomainError(f"lln: all {draws} left counts agree, so the standard error is 0")
     z = abs(mean - target) / se
     return [CaseResult("mean-ell-vs-q-over-1plusq", z, 3.0, z <= 3.0, draws)]
 
 
-def _suite_one_sided_left_counts(
-    p: QParam, seed: int, sizes: tuple[int, ...]
-) -> list[CaseResult]:
-    draws = sizes[0] if sizes else 100_000
-    s = GeomStream(seed=seed, q=p.q).spawn("left-counts")
-    d0, ell0 = batch_inversion_position0(p, s, draws, 1e-9)
+def _suite_one_sided_left_counts(p: QParam, master: GeomStream, draws: int) -> list[CaseResult]:
+    d0, ell0 = batch_inversion_position0(p, master.spawn("left-counts"), draws, 1e-9)
     r0 = d0 + ell0
     cases = []
     lmax = 10
@@ -308,16 +289,18 @@ def _suite_one_sided_left_counts(
     return cases
 
 
+#: each suite with its default draws per case; None for a suite that draws
+#: nothing and so takes no count
 _SUITES = {
-    "finite-oracle": _suite_finite_oracle,
-    "displacement": _suite_displacement,
-    "stationarity": _suite_stationarity,
-    "inversion-invariance": _suite_inversion_invariance,
-    "exchangeability": _suite_exchangeability,
-    "two-sampler": _suite_two_sampler,
-    "truncation-convergence": _suite_truncation_convergence,
-    "lln": _suite_lln,
-    "one-sided-left-counts": _suite_one_sided_left_counts,
+    "finite-oracle": (_suite_finite_oracle, 200_000),
+    "displacement": (_suite_displacement, 200_000),
+    "stationarity": (_suite_stationarity, 100_000),
+    "inversion-invariance": (_suite_inversion_invariance, 100_000),
+    "exchangeability": (_suite_exchangeability, None),
+    "two-sampler": (_suite_two_sampler, 200_000),
+    "truncation-convergence": (_suite_truncation_convergence, 20_000),
+    "lln": (_suite_lln, 200_000),
+    "one-sided-left-counts": (_suite_one_sided_left_counts, 100_000),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
@@ -328,23 +311,21 @@ def run_suite(
 ) -> VerificationReport:
     """Run one named suite and return its report.
 
-    sizes is one count, (draws per case,), overriding the suite's Monte
-    Carlo sample count; pass () for the default.  Raises UnknownSuiteError
-    for a name outside SUITE_NAMES and DomainError for more than one count
-    or a count below 1, before anything is drawn.
-
-    Note: the lln suite pins the window average of the left inversion count
-    to q/(1+q).  The implemented joint law has E[L] = q/(1-q) (its L
-    marginal is geometric with ratio q, matching the R marginal by
-    symmetry), so this suite fails by construction; q/(1+q) is the density
-    of adjacent descents, a different statistic.  It is kept as specified
-    and documented in the README.
+    sizes is one count, (draws per case,), in place of the suite's default;
+    pass () for the default, and always for exchangeability, which draws
+    nothing.  Raises UnknownSuiteError for a name outside SUITE_NAMES, and
+    DomainError for any other sizes before anything is drawn, or for a case
+    with too few samples to test.
     """
     if name not in _SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose one of {', '.join(SUITE_NAMES)}"
         )
+    suite, default = _SUITES[name]
+    if default is None and sizes:
+        raise DomainError(f"suite {name} draws nothing and takes no count, got {tuple(sizes)}")
     if len(sizes) > 1 or any(n < 1 for n in sizes):
         raise DomainError(f"sizes must be one count >= 1, got {tuple(sizes)}")
-    cases = _SUITES[name](p, seed, tuple(sizes))
-    return _assemble(name, cases, seed, p.q)
+    draws = sizes[0] if sizes else default
+    cases = tuple(sorted(suite(p, GeomStream(seed, p.q), draws), key=lambda c: c.name))
+    return VerificationReport(name, cases, all(c.passed for c in cases), seed, p.q)

@@ -360,13 +360,28 @@ def test_verify_lln_exits_nonzero(capsys):
 @pytest.mark.parametrize(
     "suite, sizes",
     [("displacement", "abc"), ("displacement", "1000,x"), ("displacement", "0"),
-     ("displacement", "1000,2000"),
+     ("displacement", "1000,2000"), ("exchangeability", "5"),
      ("finite-oracle", "0"), ("two-sampler", "0"), ("lln", "0"), ("lln", "-5")],
 )
 def test_verify_bad_sizes_are_domain_errors(capsys, suite, sizes):
     # exit 1 is kept for a failed verification; bad input is exit 2
     code, out, err = run_cli(
         capsys, ["verify", "--suite", suite, "--q", "0.5", "--sizes", sizes])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[DOMAIN]")
+
+
+@pytest.mark.parametrize(
+    "suite, q, sizes, seed",
+    [("inversion-invariance", "0.8", "3000", "1"), ("displacement", "0.5", "1", "0"),
+     ("finite-oracle", "0.5", "1", "0"), ("one-sided-left-counts", "0.9", "2", "0"),
+     ("lln", "0.05", "2", "2"), ("lln", "0.5", "1", "0")],
+)
+def test_verify_case_that_cannot_test_is_a_domain_error(capsys, suite, q, sizes, seed):
+    # too few draws for a statistic: neither a traceback (exit 1) nor a PASS
+    code, out, err = run_cli(
+        capsys, ["verify", "--suite", suite, "--q", q, "--sizes", sizes, "--seed", seed])
     assert code == 2
     assert out == ""
     assert err.startswith("error[DOMAIN]")

@@ -1,13 +1,18 @@
 """The named verification suites: pass/fail contracts and report shape."""
 from __future__ import annotations
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
+from mallows import GeomStream
+from mallows.dist import FddQuery, fdd_probability
 from mallows.errors import DomainError, UnknownSuiteError
 from mallows.qseries import QParam
-from mallows.verify import SUITE_NAMES, run_suite
+from mallows.samplers import batch_interlacing_windows, batch_inversion_windows
+from mallows.verify import SUITE_NAMES, chi_square_case, ks_case, run_suite
 
 P5 = QParam(0.5)
 SEED = 1
@@ -67,6 +72,75 @@ def test_more_than_one_size_rejected(name):
     # every suite reads one count; a second one would be dropped unread
     with pytest.raises(DomainError):
         run_suite(name, (2000, 5), P5, seed=0)
+
+
+def test_exchangeability_takes_no_count():
+    # the suite draws nothing, so a count would be accepted and ignored
+    with pytest.raises(DomainError):
+        run_suite("exchangeability", (5,), P5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "name, q, sizes, seed",
+    [
+        # no self-contained [-3..3] row is drawn, so both KS samples are empty
+        ("inversion-invariance", 0.8, (3000,), 1),
+        ("inversion-invariance", 0.9, (), 7),
+        # one draw pools into one chi-square group, whose statistic is 0
+        ("displacement", 0.5, (1,), 0),
+        ("finite-oracle", 0.5, (1,), 0),
+        ("one-sided-left-counts", 0.9, (2,), 0),
+        # the standard error is 0, or has no second draw to come from
+        ("lln", 0.05, (2,), 2),
+        ("lln", 0.05, (2,), 5),
+        ("lln", 0.5, (1,), 0),
+    ],
+)
+def test_a_case_that_cannot_test_is_refused(name, q, sizes, seed):
+    with pytest.raises(DomainError):
+        run_suite(name, sizes, QParam(q), seed=seed)
+
+
+def test_statistic_helpers_refuse_what_they_cannot_test():
+    with pytest.raises(DomainError):
+        ks_case("empty", np.array([], dtype=np.int64), np.array([0, 1]))
+    with pytest.raises(DomainError):
+        ks_case("empty", np.array([0, 1]), np.array([], dtype=np.int64))
+    probs = np.array([0.25, 0.25, 0.5])
+    with pytest.raises(DomainError):
+        chi_square_case("one-group", np.array([3.0, 2.0, 4.0]), probs)  # 9 draws: 1 group
+    with pytest.raises(DomainError):
+        chi_square_case("no-draws", np.zeros(3), probs)
+    case = chi_square_case("two-groups", np.array([3.0, 2.0, 5.0]), probs)
+    assert case.samples_used == 10 and case.passed  # df = 1 at exactly 2 groups
+
+
+BOX = 3  # the window law is binned on [-BOX, BOX]^3 plus one outside cell
+
+
+def _window_cells(values: np.ndarray) -> np.ndarray:
+    d = values - np.arange(1, 4)
+    inside = np.all(np.abs(d) <= BOX, axis=1)
+    side = 2 * BOX + 1
+    cells = ((d[:, 0] + BOX) * side + d[:, 1] + BOX) * side + d[:, 2] + BOX
+    return np.bincount(np.where(inside, cells, side**3), minlength=side**3 + 1)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("sampler", ["interlacing", "inversion"])
+def test_window_law_matches_fdd_probability(sampler, q):
+    # both kernels' joint law of (sigma(1), sigma(2), sigma(3)) against the
+    # k=3 series; at q=0.5 windows drawn at q=0.52 fail this test
+    p, s, draws = QParam(q), GeomStream(7, q), 50_000
+    if sampler == "interlacing":
+        values = batch_interlacing_windows(1, 3, p, s, draws)
+    else:
+        values, _ = batch_inversion_windows(1, 3, p, s, draws, 1e-9)
+    box = itertools.product(range(-BOX, BOX + 1), repeat=3)
+    core = [fdd_probability(p, FddQuery(3, d), 1e-12)[0] for d in box]
+    probs = np.asarray([*core, max(1.0 - sum(core), 0.0)])
+    case = chi_square_case(f"window-{sampler}-q{q}", _window_cells(values).astype(float), probs)
+    assert case.passed, case
 
 
 def test_reports_are_deterministic():
