@@ -19,7 +19,6 @@ from .dist import (
 from .errors import (
     DomainError,
     MallowsError,
-    NotCertifiedError,
     NotInjectiveError,
     NotSelfContainedError,
     RejectSupportError,
@@ -28,7 +27,6 @@ from .errors import (
 )
 from .perm import (
     InversionCounts,
-    OrderDiagnostic,
     PermWindow,
     RWindowReport,
     VERDICT_CONSISTENT,
@@ -37,26 +35,20 @@ from .perm import (
     adjacent_swap_r,
     eliminate_left,
     eliminate_right,
-    inversion_counts_window,
     inversions,
     invert_window,
-    rebuild_sigma,
     reconstruct_ell,
     truncate,
     validate_r_window,
-    window_balance,
 )
 from .qseries import (
     INFINITY,
     QParam,
     QPochhammerTable,
-    q_binomial,
     q_factorial,
-    q_number,
     q_pochhammer,
 )
 from .samplers import (
-    InterlacingTriple,
     YoungDiagram,
     batch_finite_r,
     batch_finite_words,
@@ -66,11 +58,9 @@ from .samplers import (
     batch_shuffle_prefixes,
     q_shuffle_prefix,
     sample_finite_mallows,
-    sample_truncated_geometric,
     sample_two_sided_interlacing,
     sample_two_sided_inversion,
     sample_young_euler,
-    sign_word_from_lambda,
 )
 from .streams import GeomStream
 
@@ -82,13 +72,10 @@ __all__ = [
     "FddQuery",
     "GeomStream",
     "INFINITY",
-    "InterlacingTriple",
     "InversionCounts",
     "MallowsError",
-    "NotCertifiedError",
     "NotInjectiveError",
     "NotSelfContainedError",
-    "OrderDiagnostic",
     "PermWindow",
     "QParam",
     "QPochhammerTable",
@@ -113,25 +100,18 @@ __all__ = [
     "eliminate_left",
     "eliminate_right",
     "fdd_probability",
-    "inversion_counts_window",
     "inversions",
     "invert_window",
     "joint_rl_pmf",
-    "q_binomial",
     "q_factorial",
-    "q_number",
     "q_pochhammer",
     "q_shuffle_prefix",
-    "rebuild_sigma",
     "reconstruct_ell",
     "sample_finite_mallows",
-    "sample_truncated_geometric",
     "sample_two_sided_interlacing",
     "sample_two_sided_inversion",
     "sample_young_euler",
-    "sign_word_from_lambda",
     "truncate",
     "validate_r_window",
-    "window_balance",
     "__version__",
 ]

@@ -134,7 +134,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if uses_eps:
             return batch_inversion_windows(lo, hi, p, s, rows, args.eps_tv)[0].tolist()
         if args.mode == "two-sided":
-            return (sample_two_sided_interlacing(lo, hi, p, s)[0].values for _ in range(rows))
+            return (sample_two_sided_interlacing(lo, hi, p, s).values for _ in range(rows))
         if args.n <= _KERNEL_WORD_MAX:
             kernel = batch_finite_words if args.mode == "finite" else batch_shuffle_prefixes
             return kernel(args.n, p, s, rows).tolist()

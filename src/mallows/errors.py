@@ -24,12 +24,6 @@ class RejectSupportError(MallowsError):
     code = "REJECT_SUPPORT"
 
 
-class NotCertifiedError(MallowsError):
-    """An operation required fully certified left counts but got a residual."""
-
-    code = "NOT_CERTIFIED"
-
-
 class NotInjectiveError(MallowsError):
     """Rebuilt window values collide; the r-sequence is not realizable."""
 

@@ -16,21 +16,19 @@ left counts built right to left.  For two-sided windows the identity
 rebuilds values, but the left counts are only *certifiable* up to a residual
 probability, because data arbitrarily far to the left can still contribute;
 see reconstruct_ell.
+
+truncate and invert_window take windows one per row of an array, as the
+batch samplers return them.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import (
-    DomainError,
-    NotCertifiedError,
-    NotInjectiveError,
-    NotSelfContainedError,
-    RejectSupportError,
-)
+import numpy as np
+
+from .errors import DomainError, NotSelfContainedError, RejectSupportError
 from .qseries import QParam
 
 VERDICT_CONSISTENT = "CONSISTENT"
@@ -61,29 +59,6 @@ class PermWindow:
             raise ValueError("window values must be pairwise distinct")
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
 
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
-    def self_contained(self) -> bool:
-        return set(self.values) == set(range(self.lo, self.hi + 1))
-
-    def value_at(self, i: int) -> int:
-        if not (self.lo <= i <= self.hi):
-            raise IndexError(f"position {i} outside window [{self.lo}..{self.hi}]")
-        return self.values[i - self.lo]
-
-    def to_json(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "values": list(self.values)}
-
-    @classmethod
-    def from_json(cls, obj: dict | str) -> "PermWindow":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(lo=int(obj["lo"]), hi=int(obj["hi"]),
-                   values=tuple(int(v) for v in obj["values"]))
-
 
 @dataclass(frozen=True)
 class InversionCounts:
@@ -110,46 +85,6 @@ class InversionCounts:
         if not self.residual_bound >= 0.0:
             raise ValueError(f"residual_bound must be >= 0, got {self.residual_bound!r}")
 
-    def to_json(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "r": list(self.r),
-            "ell": list(self.ell),
-            "certified": list(self.ell_certified),
-            "residual": repr(self.residual_bound),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict | str) -> "InversionCounts":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(
-            lo=int(obj["lo"]),
-            hi=int(obj["hi"]),
-            r=tuple(int(v) for v in obj["r"]),
-            ell=tuple(int(v) for v in obj["ell"]),
-            ell_certified=tuple(bool(v) for v in obj["certified"]),
-            residual_bound=float(obj["residual"]),
-        )
-
-
-@dataclass(frozen=True)
-class OrderDiagnostic:
-    """Window-level balance diagnostic.
-
-    balance_estimate = #{i >= 1 : sigma(i) <= 0} - #{i <= 0 : sigma(i) >= 1},
-    counted inside the window.  admissible_hint is true when both counts are
-    unchanged by shrinking the window one step on each side, i.e. the window
-    appears wide enough that the estimate has stabilized; balance_estimate is
-    only meaningful in that case.  stable_from reports the leftmost position
-    still contributing to either count (0 when none does).
-    """
-
-    admissible_hint: bool
-    balance_estimate: int
-    stable_from: int
-
 
 @dataclass(frozen=True)
 class RWindowReport:
@@ -167,24 +102,6 @@ def inversions(values: Sequence[int]) -> int:
     n = len(values)
     return sum(
         1 for i in range(n) for j in range(i + 1, n) if values[i] > values[j]
-    )
-
-
-def inversion_counts_window(w: PermWindow) -> InversionCounts:
-    """Intra-window right/left counts; exact for self-contained windows."""
-    vals = w.values
-    n = len(vals)
-    r = tuple(
-        sum(1 for j in range(i + 1, n) if vals[j] < vals[i]) for i in range(n)
-    )
-    ell = tuple(sum(1 for j in range(i) if vals[j] > vals[i]) for i in range(n))
-    return InversionCounts(
-        lo=w.lo,
-        hi=w.hi,
-        r=r,
-        ell=ell,
-        ell_certified=(True,) * n,
-        residual_bound=0.0,
     )
 
 
@@ -299,23 +216,6 @@ def reconstruct_ell(
     return ell, x >= xstar, q ** (x + 1) / (1.0 - q)
 
 
-def rebuild_sigma(ic: InversionCounts) -> PermWindow:
-    """Window values via sigma(i) = i + r[i] - l[i]; requires certified counts."""
-    if not all(ic.ell_certified):
-        raise NotCertifiedError(
-            "cannot rebuild from uncertified left counts "
-            f"(residual bound {ic.residual_bound!r})"
-        )
-    vals = tuple(
-        (ic.lo + k) + ic.r[k] - ic.ell[k] for k in range(ic.hi - ic.lo + 1)
-    )
-    if len(set(vals)) != len(vals):
-        raise NotInjectiveError(
-            "rebuilt values collide; the r-sequence is not realizable"
-        )
-    return PermWindow(lo=ic.lo, hi=ic.hi, values=vals)
-
-
 def adjacent_swap_r(r_i: int, r_next: int) -> tuple[int, int]:
     """Effect of swapping the values at two adjacent positions on (r_i, r_{i+1}).
 
@@ -328,49 +228,33 @@ def adjacent_swap_r(r_i: int, r_next: int) -> tuple[int, int]:
     return r_next, r_i - 1
 
 
-def window_balance(w: PermWindow) -> OrderDiagnostic:
-    """Balance diagnostic: positive-to-negative minus negative-to-positive rank.
+def truncate(w: np.ndarray, lo: int, sub_lo: int, sub_hi: int) -> np.ndarray:
+    """Each row of w, a window on positions lo, lo+1, ..., truncated to
+    [sub_lo..sub_hi]: the order-isomorphic permutation of that interval.
 
-    Counts, inside the window, how many positions i >= 1 carry values <= 0
-    and how many positions i <= 0 carry values >= 1; the difference is the
-    balance.  A shift sigma(i) = i - b shows balance b on any window
-    containing [1..b].
+    A row's values at sub_lo..sub_hi are relabeled by rank onto
+    sub_lo..sub_hi, so their relative order is kept exactly.
     """
-    neg_to_pos = [i for i in range(w.lo, min(w.hi, 0) + 1) if w.value_at(i) >= 1]
-    pos_to_neg = [i for i in range(max(w.lo, 1), w.hi + 1) if w.value_at(i) <= 0]
-    balance = len(pos_to_neg) - len(neg_to_pos)
-    edge_contributes = (w.lo in neg_to_pos) or (w.hi in pos_to_neg)
-    contributors = neg_to_pos + pos_to_neg
-    return OrderDiagnostic(
-        admissible_hint=not edge_contributes,
-        balance_estimate=balance,
-        stable_from=min(contributors) if contributors else 0,
-    )
+    hi = lo + w.shape[1] - 1
+    if not lo <= sub_lo <= sub_hi <= hi:
+        raise DomainError(f"[{sub_lo}..{sub_hi}] must lie inside the window [{lo}..{hi}]")
+    sub = w[:, sub_lo - lo : sub_hi - lo + 1]
+    return sub_lo + np.argsort(np.argsort(sub, axis=1), axis=1)
 
 
-def truncate(w: PermWindow, lo: int, hi: int) -> PermWindow:
-    """Order-isomorphic finite permutation of [lo..hi] induced by the window.
+def invert_window(w: np.ndarray, lo: int) -> np.ndarray:
+    """The inverse permutation of each row of w, a window on positions lo,
+    lo+1, ...: where row k holds v at position i, the result holds i at v.
 
-    The values sigma(i), i in [lo..hi], are replaced by their increasing
-    relabeling onto lo..hi, so the relative order is preserved exactly.
+    Only a self-contained row (its values are its positions) has its
+    inverse inside the window; any other row raises NotSelfContainedError.
     """
-    if not (w.lo <= lo <= hi <= w.hi):
-        raise ValueError("truncation interval must lie inside the window")
-    sub = [w.value_at(i) for i in range(lo, hi + 1)]
-    rank = {v: k for k, v in enumerate(sorted(sub))}
-    return PermWindow(lo=lo, hi=hi, values=tuple(lo + rank[v] for v in sub))
-
-
-def invert_window(w: PermWindow) -> PermWindow:
-    """Inverse permutation on the same interval (self-contained windows only)."""
-    if not w.self_contained:
+    order = np.argsort(w, axis=1)
+    if not (np.take_along_axis(w, order, axis=1) == np.arange(lo, lo + w.shape[1])).all():
         raise NotSelfContainedError(
             "inverse is not computable from a window whose values leave it"
         )
-    vals = [0] * w.width
-    for i in range(w.lo, w.hi + 1):
-        vals[w.value_at(i) - w.lo] = i
-    return PermWindow(lo=w.lo, hi=w.hi, values=tuple(vals))
+    return lo + order
 
 
 def validate_r_window(

@@ -1,4 +1,4 @@
-"""q-series primitives: q-numbers, q-factorials, q-Pochhammer products.
+"""q-series primitives: q-factorials and q-Pochhammer products.
 
 Everything downstream (samplers, distribution formulas, the brute-force
 oracle) is built from the quantities here, so this module is deliberately
@@ -6,7 +6,6 @@ small, exact where possible, and explicit about truncation error where not.
 
 Notation used throughout the package:
 
-    [m]_q  = 1 + q + ... + q^(m-1)                    (q-number)
     [n!]_q = prod_{i=1..n} (1-q^i)/(1-q)              (q-factorial)
     <n>_q  = prod_{k=1..n} (1-q^k)                    (finite product)
     <inf>_q = lim_n <n>_q                             (infinite product)
@@ -114,17 +113,6 @@ def quotient(num: float, den: float, p: QParam) -> float:
     return num / den
 
 
-def q_number(m: int, p: QParam) -> float:
-    """The q-number [m]_q = sum_{k=0}^{m-1} q^k, with [0]_q = 0.
-
-    >>> q_number(3, QParam(0.5))
-    1.75
-    """
-    if m < 0:
-        raise DomainError("q_number requires m >= 0")
-    return math.fsum(p.q**k for k in range(m))
-
-
 def q_factorial(n: int, p: QParam) -> float:
     """The q-factorial [n!]_q = prod_{i=1..n} (1-q^i)/(1-q); [0!]_q = 1.
 
@@ -176,16 +164,3 @@ def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
         raise DomainError("q_pochhammer requires n >= 0 or INFINITY")
     value = pochhammer_table(p, n).value(n)
     return value, _product_error(p.q, n, value)
-
-
-def q_binomial(b: int, a: int, p: QParam) -> float:
-    """Gaussian binomial <b+a>_q / (<b>_q <a>_q).
-
-    Equals the generating function sum of q^|lam| over Young diagrams fitting
-    in a b x a box; equals 1 whenever a = 0 or b = 0.  DomainError where
-    <b>_q <a>_q underflows to 0.
-    """
-    if a < 0 or b < 0:
-        raise DomainError("q_binomial requires a, b >= 0")
-    table = pochhammer_table(p, a + b)
-    return quotient(table.value(a + b), table.value(a) * table.value(b), p)

@@ -10,8 +10,8 @@ The two-sided samplers are the heart of the package:
   fills the signs with two independent one-sided q-shuffles.  The returned
   window is an exact draw of the two-sided law restricted to the window.
   Its slots and letter counts all come from one walk over the + positions
-  {k - lambda_k} (``_plus_positions``, which ``sign_word_from_lambda`` also
-  reads): the number C(i) of - positions above i is #(+ <= i) - i.
+  {k - lambda_k} (``_plus_positions``): the number C(i) of - positions
+  above i is #(+ <= i) - i.
 * ``sample_two_sided_inversion`` draws i.i.d. geometric right counts and
   rebuilds values through sigma(i) = i + r_i - l_i, reconstructing each left
   count by the leftward chain with a total-variation stopping budget; its
@@ -78,51 +78,10 @@ class YoungDiagram:
         if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def part(self, k: int) -> int:
-        """k-th part (1-indexed), 0 beyond the last."""
-        return self.parts[k - 1] if 1 <= k <= len(self.parts) else 0
-
-
-@dataclass(frozen=True)
-class InterlacingTriple:
-    """The data (w+ prefix, w- suffix, lambda) behind an interlacing sample.
-
-    w_plus_prefix holds the first letters of the positive one-sided word;
-    w_minus_suffix holds the last letters of the non-positive word in
-    left-to-right position order.  lam encodes the sign word: +1 positions
-    are {k - lambda_k : k >= 1}, the rest carry -1.
-    """
-
-    w_plus_prefix: tuple[int, ...]
-    w_minus_suffix: tuple[int, ...]
-    lam: YoungDiagram
-
-    def __post_init__(self) -> None:
-        if any(v <= 0 for v in self.w_plus_prefix):
-            raise ValueError("w_plus_prefix entries must be positive")
-        if len(set(self.w_plus_prefix)) != len(self.w_plus_prefix):
-            raise ValueError("w_plus_prefix entries must be distinct")
-        if any(v > 0 for v in self.w_minus_suffix):
-            raise ValueError("w_minus_suffix entries must be <= 0")
-        if len(set(self.w_minus_suffix)) != len(self.w_minus_suffix):
-            raise ValueError("w_minus_suffix entries must be distinct")
-
 
 # --------------------------------------------------------------------------
 # one-sided building blocks
 # --------------------------------------------------------------------------
-
-def sample_truncated_geometric(limit: int, p: QParam, s: GeomStream) -> int:
-    """One draw with P(k) = q^k / [limit+1]_q on {0..limit}."""
-    if limit < 0:
-        raise DomainError("limit must be >= 0")
-    _check_stream(p, s)
-    return int(s.truncated_geometrics(1, limit)[0])
-
 
 def sample_finite_mallows(n: int, p: QParam, s: GeomStream) -> PermWindow:
     """Word of {1..n} with P(sigma) = q^inv(sigma) / [n!]_q.
@@ -201,26 +160,13 @@ def _plus_positions(parts: tuple[int, ...], hi: int) -> list[int]:
     return plus
 
 
-def sign_word_from_lambda(lam: YoungDiagram, lo: int, hi: int) -> tuple[int, ...]:
-    """The +-1 word on positions lo..hi encoded by lam.
-
-    Position i carries +1 exactly when i = k - lambda_k for some k >= 1;
-    with lam empty that means +1 for i >= 1 and -1 for i <= 0, and each box
-    of lam swaps one adjacent (+,-) pair across the origin.
-    """
-    if hi < lo:
-        raise ValueError("sign word requires lo <= hi")
-    plus = set(_plus_positions(lam.parts, hi))
-    return tuple(1 if i in plus else -1 for i in range(lo, hi + 1))
-
-
 # --------------------------------------------------------------------------
 # two-sided samplers
 # --------------------------------------------------------------------------
 
 def sample_two_sided_interlacing(
     lo: int, hi: int, p: QParam, s: GeomStream
-) -> tuple[PermWindow, InterlacingTriple]:
+) -> PermWindow:
     """Exact window of the two-sided law via the interlacing construction.
 
     Samples lambda, derives which window positions carry positive values,
@@ -258,13 +204,7 @@ def sample_two_sided_interlacing(
         else:
             vals[i - lo] = 1 - u[t]
             t += 1
-    window = PermWindow(lo=lo, hi=hi, values=tuple(vals))
-    triple = InterlacingTriple(
-        w_plus_prefix=wp,
-        w_minus_suffix=tuple(1 - u[t] for t in range(tmax - 1, -1, -1)),
-        lam=lam,
-    )
-    return window, triple
+    return PermWindow(lo=lo, hi=hi, values=tuple(vals))
 
 
 def sample_two_sided_inversion(

@@ -83,11 +83,14 @@ class GeomStream:
 
     def truncated_geometrics(self, n: int, limit: int | np.ndarray) -> np.ndarray:
         """n draws from P(k) proportional to q^k on {0..limit} (exact inverse
-        CDF); limit may also be an int array of n limits >= 1, one per draw."""
+        CDF); limit may also be an int array of n limits >= 1, one per draw.
+        Limit 0 draws nothing, and a negative limit is refused."""
         if isinstance(limit, np.ndarray):
             if limit.shape != (_size(n),) or not np.all(limit >= 1):
                 raise DomainError("need one limit >= 1 per draw")
-        elif limit <= 0:
+        elif limit < 0:
+            raise DomainError(f"limit must be >= 0, got {limit}")
+        elif limit == 0:
             return np.zeros(_size(n), dtype=np.int64)
         top = 1.0 - self.q ** (limit + 1)
         w = self.uniforms(n) * top

@@ -21,7 +21,7 @@ import numpy as np
 from .dist import conditional_l_given_r, displacement_pmf
 from .errors import DomainError, UnknownSuiteError
 from .oracle import oracle_enumerate
-from .perm import adjacent_swap_r, eliminate_right
+from .perm import adjacent_swap_r, eliminate_right, invert_window, truncate
 from .qseries import QParam
 from .samplers import (
     batch_finite_r,
@@ -125,16 +125,21 @@ def ks_case(
 
     For integer-valued samples the tie-heavy statistic makes the test
     conservative, which is the safe direction for a regression gate.  An
-    empty sample raises DomainError.
+    empty sample raises DomainError, and so does a threshold of 1 or more,
+    which no KS statistic exceeds.
     """
     n, m = len(xs), len(ys)
     if n == 0 or m == 0:
         raise DomainError(f"{name}: an empty sample cannot be tested ({n} and {m} values)")
+    c_alpha = math.sqrt(-math.log(alpha / 2.0) / 2.0)
+    threshold = c_alpha * math.sqrt((n + m) / (n * m))
+    if threshold >= 1.0:
+        raise DomainError(
+            f"{name}: {n} and {m} values give threshold {threshold!r} >= 1, which cannot fail"
+        )
     from scipy import stats  # loaded by the first statistical case only
 
     d = float(stats.ks_2samp(xs, ys, method="asymp").statistic)
-    c_alpha = math.sqrt(-math.log(alpha / 2.0) / 2.0)
-    threshold = c_alpha * math.sqrt((n + m) / (n * m))
     return CaseResult(name, d, threshold, d <= threshold, n + m)
 
 
@@ -201,10 +206,8 @@ def _suite_inversion_invariance(p: QParam, master: GeomStream, draws: int) -> li
         mask = (w.min(axis=1) == lo) & (w.max(axis=1) == hi)
         return w[mask]
 
-    a = self_contained_rows("forward")
-    b = self_contained_rows("inverse")
-    sigma0 = a[:, -lo]
-    inv_sigma0 = lo + np.argmax(b == 0, axis=1)
+    sigma0 = self_contained_rows("forward")[:, -lo]
+    inv_sigma0 = invert_window(self_contained_rows("inverse"), lo)[:, -lo]
     return [ks_case("ks-sigma-vs-inverse", sigma0, inv_sigma0)]
 
 
@@ -243,11 +246,8 @@ def _suite_two_sampler(p: QParam, master: GeomStream, draws: int) -> list[CaseRe
 def _suite_truncation_convergence(p: QParam, master: GeomStream, draws: int) -> list[CaseResult]:
     w = batch_interlacing_windows(-40, 40, p, master.spawn("truncation"), draws)
     center = w[:, 40]
-    fracs = []
-    for n in (5, 10, 20, 40):
-        sub = w[:, 40 - n : 40 + n + 1]
-        rank = (sub < center[:, None]).sum(axis=1)
-        fracs.append(float(np.mean((-n + rank) != center)))
+    # the share of rows whose truncation to [-n..n] moves the value at 0
+    fracs = [float(np.mean(truncate(w, -40, -n, n)[:, n] != center)) for n in (5, 10, 20, 40)]
     worst_increase = max(b - a for a, b in zip(fracs, fracs[1:]))
     return [
         CaseResult("monotone-in-n", worst_increase, 0.0, worst_increase <= 0.0, draws),

@@ -181,3 +181,21 @@ def count_inversions(seq) -> int:
         for j in range(i + 1, len(seq))
         if seq[i] > seq[j]
     )
+
+
+def pair_counts(values) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(r, ell) of a word by direct pair comparison: r_i counts the smaller
+    values to the right of i, ell_i the larger values to its left."""
+    n = len(values)
+    r = tuple(sum(1 for j in range(i + 1, n) if values[j] < values[i]) for i in range(n))
+    ell = tuple(sum(1 for j in range(i) if values[j] > values[i]) for i in range(n))
+    return r, ell
+
+
+def sign_word(parts, lo: int, hi: int) -> tuple[int, ...]:
+    """The +-1 word on positions lo..hi of the diagram with these weakly
+    decreasing parts: position i is +1 exactly when i = k - lambda_k for
+    some k >= 1, with lambda_k = 0 past the last part."""
+    lam = list(parts) + [0] * max(0, hi - len(parts))
+    plus = {k - lam[k - 1] for k in range(1, len(lam) + 1)}
+    return tuple(1 if i in plus else -1 for i in range(lo, hi + 1))

@@ -87,7 +87,8 @@ def test_sample_inversion_count_one_is_the_scalar_sampler(capsys):
         header = {"q": 0.5, "seed": seed, "mode": "two-sided", "window": [-5, 5],
                   "eps_tv": 1e-9, "version": __version__}
         assert code == 0 and err == ""
-        assert out == json.dumps(header) + "\n" + json.dumps(w.to_json()) + "\n"
+        line = {"lo": w.lo, "hi": w.hi, "values": list(w.values)}
+        assert out == json.dumps(header) + "\n" + json.dumps(line) + "\n"
 
 
 def test_sample_inversion_draws_kernel_blocks(capsys):
@@ -148,7 +149,7 @@ def test_sample_interlacing_is_successive_scalar_calls(capsys):
     lo, hi, counts = -2, 2, (1, 5, _BLOCK_ROWS + 3)
     for seed in range(1, 6):
         s, p = GeomStream(seed, 0.5), QParam(0.5)
-        windows = [sample_two_sided_interlacing(lo, hi, p, s)[0].values
+        windows = [sample_two_sided_interlacing(lo, hi, p, s).values
                    for _ in range(max(counts))]
         header = {"q": 0.5, "seed": seed, "mode": "two-sided", "window": [lo, hi],
                   "eps_tv": None, "version": __version__}
@@ -376,7 +377,8 @@ def test_verify_bad_sizes_are_domain_errors(capsys, suite, sizes):
     "suite, q, sizes, seed",
     [("inversion-invariance", "0.8", "3000", "1"), ("displacement", "0.5", "1", "0"),
      ("finite-oracle", "0.5", "1", "0"), ("one-sided-left-counts", "0.9", "2", "0"),
-     ("lln", "0.05", "2", "2"), ("lln", "0.5", "1", "0")],
+     ("lln", "0.05", "2", "2"), ("lln", "0.5", "1", "0"),
+     ("stationarity", "0.5", "5", "0")],
 )
 def test_verify_case_that_cannot_test_is_a_domain_error(capsys, suite, q, sizes, seed):
     # too few draws for a statistic: neither a traceback (exit 1) nor a PASS

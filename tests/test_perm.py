@@ -1,20 +1,15 @@
-"""Windows, inversion-count codecs, rebuild, and the window validator."""
+"""Windows, inversion-count codecs, truncation and inversion of window rows,
+and the window validator."""
 from __future__ import annotations
 
-import json
 import math
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
-from mallows.errors import (
-    DomainError,
-    NotCertifiedError,
-    NotInjectiveError,
-    NotSelfContainedError,
-    RejectSupportError,
-)
+from mallows.errors import DomainError, NotSelfContainedError, RejectSupportError
 from mallows.perm import (
     InversionCounts,
     PermWindow,
@@ -24,23 +19,18 @@ from mallows.perm import (
     adjacent_swap_r,
     eliminate_left,
     eliminate_right,
-    inversion_counts_window,
     inversions,
     invert_window,
-    rebuild_sigma,
     reconstruct_ell,
     truncate,
     validate_r_window,
-    window_balance,
 )
 from mallows.qseries import QParam
+from mallows.samplers import batch_interlacing_windows
 from mallows.streams import GeomStream
+from oracles import pair_counts
 
 P5 = QParam(0.5)
-
-
-def window_of(values, lo=1):
-    return PermWindow(lo=lo, hi=lo + len(values) - 1, values=tuple(values))
 
 
 # --------------------------------------------------------------------------
@@ -53,17 +43,7 @@ def test_window_validation():
     with pytest.raises(ValueError):
         PermWindow(lo=0, hi=2, values=(1, 1, 2))  # duplicate
     w = PermWindow(lo=-1, hi=1, values=(0, -1, 1))
-    assert w.width == 3
-    assert w.value_at(0) == -1
-    assert w.self_contained
-
-
-def test_window_json_round_trip():
-    w = PermWindow(lo=-2, hi=1, values=(3, -2, 0, -1))
-    blob = w.to_json()
-    assert json.loads(json.dumps(blob)) == blob
-    assert set(blob) == {"lo", "hi", "values"}
-    assert PermWindow.from_json(blob) == w
+    assert w.values == (0, -1, 1)
 
 
 def test_inversions_examples():
@@ -73,28 +53,15 @@ def test_inversions_examples():
 
 
 def test_inversion_counts_example():
-    ic = inversion_counts_window(window_of((3, 1, 2, 4)))
-    assert ic.r == (2, 0, 0, 0)
-    assert ic.ell == (0, 1, 1, 0)
-    assert all(ic.ell_certified)
-    assert ic.residual_bound == 0.0
-
-
-def test_inversion_counts_json_keys():
-    ic = inversion_counts_window(window_of((2, 1)))
-    blob = ic.to_json()
-    assert set(blob) == {"lo", "hi", "r", "ell", "certified", "residual"}
-    assert isinstance(blob["residual"], str)  # decimal string, not float
-    assert InversionCounts.from_json(blob) == ic
+    r, ell = pair_counts((3, 1, 2, 4))
+    assert r == (2, 0, 0, 0)
+    assert ell == (0, 1, 1, 0)
 
 
 def test_inversion_counts_refuse_nan_residual():
-    ic = inversion_counts_window(window_of((2, 1)))
     with pytest.raises(ValueError):
         InversionCounts(lo=0, hi=0, r=(0,), ell=(0,), ell_certified=(True,),
                         residual_bound=float("nan"))
-    with pytest.raises(ValueError):
-        InversionCounts.from_json({**ic.to_json(), "residual": "nan"})
 
 
 # --------------------------------------------------------------------------
@@ -145,13 +112,12 @@ def test_codec_round_trip_small_n():
     # every permutation survives r -> word -> r and l -> word -> l
     for n in range(1, 7):
         for sigma in permutations(range(1, n + 1)):
-            w = window_of(sigma)
-            ic = inversion_counts_window(w)
-            assert eliminate_right(ic.r).values == sigma, f"r-code {sigma}"
-            assert eliminate_left(ic.ell).values == sigma, f"l-code {sigma}"
+            r, ell = pair_counts(sigma)
+            assert eliminate_right(r).values == sigma, f"r-code {sigma}"
+            assert eliminate_left(ell).values == sigma, f"l-code {sigma}"
             total = inversions(sigma)
-            assert sum(ic.r) == total
-            assert sum(ic.ell) == total
+            assert sum(r) == total
+            assert sum(ell) == total
 
 
 # --------------------------------------------------------------------------
@@ -176,11 +142,11 @@ def test_adjacent_swap_involution_and_weight():
 def test_adjacent_swap_matches_word_swap():
     for n in (4, 5):
         for sigma in permutations(range(1, n + 1)):
-            r = inversion_counts_window(window_of(sigma)).r
+            r, _ = pair_counts(sigma)
             for i in range(n - 1):
                 swapped = list(sigma)
                 swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                r2 = inversion_counts_window(window_of(tuple(swapped))).r
+                r2, _ = pair_counts(swapped)
                 na, nb = adjacent_swap_r(r[i], r[i + 1])
                 assert r2 == r[:i] + (na, nb) + r[i + 2 :], f"{sigma} i={i}"
 
@@ -254,106 +220,89 @@ def test_chain_horizon_is_the_first_state_within_budget(q):
 
 
 # --------------------------------------------------------------------------
-# rebuild
+# truncation and inversion of window rows
 # --------------------------------------------------------------------------
 
-def test_rebuild_sigma_round_trip():
-    for sigma in permutations(range(1, 6)):
-        w = window_of(sigma)
-        ic = inversion_counts_window(w)
-        assert rebuild_sigma(ic) == w
+def _relabel(values, lo, sub_lo, sub_hi):
+    """Truncation of one window written with lists: rank-relabel the values
+    at sub_lo..sub_hi onto sub_lo..sub_hi."""
+    sub = list(values[sub_lo - lo : sub_hi - lo + 1])
+    ranked = sorted(sub)
+    return [sub_lo + ranked.index(v) for v in sub]
 
 
-def test_rebuild_sigma_requires_certification():
-    ic = InversionCounts(
-        lo=0, hi=1, r=(1, 0), ell=(0, 0),
-        ell_certified=(True, False), residual_bound=0.25,
-    )
-    with pytest.raises(NotCertifiedError):
-        rebuild_sigma(ic)
+def _dict_inverse(values, lo):
+    where = {v: lo + k for k, v in enumerate(values)}
+    return [where[lo + k] for k in range(len(values))]
 
 
-def test_rebuild_sigma_detects_collision():
-    ic = InversionCounts(
-        lo=0, hi=1, r=(0, 0), ell=(0, 1),
-        ell_certified=(True, True), residual_bound=0.0,
-    )
-    with pytest.raises(NotInjectiveError):
-        rebuild_sigma(ic)
-
-
-# --------------------------------------------------------------------------
-# balance, truncation, inversion
-# --------------------------------------------------------------------------
-
-def test_window_balance_shift():
-    # sigma(i) = i - b has balance b (b values cross the origin)
-    for b in (-3, -1, 0, 2, 4):
-        vals = tuple(i - b for i in range(-6, 7))
-        diag = window_balance(PermWindow(lo=-6, hi=6, values=vals))
-        assert diag.balance_estimate == b, f"shift {b}"
-        assert diag.admissible_hint  # crossings sit well inside [-6..6]
-
-
-def test_window_balance_edge_hint():
-    # shift by 7 pushes a crossing onto the window edge: estimate unreliable
-    vals = tuple(i - 7 for i in range(-6, 7))
-    diag = window_balance(PermWindow(lo=-6, hi=6, values=vals))
-    assert not diag.admissible_hint
-
-
-def test_window_balance_identity():
-    diag = window_balance(PermWindow(lo=-3, hi=3, values=tuple(range(-3, 4))))
-    assert diag.balance_estimate == 0
-    assert diag.admissible_hint
-    assert diag.stable_from == 0
+@pytest.fixture(scope="module")
+def kernel_rows():
+    """500 exact windows on [-6..6] at q=0.5."""
+    return batch_interlacing_windows(-6, 6, P5, GeomStream(seed=17, q=0.5), 500)
 
 
 def test_truncate_examples():
-    w = window_of((3, 1, 2, 4))  # positions 1..4
-    t = truncate(w, 2, 3)
-    # values (1, 2) at positions 2..3 relabel to (2, 3)
-    assert t.lo == 2 and t.hi == 3
-    assert t.values == (2, 3)
+    # values (1, 2) at positions 2..3 of the word 3124 relabel to (2, 3)
+    assert truncate(np.array([[3, 1, 2, 4]]), 1, 2, 3).tolist() == [[2, 3]]
+    w = np.array([[3, 1, 2, 4], [4, 3, 2, 1]])
+    assert truncate(w, 1, 1, 4).tolist() == w.tolist()
+    assert truncate(w, 1, 3, 3).tolist() == [[3], [3]]
+    for sub_lo, sub_hi in ((0, 2), (2, 5), (3, 2)):
+        with pytest.raises(DomainError):
+            truncate(w, 1, sub_lo, sub_hi)
 
 
-def test_truncate_tower_property():
-    s = GeomStream(seed=17, q=0.5)
-    from mallows.samplers import sample_two_sided_interlacing
+def test_truncate_rows_are_rank_relabels(kernel_rows):
+    for sub_lo, sub_hi in ((-6, 6), (-4, 4), (-2, 3), (0, 0), (5, 6)):
+        got = truncate(kernel_rows, -6, sub_lo, sub_hi)
+        assert got.shape == (500, sub_hi - sub_lo + 1)
+        want = [_relabel(row, -6, sub_lo, sub_hi) for row in kernel_rows.tolist()]
+        assert got.tolist() == want, (sub_lo, sub_hi)
 
-    for _ in range(25):
-        w, _ = sample_two_sided_interlacing(-6, 6, P5, s)
-        outer = truncate(w, -4, 4)
-        inner_direct = truncate(w, -2, 2)
-        inner_via_outer = truncate(outer, -2, 2)
-        assert inner_direct == inner_via_outer
+
+def test_truncate_tower_property(kernel_rows):
+    outer = truncate(kernel_rows, -6, -4, 4)
+    inner_direct = truncate(kernel_rows, -6, -2, 2)
+    inner_via_outer = truncate(outer, -4, -2, 2)
+    assert (inner_direct == inner_via_outer).all()
 
 
 def test_invert_window_involution():
-    w = PermWindow(lo=-2, hi=2, values=(0, -2, 1, 2, -1))
-    assert w.self_contained
-    inv = invert_window(w)
-    assert invert_window(inv) == w
+    w = np.array([[0, -2, 1, 2, -1]])
+    inv = invert_window(w, -2)
+    assert (invert_window(inv, -2) == w).all()
     # value v at position i <-> value i at position v
     for i in range(-2, 3):
-        assert inv.value_at(w.value_at(i)) == i
+        assert inv[0, w[0, i + 2] + 2] == i
 
 
-def test_invert_window_requires_self_contained():
-    w = PermWindow(lo=0, hi=1, values=(5, 0))
+def test_invert_window_rows_match_a_dict_inverse(kernel_rows):
+    rows = kernel_rows[(kernel_rows.min(axis=1) == -6) & (kernel_rows.max(axis=1) == 6)]
+    assert 20 < len(rows) < 500  # some rows are self-contained, not all
+    inv = invert_window(rows, -6)
+    assert inv.tolist() == [_dict_inverse(row, -6) for row in rows.tolist()]
+    assert (invert_window(inv, -6) == rows).all()
+
+
+def test_invert_window_requires_self_contained(kernel_rows):
     with pytest.raises(NotSelfContainedError):
-        invert_window(w)
+        invert_window(np.array([[5, 0]]), 0)
+    # one row whose values leave the window refuses the whole block
+    contained = (kernel_rows.min(axis=1) == -6) & (kernel_rows.max(axis=1) == 6)
+    block = np.vstack([kernel_rows[contained], kernel_rows[~contained][:1]])
+    with pytest.raises(NotSelfContainedError):
+        invert_window(block, -6)
+    invert_window(block[:-1], -6)
 
 
 def test_truncation_and_inversion_do_not_commute():
     # witness: truncating the inverse differs from inverting the truncation
-    w = PermWindow(lo=-2, hi=2, values=(1, -2, 0, 2, -1))
-    assert w.self_contained
-    a = truncate(invert_window(w), -1, 1)
-    b = invert_window(truncate(w, -1, 1))
-    assert a != b
-    assert a.values == (1, 0, -1)
-    assert b.values == (-1, 0, 1)
+    w = np.array([[1, -2, 0, 2, -1]])
+    a = truncate(invert_window(w, -2), -2, -1, 1)
+    b = invert_window(truncate(w, -2, -1, 1), -1)
+    assert a.tolist() == [[1, 0, -1]]
+    assert b.tolist() == [[-1, 0, 1]]
 
 
 # --------------------------------------------------------------------------
@@ -411,6 +360,17 @@ def test_validate_geometric_windows_consistent():
         r = s.geometrics(30).tolist()
         rep = validate_r_window(r, -15, P5, 1e-9)
         assert rep.verdict == VERDICT_CONSISTENT, f"trial {trial}"
+
+
+def test_validate_left_counts_rebuild_every_small_permutation():
+    # on a word of {1..n} the in-window chains are exact, so the left counts
+    # are the pair counts and sigma(i) = i + r_i - l_i gives the word back
+    for sigma in permutations(range(1, 6)):
+        r, ell = pair_counts(sigma)
+        rep = validate_r_window(r, 1, P5, 1e-9)
+        assert rep.counts.ell == ell, sigma
+        assert rep.verdict == VERDICT_CONSISTENT
+        assert tuple(i + 1 + r[i] - ell[i] for i in range(5)) == sigma
 
 
 def test_validate_rejects_negative_counts():

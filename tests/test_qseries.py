@@ -11,12 +11,10 @@ from mallows.qseries import (
     INFINITY,
     QParam,
     pochhammer_table,
-    q_binomial,
     q_factorial,
-    q_number,
     q_pochhammer,
 )
-from oracles import partitions_by_size, poch
+from oracles import poch
 
 Q_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -28,22 +26,6 @@ def test_qparam_domain():
     for bad in (0.0, -1e-12, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             QParam(0.5, eps_series=bad)
-
-
-def test_q_number_examples():
-    p = QParam(0.5)
-    assert q_number(0, p) == 0.0
-    assert q_number(1, p) == 1.0
-    assert q_number(3, p) == 1.75
-
-
-def test_q_number_closed_form():
-    for q in Q_GRID:
-        p = QParam(q)
-        for m in range(31):
-            want = (1.0 - q**m) / (1.0 - q)
-            got = q_number(m, p)
-            assert got == pytest.approx(want, abs=1e-12), f"q={q} m={m}"
 
 
 def test_q_factorial_examples():
@@ -114,29 +96,6 @@ def test_pochhammer_infinite_refuses_subnormal_value():
     assert value > 0.0 and err > 0.0
 
 
-def test_q_binomial_symmetry():
-    p = QParam(0.37)
-    for a in range(21):
-        for b in range(21):
-            assert q_binomial(b, a, p) == q_binomial(a, b, p)
-
-
-def test_q_binomial_box_enumeration():
-    # Gaussian binomial = sum of q^|lam| over diagrams inside a b x a box
-    for q in (0.3, 0.5, 0.8):
-        p = QParam(q)
-        diagrams = partitions_by_size(36)
-        for a in range(7):
-            for b in range(7):
-                want = sum(
-                    q ** sum(lam)
-                    for lam in diagrams
-                    if len(lam) <= b and (not lam or lam[0] <= a)
-                )
-                got = q_binomial(b, a, p)
-                assert got == pytest.approx(want, rel=1e-12), f"q={q} a={a} b={b}"
-
-
 def test_euler_series_identity():
     # sum_n y^n / <n>_q  ==  prod_m 1/(1 - y q^m)   at y = q
     for q in Q_GRID:
@@ -157,5 +116,3 @@ def test_euler_series_identity():
 def test_q_pochhammer_rejects_negative():
     with pytest.raises(DomainError):
         q_pochhammer(-1, QParam(0.5))
-    with pytest.raises(DomainError):
-        q_binomial(-1, 2, QParam(0.5))

@@ -15,7 +15,6 @@ from mallows.errors import DomainError
 from mallows.perm import reconstruct_ell
 from mallows.qseries import QParam, pochhammer_table
 from mallows.samplers import (
-    InterlacingTriple,
     YoungDiagram,
     _diagram_triples,
     _part_search,
@@ -31,11 +30,9 @@ from mallows.samplers import (
     finite_r_codes,
     q_shuffle_prefix,
     sample_finite_mallows,
-    sample_truncated_geometric,
     sample_two_sided_interlacing,
     sample_two_sided_inversion,
     sample_young_euler,
-    sign_word_from_lambda,
 )
 from mallows.streams import GeomStream
 
@@ -58,27 +55,14 @@ def chi2_threshold(df: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# diagram / triple containers
+# diagram container
 # --------------------------------------------------------------------------
-
-def test_young_diagram_accessors():
-    lam = YoungDiagram((4, 2, 1))
-    assert lam.size == 7
-    assert [lam.part(k) for k in (1, 2, 3, 4)] == [4, 2, 1, 0]
-
 
 def test_young_diagram_rejects_bad_parts():
     with pytest.raises(ValueError):
         YoungDiagram((1, 2))  # increasing
     with pytest.raises(ValueError):
         YoungDiagram((0,))  # non-positive
-
-
-def test_interlacing_triple_validation():
-    with pytest.raises(ValueError):
-        InterlacingTriple((1, 1), (), YoungDiagram())
-    with pytest.raises(ValueError):
-        InterlacingTriple((), (1,), YoungDiagram())  # minus letters must be <= 0
 
 
 # --------------------------------------------------------------------------
@@ -91,7 +75,7 @@ def test_truncated_geometric_support_and_law():
     n = 40_000
     counts = np.zeros(limit + 1)
     for _ in range(n):
-        k = sample_truncated_geometric(limit, P5, s)
+        k = int(s.truncated_geometrics(1, limit)[0])
         assert 0 <= k <= limit
         counts[k] += 1
     norm = (1.0 - 0.5 ** (limit + 1)) / (1.0 - 0.5)
@@ -105,7 +89,7 @@ def test_truncated_geometric_limit_zero_consumes_nothing():
     a = GeomStream(seed=7, q=0.5)
     b = GeomStream(seed=7, q=0.5)
     for _ in range(5):
-        assert sample_truncated_geometric(0, P5, a) == 0
+        assert a.truncated_geometrics(1, 0).tolist() == [0]
     assert a.uniform() == b.uniform()
 
 
@@ -118,7 +102,7 @@ def test_finite_sampler_output_shape():
     for _ in range(200):
         w = sample_finite_mallows(6, P5, s)
         assert (w.lo, w.hi) == (1, 6)
-        assert w.self_contained
+        assert sorted(w.values) == [1, 2, 3, 4, 5, 6]
 
 
 def test_finite_sampler_matches_brute_force_pmf():
@@ -180,7 +164,7 @@ def test_young_sampler_size_law():
     s = GeomStream(seed=29, q=q)
     sizes = np.zeros(n_draws, dtype=np.int64)
     for i in range(n_draws):
-        sizes[i] = sample_young_euler(QParam(q), s).size
+        sizes[i] = sum(sample_young_euler(QParam(q), s).parts)
     poch_inf = pochhammer_table(QParam(q)).infinite_value
 
     # chi-square of |lambda| against p(n) <inf> q^n with a pooled tail
@@ -251,7 +235,7 @@ def _assert_size_law(sizes, q):
 @pytest.mark.parametrize("q, n_draws", [(0.95, 4_000), (0.99, 1_500)])
 def test_young_sampler_deep_diagram_law(q, n_draws):
     s = GeomStream(seed=37, q=q)
-    sizes = np.array([sample_young_euler(QParam(q), s).size for _ in range(n_draws)])
+    sizes = np.array([sum(sample_young_euler(QParam(q), s).parts) for _ in range(n_draws)])
     _assert_size_law(sizes, q)
 
 
@@ -279,8 +263,8 @@ def test_diagram_samplers_refuse_subnormal_euler_constant(q):
 
 def test_diagram_samplers_still_draw_at_q_0997():
     q, p = 0.997, QParam(0.997)
-    assert sample_young_euler(p, GeomStream(seed=0, q=q)).size > 0
-    w, _ = sample_two_sided_interlacing(0, 2, p, GeomStream(seed=0, q=q))
+    assert sample_young_euler(p, GeomStream(seed=0, q=q)).parts
+    w = sample_two_sided_interlacing(0, 2, p, GeomStream(seed=0, q=q))
     assert len(set(w.values)) == 3
     windows = batch_interlacing_windows(0, 2, p, GeomStream(seed=0, q=q), 3)
     assert all(len(set(row.tolist())) == 3 for row in windows)
@@ -300,12 +284,12 @@ def test_young_sampler_parts_sorted():
 # --------------------------------------------------------------------------
 
 def test_sign_word_empty_diagram():
-    assert sign_word_from_lambda(YoungDiagram(), -2, 3) == (-1, -1, -1, 1, 1, 1)
+    assert oracles.sign_word((), -2, 3) == (-1, -1, -1, 1, 1, 1)
 
 
 def test_sign_word_one_box():
     # lambda = (1): the +1 at position 1 and the -1 at position 0 swap
-    assert sign_word_from_lambda(YoungDiagram((1,)), -2, 3) == (-1, -1, 1, -1, 1, 1)
+    assert oracles.sign_word((1,), -2, 3) == (-1, -1, 1, -1, 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -313,15 +297,14 @@ def test_sign_word_one_box():
 )
 def test_sign_word_crossings_count_boxes(parts):
     # pairs (i < j) with w_i = +1, w_j = -1 count the boxes of lambda
-    lam = YoungDiagram(parts)
-    word = sign_word_from_lambda(lam, -12, 12)
+    word = oracles.sign_word(parts, -12, 12)
     crossings = sum(
         1
         for i in range(len(word))
         for j in range(i + 1, len(word))
         if word[i] == 1 and word[j] == -1
     )
-    assert crossings == lam.size, f"parts {parts}"
+    assert crossings == sum(parts), f"parts {parts}"
 
 
 def _triples(diagrams):
@@ -345,7 +328,7 @@ def _assert_counts_match_slots(diagrams, c, lo, hi):
         # no + lies below 1 - lambda_1 and no - above len(parts), so on
         # [L..H] ranks count from the ends of the word
         L, H = min(lo, 1 - (parts[0] if parts else 0)), max(hi, len(parts))
-        word = np.array(sign_word_from_lambda(YoungDiagram(parts), L, H))
+        word = np.array(oracles.sign_word(parts, L, H))
         plus_rank = np.cumsum(word == 1)  # #(+ in [L..i])
         minus_rank = np.cumsum(word[::-1] == -1)[::-1]  # #(- in [i..H])
         kmax, tmax = plus_rank[hi - L], minus_rank[lo - L]
@@ -418,14 +401,16 @@ def test_interlacing_sampler_deterministic():
     assert a == b
 
 
-def test_interlacing_sampler_signs_match_triple():
-    s = GeomStream(seed=43, q=0.5)
-    for _ in range(300):
-        w, triple = sample_two_sided_interlacing(-4, 4, P5, s)
-        word = sign_word_from_lambda(triple.lam, -4, 4)
+def test_interlacing_sampler_signs_match_the_diagram():
+    # the sampler's first draws are its diagram, so a second stream of the
+    # same seed gives that diagram through sample_young_euler
+    for seed in range(300):
+        w = sample_two_sided_interlacing(-4, 4, P5, GeomStream(seed=seed, q=0.5))
+        lam = sample_young_euler(P5, GeomStream(seed=seed, q=0.5))
+        word = oracles.sign_word(lam.parts, -4, 4)
         for i in range(-4, 5):
-            positive = w.value_at(i) >= 1
-            assert positive == (word[i + 4] == 1), f"position {i}"
+            positive = w.values[i + 4] >= 1
+            assert positive == (word[i + 4] == 1), f"seed {seed} position {i}"
 
 
 def test_inversion_sampler_windows_are_valid():
@@ -716,7 +701,7 @@ def test_scalar_interlacing_is_the_kernel_at_count_one(lo, hi, q):
     p = QParam(q)
     for seed in range(40):
         a, b = GeomStream(seed=seed, q=q), GeomStream(seed=seed, q=q)
-        window, _ = sample_two_sided_interlacing(lo, hi, p, a)
+        window = sample_two_sided_interlacing(lo, hi, p, a)
         assert batch_interlacing_windows(lo, hi, p, b, 1)[0].tolist() == list(window.values)
         assert a.counter == b.counter
 
@@ -748,8 +733,7 @@ def test_scalar_interlacing_matches_displacement_pmf(i):
     pmf = displacement_pmf(QParam(q), radius=8)
     counts = {d: 0 for d in range(-3, 4)}
     for _ in range(n_draws):
-        w, _ = sample_two_sided_interlacing(i, i, QParam(q), s)
-        d = w.value_at(i) - i
+        d = sample_two_sided_interlacing(i, i, QParam(q), s).values[0] - i
         if -3 <= d <= 3:
             counts[d] += 1
     for disp in range(-3, 4):

@@ -94,6 +94,8 @@ def test_exchangeability_takes_no_count():
         ("lln", 0.05, (2,), 2),
         ("lln", 0.05, (2,), 5),
         ("lln", 0.5, (1,), 0),
+        # five draws a side give a KS threshold of 1.03, which no statistic exceeds
+        ("stationarity", 0.5, (5,), 0),
     ],
 )
 def test_a_case_that_cannot_test_is_refused(name, q, sizes, seed):
@@ -113,6 +115,24 @@ def test_statistic_helpers_refuse_what_they_cannot_test():
         chi_square_case("no-draws", np.zeros(3), probs)
     case = chi_square_case("two-groups", np.array([3.0, 2.0, 5.0]), probs)
     assert case.samples_used == 10 and case.passed  # df = 1 at exactly 2 groups
+
+
+def test_ks_case_refuses_a_threshold_of_one_before_scipy(monkeypatch):
+    import scipy.stats
+
+    def no_statistic(*args, **kwargs):
+        raise AssertionError("ks_2samp called for a case that cannot fail")
+
+    xs = np.arange(6)
+    case = ks_case("six-each", xs, xs + 100)
+    assert case.threshold < 1.0 and case.statistic == 1.0 and not case.passed
+    # six draws a side is the smallest stationarity count with a verdict
+    (case,) = run_suite("stationarity", (6,), P5, seed=0).cases
+    assert case.samples_used == 12 and case.threshold < 1.0
+    monkeypatch.setattr(scipy.stats, "ks_2samp", no_statistic)
+    for n, m in ((5, 5), (1, 1000), (2, 3)):
+        with pytest.raises(DomainError, match=">= 1"):
+            ks_case("few", np.arange(n), np.arange(m))
 
 
 BOX = 3  # the window law is binned on [-BOX, BOX]^3 plus one outside cell
