@@ -27,6 +27,7 @@ from .qseries import QParam
 from .samplers import (
     _BLOCK_ROWS,
     batch_finite_words,
+    batch_interlacing_windows,
     batch_inversion_windows,
     batch_shuffle_prefixes,
     q_shuffle_prefix,
@@ -104,9 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # sample
 # --------------------------------------------------------------------------
 
-#: longest finite or one-sided word drawn by its kernel (a call's arrays
-#: stay near 1 MB); longer words come from the scalar samplers, which draw
-#: the same values
+#: longest word or interlacing window drawn by its kernel; longer ones come
+#: from the scalar samplers, one call per window.  A finite or one-sided
+#: kernel draws what the scalar calls draw and its arrays stay near 1 MB;
+#: the interlacing kernel leads the scalar sampler x4 at 64 positions at
+#: q=0.5 and loses to it from about 500
 _KERNEL_WORD_MAX = 64
 
 
@@ -128,16 +131,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         lo, hi = _parse_window(args.window)
 
     def block(rows: int) -> Iterable:
-        """The next `rows` windows in draw order: one kernel call, or one
-        scalar call per window, made as the window is read, for the
-        interlacing sampler and long words (so they are never all held)."""
+        """The next `rows` windows in draw order: one kernel call, or, for
+        words and interlacing windows longer than _KERNEL_WORD_MAX, one
+        scalar call per window, made as the window is read (so they are
+        never all held)."""
         if uses_eps:
             return batch_inversion_windows(lo, hi, p, s, rows, args.eps_tv)[0].tolist()
-        if args.mode == "two-sided":
-            return (sample_two_sided_interlacing(lo, hi, p, s).values for _ in range(rows))
-        if args.n <= _KERNEL_WORD_MAX:
+        if hi - lo + 1 <= _KERNEL_WORD_MAX:
+            if args.mode == "two-sided":
+                return batch_interlacing_windows(lo, hi, p, s, rows).tolist()
             kernel = batch_finite_words if args.mode == "finite" else batch_shuffle_prefixes
             return kernel(args.n, p, s, rows).tolist()
+        if args.mode == "two-sided":
+            return (sample_two_sided_interlacing(lo, hi, p, s).values for _ in range(rows))
         if args.mode == "finite":
             return (sample_finite_mallows(args.n, p, s).values for _ in range(rows))
         return (q_shuffle_prefix(args.n, p, s) for _ in range(rows))
@@ -151,14 +157,16 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "eps_tv": args.eps_tv if uses_eps else None,
             "version": __version__,
         })
+        # json.dumps once, with the ints spliced in: the same bytes per line
+        head = json.dumps({"lo": lo, "hi": hi, "values": []})[:-2]
 
         def line(vals: list) -> str:
-            return json.dumps({"lo": lo, "hi": hi, "values": list(vals)})
+            return head + ", ".join(map(str, vals)) + "]}"
     else:
         header = ",".join(f"p{i}" for i in range(lo, hi + 1))
 
         def line(vals: list) -> str:
-            return ",".join(str(v) for v in vals)
+            return ",".join(map(str, vals))
     out = sys.stdout
     for b0 in range(0, args.count, _BLOCK_ROWS):
         for i, vals in enumerate(block(min(_BLOCK_ROWS, args.count - b0))):

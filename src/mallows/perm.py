@@ -238,8 +238,11 @@ def truncate(w: np.ndarray, lo: int, sub_lo: int, sub_hi: int) -> np.ndarray:
     hi = lo + w.shape[1] - 1
     if not lo <= sub_lo <= sub_hi <= hi:
         raise DomainError(f"[{sub_lo}..{sub_hi}] must lie inside the window [{lo}..{hi}]")
-    sub = w[:, sub_lo - lo : sub_hi - lo + 1]
-    return sub_lo + np.argsort(np.argsort(sub, axis=1), axis=1)
+    order = np.argsort(w[:, sub_lo - lo : sub_hi - lo + 1], axis=1)
+    # the value of rank k goes back to where it was: one sort and a scatter
+    out = np.empty_like(order)
+    np.put_along_axis(out, order, np.arange(sub_lo, sub_hi + 1), axis=1)
+    return out
 
 
 def invert_window(w: np.ndarray, lo: int) -> np.ndarray:

@@ -1,0 +1,129 @@
+"""The committed output corpus of the `mallows` CLI.
+
+manifest.json beside this file holds one entry per invocation: the argv,
+the exit code, the sha256 of stdout and the first line of stderr.
+tests/test_golden.py runs every entry in-process and compares.
+
+Rewrite the manifest, printing the entries whose record moved:
+
+    PYTHONPATH=src python tests/golden/update_manifest.py
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+from pathlib import Path
+
+from mallows.cli import main as cli_main
+
+MANIFEST = Path(__file__).resolve().parent / "manifest.json"
+
+#: the manifest's header
+ABOUT = (
+    "Records of `mallows` CLI invocations: argv, exit code, sha256 of stdout and the "
+    "first line of stderr. `sample` prints integers from Philox streams; `pmf` and "
+    "`verify` print float reprs, which a different libm can move. An entry moves only "
+    "by a declared draw-order or format change, or by a defect. Rewrite with "
+    "`PYTHONPATH=src python tests/golden/update_manifest.py`."
+)
+
+#: the seed of every sampling and verification entry
+SEED = "7"
+
+#: the two-sided samplers and the word modes, with a window or size each
+SAMPLE_MODES = {
+    "finite": ["--mode", "finite", "--n", "6"],
+    "one-sided": ["--mode", "one-sided", "--n", "6"],
+    "interlacing": ["--mode", "two-sided", "--window", "-5:5"],
+    "inversion": ["--mode", "two-sided", "--window", "-5:5", "--sampler", "inversion"],
+}
+
+#: size or window at the longest kernel word (64) and one past it
+KERNEL_EDGE = {
+    "finite": lambda n: ["--mode", "finite", "--n", str(n)],
+    "one-sided": lambda n: ["--mode", "one-sided", "--n", str(n)],
+    "interlacing": lambda n: ["--mode", "two-sided", "--window", f"0:{n - 1}"],
+    "inversion": lambda n: ["--mode", "two-sided", "--window", f"0:{n - 1}",
+                            "--sampler", "inversion"],
+}
+
+REFUSALS = [
+    ["sample", "--mode", "two-sided", "--window", "3", "--q", "0.5"],
+    ["sample", "--mode", "two-sided", "--window", "a:b", "--q", "0.5"],
+    ["sample", "--mode", "two-sided", "--window", "2:1", "--q", "0.5"],
+    ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.5", "--count", "0"],
+    ["sample", "--mode", "two-sided", "--q", "0.5"],
+    ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.999"],
+    ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.5",
+     "--sampler", "inversion", "--eps-tv", "0"],
+    ["sample", "--mode", "finite", "--n", "0", "--q", "0.5"],
+    ["sample", "--mode", "one-sided", "--n", "0", "--q", "0.5"],
+    ["sample", "--mode", "finite", "--q", "0.5"],
+    ["pmf", "displacement", "--q", "0.5", "--radius", "-1"],
+    ["pmf", "displacement", "--q", "0.997"],
+    ["pmf", "displacement", "--q", "0.5", "--format", "json"],
+    ["pmf", "fdd", "--q", "0.5", "--d", "1,x"],
+    ["pmf", "fdd", "--q", "0.5"],
+    ["pmf", "fdd", "--q", "1e-200", "--d", "0,1"],
+    ["pmf", "joint-rl", "--q", "0.5", "--format", "csv"],
+    ["verify", "--suite", "bogus", "--q", "0.5"],
+    ["verify", "--suite", "displacement", "--q", "0.5", "--sizes", "abc"],
+    ["verify", "--suite", "stationarity", "--q", "0.5", "--sizes", "5", "--seed", "0"],
+]
+
+
+def argvs() -> list[list[str]]:
+    """Every invocation of the corpus, in manifest order."""
+    out = []
+    for args, q, count, fmt in itertools.product(
+            SAMPLE_MODES.values(), ("0.3", "0.8"), ("1", "300", "2049"), ("jsonl", "csv")):
+        out.append(["sample", *args, "--q", q, "--count", count, "--seed", SEED,
+                    "--format", fmt])
+    for args, n, count in itertools.product(
+            KERNEL_EDGE.values(), (64, 65), ("1", "300")):
+        out.append(["sample", *args(n), "--q", "0.8", "--count", count, "--seed", SEED,
+                    "--format", "csv"])
+    for q in ("0.3", "0.8"):
+        out.append(["pmf", "displacement", "--q", q])
+        out.append(["pmf", "joint-rl", "--q", q, "--r", "2", "--ell", "1"])
+        out.append(["pmf", "fdd", "--q", q, "--d", "-1,0,2"])
+    out.append(["verify", "--suite", "exchangeability", "--q", "0.5", "--seed", SEED])
+    return out + REFUSALS
+
+
+def run(argv: list[str]) -> dict:
+    """The manifest record of one in-process `mallows.cli.main(argv)` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stderr_first_line": err.getvalue().partition("\n")[0],
+    }
+
+
+def load() -> list[dict]:
+    return json.loads(MANIFEST.read_text())["entries"] if MANIFEST.exists() else []
+
+
+def main() -> int:
+    old = {tuple(e["argv"]): e for e in load()}
+    entries = [run(argv) for argv in argvs()]
+    for e in entries:
+        before = old.get(tuple(e["argv"]))
+        if before != e:
+            print(("new   " if before is None else "moved ") + " ".join(e["argv"]))
+    for argv in old.keys() - {tuple(e["argv"]) for e in entries}:
+        print("gone  " + " ".join(argv))
+    lines = ",\n  ".join(json.dumps(e) for e in entries)  # one entry a line
+    MANIFEST.write_text(f'{{"about": {json.dumps(ABOUT)},\n "entries": [\n  {lines}\n ]}}\n')
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -14,6 +14,7 @@ from mallows import GeomStream, QParam, __version__
 from mallows.cli import _KERNEL_WORD_MAX, main
 from mallows.samplers import (
     _BLOCK_ROWS,
+    batch_interlacing_windows,
     batch_inversion_windows,
     q_shuffle_prefix,
     sample_finite_mallows,
@@ -143,26 +144,64 @@ def test_sample_words_are_the_scalar_twins(capsys, mode):
             assert out == "".join(line + "\n" for line in lines[: count + 1]), (seed, count, fmt)
 
 
-def test_sample_interlacing_is_successive_scalar_calls(capsys):
-    # `count` windows print what `count` successive scalar calls on one
-    # stream return, for counts below, at and past one block
-    lo, hi, counts = -2, 2, (1, 5, _BLOCK_ROWS + 3)
-    for seed in range(1, 6):
-        s, p = GeomStream(seed, 0.5), QParam(0.5)
-        windows = [sample_two_sided_interlacing(lo, hi, p, s).values
-                   for _ in range(max(counts))]
+INTERLACING = ["sample", "--mode", "two-sided", "--q", "0.5"]
+
+
+def expected_lines(lo, hi, seed, windows, fmt):
+    """What `mallows sample` prints for these windows, each line built by
+    json.dumps or str.join."""
+    if fmt == "csv":
+        lines = [",".join(f"p{i}" for i in range(lo, hi + 1))]
+        lines += [",".join(map(str, w)) for w in windows]
+    else:
         header = {"q": 0.5, "seed": seed, "mode": "two-sided", "window": [lo, hi],
                   "eps_tv": None, "version": __version__}
-        jsonl = [json.dumps(header)] + [
-            json.dumps({"lo": lo, "hi": hi, "values": list(w)}) for w in windows]
-        csv = [",".join(f"p{i}" for i in range(lo, hi + 1))] + [
-            ",".join(map(str, w)) for w in windows]
-        for count, (fmt, lines) in itertools.product(counts, (("jsonl", jsonl), ("csv", csv))):
-            code, out, err = run_cli(capsys, [
-                "sample", "--mode", "two-sided", "--window", f"{lo}:{hi}", "--q", "0.5",
-                "--count", str(count), "--seed", str(seed), "--format", fmt])
-            assert code == 0 and err == ""
-            assert out == "".join(line + "\n" for line in lines[: count + 1]), (seed, count, fmt)
+        lines = [json.dumps(header)]
+        lines += [json.dumps({"lo": lo, "hi": hi, "values": list(w)}) for w in windows]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_sample_interlacing_draws_kernel_blocks(capsys):
+    # one kernel call per block of _BLOCK_ROWS windows, on one stream, for
+    # counts below and past one block
+    lo, hi = -2, 2
+    for seed, count, fmt in itertools.product(
+            range(1, 4), (1, 5, _BLOCK_ROWS + 3), ("jsonl", "csv")):
+        code, out, err = run_cli(capsys, INTERLACING + [
+            "--window", f"{lo}:{hi}", "--count", str(count), "--seed", str(seed),
+            "--format", fmt])
+        s, p = GeomStream(seed, 0.5), QParam(0.5)
+        blocks = [batch_interlacing_windows(lo, hi, p, s, min(_BLOCK_ROWS, count - b0))
+                  for b0 in range(0, count, _BLOCK_ROWS)]
+        assert code == 0 and err == ""
+        assert out == expected_lines(lo, hi, seed, np.vstack(blocks).tolist(), fmt), (
+            seed, count, fmt)
+
+
+def test_sample_interlacing_count_one_is_the_scalar_sampler(capsys):
+    for seed, fmt in itertools.product(range(1, 21), ("jsonl", "csv")):
+        code, out, err = run_cli(capsys, INTERLACING + [
+            "--window", "-5:5", "--count", "1", "--seed", str(seed), "--format", fmt])
+        w = sample_two_sided_interlacing(-5, 5, QParam(0.5), GeomStream(seed, 0.5))
+        assert code == 0 and err == ""
+        assert out == expected_lines(-5, 5, seed, [w.values], fmt), (seed, fmt)
+
+
+@pytest.mark.parametrize("width", [_KERNEL_WORD_MAX, _KERNEL_WORD_MAX + 1])
+def test_sample_interlacing_either_side_of_the_kernel_limit(capsys, width):
+    # the widest kernel window is a kernel block; one position more is
+    # drawn by successive scalar calls
+    count, hi = 300, width - 1
+    code, out, _ = run_cli(capsys, ["sample", "--mode", "two-sided", "--window", f"0:{hi}",
+                                    "--q", "0.8", "--count", str(count), "--seed", "3",
+                                    "--format", "csv"])
+    s, p = GeomStream(3, 0.8), QParam(0.8)
+    if width <= _KERNEL_WORD_MAX:
+        windows = batch_interlacing_windows(0, hi, p, s, count).tolist()
+    else:
+        windows = [sample_two_sided_interlacing(0, hi, p, s).values for _ in range(count)]
+    assert code == 0
+    assert out.splitlines()[1:] == [",".join(map(str, w)) for w in windows]
 
 
 @pytest.mark.parametrize("mode", list(WORD_SCALARS))

@@ -108,18 +108,6 @@ def test_eliminate_left_support_names_the_rightmost_bad_entry():
         eliminate_left((1, 0, -1, 0))
 
 
-def test_codec_round_trip_small_n():
-    # every permutation survives r -> word -> r and l -> word -> l
-    for n in range(1, 7):
-        for sigma in permutations(range(1, n + 1)):
-            r, ell = pair_counts(sigma)
-            assert eliminate_right(r).values == sigma, f"r-code {sigma}"
-            assert eliminate_left(ell).values == sigma, f"l-code {sigma}"
-            total = inversions(sigma)
-            assert sum(r) == total
-            assert sum(ell) == total
-
-
 # --------------------------------------------------------------------------
 # adjacent swaps
 # --------------------------------------------------------------------------
