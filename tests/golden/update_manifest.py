@@ -50,6 +50,10 @@ KERNEL_EDGE = {
                             "--sampler", "inversion"],
 }
 
+#: the verify suites that draw interlacing windows, run at a small size
+WINDOW_SUITES = ("displacement", "stationarity", "inversion-invariance",
+                 "truncation-convergence")
+
 REFUSALS = [
     ["sample", "--mode", "two-sided", "--window", "3", "--q", "0.5"],
     ["sample", "--mode", "two-sided", "--window", "a:b", "--q", "0.5"],
@@ -91,6 +95,15 @@ def argvs() -> list[list[str]]:
         out.append(["pmf", "joint-rl", "--q", q, "--r", "2", "--ell", "1"])
         out.append(["pmf", "fdd", "--q", q, "--d", "-1,0,2"])
     out.append(["verify", "--suite", "exchangeability", "--q", "0.5", "--seed", SEED])
+    # exactly one block of rows, and a block past it at a q with long words
+    for args in SAMPLE_MODES.values():
+        out.append(["sample", *args, "--q", "0.8", "--count", "2048", "--seed", SEED,
+                    "--format", "csv"])
+    out.append(["sample", "--mode", "two-sided", "--window", "0:2", "--q", "0.95",
+                "--count", "2049", "--seed", SEED, "--format", "csv"])
+    for suite in WINDOW_SUITES:
+        out.append(["verify", "--suite", suite, "--q", "0.5", "--sizes", "2000",
+                    "--seed", SEED])
     return out + REFUSALS
 
 
