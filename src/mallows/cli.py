@@ -238,19 +238,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.overall_pass else 1
 
 
+#: a float, exponent and all: argparse takes "-0.5" for a number but
+#: "-1e-3" for an option
+_FLOAT = re.compile(r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-?(inf|infinity|nan)$", re.I)
+
 #: flags whose values may start with a minus sign, and the value shapes
 #: that mark them as data rather than stray options
 _SIGNED_VALUE_FLAGS = {
     "--window": re.compile(r"^-?\d+:-?\d+$"),
     "--d": re.compile(r"^-?\d+(,-?\d+)*$"),
+    "--q": _FLOAT,
+    "--eps-tv": _FLOAT,
+    "--tol": _FLOAT,
 }
 
 
 def _join_signed_flags(argv: list[str]) -> list[str]:
-    """Turn ("--window", "-2:2") into ("--window=-2:2",), same for --d.
+    """Turn ("--window", "-2:2") into ("--window=-2:2",), same for the
+    other _SIGNED_VALUE_FLAGS.
 
-    argparse would otherwise read a negative LO (or displacement) as an
-    unknown option flag.
+    argparse would otherwise read a negative LO, displacement or float as
+    an unknown option flag, so a negative q, eps_tv or tol would never
+    reach its domain check.
     """
     out: list[str] = []
     i = 0

@@ -406,33 +406,21 @@ def _shuffle_letters(skips: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Row r's first n[r] q-shuffle letters, letter i skipping skips[r, i]
     unused values; rows x skips.shape[1], zero past n[r].
 
-    Letter i is the (R+1)-th smallest positive integer not used yet, R its
-    skip.  With s the earlier letters sorted (0-indexed), that is
-    w = R + 1 + #{k : s_k - k <= R + 1}.  d_k = s_k - k is nondecreasing;
-    w enters d at rank m = #{k : d_k <= R + 1} as d_m = R + 1, and the d_k
-    after it drop by one.  Each letter column is a fixed number of array
-    operations over the rows still drawing, which are a prefix once rows
-    are sorted by decreasing n.
+    Letter i is the (R_i+1)-th smallest positive integer not used yet, R_i
+    its skip.  Its value is the end of a leftward rank chain: x starts at
+    R_i + 1, meets R_{i-1} + 1, ..., R_0 + 1 and steps by one where
+    R_k + 1 <= x.  Removing letter k drops letter i's rank by one exactly
+    when letter k lies below it, i.e. when R_k + 1 is at most letter i's
+    rank after that removal, so each step undoes one removal.  As in
+    batch_inversion_windows the chains take width-1 array steps: at offset
+    t, letters t, t+1, ... meet the ranks of the letters t before them.
     """
-    rows, width = skips.shape
-    order = np.argsort(-n, kind="stable")
-    need = n[order]
-    # letter-major layout: the rows still drawing are a contiguous prefix
-    r1 = np.ascontiguousarray((skips[order] + 1).T)
-    letters = np.zeros_like(r1)
-    # d[1:] holds d_0, d_1, ...; row 0 lets d[:i+1] read d_{j-1}
-    d = np.zeros((width + 1, rows), dtype=r1.dtype)
-    span, index = np.arange(width + 1)[:, None], np.arange(rows)
-    active = np.searchsorted(-need, -np.arange(int(need[0]) if rows else 0)).tolist()
-    for i, a in enumerate(active):
-        ri = r1[i, :a]
-        m = (d[1 : i + 1, :a] <= ri).sum(axis=0)
-        letters[i, :a] = ri + m
-        np.copyto(d[1 : i + 2, :a], d[: i + 1, :a] - 1, where=span[: i + 1] >= m)
-        d[m + 1, index[:a]] = ri
-    out = np.empty_like(letters)
-    out[:, order] = letters
-    return out.T
+    width = skips.shape[1]
+    rank = np.ascontiguousarray((skips + 1).T)  # letter-major
+    x = rank.copy()
+    for t in range(1, width):
+        x[t:] += rank[:-t] <= x[t:]
+    return np.where(np.arange(width) < n[:, None], x.T, 0)
 
 
 def batch_inversion_windows(

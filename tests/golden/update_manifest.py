@@ -66,12 +66,16 @@ REFUSALS = [
     ["sample", "--mode", "finite", "--n", "0", "--q", "0.5"],
     ["sample", "--mode", "one-sided", "--n", "0", "--q", "0.5"],
     ["sample", "--mode", "finite", "--q", "0.5"],
+    ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "-1e-3"],
+    ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.5",
+     "--sampler", "inversion", "--eps-tv", "-1e-9"],
     ["pmf", "displacement", "--q", "0.5", "--radius", "-1"],
     ["pmf", "displacement", "--q", "0.997"],
     ["pmf", "displacement", "--q", "0.5", "--format", "json"],
     ["pmf", "fdd", "--q", "0.5", "--d", "1,x"],
     ["pmf", "fdd", "--q", "0.5"],
     ["pmf", "fdd", "--q", "1e-200", "--d", "0,1"],
+    ["pmf", "fdd", "--q", "0.5", "--d", "0,1", "--tol", "-1e-9"],
     ["pmf", "joint-rl", "--q", "0.5", "--format", "csv"],
     ["verify", "--suite", "bogus", "--q", "0.5"],
     ["verify", "--suite", "displacement", "--q", "0.5", "--sizes", "abc"],

@@ -391,6 +391,18 @@ def test_shuffle_letters_match_scalar_shuffle(q):
         assert not letters[r, n[r]:].any()
 
 
+def test_shuffle_letters_edge_shapes():
+    empty = _shuffle_letters(np.zeros((0, 5), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert empty.shape == (0, 5)
+    one = _shuffle_letters(np.array([[0], [3], [2]]), np.array([1, 1, 0]))
+    assert one.tolist() == [[1], [4], [0]]
+    # one-sided skips reach 4e12 near q=1; worked by hand, beyond the list
+    # oracle above and beyond any 32-bit letter
+    big = 4 * 10**12
+    letters = _shuffle_letters(np.array([[big, 0, big, 1]], dtype=np.int64), np.array([4]))
+    assert letters.tolist() == [[big + 1, 1, big + 3, 3]]
+
+
 # --------------------------------------------------------------------------
 # two-sided samplers
 # --------------------------------------------------------------------------
