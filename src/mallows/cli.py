@@ -238,8 +238,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.overall_pass else 1
 
 
-#: a float, exponent and all: argparse takes "-0.5" for a number but
-#: "-1e-3" for an option
+#: a float; argparse takes "-0.5" for a number but "-1e-3" for an option
 _FLOAT = re.compile(r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-?(inf|infinity|nan)$", re.I)
 
 #: flags whose values may start with a minus sign, and the value shapes
@@ -254,12 +253,11 @@ _SIGNED_VALUE_FLAGS = {
 
 
 def _join_signed_flags(argv: list[str]) -> list[str]:
-    """Turn ("--window", "-2:2") into ("--window=-2:2",), same for the
-    other _SIGNED_VALUE_FLAGS.
+    """Turn ("--window", "-2:2") into ("--window=-2:2",), same for --d,
+    --q, --eps-tv and --tol.
 
-    argparse would otherwise read a negative LO, displacement or float as
-    an unknown option flag, so a negative q, eps_tv or tol would never
-    reach its domain check.
+    argparse would otherwise read a negative value as an unknown option
+    flag, so it would never reach its domain check.
     """
     out: list[str] = []
     i = 0

@@ -41,9 +41,10 @@ block of rows at once: the diagrams come from the part-size search of
 ``sample_young_euler`` applied to every row still drawing
 (``_diagram_triples``), then exactly the shuffle skips the rows need are
 drawn in one call, and the sign-word slots (``_sign_counts``, the + position
-rule of ``_plus_positions``), the letters (``_shuffle_letters``) and the
-window fill run on arrays.  At count=1 it draws the same uniforms in the
-same order as ``sample_two_sided_interlacing`` and returns the same window.
+rule of ``_plus_positions``), the letters (``_shuffle_letters``, by a
+leftward rank chain) and the window fill run on arrays.  At count=1 it
+draws the same uniforms in the same order as ``sample_two_sided_interlacing``
+and returns the same window.
 """
 from __future__ import annotations
 
@@ -311,7 +312,7 @@ def batch_interlacing_windows(
       order (_sign_counts).  Position i carries + with rank i + C(i) when
       C(i) = C(i-1), else - with rank C(i-1); the row needs kmax = hi +
       C(hi) plus and tmax = C(lo-1) minus letters;
-    * the letters follow the sorted-rank rule of _shuffle_letters;
+    * the letters follow the leftward rank chain of _shuffle_letters;
     * the window is filled by take_along_axis: + slots take plus letters
       by rank, - slots take 1 - (minus letter) by rank from the right.
     """
