@@ -54,6 +54,10 @@ KERNEL_EDGE = {
 WINDOW_SUITES = ("displacement", "stationarity", "inversion-invariance",
                  "truncation-convergence")
 
+#: the other verify suites that draw, run at the same size; two-sampler and
+#: lln exit 1 at it and are pinned as they are
+OTHER_SUITES = ("finite-oracle", "two-sampler", "lln", "one-sided-left-counts")
+
 REFUSALS = [
     ["sample", "--mode", "two-sided", "--window", "3", "--q", "0.5"],
     ["sample", "--mode", "two-sided", "--window", "a:b", "--q", "0.5"],
@@ -108,6 +112,12 @@ def argvs() -> list[list[str]]:
     for suite in WINDOW_SUITES:
         out.append(["verify", "--suite", suite, "--q", "0.5", "--sizes", "2000",
                     "--seed", SEED])
+    for suite in OTHER_SUITES:
+        out.append(["verify", "--suite", suite, "--q", "0.5", "--sizes", "2000",
+                    "--seed", SEED])
+    # a scalar word whose letters lie almost all above n
+    out.append(["sample", "--mode", "one-sided", "--n", "65", "--q", "0.9999",
+                "--count", "20", "--seed", SEED, "--format", "csv"])
     return out + REFUSALS
 
 
