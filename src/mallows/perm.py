@@ -17,6 +17,18 @@ rebuilds values, but the left counts are only *certifiable* up to a residual
 probability, because data arbitrarily far to the left can still contribute;
 see reconstruct_ell.
 
+Left counts and q-shuffle letters come from one leftward chain.  Entry j of
+a row r_0, r_1, ... has state x_j, which starts at r_j, meets r_{j-1}, ...,
+r_0 and steps by one where r_k <= x_j.  For right counts on positions lo,
+lo+1, ... a right count above the state is a left inversion, so
+ell_j = (j - lo) - (x_j - r_j).  For skips R, letter j of the q-shuffle (the
+(R_j+1)-th smallest positive integer not used yet) is 1 + x_j: removing an
+earlier letter drops letter j's rank by one exactly when that letter lies
+below it, i.e. when R_k + 1 is at most the rank after the removal, so each
+step undoes one removal.  _leftward_chains runs the chain on arrays;
+_window_chain (one position) and _pop_letters (one word) are its scalar
+twins.
+
 truncate and invert_window take windows one per row of an array, as the
 batch samplers return them.
 """
@@ -180,6 +192,18 @@ def _window_chain(
         else:
             x += 1
     return ell, x, late
+
+
+def _leftward_chains(r: np.ndarray) -> np.ndarray:
+    """Final state of the leftward chain (see the module docstring) of
+    every entry of a rows x width matrix, in width-1 array steps over an
+    entry-major copy: at offset t, entries t, t+1, ... meet the t before."""
+    width = r.shape[1]
+    start = np.ascontiguousarray(r.T)
+    x = start.copy()
+    for t in range(1, width):
+        x[t:] += start[:-t] <= x[t:]
+    return x.T
 
 
 def reconstruct_ell(

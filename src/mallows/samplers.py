@@ -25,26 +25,25 @@ laws at acceptance-test sample sizes.
 ``batch_finite_words`` and ``batch_shuffle_prefixes`` are
 ``sample_finite_mallows`` and ``q_shuffle_prefix`` on count rows at once:
 they draw what count successive scalar calls draw, in the same order and in
-one call, and build the words with ``_shuffle_letters``, so they return the
-same rows and leave the same ``counter``.  ``batch_finite_r`` is the right
-counts behind ``batch_finite_words``.
+one call, and build the words by ``perm._leftward_chains``, so they
+return the same rows and leave the same ``counter``.  ``batch_finite_r`` is
+the right counts behind ``batch_finite_words``.
 
 ``batch_inversion_windows`` is the one implementation of the inversion
-route: all rows' right counts in one call, the in-window chains as array
-steps, then rounds of left draws over the rows whose lowest chain is still
-short of eps_tv.  ``sample_two_sided_inversion`` is its count=1 case and
-``batch_inversion_position0`` its [0..0] case, so both return what the
-kernel returns for the same stream.
+route: all rows' right counts in one call, the in-window chains by
+``perm._leftward_chains``, then rounds of left draws over the rows whose
+lowest chain is still short of eps_tv.  ``sample_two_sided_inversion`` is
+its count=1 case and ``batch_inversion_position0`` its [0..0] case, so both
+return what the kernel returns for the same stream.
 
 ``batch_interlacing_windows`` is the scalar interlacing sampler run on a
 block of rows at once: the diagrams come from the part-size search of
 ``sample_young_euler`` applied to every row still drawing
 (``_diagram_triples``), then exactly the shuffle skips the rows need are
 drawn in one call, and the sign-word slots (``_sign_counts``, the + position
-rule of ``_plus_positions``), the letters (``_shuffle_letters``, by a
-leftward rank chain) and the window fill run on arrays.  At count=1 it
-draws the same uniforms in the same order as ``sample_two_sided_interlacing``
-and returns the same window.
+rule of ``_plus_positions``), the letters (``perm._leftward_chains``) and
+the window fill run on arrays.  At count=1 it draws the same uniforms in the
+same order as ``sample_two_sided_interlacing`` and returns the same window.
 """
 from __future__ import annotations
 
@@ -55,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NotInjectiveError
-from .perm import PermWindow, _chain_horizon, _pop_letters, eliminate_right
+from .perm import PermWindow, _chain_horizon, _leftward_chains, _pop_letters, eliminate_right
 from .qseries import QParam, normal_table
 from .streams import GeomStream
 
@@ -252,9 +251,9 @@ def batch_finite_words(n: int, p: QParam, s: GeomStream, count: int) -> np.ndarr
     sample_finite_mallows(n, p, s) calls return, from the same draws.
 
     Elimination takes the (r_i+1)-th smallest unused value, the q-shuffle
-    rule, so _shuffle_letters builds the words from batch_finite_r.
+    rule, so the words are 1 + _leftward_chains of batch_finite_r.
     """
-    return _shuffle_letters(batch_finite_r(n, p, s, count), np.full(count, n))
+    return 1 + _leftward_chains(batch_finite_r(n, p, s, count))
 
 
 def batch_shuffle_prefixes(n: int, p: QParam, s: GeomStream, count: int) -> np.ndarray:
@@ -264,8 +263,7 @@ def batch_shuffle_prefixes(n: int, p: QParam, s: GeomStream, count: int) -> np.n
     if n < 1 or count < 0:
         raise DomainError("need n >= 1 and count >= 0")
     _check_stream(p, s)
-    skips = s.geometrics(count * n).reshape(count, n)
-    return _shuffle_letters(skips, np.full(count, n))
+    return 1 + _leftward_chains(s.geometrics(count * n).reshape(count, n))
 
 
 def finite_r_codes(r_matrix: np.ndarray) -> np.ndarray:
@@ -312,7 +310,8 @@ def batch_interlacing_windows(
       order (_sign_counts).  Position i carries + with rank i + C(i) when
       C(i) = C(i-1), else - with rank C(i-1); the row needs kmax = hi +
       C(hi) plus and tmax = C(lo-1) minus letters;
-    * the letters follow the leftward rank chain of _shuffle_letters;
+    * the letters are 1 + _leftward_chains of the skips; a row's letters
+      past its need are never read;
     * the window is filled by take_along_axis: + slots take plus letters
       by rank, - slots take 1 - (minus letter) by rank from the right.
     """
@@ -333,7 +332,7 @@ def batch_interlacing_windows(
         width = max(1, int(need.max()))
         skips = np.zeros((2 * nb, width), dtype=np.int64)
         skips[np.arange(width) < need[:, None]] = s.geometrics(int(need.sum()))
-        letters = _shuffle_letters(skips, need)
+        letters = 1 + _leftward_chains(skips)
         # a rank is out of range only where the other sign is taken
         before, at = c[:, :-1], c[:, 1:]
         plus_rank = np.clip(positions + at - 1, 0, width - 1)
@@ -403,27 +402,6 @@ def _sign_counts(
     return below + np.maximum(0, i - nparts[:, None]) - i
 
 
-def _shuffle_letters(skips: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Row r's first n[r] q-shuffle letters, letter i skipping skips[r, i]
-    unused values; rows x skips.shape[1], zero past n[r].
-
-    Letter i is the (R_i+1)-th smallest positive integer not used yet, R_i
-    its skip.  Its value is the end of a leftward rank chain: x starts at
-    R_i + 1, meets R_{i-1} + 1, ..., R_0 + 1 and steps by one where
-    R_k + 1 <= x.  Removing letter k drops letter i's rank by one exactly
-    when letter k lies below it, i.e. when R_k + 1 is at most letter i's
-    rank after that removal, so each step undoes one removal.  As in
-    batch_inversion_windows the chains take width-1 array steps: at offset
-    t, letters t, t+1, ... meet the ranks of the letters t before them.
-    """
-    width = skips.shape[1]
-    rank = np.ascontiguousarray((skips + 1).T)  # letter-major
-    x = rank.copy()
-    for t in range(1, width):
-        x[t:] += rank[:-t] <= x[t:]
-    return np.where(np.arange(width) < n[:, None], x.T, 0)
-
-
 def batch_inversion_windows(
     lo: int, hi: int, p: QParam, s: GeomStream, count: int, eps_tv: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -433,12 +411,12 @@ def batch_inversion_windows(
     Each position j runs reconstruct_ell's leftward chain: state x starts
     at r_j and meets r_{j-1}, r_{j-2}, ...; a right count above x is a left
     inversion of j (ell_j += 1), otherwise x increments.  Inside the window
-    the chains are exact and take width-1 array steps (at offset t the
-    chains of positions lo+t..hi meet r[:, :-t]).  Left of the window the
-    chains of a row share one lazily drawn sequence of right counts, and a
-    chain stops once q^(x+1)/(1-q) <= eps_tv, i.e. at reconstruct_ell's
-    horizon x* = _chain_horizon(q, eps_tv), so each window law is within
-    width * eps_tv of exact in total variation.  The values are
+    the chains are exact: ell_j = (j - lo) - (x_j - r_j), x the states of
+    _leftward_chains(r).  Left of the window the chains of a row share one
+    lazily drawn sequence of right counts, and a chain stops once
+    q^(x+1)/(1-q) <= eps_tv, i.e. at reconstruct_ell's horizon
+    x* = _chain_horizon(q, eps_tv), so each window law is within width *
+    eps_tv of exact in total variation.  The values are
     sigma(j) = j + r_j - ell_j.
 
     Draws: every row's right counts, row by row, in one s.geometrics call;
@@ -463,12 +441,8 @@ def batch_inversion_windows(
     _check_stream(p, s)
     width = hi - lo + 1
     r = s.geometrics(count * width).reshape(count, width)
-    x = r.copy()
-    ell = np.zeros_like(r)
-    for t in range(1, width):
-        hit = r[:, :-t] > x[:, t:]
-        ell[:, t:] += hit
-        x[:, t:] += ~hit
+    x = _leftward_chains(r)
+    ell = np.arange(width) - (x - r)
     # a draw above a row's lowest chain leaves it, any other steps every
     # live chain of the row, so the lowest chains (state low, hits) alone
     # set the rounds; the other live chains are kept flat, as chain index
@@ -478,7 +452,7 @@ def batch_inversion_windows(
     chain = np.flatnonzero(~lowest & (x < xstar))
     row, state = chain // width, x.reshape(-1)[chain]
     hits = np.zeros(count, dtype=np.int64)
-    flat_ell = ell.reshape(-1)  # a view: ell is contiguous
+    flat_ell = ell.reshape(-1)  # a view: arithmetic on r gives a C-order ell
     slot = np.empty(count, dtype=np.int64)
     active = np.flatnonzero(low < xstar)
     while active.size:

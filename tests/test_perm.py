@@ -16,6 +16,7 @@ from mallows.perm import (
     VERDICT_CONSISTENT,
     VERDICT_SUSPECT,
     _chain_horizon,
+    _leftward_chains,
     adjacent_swap_r,
     eliminate_left,
     eliminate_right,
@@ -205,6 +206,46 @@ def test_chain_horizon_is_the_first_state_within_budget(q):
             x = _chain_horizon(q, eps_tv)
             assert x >= 0 and q ** (x + 1) / (1.0 - q) <= eps_tv
             assert x == 0 or q**x / (1.0 - q) > eps_tv, f"k={k} eps_tv={eps_tv!r}"
+
+
+# --------------------------------------------------------------------------
+# the leftward chain on arrays: q-shuffle letters and left counts
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [0.3, 0.8, 0.95])
+def test_leftward_chains_are_the_shuffle_letters(q):
+    rng = np.random.default_rng(107)
+    rows, width = 60, 100
+    skips = rng.geometric(1.0 - q, size=(rows, width)) - 1
+    n = rng.integers(0, width + 1, size=rows)
+    n[:3] = (0, width, 1)
+    letters = 1 + _leftward_chains(skips)
+    assert letters.shape == (rows, width)
+    for r in range(rows):
+        # letter i is the (skip+1)-th smallest value not used yet, whatever
+        # the skips after it
+        unused = list(range(1, width + int(skips[r].max()) + 1))
+        want = [unused.pop(int(k)) for k in skips[r, : n[r]]]
+        assert letters[r, : n[r]].tolist() == want
+
+
+def test_leftward_chains_edge_shapes():
+    assert _leftward_chains(np.zeros((0, 5), dtype=np.int64)).shape == (0, 5)
+    assert (1 + _leftward_chains(np.array([[0], [3], [2]]))).tolist() == [[1], [4], [3]]
+    # one-sided skips reach 4e12 near q=1; worked by hand, beyond the list
+    # oracle above and beyond any 32-bit letter
+    big = 4 * 10**12
+    letters = 1 + _leftward_chains(np.array([[big, 0, big, 1]], dtype=np.int64))
+    assert letters.tolist() == [[big + 1, 1, big + 3, 3]]
+
+
+def test_leftward_chains_give_the_left_counts():
+    # the codec identity: ell_j = j - (x_j - r_j) on a word's right counts
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 13, 40):
+        words = [rng.permutation(n).tolist() for _ in range(30)]
+        r, ell = (np.array(c) for c in zip(*(pair_counts(w) for w in words)))
+        assert (np.arange(n) - (_leftward_chains(r) - r)).tolist() == ell.tolist()
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from mallows.samplers import (
     YoungDiagram,
     _diagram_triples,
     _part_search,
-    _shuffle_letters,
     _sign_counts,
     batch_finite_r,
     batch_finite_words,
@@ -372,35 +371,6 @@ def test_diagram_triples_deep_rows():
     for lo, hi in [(-5, 5), (0, 2), (-9, -4), (4, 8)]:
         c = _sign_counts(row, part, mult, 300, lo, hi)
         _assert_counts_match_slots(diagrams, c, lo, hi)
-
-
-@pytest.mark.parametrize("q", [0.3, 0.8, 0.95])
-def test_shuffle_letters_match_scalar_shuffle(q):
-    rng = np.random.default_rng(107)
-    rows, width = 60, 100
-    skips = rng.geometric(1.0 - q, size=(rows, width)) - 1
-    n = rng.integers(0, width + 1, size=rows)
-    n[:3] = (0, width, 1)
-    letters = _shuffle_letters(skips, n)
-    assert letters.shape == (rows, width)
-    for r in range(rows):
-        # letter i is the (skip+1)-th smallest value not used yet
-        unused = list(range(1, width + int(skips[r].max()) + 1))
-        want = [unused.pop(int(k)) for k in skips[r, : n[r]]]
-        assert letters[r, : n[r]].tolist() == want
-        assert not letters[r, n[r]:].any()
-
-
-def test_shuffle_letters_edge_shapes():
-    empty = _shuffle_letters(np.zeros((0, 5), dtype=np.int64), np.zeros(0, dtype=np.int64))
-    assert empty.shape == (0, 5)
-    one = _shuffle_letters(np.array([[0], [3], [2]]), np.array([1, 1, 0]))
-    assert one.tolist() == [[1], [4], [0]]
-    # one-sided skips reach 4e12 near q=1; worked by hand, beyond the list
-    # oracle above and beyond any 32-bit letter
-    big = 4 * 10**12
-    letters = _shuffle_letters(np.array([[big, 0, big, 1]], dtype=np.int64), np.array([4]))
-    assert letters.tolist() == [[big + 1, 1, big + 3, 3]]
 
 
 # --------------------------------------------------------------------------
