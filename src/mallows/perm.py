@@ -35,6 +35,7 @@ batch samplers return them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -119,10 +120,28 @@ def inversions(values: Sequence[int]) -> int:
 
 def _pop_letters(r: Sequence[int]) -> tuple[int, ...]:
     """Word whose letter i is the (r_i+1)-th smallest positive integer not
-    used yet: the q-shuffle rule, and elimination where r_i <= n-1-i."""
+    used yet: the q-shuffle rule, and elimination where r_i <= n-1-i.
+
+    Only 1..n are listed.  A letter past them is the (m+1)-th smallest
+    unused value above n, m = r_i - #unused in 1..n: x + k with x = n+1+m
+    and k the fewest earlier letters above n such that exactly k of them
+    are <= x + k, found by counting until the count stops growing.
+    """
+    n = len(r)
     # the unused values in decreasing order, so each pop is near the end
-    unused = list(range(len(r) + max(r, default=0), 0, -1))
-    return tuple(unused.pop(-1 - ri) for ri in r)
+    unused = list(range(n, 0, -1))
+    above: list[int] = []  # the letters above n, increasing
+    word = []
+    for ri in r:
+        if ri < len(unused):
+            word.append(unused.pop(-1 - ri))
+            continue
+        x, k = n + 1 + ri - len(unused), 0
+        while (j := bisect_right(above, x + k)) > k:
+            k = j
+        above.insert(k, x + k)
+        word.append(x + k)
+    return tuple(word)
 
 
 def eliminate_right(r: Sequence[int]) -> PermWindow:

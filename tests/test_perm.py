@@ -17,6 +17,7 @@ from mallows.perm import (
     VERDICT_SUSPECT,
     _chain_horizon,
     _leftward_chains,
+    _pop_letters,
     adjacent_swap_r,
     eliminate_left,
     eliminate_right,
@@ -237,6 +238,18 @@ def test_leftward_chains_edge_shapes():
     big = 4 * 10**12
     letters = 1 + _leftward_chains(np.array([[big, 0, big, 1]], dtype=np.int64))
     assert letters.tolist() == [[big + 1, 1, big + 3, 3]]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.9, 0.999])
+def test_pop_letters_above_n_are_the_array_chain(q):
+    # near q=1 most skips run past 1..n, the only values _pop_letters lists
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 7, 40, 150):
+        skips = rng.geometric(1.0 - q, size=(20, n)) - 1
+        want = (1 + _leftward_chains(skips)).tolist()
+        assert [list(_pop_letters(row)) for row in skips.tolist()] == want
+    assert _pop_letters([10**15, 0]) == (10**15 + 1, 1)
+    assert _pop_letters([]) == ()
 
 
 def test_leftward_chains_give_the_left_counts():
