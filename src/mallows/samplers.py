@@ -66,6 +66,15 @@ def _check_stream(p: QParam, s: GeomStream) -> None:
         )
 
 
+def _check_window(lo: int, hi: int) -> None:
+    """Refuse a window [lo..hi] that is empty or has an endpoint outside
+    [-2^62, 2^62], where the int64 positions, slots and values could wrap."""
+    if hi < lo:
+        raise DomainError("window requires lo <= hi")
+    if not (-(2**62) <= lo and hi <= 2**62):
+        raise DomainError(f"window endpoints must lie in [-2**62, 2**62], got {lo}:{hi}")
+
+
 @dataclass(frozen=True)
 class YoungDiagram:
     """Partition as a weakly decreasing tuple of positive part sizes."""
@@ -184,8 +193,7 @@ def sample_two_sided_interlacing(
     need tmax = C(lo-1) w- letters; those above the window take the first
     C(hi) = kmax - hi of them.
     """
-    if hi < lo:
-        raise DomainError("window requires lo <= hi")
+    _check_window(lo, hi)
     _check_stream(p, s)
     lam = sample_young_euler(p, s)
     plus = _plus_positions(lam.parts, hi)
@@ -315,8 +323,7 @@ def batch_interlacing_windows(
     * the window is filled by take_along_axis: + slots take plus letters
       by rank, - slots take 1 - (minus letter) by rank from the right.
     """
-    if hi < lo:
-        raise DomainError("window requires lo <= hi")
+    _check_window(lo, hi)
     if count < 0:
         raise DomainError("count must be >= 0")
     _check_stream(p, s)
@@ -433,8 +440,7 @@ def batch_inversion_windows(
     chain goes left.  A collision is therefore a defect and raises
     NotInjectiveError.
     """
-    if hi < lo:
-        raise DomainError("window requires lo <= hi")
+    _check_window(lo, hi)
     if count < 0:
         raise DomainError("count must be >= 0")
     xstar = _chain_horizon(p.q, eps_tv)

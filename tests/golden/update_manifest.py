@@ -73,6 +73,12 @@ REFUSALS = [
     ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "-1e-3"],
     ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.5",
      "--sampler", "inversion", "--eps-tv", "-1e-9"],
+    ["sample", "--mode", "two-sided", "--window", "9223372036854775800:9223372036854775806",
+     "--sampler", "inversion", "--q", "0.5", "--count", "3", "--seed", "1"],
+    ["sample", "--mode", "two-sided", "--window", "9223372036854775800:9223372036854775806",
+     "--q", "0.5", "--count", "3", "--seed", "1"],
+    ["sample", "--mode", "two-sided", "--window", "-9223372036854775808:-9223372036854775800",
+     "--q", "0.5", "--count", "3", "--seed", "1"],
     ["pmf", "displacement", "--q", "0.5", "--radius", "-1"],
     ["pmf", "displacement", "--q", "0.997"],
     ["pmf", "displacement", "--q", "0.5", "--format", "json"],

@@ -472,10 +472,18 @@ def test_verify_unknown_suite(capsys):
      ["pmf", "joint-rl", "--q", "0.5", "--format", "csv"],
      ["pmf", "fdd", "--q", "0.5", "--d", "0", "--format", "csv"],
      ["pmf", "fdd", "--q", "1e-200", "--d", "0,1"],
-     ["pmf", "displacement", "--q", "1e-310"]],
+     ["pmf", "displacement", "--q", "1e-310"],
+     ["sample", "--mode", "two-sided", "--window", "9223372036854775800:9223372036854775806",
+      "--sampler", "inversion", "--q", "0.5", "--count", "3", "--seed", "1"],
+     ["sample", "--mode", "two-sided", "--window", "9223372036854775800:9223372036854775806",
+      "--q", "0.5", "--count", "3", "--seed", "1"],
+     ["sample", "--mode", "two-sided", "--window", "-9223372036854775808:-9223372036854775800",
+      "--q", "0.5", "--count", "3", "--seed", "1"]],
     ids=["window-one-number", "window-not-integers", "window-reversed", "count-zero",
          "no-window", "negative-radius", "d-not-integers", "displacement-json",
-         "joint-rl-csv", "fdd-csv", "fdd-overflow", "displacement-overflow"],
+         "joint-rl-csv", "fdd-csv", "fdd-overflow", "displacement-overflow",
+         "inversion-window-past-int64", "interlacing-window-past-int64",
+         "interlacing-window-at-int64-min"],
 )
 def test_domain_refusals(capsys, argv):
     code, out, err = run_cli(capsys, argv)

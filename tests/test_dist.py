@@ -310,10 +310,16 @@ def test_underflowing_quotients_are_domain_errors(call):
         lambda s: q_shuffle_prefix(0, P5, s),
         lambda s: sample_two_sided_interlacing(2, 1, P5, s),
         lambda s: batch_interlacing_windows(2, 1, P5, s, 5),
+        lambda s: sample_two_sided_interlacing(2**62 - 1, 2**62 + 1, P5, s),
+        lambda s: sample_two_sided_interlacing(-(2**63), -(2**63) + 8, P5, s),
+        lambda s: batch_interlacing_windows(2**63 - 8, 2**63 - 2, P5, s, 3),
+        lambda s: batch_interlacing_windows(-(2**62) - 1, -(2**62) + 1, P5, s, 3),
     ],
     ids=["block_p2-lengths", "block_p2-negative-gap", "q_factorial",
          "fdd-overflow", "displacement-overflow", "truncated-geometric", "finite",
-         "shuffle-prefix", "interlacing", "interlacing-kernel"],
+         "shuffle-prefix", "interlacing", "interlacing-kernel", "interlacing-past-2^62",
+         "interlacing-at-int64-min", "interlacing-kernel-at-int64-max",
+         "interlacing-kernel-below-2^62"],
 )
 def test_library_refusals_draw_nothing(call):
     # q^-(k(k+1)/2) overflows at k=2, q=1e-200 and at k=1, q=1e-310

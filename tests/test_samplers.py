@@ -504,13 +504,24 @@ def test_inversion_kernel_keeps_the_value_order_at_any_eps(q):
 @pytest.mark.parametrize(
     "lo, hi, count, eps_tv",
     [(1, 0, 5, 1e-9), (0, 2, -1, 1e-9), (0, 2, 5, 0.0), (0, 2, 5, -1e-9),
-     (0, 2, 5, math.nan), (0, 2, 5, math.inf), (0, 2, 5, 5e-324)],
+     (0, 2, 5, math.nan), (0, 2, 5, math.inf), (0, 2, 5, 5e-324),
+     (2**62 - 2, 2**62 + 1, 5, 1e-9), (-(2**62) - 1, 0, 5, 1e-9),
+     (2**63 - 8, 2**63 - 2, 3, 1e-9), (-(2**63), -(2**63) + 8, 3, 1e-9)],
 )
 def test_inversion_kernel_refusals_draw_nothing(lo, hi, count, eps_tv):
     s = GeomStream(seed=0, q=0.5)
     with pytest.raises(DomainError):
         batch_inversion_windows(lo, hi, P5, s, count, eps_tv)
     assert s.counter == 0
+
+
+@pytest.mark.parametrize("lo", [2**62 - 4, -(2**62)])
+def test_inversion_kernel_at_the_window_limit_is_a_shifted_window(lo):
+    # the draws do not depend on where the window lies, so a window at
+    # +-2^62 holds the values of [0..4] shifted, none of them wrapped
+    here, ell = batch_inversion_windows(lo, lo + 4, P5, GeomStream(seed=3, q=0.5), 50, 1e-9)
+    there, ell0 = batch_inversion_windows(0, 4, P5, GeomStream(seed=3, q=0.5), 50, 1e-9)
+    assert (here - lo).tolist() == there.tolist() and ell.tolist() == ell0.tolist()
 
 
 def test_inversion_kernel_count_zero():
