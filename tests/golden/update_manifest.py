@@ -50,6 +50,15 @@ KERNEL_EDGE = {
                             "--sampler", "inversion"],
 }
 
+#: windows of width 1 in every mode, and the modes' widths past the kernel
+#: limit (drawn one scalar call per window)
+FORMAT_EDGES = (
+    *(args(1) for args in KERNEL_EDGE.values()),
+    KERNEL_EDGE["finite"](65),
+    KERNEL_EDGE["one-sided"](65),
+    KERNEL_EDGE["interlacing"](65),
+)
+
 #: the verify suites that draw interlacing windows, run at a small size
 WINDOW_SUITES = ("displacement", "stationarity", "inversion-invariance",
                  "truncation-convergence")
@@ -124,6 +133,10 @@ def argvs() -> list[list[str]]:
     # a scalar word whose letters lie almost all above n
     out.append(["sample", "--mode", "one-sided", "--n", "65", "--q", "0.9999",
                 "--count", "20", "--seed", SEED, "--format", "csv"])
+    # the line formats at their edges: one-value windows, and scalar-path rows
+    for args, fmt in itertools.product(FORMAT_EDGES, ("jsonl", "csv")):
+        out.append(["sample", *args, "--q", "0.5", "--count", "3", "--seed", SEED,
+                    "--format", fmt])
     return out + REFUSALS
 
 
