@@ -4,11 +4,15 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 Identical invocations (same arguments and seed) produce byte-identical
 output; the seed defaults to the MALLOWS_SEED environment variable, then 0.
 CSV output uses `,` separators, `.` decimals, and LF line endings; JSONL
-output starts with a header line describing the run.
+output starts with a header line describing the run, written after the
+first draw.  `sample` writes each window line with one `write`, formatted
+by one `repr` of the row.  The argument parser is built once per process,
+on the first `main` call, and serves every later call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -59,7 +63,13 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first `main` call.
+
+    parse_args keeps no state between calls, and help reads the terminal
+    width (COLUMNS) when it is printed, so one parser serves every call.
+    """
     parser = argparse.ArgumentParser(
         prog="mallows",
         description="q-weighted random permutations: samplers, laws, checks.",
@@ -143,10 +153,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             kernel = batch_finite_words if args.mode == "finite" else batch_shuffle_prefixes
             return kernel(args.n, p, s, rows).tolist()
         if args.mode == "two-sided":
-            return (sample_two_sided_interlacing(lo, hi, p, s).values for _ in range(rows))
+            return (list(sample_two_sided_interlacing(lo, hi, p, s).values)
+                    for _ in range(rows))
         if args.mode == "finite":
-            return (sample_finite_mallows(args.n, p, s).values for _ in range(rows))
-        return (q_shuffle_prefix(args.n, p, s) for _ in range(rows))
+            return (list(sample_finite_mallows(args.n, p, s).values) for _ in range(rows))
+        return (list(q_shuffle_prefix(args.n, p, s)) for _ in range(rows))
 
     if args.format == "jsonl":
         header = json.dumps({
@@ -157,22 +168,23 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "eps_tv": args.eps_tv if uses_eps else None,
             "version": __version__,
         })
-        # json.dumps once, with the ints spliced in: the same bytes per line
+        # json.dumps once; the repr of a list of ints is its JSON array, so
+        # each line is one C call spliced into the same bytes
         head = json.dumps({"lo": lo, "hi": hi, "values": []})[:-2]
 
         def line(vals: list) -> str:
-            return head + ", ".join(map(str, vals)) + "]}"
+            return head + repr(vals)[1:] + "}\n"
     else:
         header = ",".join(f"p{i}" for i in range(lo, hi + 1))
 
         def line(vals: list) -> str:
-            return ",".join(map(str, vals))
+            return repr(vals)[1:-1].replace(", ", ",") + "\n"
     out = sys.stdout
     for b0 in range(0, args.count, _BLOCK_ROWS):
         for i, vals in enumerate(block(min(_BLOCK_ROWS, args.count - b0))):
             if b0 + i == 0:  # a refused draw raises before anything reaches stdout
                 out.write(header + "\n")
-            out.write(line(vals) + "\n")
+            out.write(line(vals))
     return 0
 
 

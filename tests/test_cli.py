@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mallows import GeomStream, QParam, __version__
-from mallows.cli import _KERNEL_WORD_MAX, main
+from mallows.cli import _KERNEL_WORD_MAX, _build_parser, main
 from mallows.samplers import (
     _BLOCK_ROWS,
     batch_interlacing_windows,
@@ -506,3 +506,24 @@ def test_usage_error_exit_code(capsys):
 def test_missing_subcommand(capsys):
     code, _, _ = run_cli(capsys, [])
     assert code == 2
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; a usage error, a help exit and
+    # a refusal leave nothing behind that a later call could see
+    import mallows
+
+    assert _build_parser() is _build_parser()
+    assert run_cli(capsys, ["sample", "--mode", "nonsense", "--q", "0.5"])[0] == 2
+    code, out, _ = run_cli(capsys, ["sample", "--help"])
+    assert code == 0 and "--window" in out
+    code, out, err = run_cli(capsys, ["sample", "--mode", "finite", "--n", "0", "--q", "0.5"])
+    assert code == 2 and out == "" and err.startswith("error[DOMAIN]")
+    argv = ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.5",
+            "--count", "5", "--seed", "3"]
+    code, out, _ = run_cli(capsys, argv)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mallows.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "mallows", *argv], env=env,
+                           capture_output=True, text=True)
+    assert code == fresh.returncode == 0
+    assert out == fresh.stdout
