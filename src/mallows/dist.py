@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .perm import inversions
-from .qseries import UNDERFLOW, QParam, pochhammer_table, quotient
+from .qseries import UNDERFLOW, QParam, normal_table, pochhammer_table, quotient
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,12 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     """
     q = p.q
     k = len(d)
-    table = pochhammer_table(p, d[-1] - d[0] + 8)
+    # refused before any term: where <inf>_q is not a normal double, the
+    # series would run until a denominator underflows
+    table = normal_table(p, "the value cannot be returned", d[-1] - d[0] + 8)
     vals = table.values
+    n_vals = len(vals)
+    q2 = q * q
     try:
         shift = q ** -(k * (k + 1) // 2)
     except OverflowError:
@@ -160,11 +164,13 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
         a_k = max(0, -d[0] - head)
         b1 = d[0] + head + a_k
         top = max(b1, a_k) - a_k  # b1 and a_k step together
+        expo = big_a * (b1 + 1) + big_c + (a_k + 1) * (b1 + 1 + big_r)
+        step = big_a + b1 + big_r + a_k + 3  # expo's next increment; grows by 2
         inner = comp = 0.0  # compensated (Kahan) sum
         while True:
-            if a_k + top >= len(vals):
+            if a_k + top >= n_vals:
                 vals = pochhammer_table(p, a_k + top).values
-            expo = big_a * (b1 + 1) + big_c + (a_k + 1) * (b1 + 1 + big_r)
+                n_vals = len(vals)
             den = den_rest * vals[b1] * vals[a_k]
             if den == 0.0:
                 raise DomainError(UNDERFLOW.format(q=q))
@@ -177,11 +183,13 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
                 # ratio of the next term to this one (b1 bumps along with a_k)
                 delta = head + d[-1] + 2 * a_k + 2 * k + 1
                 ratio = q**delta / ((1.0 - q ** (b1 + 1)) * (1.0 - q ** (a_k + 1)))
-                if ratio <= q * q:
+                if ratio <= q2:
                     err_acc += term * ratio / (1.0 - ratio)
                     break
             a_k += 1
             b1 += 1
+            expo += step
+            step += 2
         inners.append(inner)
     value = pref * math.fsum(inners)
     rel_inf = table.infinite_error / table.infinite_value

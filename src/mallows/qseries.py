@@ -96,10 +96,10 @@ def pochhammer_table(p: QParam, n_max: int = 0) -> QPochhammerTable:
     return _build_table(p.q, size)
 
 
-def normal_table(p: QParam, refusal: str) -> QPochhammerTable:
-    """pochhammer_table(p), or DomainError ending in refusal where <inf>_q is
-    not a normal double (from q ~ 0.9977)."""
-    table = pochhammer_table(p)
+def normal_table(p: QParam, refusal: str, n_max: int = 0) -> QPochhammerTable:
+    """pochhammer_table(p, n_max), or DomainError ending in refusal where
+    <inf>_q is not a normal double (from q ~ 0.9977)."""
+    table = pochhammer_table(p, n_max)
     if table.infinite_value < sys.float_info.min:
         raise DomainError(f"<inf>_q = {table.infinite_value!r} is not a normal "
                           f"double at q={p.q}; {refusal}")

@@ -267,13 +267,26 @@ def test_fdd_reflection_identity(q):
 
 @pytest.mark.parametrize("q", [0.997, 0.999])
 def test_laws_refuse_underflowing_denominators(q):
-    # a product of <n>_q values underflows to 0 within the series here
+    # a product of <n>_q values underflows to 0 within the series at 0.997;
+    # at 0.999 <inf>_q is subnormal and the series refuse before any term
     p = QParam(q)
     with pytest.raises(DomainError):
         displacement_pmf(p, radius=0)
     for d in [(0,), (-1, 1), (2, 0), (0, 0, 0)]:
         with pytest.raises(DomainError):
             fdd_probability(p, FddQuery(len(d), d), 1e-12)
+
+
+@pytest.mark.parametrize("q", [0.9977, 0.998, 0.999])
+def test_laws_refuse_a_subnormal_infinite_product(q):
+    # from q ~ 0.9977 the refusal names <inf>_q, not a later underflow
+    p = QParam(q)
+    calls = [lambda: displacement_pmf(p, radius=0)]
+    calls += [lambda d=d: fdd_probability(p, FddQuery(len(d), d), 1e-12)
+              for d in [(0,), (-1, 1), (2, 0), (0, 0, 0)]]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"<inf>_q = .* is not a normal double"):
+            call()
 
 
 @pytest.mark.parametrize(
