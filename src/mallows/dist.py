@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -56,7 +57,8 @@ class DisplacementPmf:
 class FddQuery:
     """A finite-dimensional displacement event: sigma(m) = m + d[m-1] for
     m = 1..k.  The d need not be sorted; colliding implied values make the
-    event impossible."""
+    event impossible.  Each d_m must be an integer (int or numpy integer):
+    a float, even 1.0, is refused rather than rounded to another event."""
 
     k: int
     d: tuple[int, ...]
@@ -64,7 +66,10 @@ class FddQuery:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DomainError("k must be >= 1")
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
+        try:
+            object.__setattr__(self, "d", tuple(operator.index(x) for x in self.d))
+        except TypeError:
+            raise DomainError(f"displacements must be integers, got {self.d!r}") from None
         if len(self.d) != self.k:
             raise DomainError(f"expected {self.k} displacements, got {len(self.d)}")
 
@@ -126,7 +131,13 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     domination stopping certificate per inner sum.
     A term's exponent sum_j (a_j+1)(b_1+1 + ... + b_j+1) is, by integer prefix
     sums of the fixed gaps, A (b1+1) + C + (a_k+1)(b1+1+R).
+    The result is kept in p.memo under (d, tol), so p evaluates each
+    series once.
     """
+    key = (d, tol)
+    hit = p.memo.get(key)
+    if hit is not None:
+        return hit
     q = p.q
     k = len(d)
     # refused before any term: where <inf>_q is not a normal double, the
@@ -193,7 +204,8 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
         inners.append(inner)
     value = pref * math.fsum(inners)
     rel_inf = table.infinite_error / table.infinite_value
-    return value, abs(pref) * err_acc + abs(value) * rel_inf
+    out = p.memo[key] = value, abs(pref) * err_acc + abs(value) * rel_inf
+    return out
 
 
 def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, float]:

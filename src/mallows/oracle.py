@@ -7,7 +7,9 @@ are counted by direct pair comparison and the normalizer is the q-factorial
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
+
+import numpy as np
 
 from .errors import TooLargeError
 from .qseries import QParam, q_factorial
@@ -18,7 +20,8 @@ MAX_ORACLE_N = 8
 
 @dataclass(frozen=True)
 class OraclePmf:
-    """Exact law on S_n: word string (e.g. "312") -> probability."""
+    """Exact law on S_n: word string (e.g. "312") -> probability, with the
+    words in lexicographic order."""
 
     n: int
     q: float
@@ -42,13 +45,15 @@ def oracle_enumerate(n: int, p: QParam) -> OraclePmf:
             f"enumeration of S_{n} exceeds the budget (n <= {MAX_ORACLE_N})"
         )
     norm = q_factorial(n, p)
-    probs: dict[str, float] = {}
-    for sigma in permutations(range(1, n + 1)):
-        inv = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if sigma[i] > sigma[j]
-        )
-        probs["".join(str(v) for v in sigma)] = p.q**inv / norm
-    return OraclePmf(n=n, q=p.q, probs=probs)
+    # one row per permutation, in lexicographic order
+    sigma = np.fromiter(chain.from_iterable(permutations(range(1, n + 1))), np.int64)
+    sigma = sigma.reshape(-1, n)
+    inv = np.zeros(len(sigma), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            inv += sigma[:, i] > sigma[:, j]
+    # the same order as permutations of the letters (n <= 9: one character each)
+    words = map("".join, permutations("123456789"[:n]))
+    q = p.q
+    probs = {word: q**k / norm for word, k in zip(words, inv.tolist())}
+    return OraclePmf(n=n, q=q, probs=probs)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError
@@ -39,10 +39,22 @@ class QParam:
 
     eps_series bounds the relative truncation error of infinite series and
     products.
+
+    memo holds what this instance has evaluated, for as long as the caller
+    holds it: the rounded table size under the key "table_size", and each
+    sorted fdd series as (value, bound) under (d, tol).  Those are
+    deterministic in (q, eps_series) and the key, so a hit is exactly what
+    a fresh evaluation returns; refusals are raised and never stored.  The
+    memo takes no part in __init__, ==, hash or repr, so equal parameters
+    still compare and hash equal, but they never share entries.  A defect
+    planted with monkeypatch must therefore be checked through a fresh
+    QParam: an instance that evaluated before the patch answers from its
+    memo.
     """
 
     q: float
     eps_series: float = 1e-12
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
@@ -88,10 +100,15 @@ def _build_table(q: float, n_max: int) -> QPochhammerTable:
 
 def pochhammer_table(p: QParam, n_max: int = 0) -> QPochhammerTable:
     """Return the (cached) table for p, covering at least n = 0..n_max."""
-    need = max(_table_size(p), n_max, 64)
-    # round up so repeated slightly-larger requests reuse one table
-    size = 64
-    while size < need:
+    # round up to a power of two >= 64 so repeated slightly-larger requests
+    # reuse one table; p's own size is rounded once and kept in its memo
+    size = p.memo.get("table_size")
+    if size is None:
+        size, need = 64, _table_size(p)
+        while size < need:
+            size *= 2
+        p.memo["table_size"] = size
+    while size < n_max:
         size *= 2
     return _build_table(p.q, size)
 
@@ -152,13 +169,15 @@ def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
 
     A finite product comes with an absolute bound on its rounding error
     (_product_error; 0 only for the empty product n = 0).  The infinite
-    product returns the partial product at a depth guaranteeing relative
-    error <= eps_series and its absolute bound, or DomainError where it is
-    not a normal double.
+    product returns the partial product <N>_q at a depth N guaranteeing
+    relative truncation error <= eps_series, with an absolute bound that
+    adds the rounding of its N factors to the truncation, or DomainError
+    where it is not a normal double.
     """
     if n == INFINITY:
         table = normal_table(p, "no certified value can be returned")
-        return table.infinite_value, table.infinite_error
+        value = table.infinite_value
+        return value, table.infinite_error + _product_error(p.q, len(table.values) - 1, value)
     n = int(n)
     if n < 0:
         raise DomainError("q_pochhammer requires n >= 0 or INFINITY")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -223,15 +224,22 @@ def _suite_exchangeability(p: QParam, master: GeomStream, draws: None) -> list[C
             want = q if a <= b else 1.0 / q
             worst_r = max(worst_r, abs(got - want))
     cases = [CaseResult("swap-ratio-rcode", worst_r, 1e-12, worst_r <= 1e-12, 0)]
-    # oracle identity on S_n; for n <= 9 a letter is one character
+    # oracle identity on S_n.  The oracle lists S_n in lexicographic order,
+    # as permutations() does, so probs[c] is the law of words[c].  Read as
+    # base-n numbers the words increase, so the word with letters i and i+1
+    # swapped is found by searching its number.
     worst_o = 0.0
     for n in range(2, 7):
-        probs = oracle_enumerate(n, p).probs
-        for word, prob in probs.items():
-            for i in range(n - 1):
-                swapped = word[:i] + word[i + 1] + word[i] + word[i + 2 :]
-                want = q if word[i] < word[i + 1] else 1.0 / q
-                worst_o = max(worst_o, abs(probs[swapped] / prob - want))
+        probs = np.fromiter(oracle_enumerate(n, p).probs.values(), float)
+        words = np.array(list(permutations(range(n))))
+        digits = n ** np.arange(n - 1, -1, -1)
+        numbers = words @ digits
+        for i in range(n - 1):
+            swapped = words.copy()
+            swapped[:, [i, i + 1]] = words[:, [i + 1, i]]
+            ratio = probs[np.searchsorted(numbers, swapped @ digits)] / probs
+            want = np.where(words[:, i] < words[:, i + 1], q, 1.0 / q)
+            worst_o = max(worst_o, float(np.abs(ratio - want).max()))
     cases.append(CaseResult("swap-ratio-oracle", worst_o, 1e-12, worst_o <= 1e-12, 0))
     return cases
 

@@ -6,7 +6,10 @@ and oracle output is evidence, not tautology.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
+
+import mpmath
 
 
 def poch(q: float, n: int) -> float:
@@ -18,6 +21,30 @@ def poch(q: float, n: int) -> float:
 
 def poch_inf(q: float, terms: int = 600) -> float:
     return poch(q, terms)
+
+
+def poch_inf_log(q: float, prec: int = 200) -> mpmath.mpf:
+    """<inf>_q at prec bits for the double q, as exp of sum_k log(1-q^k).
+
+    The terms k <= K, with K the first index where q^(K+1) <= 2^-20, are
+    summed one by one.  The rest, sum_{k>K} log(1-q^k), is the series
+    -sum_m r^m / (m (1-q^m)) in r = q^(K+1) (expand each log and sum the
+    geometric series in k).  Term m is at most r^m/(1-q), so the terms from
+    m on sum to at most 2 r^m/(1-q); the series is cut where that falls
+    below 2^-prec.
+    """
+    with mpmath.workprec(prec + 20):
+        x = mpmath.mpf(q)
+        qk, terms = x, []
+        while qk > mpmath.mpf(2) ** -20:
+            terms.append(mpmath.log1p(-qk))
+            qk *= x
+        r, rm, m = qk, qk, 1
+        while rm * 2 / (1 - x) >= mpmath.mpf(2) ** -prec:
+            terms.append(-rm / (m * (1 - x**m)))
+            rm *= r
+            m += 1
+        return mpmath.exp(mpmath.fsum(terms))
 
 
 def brute_pmf(n: int, q: float) -> dict[tuple[int, ...], float]:
@@ -124,8 +151,10 @@ def fdd_sorted_oracle(q: float, dvec: list[int], tail_terms: int = 240) -> float
     return pre * total
 
 
-def partitions_by_size(nmax: int) -> list[tuple[int, ...]]:
-    """All partitions with total size <= nmax, as non-increasing tuples."""
+@cache
+def partitions_by_size(nmax: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions with total size <= nmax, as non-increasing tuples;
+    enumerated once per nmax in a process."""
     acc: list[tuple[int, ...]] = []
 
     def rec(remaining: int, maxpart: int, prefix: tuple[int, ...]) -> None:
@@ -137,7 +166,7 @@ def partitions_by_size(nmax: int) -> list[tuple[int, ...]]:
 
     for n in range(nmax + 1):
         rec(n, n if n else 1, ())
-    return acc
+    return tuple(acc)
 
 
 def diagram_pinned_prob(

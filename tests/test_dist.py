@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -169,6 +170,20 @@ def test_fdd_query_validation():
         FddQuery(2, (1,))
 
 
+@pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), 1.0, np.float64(2.0), "1"])
+def test_fdd_query_refuses_non_integer_displacements(bad):
+    # 1.5 used to become 1, so fdd_probability answered for another event
+    with pytest.raises(DomainError, match="must be integers"):
+        FddQuery(2, (0, bad))
+
+
+def test_fdd_query_takes_numpy_integers():
+    query = FddQuery(3, (np.int64(-1), np.int32(0), 2))
+    assert query.d == (-1, 0, 2) and all(type(x) is int for x in query.d)
+    want = fdd_probability(QParam(0.5), FddQuery(3, (-1, 0, 2)), 1e-12)
+    assert fdd_probability(QParam(0.5), query, 1e-12) == want
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
 def test_fdd_refuses_tolerance_outside_positive_reals(tol):
     # with tol = nan no term would ever pass `term <= tol * inner`, so the
@@ -275,6 +290,42 @@ def test_laws_refuse_underflowing_denominators(q):
     for d in [(0,), (-1, 1), (2, 0), (0, 0, 0)]:
         with pytest.raises(DomainError):
             fdd_probability(p, FddQuery(len(d), d), 1e-12)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.8, 0.985])
+def test_fdd_memo_hit_is_a_fresh_evaluation(q):
+    # p keeps one entry per distinct sorted query; a permuted query and a
+    # repeated one answer from it with exactly what a fresh QParam returns
+    box = [d for k in (1, 2, 3) for d in itertools.product(range(-3, 4), repeat=k)]
+    p = QParam(q)
+    first = [fdd_probability(p, FddQuery(len(d), d), 1e-12) for d in box]
+    again = [fdd_probability(p, FddQuery(len(d), d), 1e-12) for d in box]
+    fresh = [fdd_probability(QParam(q), FddQuery(len(d), d), 1e-12) for d in box]
+    assert first == again == fresh
+    sorted_queries = set()
+    for d in box:
+        vals = [x + m + 1 for m, x in enumerate(d)]
+        if len(set(vals)) == len(d):
+            sorted_queries.add(tuple(v - m - 1 for m, v in enumerate(sorted(vals))))
+    assert set(p.memo) - {"table_size"} == {(d, 1e-12) for d in sorted_queries}
+    # displacement_pmf's entries are the k=1 queries at tol = eps_series
+    pmf = displacement_pmf(p, 3)
+    assert all(pmf.prob(d) == p.memo[((abs(d),), p.eps_series)][0] for d in range(-3, 4))
+
+
+def test_parameters_differing_in_eps_series_share_no_entries():
+    fine, coarse = QParam(0.8), QParam(0.8, eps_series=1e-6)
+    for d in [(0,), (-1, 2), (1, -1, 2)]:
+        got_fine = fdd_probability(fine, FddQuery(len(d), d), 1e-12)
+        got_coarse = fdd_probability(coarse, FddQuery(len(d), d), 1e-12)
+        assert got_fine == fdd_probability(QParam(0.8), FddQuery(len(d), d), 1e-12)
+        assert got_coarse == fdd_probability(
+            QParam(0.8, eps_series=1e-6), FddQuery(len(d), d), 1e-12
+        )
+        # the coarser table truncates <inf>_q earlier, so its bound differs
+        assert got_fine != got_coarse, f"d={d}"
+    assert fine.memo is not coarse.memo
+    assert fine.memo["table_size"] > coarse.memo["table_size"]
 
 
 @pytest.mark.parametrize("q", [0.9977, 0.998, 0.999])

@@ -1,6 +1,7 @@
 """The enumeration oracle against hand values and the test-side brute force."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import oracles
 from mallows.errors import TooLargeError
 from mallows.oracle import MAX_ORACLE_N, oracle_enumerate
-from mallows.qseries import QParam
+from mallows.qseries import QParam, q_factorial
 
 
 def test_n2_by_hand():
@@ -55,6 +56,20 @@ def test_matches_test_side_brute_force():
         for word, want in brute.items():
             key = "".join(str(v) for v in word)
             assert pmf.prob(key) == pytest.approx(want, rel=1e-12), f"{key}"
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.999])
+def test_words_in_lexicographic_order_with_the_direct_floats(q):
+    # the exchangeability suite reads the words in this order, and the
+    # floats are q**inv / [n!]_q with inv counted pair by pair
+    p = QParam(q)
+    for n in range(1, 8):
+        norm = q_factorial(n, p)
+        want = {
+            "".join(map(str, sigma)): q ** oracles.count_inversions(sigma) / norm
+            for sigma in itertools.permutations(range(1, n + 1))
+        }
+        assert list(oracle_enumerate(n, p).probs.items()) == list(want.items()), f"n={n}"
 
 
 def test_unknown_word_has_zero_prob():

@@ -6,14 +6,17 @@ import math
 import mpmath
 import pytest
 
+import oracles
 from mallows.errors import DomainError
 from mallows.qseries import (
     INFINITY,
     QParam,
+    _table_size,
     pochhammer_table,
     q_factorial,
     q_pochhammer,
 )
+from mallows.samplers import _part_search
 from oracles import poch
 
 Q_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -80,6 +83,17 @@ def test_pochhammer_infinite_certificate():
         assert abs(value - reference) <= err + 1e-15, f"q={q}"
 
 
+@pytest.mark.parametrize("q", [1e-12, 0.05, 0.5, 0.9, 0.99, 0.995, 0.997])
+def test_pochhammer_infinite_bound_counts_rounding(q):
+    # the truth at 200 bits for the same double q: mpmath.qp below 0.99,
+    # where it is quick, and the log sum of tests/oracles.py above
+    value, err = q_pochhammer(INFINITY, QParam(q))
+    with mpmath.workprec(200):
+        truth = mpmath.qp(mpmath.mpf(q)) if q < 0.99 else oracles.poch_inf_log(q)
+        assert abs(mpmath.mpf(value) - truth) <= err
+    assert err <= 1e-9 * value
+
+
 def test_pochhammer_infinite_known_constant():
     value, _ = q_pochhammer(INFINITY, QParam(0.5))
     assert value == pytest.approx(0.2887880950866, abs=1e-12)
@@ -116,3 +130,32 @@ def test_euler_series_identity():
 def test_q_pochhammer_rejects_negative():
     with pytest.raises(DomainError):
         q_pochhammer(-1, QParam(0.5))
+
+
+def test_table_size_is_rounded_once_per_parameter():
+    # the size kept in the memo gives the table the one formula gives: the
+    # smallest power of two >= 64 covering _table_size(p) and n_max
+    for q in (*Q_GRID, 0.99, 0.997):
+        p = QParam(q)
+        for n_max in (0, 1, 63, 64, 65, 1000, 70_000, 0, 5):
+            need = max(_table_size(p), n_max, 64)
+            size = 64
+            while size < need:
+                size *= 2
+            table = pochhammer_table(p, n_max)
+            assert len(table.values) == size + 1, f"q={q} n_max={n_max}"
+            assert table is pochhammer_table(QParam(q), n_max)
+        assert p.memo["table_size"] == len(pochhammer_table(p).values) - 1
+
+
+def test_equal_parameters_compare_and_hash_equal_with_their_own_memos():
+    a, b = QParam(0.5), QParam(0.5)
+    pochhammer_table(a)
+    assert a.memo and not b.memo
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "QParam(q=0.5, eps_series=1e-12)"
+    # samplers._part_search's cache finds an equal parameter's entry
+    assert _part_search(a) is _part_search(b)
+    assert a != QParam(0.5, eps_series=1e-6)
+    with pytest.raises(TypeError):
+        QParam(0.5, 1e-12, {})

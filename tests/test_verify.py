@@ -10,6 +10,7 @@ import pytest
 from mallows import GeomStream
 from mallows.dist import FddQuery, fdd_probability
 from mallows.errors import DomainError, UnknownSuiteError
+from mallows.oracle import oracle_enumerate
 from mallows.qseries import QParam
 from mallows.samplers import batch_interlacing_windows, batch_inversion_windows
 from mallows.verify import SUITE_NAMES, chi_square_case, ks_case, run_suite
@@ -197,3 +198,20 @@ def test_exchangeability_is_exact():
     for case in report.cases:
         assert case.statistic <= 1e-12, case.name
         assert case.samples_used == 0
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.999])
+def test_swap_ratio_oracle_is_the_per_word_maximum(q):
+    # the suite finds swapped words by index; word by word, with strings,
+    # the same divisions give the same maximum to the bit
+    p = QParam(q)
+    worst = 0.0
+    for n in range(2, 7):
+        probs = oracle_enumerate(n, p).probs
+        for word, prob in probs.items():
+            for i in range(n - 1):
+                swapped = word[:i] + word[i + 1] + word[i] + word[i + 2 :]
+                want = q if word[i] < word[i + 1] else 1.0 / q
+                worst = max(worst, abs(probs[swapped] / prob - want))
+    cases = {c.name: c for c in run_suite("exchangeability", (), p, SEED).cases}
+    assert cases["swap-ratio-oracle"].statistic == worst
