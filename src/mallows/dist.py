@@ -35,6 +35,16 @@ from .perm import inversions
 from .qseries import UNDERFLOW, QParam, normal_table, pochhammer_table, quotient
 
 
+def _integers(xs, what: str) -> tuple[int, ...]:
+    """xs as ints, or DomainError where one is not an integer (int or numpy
+    integer): a float, even 1.0, is refused rather than rounded to another
+    event."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError:
+        raise DomainError(f"{what} must be integers, got {xs!r}") from None
+
+
 @dataclass(frozen=True)
 class DisplacementPmf:
     """Tabulated displacement law on [-radius..radius] plus a tail bound.
@@ -66,10 +76,7 @@ class FddQuery:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise DomainError("k must be >= 1")
-        try:
-            object.__setattr__(self, "d", tuple(operator.index(x) for x in self.d))
-        except TypeError:
-            raise DomainError(f"displacements must be integers, got {self.d!r}") from None
+        object.__setattr__(self, "d", _integers(self.d, "displacements"))
         if len(self.d) != self.k:
             raise DomainError(f"expected {self.k} displacements, got {len(self.d)}")
 
@@ -101,6 +108,7 @@ def joint_rl_pmf(p: QParam, r: int, ell: int) -> float:
     Both marginals are geometric with ratio q; the coupling factor q^(r*ell)
     makes large R and large L repel each other.
     """
+    r, ell = _integers((r, ell), "r and ell")
     if r < 0 or ell < 0:
         raise DomainError("r and ell must be >= 0")
     q = p.q
@@ -117,21 +125,81 @@ def conditional_l_given_r(p: QParam, r: int, ell: int) -> float:
     leftward reconstruction chain started from state r never sees a trivial
     transition.
     """
+    r, ell = _integers((r, ell), "r and ell")
     if r < 0 or ell < 0:
         raise DomainError("r and ell must be >= 0")
     return block_p2(p, (r,), (ell,))
+
+
+def _tail_series(p: QParam, vals: tuple[float, ...], e: int, big_a: int, big_r: int,
+                 tol: float) -> tuple[float, float, float, float]:
+    """The inner sum over the free gap a_k of q^(A(b1+1) + (a_k+1)(b1+1+R))
+    / (<b1><a_k>), with b1 = e + a_k and a_k from max(0, -e), as
+    (sum, error bound, <b1>, <a_k>) at the term where it stopped.
+
+    Terms are summed with Kahan compensation until a term is at most tol
+    times the sum and the ratio of the next term to it is at most q^2; the
+    geometric tail from there bounds the truncation.  vals is a table of p
+    to start from.  The entry is kept in p.memo under (e, A, R, tol).
+    """
+    key = (e, big_a, big_r, tol)
+    hit = p.memo.get(key)
+    if hit is not None:
+        return hit
+    q = p.q
+    n_vals = len(vals)
+    q2 = q * q
+    a_k = max(0, -e)
+    b1 = e + a_k
+    top = max(b1, a_k) - a_k  # b1 and a_k step together
+    expo = big_a * (b1 + 1) + (a_k + 1) * (b1 + 1 + big_r)
+    step = big_a + b1 + big_r + a_k + 3  # expo's next increment; grows by 2
+    inner = comp = 0.0  # compensated (Kahan) sum
+    while True:
+        if a_k + top >= n_vals:
+            vals = pochhammer_table(p, a_k + top).values
+            n_vals = len(vals)
+        den = vals[b1] * vals[a_k]
+        if den == 0.0:
+            raise DomainError(UNDERFLOW.format(q=q))
+        term = q**expo / den
+        y = term - comp
+        t = inner + y
+        comp = (t - inner) - y
+        inner = t
+        if term <= tol * inner:
+            # ratio of the next term to this one (b1 bumps along with a_k)
+            ratio = q**step / ((1.0 - q ** (b1 + 1)) * (1.0 - q ** (a_k + 1)))
+            if ratio <= q2:
+                break
+        a_k += 1
+        b1 += 1
+        expo += step
+        step += 2
+    out = p.memo[key] = inner, term * ratio / (1.0 - ratio), vals[b1], vals[a_k]
+    return out
 
 
 def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float]:
     """(value, error bound) for nondecreasing d.
 
     Enumerates gap variables a_1..a_{k-1} over their finite ranges
-    0 <= a_m <= d_{m+1}-d_m, then sums the free tail variable a_k (bounded
-    below so every row gap b_m stays nonnegative) with a geometric-
-    domination stopping certificate per inner sum.
+    0 <= a_m <= d_{m+1}-d_m; the free tail variable a_k (bounded below so
+    every row gap b_m stays nonnegative) is summed by _tail_series.
     A term's exponent sum_j (a_j+1)(b_1+1 + ... + b_j+1) is, by integer prefix
-    sums of the fixed gaps, A (b1+1) + C + (a_k+1)(b1+1+R).
-    The result is kept in p.memo under (d, tol), so p evaluates each
+    sums of the fixed gaps, A (b1+1) + C + (a_k+1)(b1+1+R), and its
+    denominator is den_rest <b1><a_k> with den_rest the <n>_q of the fixed
+    gaps.  With head = a_1+...+a_{k-1}, b1 = d_1 + head + a_k, A = head+k-1
+    and R = d_k-d_1-head+k-1 depend on the composition a_head only through
+    head, while C and den_rest factor out of the sum over a_k.  So each
+    composition adds its weight q^C / den_rest to its head's total, and each
+    head's tail sum is evaluated once per p under the inner key
+    (d_1+head, A, R, tol), shared by every query with the same (d_1, d_k,
+    head).  The value is pref * sum_h weight_h tail_h and the bound
+    |pref| sum_h weight_h err_h + |value| rel_inf.  A composition whose
+    full denominator den_rest <b1><a_k> at the last term underflows to 0,
+    or whose weight overflows, is refused.  At k=1 the weight is exactly
+    1.0.  The result is kept in p.memo under (d, tol), so p evaluates each
     series once.
     """
     key = (d, tol)
@@ -144,8 +212,6 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     # series would run until a denominator underflows
     table = normal_table(p, "the value cannot be returned", d[-1] - d[0] + 8)
     vals = table.values
-    n_vals = len(vals)
-    q2 = q * q
     try:
         shift = q ** -(k * (k + 1) // 2)
     except OverflowError:
@@ -155,11 +221,16 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     pref = (1.0 - q) ** k * shift * table.infinite_value
     for m in range(1, k):
         pref *= vals[d[m] - d[m - 1]]
-    inners = []
-    err_acc = 0.0
+    tails: dict[int, tuple[float, float, float, float]] = {}
+    weights: dict[int, float] = {}
+    span = d[-1] - d[0] + k - 1
     head_ranges = [range(d[m + 1] - d[m] + 1) for m in range(k - 1)]
     for a_head in itertools.product(*head_ranges):
         head = sum(a_head)
+        tail = tails.get(head)
+        if tail is None:
+            tail = tails[head] = _tail_series(p, vals, d[0] + head, head + k - 1,
+                                              span - head, tol)
         # row gaps above the first pinned row are fixed by a_head
         b_rest = [d[j] - d[j - 1] - a_head[j - 1] for j in range(1, k)]
         den_rest = 1.0
@@ -167,44 +238,22 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
             den_rest *= vals[x]
         for x in a_head:
             den_rest *= vals[x]
-        big_a = head + k - 1  # A, C and R of the docstring
-        big_c = big_r = 0
+        big_c = big_r = 0  # C of the docstring
         for a_j, b_j in zip(a_head, b_rest):
             big_c += (a_j + 1) * big_r
             big_r += b_j + 1
-        a_k = max(0, -d[0] - head)
-        b1 = d[0] + head + a_k
-        top = max(b1, a_k) - a_k  # b1 and a_k step together
-        expo = big_a * (b1 + 1) + big_c + (a_k + 1) * (b1 + 1 + big_r)
-        step = big_a + b1 + big_r + a_k + 3  # expo's next increment; grows by 2
-        inner = comp = 0.0  # compensated (Kahan) sum
-        while True:
-            if a_k + top >= n_vals:
-                vals = pochhammer_table(p, a_k + top).values
-                n_vals = len(vals)
-            den = den_rest * vals[b1] * vals[a_k]
-            if den == 0.0:
-                raise DomainError(UNDERFLOW.format(q=q))
-            term = q**expo / den
-            y = term - comp
-            t = inner + y
-            comp = (t - inner) - y
-            inner = t
-            if term <= tol * inner:
-                # ratio of the next term to this one (b1 bumps along with a_k)
-                delta = head + d[-1] + 2 * a_k + 2 * k + 1
-                ratio = q**delta / ((1.0 - q ** (b1 + 1)) * (1.0 - q ** (a_k + 1)))
-                if ratio <= q2:
-                    err_acc += term * ratio / (1.0 - ratio)
-                    break
-            a_k += 1
-            b1 += 1
-            expo += step
-            step += 2
-        inners.append(inner)
-    value = pref * math.fsum(inners)
+        if den_rest * tail[2] * tail[3] == 0.0:
+            raise DomainError(UNDERFLOW.format(q=q))
+        weight = q**big_c / den_rest
+        if weight == math.inf:
+            raise DomainError(UNDERFLOW.format(q=q))
+        weights[head] = weights.get(head, 0.0) + weight
+    value = pref * math.fsum(w * tails[h][0] for h, w in weights.items())
+    err = 0.0
+    for h, w in weights.items():
+        err += w * tails[h][1]
     rel_inf = table.infinite_error / table.infinite_value
-    out = p.memo[key] = value, abs(pref) * err_acc + abs(value) * rel_inf
+    out = p.memo[key] = value, abs(pref) * err + abs(value) * rel_inf
     return out
 
 
@@ -249,8 +298,8 @@ def block_p2(p: QParam, b: tuple[int, ...], a: tuple[int, ...]) -> float:
     (Euler's identity), which pins down the index offsets; the k=2 case is
     checked against direct diagram enumeration in the test suite.
     """
-    b = tuple(int(x) for x in b)
-    a = tuple(int(x) for x in a)
+    b = _integers(b, "gap coordinates")
+    a = _integers(a, "gap coordinates")
     k = len(b)
     if k < 1 or len(a) != k:
         raise DomainError("b and a must be equal-length, nonempty")

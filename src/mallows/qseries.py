@@ -41,15 +41,17 @@ class QParam:
     products.
 
     memo holds what this instance has evaluated, for as long as the caller
-    holds it: the rounded table size under the key "table_size", and each
-    sorted fdd series as (value, bound) under (d, tol).  Those are
-    deterministic in (q, eps_series) and the key, so a hit is exactly what
-    a fresh evaluation returns; refusals are raised and never stored.  The
-    memo takes no part in __init__, ==, hash or repr, so equal parameters
-    still compare and hash equal, but they never share entries.  A defect
-    planted with monkeypatch must therefore be checked through a fresh
-    QParam: an instance that evaluated before the patch answers from its
-    memo.
+    holds it: the rounded table size under the key "table_size", each
+    sorted fdd series as (value, bound) under (d, tol), and each inner tail
+    sum of those series as (sum, bound, <b1>, <a_k>) under (e, A, R, tol),
+    shared by every sorted series with the same (d_1, d_k, head) (see
+    dist._fdd_sorted).  Those are deterministic in (q, eps_series) and the
+    key, so a hit is exactly what a fresh evaluation returns; refusals are
+    raised and never stored.  The memo takes no part in __init__, ==, hash
+    or repr, so equal parameters still compare and hash equal, but they
+    never share entries.  A defect planted with monkeypatch must therefore
+    be checked through a fresh QParam: an instance that evaluated before
+    the patch answers from its memo.
     """
 
     q: float
@@ -94,6 +96,10 @@ def _build_table(q: float, n_max: int) -> QPochhammerTable:
     for k in range(1, n_max + 1):
         prod *= 1.0 - q**k
         vals.append(prod)
+        if prod == 0.0:
+            # every later factor lies in (0, 1], so every later entry is 0.0
+            vals.extend([0.0] * (n_max - k))
+            break
     err = prod * q ** (n_max + 1) / (1.0 - q)
     return QPochhammerTable(values=tuple(vals), infinite_value=prod, infinite_error=err)
 

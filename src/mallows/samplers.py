@@ -120,15 +120,21 @@ def q_shuffle_prefix(n_letters: int, p: QParam, s: GeomStream) -> tuple[int, ...
 # Young diagrams under the Euler measure
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _part_search(p: QParam) -> tuple[list[float], list[float]]:
     """(-<j>_q, q^j) for j = 0..N, N the depth of p's Pochhammer table.
 
     The search compares U <b>_q with <j>_q down to <N>_q ~ <inf>_q, so it
     is refused where <inf>_q is not a normal double (from q ~ 0.9977).
+    The tables are cached by (q, eps_series), so the cache keeps no
+    parameter object (nor its memo) alive.
     """
-    table = normal_table(p, "Euler-measure diagrams cannot be drawn")
-    return [-v for v in table.values], [p.q**j for j in range(len(table.values))]
+    return _part_tables(p.q, p.eps_series)
+
+
+@lru_cache(maxsize=None)
+def _part_tables(q: float, eps_series: float) -> tuple[list[float], list[float]]:
+    table = normal_table(QParam(q, eps_series), "Euler-measure diagrams cannot be drawn")
+    return [-v for v in table.values], [q**j for j in range(len(table.values))]
 
 
 def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:

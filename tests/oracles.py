@@ -12,6 +12,7 @@ from itertools import permutations
 import mpmath
 
 
+@cache
 def poch(q: float, n: int) -> float:
     out = 1.0
     for k in range(1, n + 1):

@@ -177,6 +177,25 @@ def test_fdd_query_refuses_non_integer_displacements(bad):
         FddQuery(2, (0, bad))
 
 
+@pytest.mark.parametrize("bad", [1.5, float("nan")])
+def test_laws_refuse_non_integer_inputs(bad):
+    # 1.5 used to be read as 1, so conditional_l_given_r answered for r=1
+    calls = [lambda: joint_rl_pmf(P5, bad, 0), lambda: joint_rl_pmf(P5, 0, bad),
+             lambda: conditional_l_given_r(P5, bad, 0),
+             lambda: conditional_l_given_r(P5, 0, bad),
+             lambda: block_p2(P5, (bad,), (0,)), lambda: block_p2(P5, (1, 0), (0, bad))]
+    for call in calls:
+        with pytest.raises(DomainError, match="must be integers"):
+            call()
+
+
+def test_laws_take_numpy_integers():
+    two = np.int64(2)
+    assert joint_rl_pmf(P5, two, 1) == joint_rl_pmf(P5, 2, 1)
+    assert conditional_l_given_r(P5, 1, two) == conditional_l_given_r(P5, 1, 2)
+    assert block_p2(P5, (two, 1), (0, two)) == block_p2(P5, (2, 1), (0, 2))
+
+
 def test_fdd_query_takes_numpy_integers():
     query = FddQuery(3, (np.int64(-1), np.int32(0), 2))
     assert query.d == (-1, 0, 2) and all(type(x) is int for x in query.d)
@@ -307,10 +326,41 @@ def test_fdd_memo_hit_is_a_fresh_evaluation(q):
         vals = [x + m + 1 for m, x in enumerate(d)]
         if len(set(vals)) == len(d):
             sorted_queries.add(tuple(v - m - 1 for m, v in enumerate(sorted(vals))))
-    assert set(p.memo) - {"table_size"} == {(d, 1e-12) for d in sorted_queries}
+    # beside them, one inner tail sum per distinct (d_1+head, A, R, tol)
+    inner_keys = set()
+    for d in sorted_queries:
+        k = len(d)
+        for a_head in itertools.product(*[range(d[m + 1] - d[m] + 1) for m in range(k - 1)]):
+            head = sum(a_head)
+            inner_keys.add((d[0] + head, head + k - 1, d[-1] - d[0] - head + k - 1, 1e-12))
+    assert set(p.memo) == ({(d, 1e-12) for d in sorted_queries} | inner_keys
+                           | {"table_size"})
     # displacement_pmf's entries are the k=1 queries at tol = eps_series
     pmf = displacement_pmf(p, 3)
     assert all(pmf.prob(d) == p.memo[((abs(d),), p.eps_series)][0] for d in range(-3, 4))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.8, 0.95])
+def test_fdd_wide_queries_match_the_direct_sum(q):
+    # spread >= 10: many compositions of the fixed gaps share one head, and
+    # so one inner tail sum
+    p = QParam(q)
+    for d in [(-5, 0, 0, 5), (-6, -6, 0, 4, 4), (-5, -5, -3, 0, 5, 5)]:
+        want = oracles.fdd_sorted_oracle(q, list(d), tail_terms=120)
+        got, err = fdd_probability(p, FddQuery(len(d), d), 1e-12)
+        assert got == pytest.approx(want, rel=1e-11), f"d={d}"
+        assert 0.0 <= err <= 1e-12 * got, f"d={d}"
+        assert (got, err) == fdd_probability(QParam(q), FddQuery(len(d), d), 1e-12)
+
+
+@pytest.mark.parametrize("d", [(-30, 30), (-26, 0, 26)])
+def test_fdd_refuses_where_a_full_denominator_underflows(d):
+    # at q=0.996 each inner <b1><a_k> is normal, but times the fixed gaps'
+    # <n>_q it underflows to 0 at the last term
+    p = QParam(0.996)
+    with pytest.raises(DomainError, match="a denominator underflows to 0"):
+        fdd_probability(p, FddQuery(len(d), d), 1e-12)
+    assert (d, 1e-12) not in p.memo
 
 
 def test_parameters_differing_in_eps_series_share_no_entries():

@@ -1,22 +1,27 @@
 """q-series primitives against closed forms and enumeration."""
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import mpmath
 import pytest
 
 import oracles
+from mallows.dist import FddQuery, fdd_probability
 from mallows.errors import DomainError
 from mallows.qseries import (
     INFINITY,
     QParam,
+    _build_table,
     _table_size,
     pochhammer_table,
     q_factorial,
     q_pochhammer,
 )
-from mallows.samplers import _part_search
+from mallows.samplers import _part_search, batch_interlacing_windows
+from mallows.streams import GeomStream
 from oracles import poch
 
 Q_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -159,3 +164,36 @@ def test_equal_parameters_compare_and_hash_equal_with_their_own_memos():
     assert a != QParam(0.5, eps_series=1e-6)
     with pytest.raises(TypeError):
         QParam(0.5, 1e-12, {})
+
+
+def test_a_parameter_is_freed_after_sampling_and_series():
+    # a q no other test uses, so no equal parameter is cached already
+    p = QParam(0.5123)
+    batch_interlacing_windows(0, 0, p, GeomStream(0, 0.5123), 1)
+    for d in [(0,), (-1, 2), (1, -1, 2)]:
+        fdd_probability(p, FddQuery(len(d), d), 1e-12)
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("q", [0.5, 0.99, 0.9977, 0.998, 0.999])
+def test_table_is_the_sequential_product(q):
+    # the build stops multiplying once the product is 0.0; every entry,
+    # the limit and its error must be what the full loop gives
+    n_max = len(pochhammer_table(QParam(q)).values) - 1
+    vals = [1.0]
+    prod = 1.0
+    for k in range(1, n_max + 1):
+        prod *= 1.0 - q**k
+        vals.append(prod)
+    table = _build_table(q, n_max)
+    assert table.values == tuple(vals)
+    assert table.infinite_value == prod
+    assert table.infinite_error == prod * q ** (n_max + 1) / (1.0 - q)
+
+
+def test_infinite_product_near_one():
+    assert pochhammer_table(QParam(0.999)).infinite_value == 0.0
+    assert pochhammer_table(QParam(0.9985)).infinite_value == 5e-324
