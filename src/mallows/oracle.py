@@ -7,6 +7,7 @@ are counted by direct pair comparison and the normalizer is the q-factorial
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, permutations
 
 import numpy as np
@@ -45,6 +46,17 @@ def oracle_enumerate(n: int, p: QParam) -> OraclePmf:
             f"enumeration of S_{n} exceeds the budget (n <= {MAX_ORACLE_N})"
         )
     norm = q_factorial(n, p)
+    words, inv = _words(n)
+    q = p.q
+    # one division per inversion count: the same floats as q**inv / norm word by word
+    probs = [q**k / norm for k in range(n * (n - 1) // 2 + 1)]
+    return OraclePmf(n=n, q=q, probs=dict(zip(words, map(probs.__getitem__, inv))))
+
+
+@cache
+def _words(n: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The word strings of S_n in lexicographic order and their inversion
+    counts, counted pair by pair.  Independent of q, so built once per n."""
     # one row per permutation, in lexicographic order
     sigma = np.fromiter(chain.from_iterable(permutations(range(1, n + 1))), np.int64)
     sigma = sigma.reshape(-1, n)
@@ -53,7 +65,5 @@ def oracle_enumerate(n: int, p: QParam) -> OraclePmf:
         for j in range(i + 1, n):
             inv += sigma[:, i] > sigma[:, j]
     # the same order as permutations of the letters (n <= 9: one character each)
-    words = map("".join, permutations("123456789"[:n]))
-    q = p.q
-    probs = {word: q**k / norm for word, k in zip(words, inv.tolist())}
-    return OraclePmf(n=n, q=q, probs=probs)
+    words = tuple(map("".join, permutations("123456789"[:n])))
+    return words, tuple(inv.tolist())

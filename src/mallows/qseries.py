@@ -146,7 +146,8 @@ def q_factorial(n: int, p: QParam) -> float:
     """
     if n < 0:
         raise DomainError("q_factorial requires n >= 0")
-    return quotient(pochhammer_table(p, n).value(n), (1.0 - p.q) ** n, p)
+    # n factors, not the depth of p's table, which grows like 1/(1-q)
+    return quotient(_build_table(p.q, n).value(n), (1.0 - p.q) ** n, p)
 
 
 def _product_error(q: float, n: int, value: float) -> float:
@@ -187,5 +188,5 @@ def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
     n = int(n)
     if n < 0:
         raise DomainError("q_pochhammer requires n >= 0 or INFINITY")
-    value = pochhammer_table(p, n).value(n)
+    value = _build_table(p.q, n).value(n)
     return value, _product_error(p.q, n, value)

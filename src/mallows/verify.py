@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -212,6 +213,30 @@ def _suite_inversion_invariance(p: QParam, master: GeomStream, draws: int) -> li
     return [ks_case("ks-sigma-vs-inverse", sigma0, inv_sigma0)]
 
 
+@cache
+def _swaps(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For each i < n-1: the index of each word of S_n with letters i and
+    i+1 swapped, and whether that swap adds an inversion (read-only).
+
+    The oracle lists S_n in lexicographic order, as permutations() does, so
+    probs[c] is the law of word c.  Read as base-n numbers the words
+    increase, so a swapped word is found by searching its number.  Built
+    from permutations() and numpy alone, independent of q, once per n.
+    """
+    words = np.array(list(permutations(range(n))))
+    digits = n ** np.arange(n - 1, -1, -1)
+    numbers = words @ digits
+    tables = []
+    for i in range(n - 1):
+        swapped = words.copy()
+        swapped[:, [i, i + 1]] = words[:, [i + 1, i]]
+        index = np.searchsorted(numbers, swapped @ digits)
+        adds = words[:, i] < words[:, i + 1]
+        index.flags.writeable = adds.flags.writeable = False
+        tables.append((index, adds))
+    return tuple(tables)
+
+
 def _suite_exchangeability(p: QParam, master: GeomStream, draws: None) -> list[CaseResult]:
     q = p.q
     # r-code identity: swapping adjacent positions multiplies the weight by
@@ -224,21 +249,13 @@ def _suite_exchangeability(p: QParam, master: GeomStream, draws: None) -> list[C
             want = q if a <= b else 1.0 / q
             worst_r = max(worst_r, abs(got - want))
     cases = [CaseResult("swap-ratio-rcode", worst_r, 1e-12, worst_r <= 1e-12, 0)]
-    # oracle identity on S_n.  The oracle lists S_n in lexicographic order,
-    # as permutations() does, so probs[c] is the law of words[c].  Read as
-    # base-n numbers the words increase, so the word with letters i and i+1
-    # swapped is found by searching its number.
+    # oracle identity on S_n, read through the swap tables of _swaps
     worst_o = 0.0
     for n in range(2, 7):
         probs = np.fromiter(oracle_enumerate(n, p).probs.values(), float)
-        words = np.array(list(permutations(range(n))))
-        digits = n ** np.arange(n - 1, -1, -1)
-        numbers = words @ digits
-        for i in range(n - 1):
-            swapped = words.copy()
-            swapped[:, [i, i + 1]] = words[:, [i + 1, i]]
-            ratio = probs[np.searchsorted(numbers, swapped @ digits)] / probs
-            want = np.where(words[:, i] < words[:, i + 1], q, 1.0 / q)
+        for index, adds in _swaps(n):
+            ratio = probs[index] / probs
+            want = np.where(adds, q, 1.0 / q)
             worst_o = max(worst_o, float(np.abs(ratio - want).max()))
     cases.append(CaseResult("swap-ratio-oracle", worst_o, 1e-12, worst_o <= 1e-12, 0))
     return cases

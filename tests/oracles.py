@@ -20,10 +20,6 @@ def poch(q: float, n: int) -> float:
     return out
 
 
-def poch_inf(q: float, terms: int = 600) -> float:
-    return poch(q, terms)
-
-
 def poch_inf_log(q: float, prec: int = 200) -> mpmath.mpf:
     """<inf>_q at prec bits for the double q, as exp of sum_k log(1-q^k).
 
@@ -46,6 +42,12 @@ def poch_inf_log(q: float, prec: int = 200) -> mpmath.mpf:
             rm *= r
             m += 1
         return mpmath.exp(mpmath.fsum(terms))
+
+
+@cache
+def poch_inf(q: float) -> float:
+    """<inf>_q rounded to the nearest double, from poch_inf_log."""
+    return float(poch_inf_log(q))
 
 
 def brute_pmf(n: int, q: float) -> dict[tuple[int, ...], float]:

@@ -9,6 +9,7 @@ import mpmath
 import pytest
 
 import oracles
+from mallows import qseries
 from mallows.dist import FddQuery, fdd_probability
 from mallows.errors import DomainError
 from mallows.qseries import (
@@ -50,6 +51,27 @@ def test_q_factorial_product_form():
         for n in range(1, 25):
             want *= (1.0 - q**n) / (1.0 - q)
             assert q_factorial(n, p) == pytest.approx(want, rel=1e-12)
+
+
+def test_finite_products_take_n_factors(monkeypatch):
+    # p's table depth grows like 1/(1-q): at q=0.999999 it has 2^21 entries,
+    # of which [6!]_q and <6>_q read 7
+    depths = []
+
+    def build(q, n_max):
+        depths.append(n_max)
+        return _build_table(q, n_max)
+
+    monkeypatch.setattr(qseries, "_build_table", build)
+    p = QParam(0.999999)
+    assert q_factorial(6, p) == pytest.approx(720.0, rel=1e-4)
+    assert 0.0 < q_pochhammer(6, p)[0] < 1e-30
+    assert depths and max(depths) <= 6
+    # the same floats as a read of p's full table
+    for q in (1e-12, *Q_GRID, 0.999):
+        p = QParam(q)
+        for n in (0, 1, 2, 5, 6, 8, 40, 200):
+            assert q_pochhammer(n, p)[0] == pochhammer_table(p, n).value(n), f"q={q} n={n}"
 
 
 def test_pochhammer_finite_matches_direct_product():

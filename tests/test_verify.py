@@ -7,10 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from mallows import GeomStream
+from mallows import GeomStream, verify
 from mallows.dist import FddQuery, fdd_probability
 from mallows.errors import DomainError, UnknownSuiteError
-from mallows.oracle import oracle_enumerate
+from mallows.oracle import OraclePmf, _words, oracle_enumerate
 from mallows.qseries import QParam
 from mallows.samplers import batch_interlacing_windows, batch_inversion_windows
 from mallows.verify import SUITE_NAMES, chi_square_case, ks_case, run_suite
@@ -215,3 +215,46 @@ def test_swap_ratio_oracle_is_the_per_word_maximum(q):
                 worst = max(worst, abs(probs[swapped] / prob - want))
     cases = {c.name: c for c in run_suite("exchangeability", (), p, SEED).cases}
     assert cases["swap-ratio-oracle"].statistic == worst
+
+
+def test_exchangeability_reads_its_tables_once_and_stays_sensitive(monkeypatch):
+    # the word tables are built by the first call and kept for the process;
+    # what they read from src/ is called afresh, so a planted defect still fails
+    run_suite("exchangeability", (), P5, SEED)
+
+    def one_word_off(n, p):
+        pmf = enumerate_(n, p)
+        if n != 5:
+            return pmf
+        probs = dict(pmf.probs)
+        probs["21345"] *= 1.0 + 1e-9
+        return OraclePmf(n=n, q=pmf.q, probs=probs)
+
+    def off_by_one(a, b):
+        na, nb = swap(a, b)
+        return na + 1, nb
+
+    enumerate_, swap = verify.oracle_enumerate, verify.adjacent_swap_r
+    for name, defect, fails in (
+        ("oracle_enumerate", one_word_off, "swap-ratio-oracle"),
+        ("adjacent_swap_r", off_by_one, "swap-ratio-rcode"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, defect)
+            cases = {c.name: c.passed for c in run_suite("exchangeability", (), P5, SEED).cases}
+        assert cases == {
+            "swap-ratio-rcode": fails != "swap-ratio-rcode",
+            "swap-ratio-oracle": fails != "swap-ratio-oracle",
+        }, name
+
+
+def test_cached_word_tables_are_read_only():
+    run_suite("exchangeability", (), P5, SEED)
+    for n in range(2, 7):
+        for index, adds in verify._swaps(n):
+            with pytest.raises(ValueError):
+                index[0] = 0
+            with pytest.raises(ValueError):
+                adds[0] = not adds[0]
+        words, inv = _words(n)
+        assert isinstance(words, tuple) and isinstance(inv, tuple)
