@@ -14,6 +14,7 @@ thresholds and report samples_used = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
@@ -239,6 +240,11 @@ def _swaps(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 def _suite_exchangeability(p: QParam, master: GeomStream, draws: None) -> list[CaseResult]:
     q = p.q
+    # both cases compare ratios of powers of q up to q**25 relative to the
+    # ratio wanted; below q ~ 4.94e-13 that power is not a normal double
+    if q**25 < sys.float_info.min:
+        raise DomainError(f"q={q}: q**25 = {q**25!r} is not a normal double, "
+                          "so the swap ratios cannot be checked")
     # r-code identity: swapping adjacent positions multiplies the weight by
     # q^{+1} or q^{-1} according to whether an inversion is created
     worst_r = 0.0
@@ -247,7 +253,7 @@ def _suite_exchangeability(p: QParam, master: GeomStream, draws: None) -> list[C
             na, nb = adjacent_swap_r(a, b)
             got = q ** (na + nb) / q ** (a + b)
             want = q if a <= b else 1.0 / q
-            worst_r = max(worst_r, abs(got - want))
+            worst_r = max(worst_r, abs(got - want) / want)
     cases = [CaseResult("swap-ratio-rcode", worst_r, 1e-12, worst_r <= 1e-12, 0)]
     # oracle identity on S_n, read through the swap tables of _swaps
     worst_o = 0.0
@@ -256,7 +262,7 @@ def _suite_exchangeability(p: QParam, master: GeomStream, draws: None) -> list[C
         for index, adds in _swaps(n):
             ratio = probs[index] / probs
             want = np.where(adds, q, 1.0 / q)
-            worst_o = max(worst_o, float(np.abs(ratio - want).max()))
+            worst_o = max(worst_o, float((np.abs(ratio - want) / want).max()))
     cases.append(CaseResult("swap-ratio-oracle", worst_o, 1e-12, worst_o <= 1e-12, 0))
     return cases
 

@@ -97,6 +97,9 @@ def test_exchangeability_takes_no_count():
         ("lln", 0.5, (1,), 0),
         # five draws a side give a KS threshold of 1.03, which no statistic exceeds
         ("stationarity", 0.5, (5,), 0),
+        # q**25 is subnormal or 0, so the swap ratios lose their precision
+        ("exchangeability", 4.9e-13, (), 0),
+        ("exchangeability", 1e-14, (), 0),
     ],
 )
 def test_a_case_that_cannot_test_is_refused(name, q, sizes, seed):
@@ -193,11 +196,13 @@ def test_report_json_shape():
 
 
 def test_exchangeability_is_exact():
-    # swap identities hold to float round-off, with no sampling at all
-    report = run_suite("exchangeability", (), P5, seed=SEED)
-    for case in report.cases:
-        assert case.statistic <= 1e-12, case.name
-        assert case.samples_used == 0
+    # swap identities hold to float round-off relative to the ratio wanted,
+    # with no sampling at all; absolute, 1/q = 1e4 made 1.8e-12 at q=1e-4
+    for q in (0.5, 1e-4, 1e-12, 0.999999, 0.9999999999):
+        report = run_suite("exchangeability", (), QParam(q), seed=SEED)
+        for case in report.cases:
+            assert case.statistic <= 1e-12, (q, case.name)
+            assert case.samples_used == 0
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.999])
@@ -212,12 +217,12 @@ def test_swap_ratio_oracle_is_the_per_word_maximum(q):
             for i in range(n - 1):
                 swapped = word[:i] + word[i + 1] + word[i] + word[i + 2 :]
                 want = q if word[i] < word[i + 1] else 1.0 / q
-                worst = max(worst, abs(probs[swapped] / prob - want))
+                worst = max(worst, abs(probs[swapped] / prob - want) / want)
     cases = {c.name: c for c in run_suite("exchangeability", (), p, SEED).cases}
     assert cases["swap-ratio-oracle"].statistic == worst
 
 
-def test_exchangeability_reads_its_tables_once_and_stays_sensitive(monkeypatch):
+def test_exchangeability_reads_its_tables_once_and_stays_sensitive():
     # the word tables are built by the first call and kept for the process;
     # what they read from src/ is called afresh, so a planted defect still fails
     run_suite("exchangeability", (), P5, SEED)
@@ -239,7 +244,7 @@ def test_exchangeability_reads_its_tables_once_and_stays_sensitive(monkeypatch):
         ("oracle_enumerate", one_word_off, "swap-ratio-oracle"),
         ("adjacent_swap_r", off_by_one, "swap-ratio-rcode"),
     ):
-        with monkeypatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, name, defect)
             cases = {c.name: c.passed for c in run_suite("exchangeability", (), P5, SEED).cases}
         assert cases == {
