@@ -118,6 +118,12 @@ def argvs() -> list[list[str]]:
         out.append(["pmf", "joint-rl", "--q", q, "--r", "2", "--ell", "1"])
         out.append(["pmf", "fdd", "--q", q, "--d", "-1,0,2"])
     out.append(["verify", "--suite", "exchangeability", "--q", "0.5", "--seed", SEED])
+    # the sorted series by gap tuple: an unsorted query with gaps (3, 2), a
+    # spread one at small q, the radius-40 table and the swap check near q=1
+    out.append(["pmf", "fdd", "--q", "0.985", "--d", "2,-3,3"])
+    out.append(["pmf", "fdd", "--q", "0.05", "--d", "-3,0,3"])
+    out.append(["pmf", "displacement", "--q", "0.985", "--radius", "40"])
+    out.append(["verify", "--suite", "exchangeability", "--q", "0.985"])
     # exactly one block of rows, and a block past it at a q with long words
     for args in SAMPLE_MODES.values():
         out.append(["sample", *args, "--q", "0.8", "--count", "2048", "--seed", SEED,
