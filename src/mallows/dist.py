@@ -63,7 +63,7 @@ class DisplacementPmf:
         return self.probs.get(d, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FddQuery:
     """A finite-dimensional displacement event: sigma(m) = m + d[m-1] for
     m = 1..k.  The d need not be sorted; colliding implied values make the
@@ -73,12 +73,14 @@ class FddQuery:
     k: int
     d: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int, d) -> None:
+        if k < 1:
             raise DomainError("k must be >= 1")
-        object.__setattr__(self, "d", _integers(self.d, "displacements"))
-        if len(self.d) != self.k:
-            raise DomainError(f"expected {self.k} displacements, got {len(self.d)}")
+        d = _integers(d, "displacements")
+        if len(d) != k:
+            raise DomainError(f"expected {k} displacements, got {len(d)}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
 
 
 def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
@@ -180,6 +182,40 @@ def _tail_series(p: QParam, vals: tuple[float, ...], e: int, big_a: int, big_r: 
     return out
 
 
+def _gap_weights(p: QParam, gaps: tuple[int, ...],
+                 vals: tuple[float, ...]) -> tuple[tuple[int, float, float], ...]:
+    """(head, weight, den_min) for each head of _fdd_sorted's compositions
+    of the fixed gaps, in order of first appearance: the sum of q^C /
+    den_rest in itertools.product order, and the smallest den_rest.  Both
+    depend on q and the gaps alone, so they are kept in p.memo under
+    ("weights", gaps) for every d_1.  A den_rest of 0 or a weight that
+    overflows is refused.  vals is a table of p covering every gap.
+    """
+    key = ("weights", gaps)
+    hit = p.memo.get(key)
+    if hit is not None:
+        return hit
+    q = p.q
+    weights: dict[int, list[float]] = {}
+    for a_head in itertools.product(*[range(g + 1) for g in gaps]):
+        den_rest = 1.0
+        big_c = big_r = 0  # C of _fdd_sorted
+        for g, a_j in zip(gaps, a_head):
+            den_rest *= vals[g - a_j]  # the row gap b_j fixed by a_head
+            big_c += (a_j + 1) * big_r
+            big_r += g - a_j + 1
+        for a_j in a_head:
+            den_rest *= vals[a_j]
+        weight = q**big_c / den_rest if den_rest else math.inf
+        if weight == math.inf:
+            raise DomainError(UNDERFLOW.format(q=q))
+        entry = weights.setdefault(sum(a_head), [0.0, den_rest])
+        entry[0] += weight
+        entry[1] = min(entry[1], den_rest)
+    out = p.memo[key] = tuple((h, w, den) for h, (w, den) in weights.items())
+    return out
+
+
 def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float]:
     """(value, error bound) for nondecreasing d.
 
@@ -191,16 +227,17 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     denominator is den_rest <b1><a_k> with den_rest the <n>_q of the fixed
     gaps.  With head = a_1+...+a_{k-1}, b1 = d_1 + head + a_k, A = head+k-1
     and R = d_k-d_1-head+k-1 depend on the composition a_head only through
-    head, while C and den_rest factor out of the sum over a_k.  So each
-    composition adds its weight q^C / den_rest to its head's total, and each
-    head's tail sum is evaluated once per p under the inner key
-    (d_1+head, A, R, tol), shared by every query with the same (d_1, d_k,
-    head).  The value is pref * sum_h weight_h tail_h and the bound
-    |pref| sum_h weight_h err_h + |value| rel_inf.  A composition whose
-    full denominator den_rest <b1><a_k> at the last term underflows to 0,
-    or whose weight overflows, is refused.  At k=1 the weight is exactly
-    1.0.  The result is kept in p.memo under (d, tol), so p evaluates each
-    series once.
+    head, while C and den_rest factor out of the sum over a_k and depend on
+    the gaps alone.  So each head's total weight q^C / den_rest comes from
+    _gap_weights, once per p and gap tuple, and each head's tail sum is
+    evaluated once per p under the inner key (d_1+head, A, R, tol), shared
+    by every query with the same (d_1, d_k, head).  The value is
+    pref * sum_h weight_h tail_h and the bound |pref| sum_h weight_h err_h
+    + |value| rel_inf.  A head whose smallest den_rest times <b1><a_k> at
+    the tail's last term underflows to 0 is refused: rounding is monotone,
+    so that is where some composition's full denominator does.  At k=1 the
+    weight is exactly 1.0.  The result is kept in p.memo under (d, tol), so
+    p evaluates each series once.
     """
     key = (d, tol)
     hit = p.memo.get(key)
@@ -219,39 +256,20 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
             f"q={q}: q^-{k * (k + 1) // 2} overflows; the value cannot be returned"
         ) from None
     pref = (1.0 - q) ** k * shift * table.infinite_value
-    for m in range(1, k):
-        pref *= vals[d[m] - d[m - 1]]
-    tails: dict[int, tuple[float, float, float, float]] = {}
-    weights: dict[int, float] = {}
+    gaps = tuple(d[m] - d[m - 1] for m in range(1, k))
+    for g in gaps:
+        pref *= vals[g]
     span = d[-1] - d[0] + k - 1
-    head_ranges = [range(d[m + 1] - d[m] + 1) for m in range(k - 1)]
-    for a_head in itertools.product(*head_ranges):
-        head = sum(a_head)
-        tail = tails.get(head)
-        if tail is None:
-            tail = tails[head] = _tail_series(p, vals, d[0] + head, head + k - 1,
-                                              span - head, tol)
-        # row gaps above the first pinned row are fixed by a_head
-        b_rest = [d[j] - d[j - 1] - a_head[j - 1] for j in range(1, k)]
-        den_rest = 1.0
-        for x in b_rest:
-            den_rest *= vals[x]
-        for x in a_head:
-            den_rest *= vals[x]
-        big_c = big_r = 0  # C of the docstring
-        for a_j, b_j in zip(a_head, b_rest):
-            big_c += (a_j + 1) * big_r
-            big_r += b_j + 1
-        if den_rest * tail[2] * tail[3] == 0.0:
+    terms = []
+    for head, weight, den_min in _gap_weights(p, gaps, vals):
+        tail = _tail_series(p, vals, d[0] + head, head + k - 1, span - head, tol)
+        if den_min * tail[2] * tail[3] == 0.0:
             raise DomainError(UNDERFLOW.format(q=q))
-        weight = q**big_c / den_rest
-        if weight == math.inf:
-            raise DomainError(UNDERFLOW.format(q=q))
-        weights[head] = weights.get(head, 0.0) + weight
-    value = pref * math.fsum(w * tails[h][0] for h, w in weights.items())
+        terms.append((weight, tail))
+    value = pref * math.fsum(w * tail[0] for w, tail in terms)
     err = 0.0
-    for h, w in weights.items():
-        err += w * tails[h][1]
+    for w, tail in terms:
+        err += w * tail[1]
     rel_inf = table.infinite_error / table.infinite_value
     out = p.memo[key] = value, abs(pref) * err + abs(value) * rel_inf
     return out
@@ -270,15 +288,13 @@ def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, floa
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     d = query.d
-    k = query.k
-    vals = tuple(d[m] + m + 1 for m in range(k))
-    if len(set(vals)) != k:
+    vals = [x + m for m, x in enumerate(d, 1)]
+    if len(set(vals)) != len(vals):
         return 0.0, 0.0
-    if all(d[m] <= d[m + 1] for m in range(k - 1)):
+    ranked = sorted(vals)
+    if ranked == vals:
         return _fdd_sorted(d, p, tol)
-    sorted_vals = sorted(vals)
-    d_sorted = tuple(sorted_vals[m] - (m + 1) for m in range(k))
-    value, err = _fdd_sorted(d_sorted, p, tol)
+    value, err = _fdd_sorted(tuple(v - m for m, v in enumerate(ranked, 1)), p, tol)
     factor = p.q ** inversions(vals)
     return factor * value, factor * err
 

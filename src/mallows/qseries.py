@@ -42,9 +42,10 @@ class QParam:
 
     memo holds what this instance has evaluated, for as long as the caller
     holds it: the rounded table size under the key "table_size", each
-    sorted fdd series as (value, bound) under (d, tol), and each inner tail
+    sorted fdd series as (value, bound) under (d, tol), each inner tail
     sum of those series as (sum, bound, <b1>, <a_k>) under (e, A, R, tol),
-    shared by every sorted series with the same (d_1, d_k, head) (see
+    shared by every sorted series with the same (d_1, d_k, head), and the
+    composition weights of each gap tuple under ("weights", gaps) (see
     dist._fdd_sorted).  Those are deterministic in (q, eps_series) and the
     key, so a hit is exactly what a fresh evaluation returns; refusals are
     raised and never stored.  The memo takes no part in __init__, ==, hash

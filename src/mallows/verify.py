@@ -215,9 +215,10 @@ def _suite_inversion_invariance(p: QParam, master: GeomStream, draws: int) -> li
 
 
 @cache
-def _swaps(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """For each i < n-1: the index of each word of S_n with letters i and
-    i+1 swapped, and whether that swap adds an inversion (read-only).
+def _swaps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two read-only (n-1) x n! arrays: row i holds the index of each word
+    of S_n with letters i and i+1 swapped, and whether that swap adds an
+    inversion.
 
     The oracle lists S_n in lexicographic order, as permutations() does, so
     probs[c] is the law of word c.  Read as base-n numbers the words
@@ -227,15 +228,14 @@ def _swaps(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     words = np.array(list(permutations(range(n))))
     digits = n ** np.arange(n - 1, -1, -1)
     numbers = words @ digits
-    tables = []
+    index = np.empty((n - 1, len(words)), dtype=np.intp)
     for i in range(n - 1):
         swapped = words.copy()
         swapped[:, [i, i + 1]] = words[:, [i + 1, i]]
-        index = np.searchsorted(numbers, swapped @ digits)
-        adds = words[:, i] < words[:, i + 1]
-        index.flags.writeable = adds.flags.writeable = False
-        tables.append((index, adds))
-    return tuple(tables)
+        index[i] = np.searchsorted(numbers, swapped @ digits)
+    adds = np.ascontiguousarray((words[:, :-1] < words[:, 1:]).T)
+    index.flags.writeable = adds.flags.writeable = False
+    return index, adds
 
 
 def _suite_exchangeability(p: QParam, master: GeomStream, draws: None) -> list[CaseResult]:
@@ -259,10 +259,9 @@ def _suite_exchangeability(p: QParam, master: GeomStream, draws: None) -> list[C
     worst_o = 0.0
     for n in range(2, 7):
         probs = np.fromiter(oracle_enumerate(n, p).probs.values(), float)
-        for index, adds in _swaps(n):
-            ratio = probs[index] / probs
-            want = np.where(adds, q, 1.0 / q)
-            worst_o = max(worst_o, float((np.abs(ratio - want) / want).max()))
+        index, adds = _swaps(n)
+        want = np.where(adds, q, 1.0 / q)
+        worst_o = max(worst_o, float((np.abs(probs[index] / probs - want) / want).max()))
     cases.append(CaseResult("swap-ratio-oracle", worst_o, 1e-12, worst_o <= 1e-12, 0))
     return cases
 

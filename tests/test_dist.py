@@ -1,6 +1,7 @@
 """Closed-form laws: displacement, joint counts, fdd events, diagram blocks."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -334,11 +335,63 @@ def test_fdd_memo_hit_is_a_fresh_evaluation(q):
         for a_head in itertools.product(*[range(d[m + 1] - d[m] + 1) for m in range(k - 1)]):
             head = sum(a_head)
             inner_keys.add((d[0] + head, head + k - 1, d[-1] - d[0] - head + k - 1, 1e-12))
-    assert set(p.memo) == ({(d, 1e-12) for d in sorted_queries} | inner_keys
+    # and one composition weight table per distinct gap tuple
+    weight_keys = {("weights", tuple(b - a for a, b in zip(d, d[1:]))) for d in sorted_queries}
+    assert set(p.memo) == ({(d, 1e-12) for d in sorted_queries} | inner_keys | weight_keys
                            | {"table_size"})
     # displacement_pmf's entries are the k=1 queries at tol = eps_series
     pmf = displacement_pmf(p, 3)
     assert all(pmf.prob(d) == p.memo[((abs(d),), p.eps_series)][0] for d in range(-3, 4))
+
+
+def test_fdd_queries_with_equal_gaps_share_one_weight_table():
+    p = QParam(0.8)
+    fdd_probability(p, FddQuery(3, (-2, 1, 3)), 1e-12)
+    weights = p.memo[("weights", (3, 2))]
+    fdd_probability(p, FddQuery(3, (0, 3, 5)), 1e-12)
+    # an unsorted query with the same sorted gaps reads it too
+    fdd_probability(p, FddQuery(3, (2, -3, 3)), 1e-12)
+    assert [key for key in p.memo if key[0] == "weights"] == [("weights", (3, 2))]
+    assert p.memo[("weights", (3, 2))] is weights
+    # one entry per head 0..5, each with its smallest composition denominator
+    assert [h for h, _, _ in weights] == list(range(6))
+    assert all(0.0 < den <= 1.0 and w > 0.0 for _, w, den in weights)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.985])
+def test_fdd_weight_hit_is_a_fresh_evaluation(q):
+    # the second query of each pair reads the weights the first one stored
+    p = QParam(q)
+    for d, shifted in [((-3, 0, 3), (1, 4, 7)), ((-2, -2, 1, 1), (2, 2, 5, 5)),
+                       ((0, 4), (-6, -2))]:
+        fdd_probability(p, FddQuery(len(d), d), 1e-12)
+        assert (fdd_probability(p, FddQuery(len(shifted), shifted), 1e-12)
+                == fdd_probability(QParam(q), FddQuery(len(shifted), shifted), 1e-12))
+
+
+@pytest.mark.parametrize("d", [(-22, 0, 22), (-16, 0, 28)])
+def test_fdd_refusal_reads_each_heads_smallest_denominator(d):
+    # at q=0.996 a head's first composition keeps a normal full denominator,
+    # but a later one of the same head underflows to 0
+    p = QParam(0.996)
+    with pytest.raises(DomainError, match="a denominator underflows to 0"):
+        fdd_probability(p, FddQuery(3, d), 1e-12)
+    assert (d, 1e-12) not in p.memo
+
+
+def test_fdd_query_keeps_its_fields_equality_and_hash():
+    query = FddQuery(3, [np.int64(2), -3, 3])
+    assert (query.k, query.d) == (3, (2, -3, 3))
+    assert query == FddQuery(k=3, d=(2, -3, 3)) != FddQuery(3, (2, -3, 4))
+    assert hash(query) == hash(FddQuery(3, (2, -3, 3)))
+    assert repr(query) == "FddQuery(k=3, d=(2, -3, 3))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        query.k = 2
+    for k, d, match in [(0, (), "k must be >= 1"), (-1, (0,), "k must be >= 1"),
+                        (2, (1,), "expected 2 displacements, got 1"),
+                        (1, 3, "must be integers"), (2, (0, 1.0), "must be integers")]:
+        with pytest.raises(DomainError, match=match):
+            FddQuery(k, d)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.8, 0.95])

@@ -256,10 +256,11 @@ def test_exchangeability_reads_its_tables_once_and_stays_sensitive():
 def test_cached_word_tables_are_read_only():
     run_suite("exchangeability", (), P5, SEED)
     for n in range(2, 7):
-        for index, adds in verify._swaps(n):
-            with pytest.raises(ValueError):
-                index[0] = 0
-            with pytest.raises(ValueError):
-                adds[0] = not adds[0]
+        index, adds = verify._swaps(n)
+        assert index.shape == adds.shape == (n - 1, len(_words(n)[0]))
+        with pytest.raises(ValueError):
+            index[0, 0] = 0
+        with pytest.raises(ValueError):
+            adds[-1, 0] = not adds[-1, 0]
         words, inv = _words(n)
         assert isinstance(words, tuple) and isinstance(inv, tuple)
