@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -43,6 +44,15 @@ def _integers(xs, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, xs))
     except TypeError:
         raise DomainError(f"{what} must be integers, got {xs!r}") from None
+
+
+def _normal(value: float, q: float) -> float:
+    """value, or DomainError where a possible event's probability underflowed
+    to 0 or to a subnormal double."""
+    if value < sys.float_info.min:
+        raise DomainError(f"q={q}: the probability underflows to {value!r}, "
+                          "below the normal doubles; the value cannot be returned")
+    return value
 
 
 @dataclass(frozen=True)
@@ -235,9 +245,9 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     pref * sum_h weight_h tail_h and the bound |pref| sum_h weight_h err_h
     + |value| rel_inf.  A head whose smallest den_rest times <b1><a_k> at
     the tail's last term underflows to 0 is refused: rounding is monotone,
-    so that is where some composition's full denominator does.  At k=1 the
-    weight is exactly 1.0.  The result is kept in p.memo under (d, tol), so
-    p evaluates each series once.
+    so that is where some composition's full denominator does, and so is a
+    value below the normal doubles.  At k=1 the weight is exactly 1.0.  The
+    result is kept in p.memo under (d, tol), so p evaluates each series once.
     """
     key = (d, tol)
     hit = p.memo.get(key)
@@ -266,7 +276,7 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
         if den_min * tail[2] * tail[3] == 0.0:
             raise DomainError(UNDERFLOW.format(q=q))
         terms.append((weight, tail))
-    value = pref * math.fsum(w * tail[0] for w, tail in terms)
+    value = _normal(pref * math.fsum(w * tail[0] for w, tail in terms), q)
     err = 0.0
     for w, tail in terms:
         err += w * tail[1]
@@ -283,7 +293,8 @@ def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, floa
     query is evaluated, and the result is multiplied by q^inv(v): each
     inversion of the value word costs exactly one factor q.  Colliding
     implied values mean the event is impossible and the exact answer (0, 0)
-    is returned rather than an error.
+    is returned rather than an error; a possible event whose value
+    underflows to 0 or to a subnormal double raises DomainError.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
@@ -296,7 +307,7 @@ def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, floa
         return _fdd_sorted(d, p, tol)
     value, err = _fdd_sorted(tuple(v - m for m, v in enumerate(ranked, 1)), p, tol)
     factor = p.q ** inversions(vals)
-    return factor * value, factor * err
+    return _normal(factor * value, p.q), factor * err
 
 
 def block_p2(p: QParam, b: tuple[int, ...], a: tuple[int, ...]) -> float:

@@ -94,6 +94,7 @@ REFUSALS = [
     ["pmf", "fdd", "--q", "0.5", "--d", "1,x"],
     ["pmf", "fdd", "--q", "0.5"],
     ["pmf", "fdd", "--q", "1e-200", "--d", "0,1"],
+    ["pmf", "fdd", "--q", "0.3", "--d", "700"],
     ["pmf", "fdd", "--q", "0.5", "--d", "0,1", "--tol", "-1e-9"],
     ["pmf", "joint-rl", "--q", "0.5", "--format", "csv"],
     ["verify", "--suite", "bogus", "--q", "0.5"],

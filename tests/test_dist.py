@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -377,6 +378,35 @@ def test_fdd_refusal_reads_each_heads_smallest_denominator(d):
     with pytest.raises(DomainError, match="a denominator underflows to 0"):
         fdd_probability(p, FddQuery(3, d), 1e-12)
     assert (d, 1e-12) not in p.memo
+
+
+@pytest.mark.parametrize("q, d", [(0.3, (700,)), (0.3, (-300, 300)), (0.3, (300, -300)),
+                                  (1e-300, (1,)), (1e-30, (-3, 0, 3))])
+def test_fdd_refuses_a_probability_below_the_normal_doubles(q, d):
+    # each event is possible, but its value underflowed to 0.0 or a subnormal
+    p = QParam(q)
+    with pytest.raises(DomainError, match="below the normal doubles"):
+        fdd_probability(p, FddQuery(len(d), d), 1e-12)
+    assert not [key for key in p.memo if isinstance(key[0], tuple)]
+
+
+def test_fdd_refuses_where_the_inversion_factor_underflows():
+    # the sorted series (-294, 293) is normal and kept; times q it is not
+    p = QParam(0.3)
+    value, _ = fdd_probability(p, FddQuery(2, (-294, 293)), 1e-12)
+    assert value >= sys.float_info.min
+    with pytest.raises(DomainError, match="below the normal doubles"):
+        fdd_probability(p, FddQuery(2, (294, -295)), 1e-12)
+    # an impossible event is still the exact (0, 0)
+    assert fdd_probability(p, FddQuery(2, (700, 699)), 1e-12) == (0.0, 0.0)
+
+
+def test_displacement_pmf_refuses_an_underflowing_entry():
+    # at q=1e-300, P(D=1) is about 1e-300 * 1e-300: below the normal doubles
+    p = QParam(1e-300)
+    assert displacement_pmf(p, 0).prob(0) > 0.0
+    with pytest.raises(DomainError, match="below the normal doubles"):
+        displacement_pmf(p, 1)
 
 
 def test_fdd_query_keeps_its_fields_equality_and_hash():
