@@ -198,8 +198,8 @@ def _gap_weights(p: QParam, gaps: tuple[int, ...],
     of the fixed gaps, in order of first appearance: the sum of q^C /
     den_rest in itertools.product order, and the smallest den_rest.  Both
     depend on q and the gaps alone, so they are kept in p.memo under
-    ("weights", gaps) for every d_1.  A den_rest of 0 or a weight that
-    overflows is refused.  vals is a table of p covering every gap.
+    ("weights", gaps), shared by every d_1.  A den_rest of 0 or a weight
+    that overflows is refused.  vals is a table of p covering every gap.
     """
     key = ("weights", gaps)
     hit = p.memo.get(key)
@@ -245,9 +245,10 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     pref * sum_h weight_h tail_h and the bound |pref| sum_h weight_h err_h
     + |value| rel_inf.  A head whose smallest den_rest times <b1><a_k> at
     the tail's last term underflows to 0 is refused: rounding is monotone,
-    so that is where some composition's full denominator does, and so is a
-    value below the normal doubles.  At k=1 the weight is exactly 1.0.  The
-    result is kept in p.memo under (d, tol), so p evaluates each series once.
+    so that is where some composition's full denominator does.  A value
+    below the normal doubles is refused too.  At k=1 the weight is exactly
+    1.0.  The result is kept in p.memo under (d, tol), so p evaluates each
+    series once.
     """
     key = (d, tol)
     hit = p.memo.get(key)
