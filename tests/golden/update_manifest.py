@@ -67,6 +67,21 @@ WINDOW_SUITES = ("displacement", "stationarity", "inversion-invariance",
 #: lln exit 1 at it and are pinned as they are
 OTHER_SUITES = ("finite-oracle", "two-sampler", "lln", "one-sided-left-counts")
 
+#: two-sided kernel calls at their edges (window, sampler, q, eps_tv, count)
+KERNEL_EDGES = (
+    ["--window", "0:0", "--sampler", "inversion", "--q", "0.5", "--eps-tv", "1e-6",
+     "--count", "5000"],
+    ["--window", "0:2", "--q", "0.5", "--count", "5000"],
+    ["--window", "-5:5", "--sampler", "inversion", "--q", "0.5", "--eps-tv", "0.5",
+     "--count", "300"],
+    ["--window", "-5:5", "--sampler", "inversion", "--q", "0.5", "--eps-tv", "10",
+     "--count", "300"],
+    ["--window", "-3:3", "--sampler", "inversion", "--q", "0.99", "--count", "300"],
+    ["--window", "-3:3", "--sampler", "inversion", "--q", "0.02", "--count", "300"],
+    ["--window", "-40:40", "--q", "0.8", "--count", "300"],
+    ["--window", "0:63", "--sampler", "inversion", "--q", "0.8", "--count", "2049"],
+)
+
 REFUSALS = [
     ["sample", "--mode", "two-sided", "--window", "3", "--q", "0.5"],
     ["sample", "--mode", "two-sided", "--window", "a:b", "--q", "0.5"],
@@ -144,6 +159,12 @@ def argvs() -> list[list[str]]:
     for args, fmt in itertools.product(FORMAT_EDGES, ("jsonl", "csv")):
         out.append(["sample", *args, "--q", "0.5", "--count", "3", "--seed", SEED,
                     "--format", fmt])
+    # the kernels' edges: the pool shapes over several blocks, rows that draw
+    # nothing beside rows that draw (x* = 1) and no round at all (x* = 0),
+    # high and low q, the deep shape and the widest inversion window
+    for args in KERNEL_EDGES:
+        out.append(["sample", "--mode", "two-sided", *args, "--seed", SEED,
+                    "--format", "csv"])
     return out + REFUSALS
 
 
