@@ -326,15 +326,16 @@ def batch_interlacing_windows(
       C(hi) plus and tmax = C(lo-1) minus letters;
     * the letters are 1 + _leftward_chains of the skips; a row's letters
       past its need are never read;
-    * the window is filled by take_along_axis: + slots take plus letters
-      by rank, - slots take 1 - (minus letter) by rank from the right.
+    * the window is filled by one gather from the entry-major chain states,
+      at a flat index picked by sign: + slots take plus letters by rank,
+      - slots take 1 - (minus letter) by rank from the right.
     """
     _check_window(lo, hi)
     if count < 0:
         raise DomainError("count must be >= 0")
     _check_stream(p, s)
     neg, qpow = (np.array(t) for t in _part_search(p))
-    positions = np.arange(lo, hi + 1)
+    prev = np.arange(lo - 1, hi)  # i - 1 for each window position i
     out = np.empty((count, hi - lo + 1), dtype=np.int64)
     for b0 in range(0, count, _BLOCK_ROWS):
         nb = min(_BLOCK_ROWS, count - b0)
@@ -345,16 +346,14 @@ def batch_interlacing_windows(
         width = max(1, int(need.max()))
         skips = np.zeros((2 * nb, width), dtype=np.int64)
         skips[np.arange(width) < need[:, None]] = s.geometrics(int(need.sum()))
-        letters = 1 + _leftward_chains(skips)
-        # a rank is out of range only where the other sign is taken
+        # the chain states entry-major: letter k (0-based) of word w is
+        # 1 + chains[k * 2nb + w], and each slot reads only the sign it takes
+        chains = _leftward_chains(skips).T.reshape(-1)
         before, at = c[:, :-1], c[:, 1:]
-        plus_rank = np.clip(positions + at - 1, 0, width - 1)
-        minus_rank = np.clip(before - 1, 0, width - 1)
-        out[b0 : b0 + nb] = np.where(
-            at == before,
-            np.take_along_axis(letters[:nb], plus_rank, axis=1),
-            1 - np.take_along_axis(letters[nb:], minus_rank, axis=1),
-        )
+        plus = at == before
+        w = np.arange(nb)[:, None]
+        got = chains[np.where(plus, (prev + at) * (2 * nb) + w, (before - 1) * (2 * nb) + nb + w)]
+        out[b0 : b0 + nb] = np.where(plus, got + 1, -got)
     return out
 
 
@@ -437,7 +436,11 @@ def batch_inversion_windows(
     lowest chain is still below x*: first the rows whose lowest chain took
     no step in the previous round, then the other rows still drawing.  At
     count=1 these are the draws of one reconstruct_ell chain per position
-    over a lazily extended cache, in the same order.
+    over a lazily extended cache, in the same order.  The rounds keep each
+    active row's lowest state in an array aligned with the active rows; a
+    row leaves when it reaches x*, so its lowest chains' hits are its draws
+    less its x* - low steps.  The other live chains are kept flat and
+    compressed as they reach x*.
 
     Whatever eps_tv, a row's values are distinct and in the order of the
     exact ones: a chain's state counts the smaller values at the positions
@@ -456,32 +459,36 @@ def batch_inversion_windows(
     x = _leftward_chains(r)
     ell = np.arange(width) - (x - r)
     # a draw above a row's lowest chain leaves it, any other steps every
-    # live chain of the row, so the lowest chains (state low, hits) alone
-    # set the rounds; the other live chains are kept flat, as chain index
-    # into the row-major window, row and state
+    # live chain of the row, so the lowest chains alone set the rounds; the
+    # other live chains are kept flat, as chain index into the row-major
+    # window, row and state
     low = x.min(axis=1)
     lowest = x == low[:, None]
     chain = np.flatnonzero(~lowest & (x < xstar))
     row, state = chain // width, x.reshape(-1)[chain]
-    hits = np.zeros(count, dtype=np.int64)
     flat_ell = ell.reshape(-1)  # a view: arithmetic on r gives a C-order ell
-    slot = np.empty(count, dtype=np.int64)
+    drawn = np.zeros(count, dtype=np.int64)  # a row's draw count, set as it leaves
+    row_draw = np.empty(count, dtype=np.int64)
     active = np.flatnonzero(low < xstar)
+    cur = low[active]  # the active rows' lowest states, in draw order
+    rounds = 0
     while active.size:
         draws = s.geometrics(active.size)
+        rounds += 1
         if chain.size:  # a live chain's row is active: low <= its state
-            slot[active] = np.arange(active.size)
-            hit = draws[slot[row]] > state
+            row_draw[active] = draws
+            hit = row_draw[row] > state
             flat_ell[chain[hit]] += 1
             state += ~hit
             live = state < xstar
             chain, row, state = chain[live], row[live], state[live]
-        stay = draws > low[active]
-        hits[active[stay]] += 1
-        stepped = active[~stay]
-        low[stepped] += 1
-        active = np.concatenate((active[stay], stepped[low[stepped] < xstar]))
-    ell += lowest * hits[:, None]
+        step = draws <= cur
+        cur += step
+        done = cur == xstar
+        drawn[active[done]] = rounds
+        keep = np.concatenate((np.flatnonzero(~step), np.flatnonzero(step & ~done)))
+        active, cur = active[keep], cur[keep]
+    ell += lowest * (drawn - np.maximum(xstar - low, 0))[:, None]
     values = np.arange(lo, hi + 1) + r - ell
     if np.any(np.diff(np.sort(values, axis=1), axis=1) == 0):
         raise NotInjectiveError("window rebuild collided")

@@ -71,15 +71,20 @@ class GeomStream:
     def uniforms(self, n: int) -> np.ndarray:
         n = _size(n)
         self.counter += n
-        return 1.0 - self._gen.random(n)
+        u = self._gen.random(n)
+        return np.subtract(1.0, u, out=u)
 
     # -- geometric laws ----------------------------------------------------
     def geometrics(self, n: int, ratio: float | np.ndarray | None = None) -> np.ndarray:
-        """n draws from P(k) = (1-r) r^k; r is ratio (default q) or one per draw."""
+        """n draws from P(k) = (1-r) r^k; r is ratio (default q) or one per draw.
+
+        The log and the division run in place on the fresh uniforms.  U lies in
+        (0,1] and log r < 0, so the quotient is >= 0 (or -0.0) and below 2^63,
+        and the int64 truncation is the floor."""
         r = self.q if ratio is None else ratio
         u = self.uniforms(n)
         log_r = np.log(r) if isinstance(r, np.ndarray) else math.log(r)
-        return np.floor(np.log(u) / log_r).astype(np.int64)
+        return np.divide(np.log(u, out=u), log_r, out=u).astype(np.int64)
 
     def truncated_geometrics(self, n: int, limit: int | np.ndarray) -> np.ndarray:
         """n draws from P(k) proportional to q^k on {0..limit} (exact inverse
@@ -92,7 +97,8 @@ class GeomStream:
             raise DomainError(f"limit must be >= 0, got {limit}")
         elif limit == 0:
             return np.zeros(_size(n), dtype=np.int64)
-        top = 1.0 - self.q ** (limit + 1)
-        w = self.uniforms(n) * top
-        k = np.floor(np.log(1.0 - w) / math.log(self.q)).astype(np.int64)
-        return np.minimum(k, limit)
+        w = self.uniforms(n)
+        w *= 1.0 - self.q ** (limit + 1)
+        np.log(np.subtract(1.0, w, out=w), out=w)
+        w /= math.log(self.q)
+        return np.minimum(w.astype(np.int64), limit)
