@@ -306,6 +306,11 @@ def main(argv: list[str] | None = None) -> int:
     except MallowsError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout (`| head`): 128 + SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the shutdown flush is silent
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

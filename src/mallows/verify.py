@@ -247,21 +247,25 @@ def _suite_exchangeability(p: QParam, master: GeomStream, draws: None) -> list[C
                           "so the swap ratios cannot be checked")
     # r-code identity: swapping adjacent positions multiplies the weight by
     # q^{+1} or q^{-1} according to whether an inversion is created
-    worst_r = 0.0
+    # (each case's statistic is np.max of its errors, which a NaN error
+    # makes NaN, so the case fails; Python's max would drop it)
+    errs = []
     for a in range(13):
         for b in range(13):
             na, nb = adjacent_swap_r(a, b)
             got = q ** (na + nb) / q ** (a + b)
             want = q if a <= b else 1.0 / q
-            worst_r = max(worst_r, abs(got - want) / want)
+            errs.append(abs(got - want) / want)
+    worst_r = float(np.max(errs))
     cases = [CaseResult("swap-ratio-rcode", worst_r, 1e-12, worst_r <= 1e-12, 0)]
     # oracle identity on S_n, read through the swap tables of _swaps
-    worst_o = 0.0
+    errs = []
     for n in range(2, 7):
         probs = np.fromiter(oracle_enumerate(n, p).probs.values(), float)
         index, adds = _swaps(n)
         want = np.where(adds, q, 1.0 / q)
-        worst_o = max(worst_o, float((np.abs(probs[index] / probs - want) / want).max()))
+        errs.append((np.abs(probs[index] / probs - want) / want).max())
+    worst_o = float(np.max(errs))
     cases.append(CaseResult("swap-ratio-oracle", worst_o, 1e-12, worst_o <= 1e-12, 0))
     return cases
 

@@ -273,6 +273,23 @@ def test_sample_byte_deterministic(capsys):
     assert out_a == out_b
 
 
+def test_sample_into_a_closed_pipe_exits_quietly():
+    # `mallows sample ... | head -1`: the reader closes the pipe after one
+    # line; the writer exits 141 (128 + SIGPIPE) with nothing on stderr
+    import mallows
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mallows.__file__)))
+    argv = ["sample", "--mode", "two-sided", "--window", "-5:5", "--q", "0.5",
+            "--count", "100000"]
+    with subprocess.Popen([sys.executable, "-m", "mallows", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b'{"q": 0.5')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and err == ""
+
+
 def test_sample_seed_from_environment(capsys, monkeypatch):
     argv = ["sample", "--mode", "finite", "--n", "3", "--q", "0.5", "--count", "2"]
     monkeypatch.setenv("MALLOWS_SEED", "77")

@@ -11,6 +11,7 @@ from mallows import GeomStream, verify
 from mallows.dist import FddQuery, fdd_probability
 from mallows.errors import DomainError, UnknownSuiteError
 from mallows.oracle import OraclePmf, _words, oracle_enumerate
+from mallows.perm import adjacent_swap_r
 from mallows.qseries import QParam
 from mallows.samplers import batch_interlacing_windows, batch_inversion_windows
 from mallows.verify import SUITE_NAMES, chi_square_case, ks_case, run_suite
@@ -251,6 +252,31 @@ def test_exchangeability_reads_its_tables_once_and_stays_sensitive():
             "swap-ratio-rcode": fails != "swap-ratio-rcode",
             "swap-ratio-oracle": fails != "swap-ratio-oracle",
         }, name
+
+
+def _nan_word(n, p):
+    pmf = oracle_enumerate(n, p)
+    return pmf if n != 5 else OraclePmf(n=n, q=pmf.q, probs={**pmf.probs, "21345": float("nan")})
+
+
+def _nan_swap(a, b):
+    na, nb = adjacent_swap_r(a, b)
+    return (float("nan"), nb) if (a, b) == (3, 4) else (na, nb)
+
+
+@pytest.mark.parametrize("name, defect, fails", [
+    ("oracle_enumerate", _nan_word, "swap-ratio-oracle"),
+    ("adjacent_swap_r", _nan_swap, "swap-ratio-rcode"),
+])
+def test_exchangeability_fails_on_a_nan_error(monkeypatch, name, defect, fails):
+    # a NaN error makes the case's statistic NaN, so the case fails
+    monkeypatch.setattr(verify, name, defect)
+    report = run_suite("exchangeability", (), P5, SEED)
+    cases = {c.name: c for c in report.cases}
+    assert np.isnan(cases[fails].statistic) and not cases[fails].passed
+    assert not report.overall_pass
+    other, = set(cases) - {fails}
+    assert cases[other].passed
 
 
 def test_cached_word_tables_are_read_only():
