@@ -100,5 +100,5 @@ class GeomStream:
         w = self.uniforms(n)
         w *= 1.0 - self.q ** (limit + 1)
         np.log(np.subtract(1.0, w, out=w), out=w)
-        w /= math.log(self.q)
-        return np.minimum(w.astype(np.int64), limit)
+        w /= math.log(self.q)  # +inf at U = 1 where q^(limit+1) < 2^-53: capped first
+        return np.minimum(w, limit, out=w).astype(np.int64)

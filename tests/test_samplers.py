@@ -12,7 +12,7 @@ from scipy import stats
 import oracles
 from mallows.dist import FddQuery, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
-from mallows.perm import reconstruct_ell
+from mallows.perm import _chain_horizon, _leftward_chains, reconstruct_ell
 from mallows.qseries import QParam, pochhammer_table
 from mallows.samplers import (
     YoungDiagram,
@@ -524,6 +524,30 @@ def test_inversion_kernel_at_the_window_limit_is_a_shifted_window(lo):
     assert (here - lo).tolist() == there.tolist() and ell.tolist() == ell0.tolist()
 
 
+@pytest.mark.parametrize("lo, hi, q, count, eps_tv", [
+    (-5, 5, 0.5, 0, 1e-9), (-5, 5, 0.5, 300, 10.0), (-5, 5, 0.5, 300, 0.5),
+    (0, 0, 0.5, 5000, 1e-6), (0, 63, 0.8, 300, 1e-6), (-3, 3, 0.99, 50, 1e-6)])
+def test_inversion_kernel_draws_what_its_rounds_need(lo, hi, q, count, eps_tv):
+    # read back from the outputs: r = values - positions + ell, the in-window
+    # left counts are those of _leftward_chains(r), and the rest of a row's
+    # lowest chains' left counts are their hits; a row whose lowest state
+    # low0 is below x* draws x* - low0 steps plus those hits
+    s = GeomStream(seed=5, q=q)
+    values, ell = batch_inversion_windows(lo, hi, QParam(q), s, count, eps_tv)
+    width = hi - lo + 1
+    r = values - np.arange(lo, hi + 1) + ell
+    x = _leftward_chains(r)
+    hits = ell - (np.arange(width) - (x - r))
+    low = x.min(axis=1, initial=np.iinfo(np.int64).max)
+    lowest = x == low[:, None]
+    row_hits = np.where(lowest, hits, 0).max(axis=1, initial=0)
+    assert np.all(hits >= 0) and np.all(hits[lowest] == np.repeat(row_hits, lowest.sum(axis=1)))
+    xstar = _chain_horizon(q, eps_tv)
+    drawing = low < xstar
+    assert not row_hits[~drawing].any()
+    assert s.counter == count * width + int((xstar - low + row_hits)[drawing].sum())
+
+
 def test_inversion_kernel_count_zero():
     s = GeomStream(seed=0, q=0.5)
     values, ell = batch_inversion_windows(-2, 2, P5, s, 0, 1e-9)
@@ -637,6 +661,57 @@ def test_truncated_geometrics_array_limit_is_the_scalar_draw():
             s.truncated_geometrics(n, limits)
     assert s.counter == 0
     assert s.truncated_geometrics(0, np.zeros(0, dtype=np.int64)).size == 0
+
+
+RATIOS = (1e-300, 1e-12, 0.5, 0.999999, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("r", RATIOS)
+def test_stream_draws_are_the_floor_of_the_twin_quotients(r):
+    # the in-place draws against floor(log U / log r) and the truncated
+    # inverse CDF, computed with np.floor from a twin stream's uniforms U
+    a, b = GeomStream(seed=13, q=r), GeomStream(seed=13, q=r)
+    got = a.geometrics(1000)
+    want = np.floor(np.log(b.uniforms(1000)) / math.log(r)).astype(np.int64)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert a.counter == b.counter == 1000
+    for limit in (40, np.arange(1, 1001)):
+        got = a.truncated_geometrics(1000, limit)
+        u = b.uniforms(1000)
+        want = np.floor(np.log(1.0 - u * (1.0 - r ** (limit + 1))) / math.log(r))
+        assert np.array_equal(got, np.minimum(want.astype(np.int64), limit))
+    assert a.counter == b.counter == 3000
+    for empty in (a.geometrics(0), a.geometrics(0, np.zeros(0)), a.truncated_geometrics(0, 40),
+                  a.truncated_geometrics(0, np.zeros(0, dtype=np.int64))):
+        assert empty.shape == (0,) and empty.dtype == np.int64
+    assert a.counter == 3000
+
+
+def test_truncated_geometrics_cap_a_uniform_of_one_at_the_limit():
+    # U = 1 (a generator draw of 0.0) where q^(limit+1) is below 2^-53
+    # makes log(1 - U * (1 - q^(limit+1))) = -inf; the draw is the limit,
+    # not the int64 cast of +inf
+    class Zeros:
+        def random(self, n):
+            return np.zeros(n)
+
+    s = GeomStream(seed=0, q=0.5)
+    s._gen = Zeros()
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        assert s.truncated_geometrics(2, 60).tolist() == [60, 60]
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        assert s.truncated_geometrics(3, np.array([60, 70, 5])).tolist() == [60, 70, 5]
+    assert s.truncated_geometrics(2, 10).tolist() == [10, 10]
+    assert s.geometrics(2).tolist() == [0, 0]
+
+
+def test_geometrics_with_one_ratio_per_draw_are_the_floor_of_the_twin_quotients():
+    ratios = np.tile(RATIOS, 200)
+    a, b = GeomStream(seed=17, q=0.5), GeomStream(seed=17, q=0.5)
+    got = a.geometrics(ratios.size, ratios)
+    want = np.floor(np.log(b.uniforms(ratios.size)) / np.log(ratios)).astype(np.int64)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert a.counter == b.counter == ratios.size
 
 
 def test_batch_interlacing_matches_displacement_pmf():
