@@ -26,20 +26,13 @@ from .errors import (
     UnknownSuiteError,
 )
 from .perm import (
-    InversionCounts,
     PermWindow,
-    RWindowReport,
-    VERDICT_CONSISTENT,
-    VERDICT_INVALID,
-    VERDICT_SUSPECT,
     adjacent_swap_r,
     eliminate_left,
     eliminate_right,
     inversions,
     invert_window,
-    reconstruct_ell,
     truncate,
-    validate_r_window,
 )
 from .qseries import (
     INFINITY,
@@ -72,20 +65,15 @@ __all__ = [
     "FddQuery",
     "GeomStream",
     "INFINITY",
-    "InversionCounts",
     "MallowsError",
     "NotInjectiveError",
     "NotSelfContainedError",
     "PermWindow",
     "QParam",
     "QPochhammerTable",
-    "RWindowReport",
     "RejectSupportError",
     "TooLargeError",
     "UnknownSuiteError",
-    "VERDICT_CONSISTENT",
-    "VERDICT_INVALID",
-    "VERDICT_SUSPECT",
     "YoungDiagram",
     "adjacent_swap_r",
     "batch_finite_r",
@@ -106,12 +94,10 @@ __all__ = [
     "q_factorial",
     "q_pochhammer",
     "q_shuffle_prefix",
-    "reconstruct_ell",
     "sample_finite_mallows",
     "sample_two_sided_interlacing",
     "sample_two_sided_inversion",
     "sample_young_euler",
     "truncate",
-    "validate_r_window",
     "__version__",
 ]

@@ -27,23 +27,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .perm import inversions
-from .qseries import UNDERFLOW, QParam, normal_table, pochhammer_table, quotient
-
-
-def _integers(xs, what: str) -> tuple[int, ...]:
-    """xs as ints, or DomainError where one is not an integer (int or numpy
-    integer): a float, even 1.0, is refused rather than rounded to another
-    event."""
-    try:
-        return tuple(map(operator.index, xs))
-    except TypeError:
-        raise DomainError(f"{what} must be integers, got {xs!r}") from None
+from .qseries import UNDERFLOW, QParam, _integers, normal_table, pochhammer_table, quotient
 
 
 def _normal(value: float, q: float) -> float:
@@ -104,6 +93,7 @@ def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
     2 q^radius dominates P(|D| > radius) because |D| > m forces more than m
     right (or left) inversions at the position.
     """
+    (radius,) = _integers((radius,), "radius")
     if radius < 0:
         raise DomainError("radius must be >= 0")
     probs: dict[int, float] = {}

@@ -14,8 +14,10 @@ left counts built right to left.  For two-sided windows the identity
     sigma(i) = i + r[i] - l[i]
 
 rebuilds values, but the left counts are only *certifiable* up to a residual
-probability, because data arbitrarily far to the left can still contribute;
-see reconstruct_ell.
+probability, because data arbitrarily far to the left can still contribute:
+under geometric data a chain at state x meets a later left inversion with
+probability at most q^(x+1)/(1-q), and _chain_horizon is where that bound
+reaches eps_tv.
 
 Left counts and q-shuffle letters come from one leftward chain.  Entry j of
 a row r_0, r_1, ... has state x_j, which starts at r_j, meets r_{j-1}, ...,
@@ -26,8 +28,7 @@ ell_j = (j - lo) - (x_j - r_j).  For skips R, letter j of the q-shuffle (the
 earlier letter drops letter j's rank by one exactly when that letter lies
 below it, i.e. when R_k + 1 is at most the rank after the removal, so each
 step undoes one removal.  _leftward_chains runs the chain on arrays;
-_window_chain (one position) and _pop_letters (one word) are its scalar
-twins.
+_pop_letters (one word) is its scalar twin.
 
 truncate and invert_window take windows one per row of an array, as the
 batch samplers return them.
@@ -37,16 +38,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, NotSelfContainedError, RejectSupportError
-from .qseries import QParam
-
-VERDICT_CONSISTENT = "CONSISTENT"
-VERDICT_SUSPECT = "SUSPECT"
-VERDICT_INVALID = "INVALID"
 
 
 @dataclass(frozen=True)
@@ -71,43 +67,6 @@ class PermWindow:
         if len(set(self.values)) != width:
             raise ValueError("window values must be pairwise distinct")
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-
-@dataclass(frozen=True)
-class InversionCounts:
-    """Right and (certified) left inversion counts over a window.
-
-    When every entry of ell_certified is true and residual_bound is 0 the
-    counts reproduce the window exactly through sigma(i) = i + r[i] - l[i].
-    Otherwise residual_bound bounds the total probability (union bound over
-    positions) that any left count would still grow given more data.
-    """
-
-    lo: int
-    hi: int
-    r: tuple[int, ...]
-    ell: tuple[int, ...]
-    ell_certified: tuple[bool, ...]
-    residual_bound: float
-
-    def __post_init__(self) -> None:
-        width = self.hi - self.lo + 1
-        for name in ("r", "ell", "ell_certified"):
-            if len(getattr(self, name)) != width:
-                raise ValueError(f"{name} must have length {width}")
-        if not self.residual_bound >= 0.0:
-            raise ValueError(f"residual_bound must be >= 0, got {self.residual_bound!r}")
-
-
-@dataclass(frozen=True)
-class RWindowReport:
-    """Outcome of validate_r_window; see that function for the verdict policy."""
-
-    lo: int
-    hi: int
-    zero_positions: tuple[int, ...]
-    counts: InversionCounts
-    verdict: str
 
 
 def inversions(values: Sequence[int]) -> int:
@@ -195,24 +154,6 @@ def _chain_horizon(q: float, eps_tv: float) -> int:
     return x
 
 
-def _window_chain(
-    r_window: Sequence[int], lo: int, j: int, xstar: int
-) -> tuple[int, int, bool]:
-    """(left count, state, late) of the leftward chain of j run over the
-    window down to lo; late is whether a left inversion was counted at a
-    state >= xstar, past the horizon."""
-    x = int(r_window[j - lo])
-    ell = 0
-    late = False
-    for i in range(j - 1, lo - 1, -1):
-        if r_window[i - lo] > x:
-            ell += 1
-            late = late or x >= xstar
-        else:
-            x += 1
-    return ell, x, late
-
-
 def _leftward_chains(r: np.ndarray) -> np.ndarray:
     """Final state of the leftward chain (see the module docstring) of
     every entry of a rows x width matrix, in width-1 array steps over an
@@ -223,40 +164,6 @@ def _leftward_chains(r: np.ndarray) -> np.ndarray:
     for t in range(1, width):
         x[t:] += start[:-t] <= x[t:]
     return x.T
-
-
-def reconstruct_ell(
-    r_window: Sequence[int],
-    lo: int,
-    j: int,
-    p: QParam,
-    eps_tv: float,
-    extend: Callable[[], int] | None = None,
-) -> tuple[int, bool, float]:
-    """Left count at position j from right counts on [lo..j] and beyond.
-
-    Runs the leftward chain: state x starts at r[j]; visiting index i with
-    right count r_i, either r_i > x (a left inversion of j: count it, state
-    unchanged) or r_i <= x (state increments).  Under geometric data the
-    probability that any index left of the current one still contributes is
-    at most q^(x+1)/(1-q), so the chain stops once that bound drops to
-    eps_tv (_chain_horizon).  All values inside the window are consumed
-    exactly; the bound only governs how far `extend` (drawing r values for
-    lo-1, lo-2, ...) is consulted.  Without a callback the result may come
-    back uncertified (certified=False, residual > eps_tv).
-    """
-    if not lo <= j < lo + len(r_window):
-        raise ValueError("j outside the provided window")
-    q = p.q
-    xstar = _chain_horizon(q, eps_tv)
-    ell, x, _ = _window_chain(r_window, lo, j, xstar)
-    if extend is not None:
-        while x < xstar:
-            if extend() > x:
-                ell += 1
-            else:
-                x += 1
-    return ell, x >= xstar, q ** (x + 1) / (1.0 - q)
 
 
 def adjacent_swap_r(r_i: int, r_next: int) -> tuple[int, int]:
@@ -302,56 +209,3 @@ def invert_window(w: np.ndarray, lo: int) -> np.ndarray:
         )
     return lo + order
 
-
-def validate_r_window(
-    r_window: Sequence[int], lo: int, p: QParam, eps_tv: float
-) -> RWindowReport:
-    """Consistency report for a window of right counts.
-
-    Verdict policy (evidence-based): the window is SUSPECT when some
-    leftward chain records a left-count increment at a state the model
-    deems essentially impossible — a draw exceeding x when the remaining
-    increment probability q^(x+1)/(1-q) is already below eps_tv.  Genuine
-    geometric data triggers this with probability at most about
-    width^2 * eps_tv, so valid windows are CONSISTENT with probability
-    tending to 1 as eps_tv shrinks, while divergent-left-count patterns
-    (left counts that keep growing ever deeper into the window) become
-    SUSPECT once the window is wide enough to expose them.
-
-    Absent such evidence the window rebuilds via sigma(i) = i + r_i - l_i,
-    where the l_i are exact for the completion of the window by zeros;
-    value collisions would mean no permutation has these counts (INVALID,
-    unreachable for nonnegative data since the zero completion always
-    defines a permutation, kept as a defensive branch), otherwise the
-    window is CONSISTENT.  Positions with r = 0 are reported as a density
-    proxy for the tail condition that valid data must satisfy (r must
-    vanish infinitely often); a finite window can support but never refute
-    that condition.  The per-position certification flags carry the
-    reconstruct_ell residual semantics and are diagnostic only.
-    """
-    if any(v < 0 for v in r_window):
-        raise DomainError("right counts must be nonnegative")
-    q = p.q
-    xstar = _chain_horizon(q, eps_tv)
-    n = len(r_window)
-    hi = lo + n - 1
-    zeros = tuple(lo + k for k in range(n) if r_window[k] == 0)
-    chains = [_window_chain(r_window, lo, j, xstar) for j in range(lo, hi + 1)]
-    counts = InversionCounts(
-        lo=lo,
-        hi=hi,
-        r=tuple(int(v) for v in r_window),
-        ell=tuple(lj for lj, _, _ in chains),
-        ell_certified=tuple(x >= xstar for _, x, _ in chains),
-        residual_bound=sum(q ** (x + 1) / (1.0 - q) for _, x, _ in chains),
-    )
-    if any(late for _, _, late in chains):
-        verdict = VERDICT_SUSPECT
-    else:
-        values = [lo + k + r_window[k] - counts.ell[k] for k in range(n)]
-        verdict = (
-            VERDICT_CONSISTENT if len(set(values)) == n else VERDICT_INVALID
-        )
-    return RWindowReport(
-        lo=lo, hi=hi, zero_positions=zeros, counts=counts, verdict=verdict
-    )

@@ -19,6 +19,7 @@ never by a fixed term count, so accuracy is uniform in q.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -31,6 +32,16 @@ INFINITY = math.inf
 #: refusal where a denominator, a product of <n>_q values or of factors
 #: 1-q, underflows to 0 (for q near 1)
 UNDERFLOW = "q={q}: a denominator underflows to 0; the value cannot be returned"
+
+
+def _integers(xs, what: str) -> tuple[int, ...]:
+    """xs as ints, or DomainError where one is not an integer (int or numpy
+    integer): a float, even 1.0, is refused rather than rounded to another
+    count or event."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError:
+        raise DomainError(f"{what} must be integers, got {xs!r}") from None
 
 
 @dataclass(frozen=True)
@@ -145,6 +156,7 @@ def q_factorial(n: int, p: QParam) -> float:
     >>> q_factorial(3, QParam(0.5))
     2.625
     """
+    (n,) = _integers((n,), "q_factorial's n")
     if n < 0:
         raise DomainError("q_factorial requires n >= 0")
     # n factors, not the depth of p's table, which grows like 1/(1-q)
@@ -186,7 +198,7 @@ def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
         table = normal_table(p, "no certified value can be returned")
         value = table.infinite_value
         return value, table.infinite_error + _product_error(p.q, len(table.values) - 1, value)
-    n = int(n)
+    (n,) = _integers((n,), "q_pochhammer's n")
     if n < 0:
         raise DomainError("q_pochhammer requires n >= 0 or INFINITY")
     value = _build_table(p.q, n).value(n)

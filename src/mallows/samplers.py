@@ -420,13 +420,13 @@ def batch_inversion_windows(
     """(values, left counts): two count x width matrices of two-sided
     windows rebuilt from i.i.d. geometric right counts.
 
-    Each position j runs reconstruct_ell's leftward chain: state x starts
+    Each position j runs the leftward chain of mallows.perm: state x starts
     at r_j and meets r_{j-1}, r_{j-2}, ...; a right count above x is a left
     inversion of j (ell_j += 1), otherwise x increments.  Inside the window
     the chains are exact: ell_j = (j - lo) - (x_j - r_j), x the states of
     _leftward_chains(r).  Left of the window the chains of a row share one
     lazily drawn sequence of right counts, and a chain stops once
-    q^(x+1)/(1-q) <= eps_tv, i.e. at reconstruct_ell's horizon
+    q^(x+1)/(1-q) <= eps_tv, i.e. at the horizon
     x* = _chain_horizon(q, eps_tv), so each window law is within width *
     eps_tv of exact in total variation.  The values are
     sigma(j) = j + r_j - ell_j.
@@ -435,7 +435,7 @@ def batch_inversion_windows(
     then rounds of one s.geometrics call with one draw for each row whose
     lowest chain is still below x*: first the rows whose lowest chain took
     no step in the previous round, then the other rows still drawing.  At
-    count=1 these are the draws of one reconstruct_ell chain per position
+    count=1 these are the draws of one chain per position, walked to x*
     over a lazily extended cache, in the same order.  The rounds keep each
     active row's lowest state in an array aligned with the active rows; a
     row leaves when it reaches x*, so its lowest chains' hits are its draws

@@ -99,6 +99,7 @@ class GeomStream:
             return np.zeros(_size(n), dtype=np.int64)
         w = self.uniforms(n)
         w *= 1.0 - self.q ** (limit + 1)
-        np.log(np.subtract(1.0, w, out=w), out=w)
-        w /= math.log(self.q)  # +inf at U = 1 where q^(limit+1) < 2^-53: capped first
+        with np.errstate(divide="ignore"):  # log 0 at U = 1 where q^(limit+1) < 2^-53
+            np.log(np.subtract(1.0, w, out=w), out=w)
+        w /= math.log(self.q)  # so +inf there, capped first
         return np.minimum(w, limit, out=w).astype(np.int64)

@@ -224,6 +224,21 @@ def pair_counts(values) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return r, ell
 
 
+def left_walk(r_left, x: int) -> tuple[int, int]:
+    """(left inversions, final state) of a leftward chain started at state
+    x: it meets the right counts r_left, nearest first, and counts one left
+    inversion where a right count is above the state, else steps the state
+    by one.  Started at r_j over the right counts left of j in a word, it
+    gives the word's left count at j."""
+    ell = 0
+    for r in r_left:
+        if r > x:
+            ell += 1
+        else:
+            x += 1
+    return ell, x
+
+
 def sign_word(parts, lo: int, hi: int) -> tuple[int, ...]:
     """The +-1 word on positions lo..hi of the diagram with these weakly
     decreasing parts: position i is +1 exactly when i = k - lambda_k for

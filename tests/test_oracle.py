@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -70,6 +71,18 @@ def test_words_in_lexicographic_order_with_the_direct_floats(q):
             for sigma in itertools.permutations(range(1, n + 1))
         }
         assert list(oracle_enumerate(n, p).probs.items()) == list(want.items()), f"n={n}"
+
+
+def test_left_walk_gives_the_pair_left_counts():
+    # the chain from r_i over the right counts left of i, nearest first,
+    # counts exactly the larger values left of i
+    words = list(itertools.permutations(range(1, 6)))
+    rng = random.Random(41)
+    words += [rng.sample(range(1, n + 1), n) for n in range(1, 41) for _ in range(5)]
+    for word in words:
+        r, ell = oracles.pair_counts(word)
+        walked = tuple(oracles.left_walk(r[:i][::-1], r[i])[0] for i in range(len(word)))
+        assert walked == ell, word
 
 
 def test_unknown_word_has_zero_prob():

@@ -1,8 +1,7 @@
-"""Windows, inversion-count codecs, truncation and inversion of window rows,
-and the window validator."""
+"""Windows, inversion-count codecs, the leftward chain, and truncation and
+inversion of window rows."""
 from __future__ import annotations
 
-import math
 import random
 from itertools import permutations
 
@@ -11,10 +10,7 @@ import pytest
 
 from mallows.errors import DomainError, NotSelfContainedError, RejectSupportError
 from mallows.perm import (
-    InversionCounts,
     PermWindow,
-    VERDICT_CONSISTENT,
-    VERDICT_SUSPECT,
     _chain_horizon,
     _leftward_chains,
     _pop_letters,
@@ -23,9 +19,7 @@ from mallows.perm import (
     eliminate_right,
     inversions,
     invert_window,
-    reconstruct_ell,
     truncate,
-    validate_r_window,
 )
 from mallows.qseries import QParam
 from mallows.samplers import batch_interlacing_windows
@@ -58,12 +52,6 @@ def test_inversion_counts_example():
     r, ell = pair_counts((3, 1, 2, 4))
     assert r == (2, 0, 0, 0)
     assert ell == (0, 1, 1, 0)
-
-
-def test_inversion_counts_refuse_nan_residual():
-    with pytest.raises(ValueError):
-        InversionCounts(lo=0, hi=0, r=(0,), ell=(0,), ell_certified=(True,),
-                        residual_bound=float("nan"))
 
 
 # --------------------------------------------------------------------------
@@ -142,61 +130,8 @@ def test_adjacent_swap_matches_word_swap():
 
 
 # --------------------------------------------------------------------------
-# left-count reconstruction
+# the chain horizon
 # --------------------------------------------------------------------------
-
-def test_reconstruct_ell_in_window_exact():
-    # all leftward data inside the window is consumed exactly
-    r = (2, 0, 0, 0)
-    for j, want in [(1, 0), (2, 1), (3, 1), (4, 0)]:
-        ell, certified, residual = reconstruct_ell(r, 1, j, P5, 1e-9)
-        assert ell == want, f"j={j}"
-        assert residual > 0.0
-        assert not certified  # small window cannot certify at 1e-9
-
-
-def test_reconstruct_ell_with_extension():
-    # zero draws beyond the window only advance the state, never the count
-    calls = 0
-
-    def zeros():
-        nonlocal calls
-        calls += 1
-        return 0
-
-    ell, certified, residual = reconstruct_ell((0, 0, 0), 0, 2, P5, 1e-6, zeros)
-    assert ell == 0
-    assert certified
-    assert residual <= 1e-6
-    assert calls >= 15  # must walk until 0.5^(x+1)/0.5 <= 1e-6
-
-
-def test_reconstruct_ell_geometric_extension_terminates():
-    s = GeomStream(seed=99, q=0.5)
-    for j in range(-2, 3):
-        ell, certified, residual = reconstruct_ell(
-            (1, 0, 2, 0, 1), -2, j, P5, 1e-9, lambda: int(s.geometrics(1)[0])
-        )
-        assert certified
-        assert residual <= 1e-9
-        assert ell >= 0
-
-
-@pytest.mark.parametrize("eps_tv", [-1e-9, 0.0, math.nan, math.inf])
-def test_chain_budgets_outside_zero_inf_are_refused_before_any_draw(eps_tv):
-    calls = 0
-
-    def zeros():
-        nonlocal calls
-        calls += 1
-        return 0
-
-    with pytest.raises(DomainError):
-        reconstruct_ell((0, 0, 0), 0, 2, P5, eps_tv, zeros)
-    assert calls == 0
-    with pytest.raises(DomainError):
-        validate_r_window([0, 1, 0], 0, P5, eps_tv)
-
 
 @pytest.mark.parametrize("q", [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95])
 def test_chain_horizon_is_the_first_state_within_budget(q):
@@ -346,75 +281,3 @@ def test_truncation_and_inversion_do_not_commute():
     assert a.tolist() == [[1, 0, -1]]
     assert b.tolist() == [[-1, 0, 1]]
 
-
-# --------------------------------------------------------------------------
-# window validator
-# --------------------------------------------------------------------------
-
-def test_validate_identity_window():
-    rep = validate_r_window([0] * 9, -4, P5, 1e-9)
-    assert rep.verdict == VERDICT_CONSISTENT
-    assert rep.zero_positions == tuple(range(-4, 5))
-    assert rep.counts.ell == (0,) * 9
-
-
-def _divergent_left_pattern(lo: int) -> list[int]:
-    # right counts of the interleaving pattern sigma(-2k) = -k,
-    # sigma(-2k-1) = 2k+1, sigma(j) = 2j: the left count at 0 diverges
-    out = []
-    for i in range(lo, 1):
-        if i < 0 and (-i) % 2 == 1:
-            k = (-i - 1) // 2
-            out.append(3 * k + 1)
-        else:
-            out.append(0)
-    return out
-
-
-@pytest.mark.parametrize(
-    "lo,eps_tv,verdict",
-    [
-        (-30, 1e-9, VERDICT_SUSPECT),
-        (-15, 1e-9, VERDICT_CONSISTENT),
-        (-12, 1e-3, VERDICT_SUSPECT),
-        (-6, 1e-3, VERDICT_CONSISTENT),
-    ],
-)
-def test_validate_divergent_pattern(lo, eps_tv, verdict):
-    rep = validate_r_window(_divergent_left_pattern(lo), lo, P5, eps_tv)
-    assert rep.verdict == verdict, f"lo={lo} eps={eps_tv}"
-
-
-@pytest.mark.parametrize("r_right, verdict", [(2, VERDICT_SUSPECT), (1, VERDICT_CONSISTENT)])
-def test_validate_suspect_from_a_left_inversion_at_the_horizon(r_right, verdict):
-    # at q=0.5, eps_tv=0.25 the horizon is x* = 2: the chain of position 1
-    # starts at r_right and meets 3 > r_right, a left inversion counted at
-    # state r_right, which is past the horizon exactly when r_right >= 2
-    assert _chain_horizon(0.5, 0.25) == 2
-    rep = validate_r_window([3, r_right], 0, P5, 0.25)
-    assert rep.counts.ell == (0, 1)
-    assert rep.verdict == verdict
-
-
-def test_validate_geometric_windows_consistent():
-    s = GeomStream(seed=123, q=0.5)
-    for trial in range(100):
-        r = s.geometrics(30).tolist()
-        rep = validate_r_window(r, -15, P5, 1e-9)
-        assert rep.verdict == VERDICT_CONSISTENT, f"trial {trial}"
-
-
-def test_validate_left_counts_rebuild_every_small_permutation():
-    # on a word of {1..n} the in-window chains are exact, so the left counts
-    # are the pair counts and sigma(i) = i + r_i - l_i gives the word back
-    for sigma in permutations(range(1, 6)):
-        r, ell = pair_counts(sigma)
-        rep = validate_r_window(r, 1, P5, 1e-9)
-        assert rep.counts.ell == ell, sigma
-        assert rep.verdict == VERDICT_CONSISTENT
-        assert tuple(i + 1 + r[i] - ell[i] for i in range(5)) == sigma
-
-
-def test_validate_rejects_negative_counts():
-    with pytest.raises(DomainError):
-        validate_r_window([0, -1, 0], 0, P5, 1e-9)

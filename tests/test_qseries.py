@@ -6,11 +6,12 @@ import math
 import weakref
 
 import mpmath
+import numpy as np
 import pytest
 
 import oracles
 from mallows import qseries
-from mallows.dist import FddQuery, fdd_probability
+from mallows.dist import FddQuery, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
 from mallows.qseries import (
     INFINITY,
@@ -157,6 +158,32 @@ def test_euler_series_identity():
 def test_q_pochhammer_rejects_negative():
     with pytest.raises(DomainError):
         q_pochhammer(-1, QParam(0.5))
+
+
+P5 = QParam(0.5)
+#: the functions that take a count: an order, a factorial's n or a radius
+COUNTED = {
+    "q_pochhammer": lambda n: q_pochhammer(n, P5),
+    "q_factorial": lambda n: q_factorial(n, P5),
+    "displacement_pmf": lambda n: displacement_pmf(P5, n),
+}
+
+
+@pytest.mark.parametrize("fn", COUNTED)
+@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(2.0), math.nan, -math.inf, "2"])
+def test_a_count_that_is_not_an_integer_is_refused(fn, n):
+    # 2.5 was truncated to <2>_q with a bound for <2>_q, 2.0 raised TypeError
+    with pytest.raises(DomainError, match="must be integers"):
+        COUNTED[fn](n)
+
+
+@pytest.mark.parametrize("fn", COUNTED)
+def test_integer_counts_of_any_type_are_the_same_count(fn):
+    want = COUNTED[fn](3)
+    for n in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert COUNTED[fn](n) == want
+    if fn == "q_pochhammer":
+        assert q_pochhammer(np.float64(INFINITY), P5) == q_pochhammer(INFINITY, P5)
 
 
 def test_table_size_is_rounded_once_per_parameter():

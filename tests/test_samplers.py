@@ -12,7 +12,7 @@ from scipy import stats
 import oracles
 from mallows.dist import FddQuery, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
-from mallows.perm import _chain_horizon, _leftward_chains, reconstruct_ell
+from mallows.perm import _chain_horizon, _leftward_chains
 from mallows.qseries import QParam, pochhammer_table
 from mallows.samplers import (
     YoungDiagram,
@@ -416,24 +416,24 @@ def test_inversion_sampler_rejects_bad_eps():
 
 
 def _chain_replay(lo, hi, p, s, eps_tv):
-    """Window by one reconstruct_ell chain per position: the right counts
+    """Window by one oracles.left_walk chain per position: the right counts
     first, then one lazily drawn cache of right counts left of the window
-    that every chain reads from its start."""
+    that every chain reads from its start until its state reaches the
+    horizon."""
+    xstar = _chain_horizon(p.q, eps_tv)
     r = s.geometrics(hi - lo + 1).tolist()
     cache: list[int] = []
     window = []
-    for j in range(lo, hi + 1):
-        depth = itertools.count()
-
-        def extend() -> int:
-            k = next(depth)
-            if k == len(cache):
+    for k, rj in enumerate(r):
+        ell, x = oracles.left_walk(r[:k][::-1], rj)
+        depth = 0
+        while x < xstar:
+            if depth == len(cache):
                 cache.append(int(s.geometrics(1)[0]))
-            return cache[k]
-
-        ell, certified, _ = reconstruct_ell(r, lo, j, p, eps_tv, extend)
-        assert certified
-        window.append(j + r[j - lo] - ell)
+            more, x = oracles.left_walk(cache[depth : depth + 1], x)
+            ell += more
+            depth += 1
+        window.append(lo + k + rj - ell)
     return window
 
 
@@ -690,19 +690,23 @@ def test_stream_draws_are_the_floor_of_the_twin_quotients(r):
 def test_truncated_geometrics_cap_a_uniform_of_one_at_the_limit():
     # U = 1 (a generator draw of 0.0) where q^(limit+1) is below 2^-53
     # makes log(1 - U * (1 - q^(limit+1))) = -inf; the draw is the limit,
-    # not the int64 cast of +inf
+    # not the int64 cast of +inf, and the log of 0 warns nothing (the
+    # suite's filterwarnings turns a RuntimeWarning into an error)
     class Zeros:
         def random(self, n):
             return np.zeros(n)
 
     s = GeomStream(seed=0, q=0.5)
     s._gen = Zeros()
-    with pytest.warns(RuntimeWarning, match="divide by zero"):
-        assert s.truncated_geometrics(2, 60).tolist() == [60, 60]
-    with pytest.warns(RuntimeWarning, match="divide by zero"):
-        assert s.truncated_geometrics(3, np.array([60, 70, 5])).tolist() == [60, 70, 5]
+    assert s.truncated_geometrics(2, 60).tolist() == [60, 60]
+    assert s.truncated_geometrics(3, np.array([60, 70, 5])).tolist() == [60, 70, 5]
     assert s.truncated_geometrics(2, 10).tolist() == [10, 10]
     assert s.geometrics(2).tolist() == [0, 0]
+    assert s.counter == 9
+    s = GeomStream(seed=0, q=0.01)
+    s._gen = Zeros()
+    assert s.truncated_geometrics(5, 20).tolist() == [20] * 5
+    assert s.counter == 5
 
 
 def test_geometrics_with_one_ratio_per_draw_are_the_floor_of_the_twin_quotients():
