@@ -172,18 +172,16 @@ COUNTED = {
 @pytest.mark.parametrize("fn", COUNTED)
 @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(2.0), math.nan, -math.inf, "2"])
 def test_a_count_that_is_not_an_integer_is_refused(fn, n):
-    # 2.5 was truncated to <2>_q with a bound for <2>_q, 2.0 raised TypeError
+    # a float is refused, even 2.0: rounding it would certify another count
     with pytest.raises(DomainError, match="must be integers"):
         COUNTED[fn](n)
 
 
-@pytest.mark.parametrize("fn", COUNTED)
-def test_integer_counts_of_any_type_are_the_same_count(fn):
-    want = COUNTED[fn](3)
-    for n in (np.int64(3), np.int32(3), np.uint8(3)):
-        assert COUNTED[fn](n) == want
-    if fn == "q_pochhammer":
-        assert q_pochhammer(np.float64(INFINITY), P5) == q_pochhammer(INFINITY, P5)
+def test_integer_counts_of_any_type_are_the_same_count():
+    for fn in COUNTED.values():
+        for n in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert fn(n) == fn(3)
+    assert q_pochhammer(np.float64(INFINITY), P5) == q_pochhammer(INFINITY, P5)
 
 
 def test_table_size_is_rounded_once_per_parameter():
