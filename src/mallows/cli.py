@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--eps-tv", type=float, default=1e-9,
-                    help="stopping budget for the inversion sampler")
+                    help="total-variation budget per window of the inversion sampler")
     sp.add_argument("--sampler", choices=("interlacing", "inversion"),
                     default="interlacing", help="two-sided construction")
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

@@ -13,11 +13,11 @@ left counts built right to left.  For two-sided windows the identity
 
     sigma(i) = i + r[i] - l[i]
 
-rebuilds values, but the left counts are only *certifiable* up to a residual
-probability, because data arbitrarily far to the left can still contribute:
-under geometric data a chain at state x meets a later left inversion with
-probability at most q^(x+1)/(1-q), and _chain_horizon is where that bound
-reaches eps_tv.
+rebuilds values, but the left counts depend on data arbitrarily far to the
+left: under geometric data a chain at state x meets a later left inversion
+with probability at most q^(x+1)/(1-q), and _chain_horizon, where that
+bound reaches eps_tv, is the deepest part the inversion kernel's tail
+search draws.
 
 Left counts and q-shuffle letters come from one leftward chain.  Entry j of
 a row r_0, r_1, ... has state x_j, which starts at r_j, meets r_{j-1}, ...,
@@ -138,9 +138,10 @@ def eliminate_left(ell: Sequence[int]) -> PermWindow:
 
 
 def _chain_horizon(q: float, eps_tv: float) -> int:
-    """Smallest state x >= 0 with q^(x+1)/(1-q) <= eps_tv, where every
-    leftward chain stops.  The log estimate can land one past it where the
-    bound meets eps_tv exactly, so it is stepped to that state."""
+    """Smallest state x >= 0 with q^(x+1)/(1-q) <= eps_tv, a bound on the
+    chance that a chain at x is hit again: the largest part the inversion
+    kernel's tail search draws.  The log estimate can land one past it
+    where the bound meets eps_tv exactly, so it is stepped to that state."""
     if not 0.0 < eps_tv < math.inf:
         raise DomainError(f"eps_tv must be finite and > 0, got {eps_tv!r}")
     tail = eps_tv * (1.0 - q)

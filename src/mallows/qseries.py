@@ -29,6 +29,10 @@ from .errors import DomainError
 #: Token accepted by :func:`q_pochhammer` for the infinite product <inf>_q.
 INFINITY = math.inf
 
+#: the most entries of a table of <n>_q; a larger one (from q ~ 0.9999906
+#: at the default eps_series) is refused before it is built
+MAX_TABLE = 2**22
+
 #: refusal where a denominator, a product of <n>_q values or of factors
 #: 1-q, underflows to 0 (for q near 1)
 UNDERFLOW = "q={q}: a denominator underflows to 0; the value cannot be returned"
@@ -128,6 +132,9 @@ def pochhammer_table(p: QParam, n_max: int = 0) -> QPochhammerTable:
         p.memo["table_size"] = size
     while size < n_max:
         size *= 2
+    if size > MAX_TABLE:
+        raise DomainError(f"q={p.q}: a table of {size} entries of <n>_q is past "
+                          f"MAX_TABLE={MAX_TABLE}; no value can be returned")
     return _build_table(p.q, size)
 
 

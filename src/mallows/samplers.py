@@ -14,10 +14,10 @@ The two-sided samplers are the heart of the package:
   above i is #(+ <= i) - i.
 * ``sample_two_sided_inversion`` draws i.i.d. geometric right counts and
   rebuilds values through sigma(i) = i + r_i - l_i, reconstructing each left
-  count by the leftward chain with a total-variation stopping budget; its
-  window law is within (window width) * eps_tv of exact.  It exists to
-  cross-validate the interlacing construction and is checked against it in
-  the verification suites.
+  count by the leftward chain, whose hits left of the window come from a
+  part search as deep as eps_tv sets; each window is within eps_tv of exact
+  in total variation.  It exists to cross-validate the interlacing
+  construction and is checked against it in the verification suites.
 
 ``batch_*`` functions are vectorized Monte Carlo kernels producing the same
 laws at acceptance-test sample sizes.
@@ -31,10 +31,11 @@ the right counts behind ``batch_finite_words``.
 
 ``batch_inversion_windows`` is the one implementation of the inversion
 route: all rows' right counts in one call, the in-window chains by
-``perm._leftward_chains``, then rounds of left draws over the rows whose
-lowest chain is still short of eps_tv.  ``sample_two_sided_inversion`` is
-its count=1 case and ``batch_inversion_position0`` its [0..0] case, so both
-return what the kernel returns for the same stream.
+``perm._leftward_chains``, then each row's tail: a part search for its
+lowest chain's hits, and one overshoot per hit for the other chains.
+``sample_two_sided_inversion`` is its count=1 case and
+``batch_inversion_position0`` its [0..0] case, so both return what the
+kernel returns for the same stream.
 
 ``batch_interlacing_windows`` is the scalar interlacing sampler run on a
 block of rows at once: the diagrams come from the part-size search of
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import DomainError, NotInjectiveError
 from .perm import PermWindow, _chain_horizon, _leftward_chains, _pop_letters, eliminate_right
-from .qseries import QParam, normal_table
+from .qseries import MAX_TABLE, QParam, normal_table
 from .streams import GeomStream
 
 
@@ -227,11 +228,10 @@ def sample_two_sided_inversion(
     """Window of the two-sided law via i.i.d. geometric right counts.
 
     The count=1 case of batch_inversion_windows: left counts come from the
-    leftward chains, all positions sharing one lazily drawn sequence of
-    right counts to the left of the window; each chain stops once the
-    probability of any further increment is <= eps_tv, so the window law is
-    within (hi-lo+1)*eps_tv of exact in total variation (union bound).
-    Truncation keeps the order of the values, so they never collide.
+    leftward chains, whose hits left of the window are drawn by a part
+    search that skips parts above _chain_horizon(q, eps_tv), so the window
+    is within eps_tv of exact in total variation.  The search depth never
+    changes the order of the values, so they never collide.
     """
     values, _ = batch_inversion_windows(lo, hi, p, s, 1, eps_tv)
     return PermWindow(lo=lo, hi=hi, values=tuple(values[0].tolist()))
@@ -424,71 +424,63 @@ def batch_inversion_windows(
     at r_j and meets r_{j-1}, r_{j-2}, ...; a right count above x is a left
     inversion of j (ell_j += 1), otherwise x increments.  Inside the window
     the chains are exact: ell_j = (j - lo) - (x_j - r_j), x the states of
-    _leftward_chains(r).  Left of the window the chains of a row share one
-    lazily drawn sequence of right counts, and a chain stops once
-    q^(x+1)/(1-q) <= eps_tv, i.e. at the horizon
-    x* = _chain_horizon(q, eps_tv), so each window law is within width *
+    _leftward_chains(r).  Left of it a row's chains meet one sequence of
+    right counts.  The lowest chain, at state y, is hit with probability
+    q^(y+1), so it has as many hits as an Euler-measure diagram has parts
+    above its in-window state low (part J's multiplicity is geometric with
+    ratio q^J).  A hit's overshoot, the right count less y+1, is geometric(q),
+    and a chain with gap g = x - y is hit where g <= the overshoot, else its
+    gap grows by 1 (a right count <= y steps every chain).  So a part search
+    from low on a table of -log <j>_q, j <= x* = _chain_horizon(q, eps_tv),
+    gives the hits, and one overshoot per hit the rest.  A part above x*
+    has probability at most q^(x*+1)/(1-q) <= eps_tv, so each row is within
     eps_tv of exact in total variation.  The values are
     sigma(j) = j + r_j - ell_j.
 
     Draws: every row's right counts, row by row, in one s.geometrics call;
-    then rounds of one s.geometrics call with one draw for each row whose
-    lowest chain is still below x*: first the rows whose lowest chain took
-    no step in the previous round, then the other rows still drawing.  At
-    count=1 these are the draws of one chain per position, walked to x*
-    over a lazily extended cache, in the same order.  The rounds keep each
-    active row's lowest state in an array aligned with the active rows; a
-    row leaves when it reaches x*, so its lowest chains' hits are its draws
-    less its x* - low steps.  The other live chains are kept flat and
-    compressed as they reach x*.
+    then search rounds, each one uniform per row still searching (at first
+    the rows with low below x*, in row order) and one multiplicity per row
+    that found a part; then overshoot rounds, each one geometric per row
+    with hits left, rows by decreasing hits.  At count=1 these are one
+    chain's search and then its overshoots.
 
     Whatever eps_tv, a row's values are distinct and in the order of the
-    exact ones: a chain's state counts the smaller values at the positions
-    it has reached and to the right of j, so a chain stops no further left
-    than any chain of a smaller value, and j + r_j - ell_j never rises as a
-    chain goes left.  A collision is therefore a defect and raises
+    exact ones: the cascade walks the row's chains over one sequence of
+    right counts, and the right counts inside the window fix the order of
+    its values.  A collision is therefore a defect and raises
     NotInjectiveError.
     """
     _check_window(lo, hi)
     if count < 0:
         raise DomainError("count must be >= 0")
-    xstar = _chain_horizon(p.q, eps_tv)
+    q, xstar = p.q, _chain_horizon(p.q, eps_tv)
+    if xstar > MAX_TABLE:
+        raise DomainError(f"eps_tv={eps_tv!r} at q={q} needs a tail table of {xstar} "
+                          f"parts, past MAX_TABLE={MAX_TABLE}")
     _check_stream(p, s)
     width = hi - lo + 1
     r = s.geometrics(count * width).reshape(count, width)
     x = _leftward_chains(r)
     ell = np.arange(width) - (x - r)
-    # a draw above a row's lowest chain leaves it, any other steps every
-    # live chain of the row, so the lowest chains alone set the rounds; the
-    # other live chains are kept flat, as chain index into the row-major
-    # window, row and state
     low = x.min(axis=1)
-    lowest = x == low[:, None]
-    chain = np.flatnonzero(~lowest & (x < xstar))
-    row, state = chain // width, x.reshape(-1)[chain]
-    flat_ell = ell.reshape(-1)  # a view: arithmetic on r gives a C-order ell
-    drawn = np.zeros(count, dtype=np.int64)  # a row's draw count, set as it leaves
-    row_draw = np.empty(count, dtype=np.int64)
+    qpow = q ** np.arange(xstar + 1)
+    neg = np.concatenate(([0.0], np.cumsum(-np.log1p(-qpow[1:]))))  # -log <j>_q
+    hits = np.zeros(count, dtype=np.int64)
     active = np.flatnonzero(low < xstar)
-    cur = low[active]  # the active rows' lowest states, in draw order
-    rounds = 0
+    base = low[active]
     while active.size:
-        draws = s.geometrics(active.size)
-        rounds += 1
-        if chain.size:  # a live chain's row is active: low <= its state
-            row_draw[active] = draws
-            hit = row_draw[row] > state
-            flat_ell[chain[hit]] += 1
-            state += ~hit
-            live = state < xstar
-            chain, row, state = chain[live], row[live], state[live]
-        step = draws <= cur
-        cur += step
-        done = cur == xstar
-        drawn[active[done]] = rounds
-        keep = np.concatenate((np.flatnonzero(~step), np.flatnonzero(step & ~done)))
-        active, cur = active[keep], cur[keep]
-    ell += lowest * (drawn - np.maximum(xstar - low, 0))[:, None]
+        j = np.searchsorted(neg, neg[base] - np.log(s.uniforms(active.size)), side="right")
+        found = j <= xstar
+        active, base = active[found], j[found]
+        hits[active] += 1 + s.geometrics(active.size, ratio=qpow[base])
+    order = np.argsort(-hits, kind="stable")
+    gap = (x - low[:, None])[order]
+    tail = np.zeros_like(gap)
+    for n in count - np.cumsum(np.bincount(hits))[:-1]:  # the rows with hits left
+        hit = gap[:n] <= s.geometrics(n)[:, None]
+        tail[:n] += hit
+        gap[:n] += ~hit
+    ell[order] += tail
     values = np.arange(lo, hi + 1) + r - ell
     if np.any(np.diff(np.sort(values, axis=1), axis=1) == 0):
         raise NotInjectiveError("window rebuild collided")

@@ -80,6 +80,7 @@ KERNEL_EDGES = (
     ["--window", "-3:3", "--sampler", "inversion", "--q", "0.02", "--count", "300"],
     ["--window", "-40:40", "--q", "0.8", "--count", "300"],
     ["--window", "0:63", "--sampler", "inversion", "--q", "0.8", "--count", "2049"],
+    ["--window", "0:0", "--sampler", "inversion", "--q", "0.999", "--count", "100"],
 )
 
 REFUSALS = [
@@ -91,6 +92,8 @@ REFUSALS = [
     ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.999"],
     ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.5",
      "--sampler", "inversion", "--eps-tv", "0"],
+    ["sample", "--mode", "two-sided", "--window", "0:0", "--sampler", "inversion",
+     "--q", "0.999999"],
     ["sample", "--mode", "finite", "--n", "0", "--q", "0.5"],
     ["sample", "--mode", "one-sided", "--n", "0", "--q", "0.5"],
     ["sample", "--mode", "finite", "--q", "0.5"],
@@ -112,6 +115,7 @@ REFUSALS = [
     ["pmf", "fdd", "--q", "0.3", "--d", "700"],
     ["pmf", "fdd", "--q", "0.5", "--d", "0,1", "--tol", "-1e-9"],
     ["pmf", "joint-rl", "--q", "0.5", "--format", "csv"],
+    ["pmf", "joint-rl", "--q", "0.999999"],
     ["verify", "--suite", "bogus", "--q", "0.5"],
     ["verify", "--suite", "displacement", "--q", "0.5", "--sizes", "abc"],
     ["verify", "--suite", "stationarity", "--q", "0.5", "--sizes", "5", "--seed", "0"],
@@ -161,7 +165,8 @@ def argvs() -> list[list[str]]:
                     "--format", fmt])
     # the kernels' edges: the pool shapes over several blocks, rows that draw
     # nothing beside rows that draw (x* = 1) and no round at all (x* = 0),
-    # high and low q, the deep shape and the widest inversion window
+    # high and low q, the deep shape, the widest inversion window and the
+    # inversion tail near q = 1
     for args in KERNEL_EDGES:
         out.append(["sample", "--mode", "two-sided", *args, "--seed", SEED,
                     "--format", "csv"])

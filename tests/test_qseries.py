@@ -11,10 +11,11 @@ import pytest
 
 import oracles
 from mallows import qseries
-from mallows.dist import FddQuery, displacement_pmf, fdd_probability
+from mallows.dist import FddQuery, displacement_pmf, fdd_probability, joint_rl_pmf
 from mallows.errors import DomainError
 from mallows.qseries import (
     INFINITY,
+    MAX_TABLE,
     QParam,
     _build_table,
     _table_size,
@@ -55,8 +56,8 @@ def test_q_factorial_product_form():
 
 
 def test_finite_products_take_n_factors(monkeypatch):
-    # p's table depth grows like 1/(1-q): at q=0.999999 it has 2^21 entries,
-    # of which [6!]_q and <6>_q read 7
+    # p's table depth grows like 1/(1-q): at q=0.999999 it would have 2^26
+    # entries (refused, past MAX_TABLE), of which [6!]_q and <6>_q read 7
     depths = []
 
     def build(q, n_max):
@@ -73,6 +74,30 @@ def test_finite_products_take_n_factors(monkeypatch):
         p = QParam(q)
         for n in (0, 1, 2, 5, 6, 8, 40, 200):
             assert q_pochhammer(n, p)[0] == pochhammer_table(p, n).value(n), f"q={q} n={n}"
+
+
+def test_a_table_past_max_table_is_refused_before_it_is_built(monkeypatch):
+    # at q=0.999999 the table would have 2^26 entries (1 GB, 3 s); q=0.99999
+    # rounds to exactly MAX_TABLE = 2^22 and still builds
+    sizes = []
+
+    def build(q, n_max):
+        sizes.append(n_max)
+        return "table"
+
+    monkeypatch.setattr(qseries, "_build_table", build)
+    assert pochhammer_table(QParam(0.99999)) == "table" and sizes == [MAX_TABLE]
+    for q in (0.999999, 0.9999999):
+        p = QParam(q)
+        calls = [lambda: pochhammer_table(p), lambda: displacement_pmf(p, radius=0),
+                 lambda: fdd_probability(p, FddQuery(1, (0,)), 1e-12),
+                 lambda: joint_rl_pmf(p, 2, 1)]
+        for call in calls:
+            with pytest.raises(DomainError, match="MAX_TABLE"):
+                call()
+    with pytest.raises(DomainError, match="MAX_TABLE"):
+        pochhammer_table(QParam(0.5), MAX_TABLE + 1)
+    assert sizes == [MAX_TABLE]
 
 
 def test_pochhammer_finite_matches_direct_product():

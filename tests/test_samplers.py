@@ -10,7 +10,8 @@ import pytest
 from scipy import stats
 
 import oracles
-from mallows.dist import FddQuery, displacement_pmf, fdd_probability
+from mallows import qseries
+from mallows.dist import FddQuery, conditional_l_given_r, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
 from mallows.perm import _chain_horizon, _leftward_chains
 from mallows.qseries import QParam, pochhammer_table
@@ -34,6 +35,7 @@ from mallows.samplers import (
     sample_young_euler,
 )
 from mallows.streams import GeomStream
+from mallows.verify import chi_square_case
 
 P5 = QParam(0.5)
 CHI2_ALPHA = 1e-3  # conservative: false alarms once per ~1000 runs per test
@@ -415,42 +417,50 @@ def test_inversion_sampler_rejects_bad_eps():
         sample_two_sided_inversion(0, 0, P5, s, 0.0)
 
 
-def _chain_replay(lo, hi, p, s, eps_tv):
-    """Window by one oracles.left_walk chain per position: the right counts
-    first, then one lazily drawn cache of right counts left of the window
-    that every chain reads from its start until its state reaches the
-    horizon."""
-    xstar = _chain_horizon(p.q, eps_tv)
+def _cascade_replay(lo, hi, p, s, eps_tv):
+    """Window by one oracles.left_walk chain per position.  The right counts
+    come first; then a scalar part search from the lowest in-window state up
+    to the horizon finds the lowest chain's tail hits, and one overshoot is
+    drawn per hit.  From these one sequence of right counts left of the
+    window is made, zeros up to the state y = J - 1 of each part J and then
+    a hit y + 1 + overshoot for each of its multiplicity, and every chain
+    walks it."""
+    q, xstar = p.q, _chain_horizon(p.q, eps_tv)
     r = s.geometrics(hi - lo + 1).tolist()
-    cache: list[int] = []
-    window = []
-    for k, rj in enumerate(r):
-        ell, x = oracles.left_walk(r[:k][::-1], rj)
-        depth = 0
-        while x < xstar:
-            if depth == len(cache):
-                cache.append(int(s.geometrics(1)[0]))
-            more, x = oracles.left_walk(cache[depth : depth + 1], x)
-            ell += more
-            depth += 1
-        window.append(lo + k + rj - ell)
-    return window
+    walks = [oracles.left_walk(r[:k][::-1], rj) for k, rj in enumerate(r)]
+    low = min(x for _, x in walks)
+    # -log <j>_q for j = 0..x*
+    neg = list(itertools.accumulate((-math.log1p(-q**k) for k in range(1, xstar + 1)),
+                                    initial=0.0))
+    parts = []  # (part J, multiplicity), J increasing
+    b = low if low < xstar else None
+    while b is not None:
+        e = neg[b] - math.log(s.uniform())
+        b = next((j for j in range(b + 1, xstar + 1) if neg[j] > e), None)
+        if b is not None:
+            parts.append((b, 1 + int(s.geometrics(1, q**b)[0])))
+    tail, y = [], low
+    for j, mult in parts:
+        tail += [0] * (j - 1 - y) + [j + int(s.geometrics(1)[0]) for _ in range(mult)]
+        y = j - 1
+    return [lo + k + rj - ell - oracles.left_walk(tail, x)[0]
+            for k, (rj, (ell, x)) in enumerate(zip(r, walks))]
 
 
 @pytest.mark.parametrize("q", [0.05, 0.3, 0.8, 0.95])
 @pytest.mark.parametrize("eps_tv", [1e-3, 1e-9])
-def test_inversion_kernel_at_count_one_is_the_chain_replay(q, eps_tv):
-    _assert_kernel_is_chain_replay(q, eps_tv)
+def test_inversion_kernel_at_count_one_is_the_cascade_replay(q, eps_tv):
+    _assert_kernel_is_cascade_replay(q, eps_tv)
 
 
 @pytest.mark.parametrize("eps_tv", [2.0**-28, 2.0**-30])
-def test_inversion_kernel_stops_where_the_chain_does_at_boundary_eps(eps_tv):
-    # q^(x+1)/(1-q) meets eps_tv exactly at some state x; the chain stops
-    # there, and so must the kernel's horizon
-    _assert_kernel_is_chain_replay(0.5, eps_tv)
+def test_inversion_kernel_searches_to_the_horizon_at_boundary_eps(eps_tv):
+    # q^(x+1)/(1-q) meets eps_tv exactly at some state x; the replay's
+    # search goes up to that part, and so must the kernel's
+    _assert_kernel_is_cascade_replay(0.5, eps_tv)
 
 
-def _assert_kernel_is_chain_replay(q, eps_tv):
+def _assert_kernel_is_cascade_replay(q, eps_tv):
     p = QParam(q)
     for lo, hi in ((-5, 5), (0, 0), (3, 9), (-12, 12)):
         for seed in range(1, 6):
@@ -458,11 +468,11 @@ def _assert_kernel_is_chain_replay(q, eps_tv):
             for _ in range(3):
                 values, ell = batch_inversion_windows(lo, hi, p, a, 1, eps_tv)
                 assert values.shape == ell.shape == (1, hi - lo + 1)
-                assert values[0].tolist() == _chain_replay(lo, hi, p, b, eps_tv)
+                assert values[0].tolist() == _cascade_replay(lo, hi, p, b, eps_tv)
                 assert a.counter == b.counter
     s = GeomStream(seed=7, q=q)
     w = sample_two_sided_inversion(-5, 5, p, s, eps_tv)
-    assert list(w.values) == _chain_replay(-5, 5, p, GeomStream(seed=7, q=q), eps_tv)
+    assert list(w.values) == _cascade_replay(-5, 5, p, GeomStream(seed=7, q=q), eps_tv)
 
 
 def test_inversion_kernel_joint_law_of_two_positions():
@@ -515,6 +525,18 @@ def test_inversion_kernel_refusals_draw_nothing(lo, hi, count, eps_tv):
     assert s.counter == 0
 
 
+def test_inversion_kernel_refuses_a_tail_table_past_max_table(monkeypatch):
+    # at q=0.999999 and eps_tv=1e-9 the search would go 3.4e7 parts deep
+    def build(q, n_max):
+        raise AssertionError("no q-series table is built")
+
+    monkeypatch.setattr(qseries, "_build_table", build)
+    s = GeomStream(seed=0, q=0.999999)
+    with pytest.raises(DomainError, match="MAX_TABLE"):
+        batch_inversion_windows(0, 0, QParam(0.999999), s, 5, 1e-9)
+    assert s.counter == 0
+
+
 @pytest.mark.parametrize("lo", [2**62 - 4, -(2**62)])
 def test_inversion_kernel_at_the_window_limit_is_a_shifted_window(lo):
     # the draws do not depend on where the window lies, so a window at
@@ -527,11 +549,13 @@ def test_inversion_kernel_at_the_window_limit_is_a_shifted_window(lo):
 @pytest.mark.parametrize("lo, hi, q, count, eps_tv", [
     (-5, 5, 0.5, 0, 1e-9), (-5, 5, 0.5, 300, 10.0), (-5, 5, 0.5, 300, 0.5),
     (0, 0, 0.5, 5000, 1e-6), (0, 63, 0.8, 300, 1e-6), (-3, 3, 0.99, 50, 1e-6)])
-def test_inversion_kernel_draws_what_its_rounds_need(lo, hi, q, count, eps_tv):
+def test_inversion_kernel_draws_what_its_cascade_needs(lo, hi, q, count, eps_tv):
     # read back from the outputs: r = values - positions + ell, the in-window
-    # left counts are those of _leftward_chains(r), and the rest of a row's
-    # lowest chains' left counts are their hits; a row whose lowest state
-    # low0 is below x* draws x* - low0 steps plus those hits
+    # left counts are those of _leftward_chains(r), and the rest are tail
+    # hits; a row's lowest chains share its L1 hits, one overshoot each, and
+    # a row whose lowest state low is below x* finds D distinct parts in
+    # (low, x*], drawing one uniform and one multiplicity per part and one
+    # uniform that ends the search: 2D + 1 draws
     s = GeomStream(seed=5, q=q)
     values, ell = batch_inversion_windows(lo, hi, QParam(q), s, count, eps_tv)
     width = hi - lo + 1
@@ -540,12 +564,40 @@ def test_inversion_kernel_draws_what_its_rounds_need(lo, hi, q, count, eps_tv):
     hits = ell - (np.arange(width) - (x - r))
     low = x.min(axis=1, initial=np.iinfo(np.int64).max)
     lowest = x == low[:, None]
-    row_hits = np.where(lowest, hits, 0).max(axis=1, initial=0)
-    assert np.all(hits >= 0) and np.all(hits[lowest] == np.repeat(row_hits, lowest.sum(axis=1)))
+    l1 = np.where(lowest, hits, 0).max(axis=1, initial=0)
+    assert np.all(hits >= 0) and np.all(hits <= l1[:, None])
+    assert np.all(hits[lowest] == np.repeat(l1, lowest.sum(axis=1)))
     xstar = _chain_horizon(q, eps_tv)
-    drawing = low < xstar
-    assert not row_hits[~drawing].any()
-    assert s.counter == count * width + int((xstar - low + row_hits)[drawing].sum())
+    searching = low < xstar
+    assert not l1[~searching].any()
+    search = s.counter - count * width - int(l1.sum()) - int(searching.sum())
+    assert search % 2 == 0
+    parts = search // 2  # the sum of D over the rows
+    assert np.count_nonzero(l1) <= parts <= int(np.minimum(l1, xstar - low)[searching].sum())
+
+
+@pytest.mark.parametrize("q, rs", [(0.3, (0, 1, 2)), (0.8, (0, 2, 5))])
+def test_inversion_tail_is_the_conditional_left_count_law(q, rs):
+    # on [0..0] the left count is the tail alone: given r_0 = r, the number
+    # of parts above r of an Euler-measure diagram
+    p = QParam(q)
+    d0, ell0 = batch_inversion_position0(p, GeomStream(seed=101, q=q), 50_000, 1e-9)
+    for r in rs:
+        ell = ell0[d0 + ell0 == r]
+        top = int(ell.max()) + 1
+        probs = np.array([conditional_l_given_r(p, r, k) for k in range(top)])
+        observed = np.bincount(ell, minlength=top + 1).astype(float)
+        case = chi_square_case(f"r={r}", observed, np.append(probs, max(1.0 - probs.sum(), 0.0)))
+        assert case.passed, case
+
+
+def test_inversion_kernel_answers_at_q_0999():
+    # the tail table is a sum of logs, so nothing underflows near q = 1; the
+    # left count at 0 has mean q/(1-q) = 999
+    q, n_draws = 0.999, 2000
+    _, ell0 = batch_inversion_position0(QParam(q), GeomStream(seed=103, q=q), n_draws, 1e-9)
+    z = (ell0.mean() - q / (1 - q)) / (ell0.std(ddof=1) / math.sqrt(n_draws))
+    assert abs(z) < 4.0, f"mean ell z = {z:.2f}"
 
 
 def test_inversion_kernel_count_zero():
