@@ -1,0 +1,208 @@
+"""Bit-identity digests of the sampling kernels and the stream's draws.
+
+Each family runs its routines over a fixed grid, every call on a fresh
+stream of seed SEED, and hashes into one sha256 every array the calls
+return (its dtype, shape and bytes) and the stream's ``counter`` after
+them:
+
+* ``kernels.inversion``: batch_inversion_windows over q x windows x counts
+  x eps_tv, and batch_inversion_position0 (the full grid adds one call
+  near q = 1, DEEP_TAIL);
+* ``kernels.interlacing``: batch_interlacing_windows over q x windows x
+  counts, and at count 1 the scalar sample_two_sided_interlacing and
+  sample_young_euler;
+* ``kernels.words``: batch_finite_r, batch_finite_words and
+  batch_shuffle_prefixes over q x n x counts, their scalar twins, and
+  perm._leftward_chains on skips from small to past 2^31;
+* ``streams.draws``: every GeomStream draw method, spawned substreams
+  included.
+
+digests.json beside this file pins two grids: "reduced", which
+tests/test_golden.py recomputes (well under a second), and "full", which
+runs by hand.  Print each family's digest against its pin (exit 1 if one
+moved):
+
+    PYTHONPATH=src python tests/golden/digests.py [--full]
+
+A family moves only by a declared change of draws, which re-pins it in
+the same commit with ``--pin`` and names it in CHANGES.md.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from mallows import perm, samplers
+from mallows.qseries import QParam
+from mallows.streams import GeomStream
+
+PINS = Path(__file__).resolve().parent / "digests.json"
+
+SEED = 7
+
+#: per grid: (q values, windows, counts, eps_tv values) of the two-sided
+#: kernels; the interlacing kernel takes the same grid without eps_tv
+KERNEL_GRID = {
+    "full": (
+        (0.05, 0.3, 0.5, 0.8, 0.95, 0.99),
+        ((0, 0), (0, 2), (-5, 5), (-40, 40), (3, 70), (-64, -1)),
+        (0, 1, 7, 300, 2049),
+        (1e-3, 1e-9, 0.5, 10.0),
+    ),
+    "reduced": (
+        (0.3, 0.5, 0.95),
+        ((0, 0), (-5, 5), (3, 70)),
+        (1, 7, 2049),
+        (1e-9, 0.5),
+    ),
+}
+
+#: a full-grid inversion call (lo, hi, q, count, eps_tv) whose rows take
+#: more than 2^15 tail hits each
+DEEP_TAIL = (0, 1, 0.99997, 3, 10.0)
+
+#: per grid: (q values, word lengths, counts) of the word kernels
+WORD_GRID = {
+    "full": ((0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.9999),
+             (1, 2, 7, 40, 64, 65), (0, 1, 7, 300)),
+    "reduced": ((0.3, 0.9999), (1, 7, 65), (1, 300)),
+}
+
+#: per grid: the q values of the stream draws
+STREAM_GRID = {
+    "full": (1e-12, 0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.999999),
+    "reduced": (0.05, 0.5, 0.999999),
+}
+
+#: largest entries around the 32-bit edge (2^31 - width - 1, 2^31 - width
+#: and one past it, whose chains reach 2^31, for width-8 rows), then past
+#: 2^31 and near the one-sided skips at q -> 1
+CHAIN_EDGES = (2**31 - 9, 2**31 - 8, 2**31 - 7, 2**31, 4 * 10**12)
+
+
+def _feed(h, *items) -> None:
+    for item in items:
+        if isinstance(item, np.ndarray):
+            h.update(f"{item.dtype.str}{item.shape}".encode())
+            h.update(np.ascontiguousarray(item).tobytes())
+        else:
+            h.update(repr(item).encode())
+
+
+def _inversion(grid: str) -> str:
+    h = hashlib.sha256()
+    qs, windows, counts, epss = KERNEL_GRID[grid]
+    for q in qs:
+        p = QParam(q)
+        for (lo, hi), count, eps_tv in ((w, c, e) for w in windows for c in counts for e in epss):
+            s = GeomStream(SEED, q)
+            _feed(h, *samplers.batch_inversion_windows(lo, hi, p, s, count, eps_tv), s.counter)
+        for count, eps_tv in ((c, e) for c in counts for e in epss):
+            s = GeomStream(SEED, q)
+            _feed(h, *samplers.batch_inversion_position0(p, s, count, eps_tv), s.counter)
+    if grid == "full":
+        lo, hi, q, count, eps_tv = DEEP_TAIL
+        s = GeomStream(SEED, q)
+        _feed(h, *samplers.batch_inversion_windows(lo, hi, QParam(q), s, count, eps_tv), s.counter)
+    return h.hexdigest()
+
+
+def _interlacing(grid: str) -> str:
+    h = hashlib.sha256()
+    qs, windows, counts, _ = KERNEL_GRID[grid]
+    for q in qs:
+        p = QParam(q)
+        for (lo, hi), count in ((w, c) for w in windows for c in counts):
+            s = GeomStream(SEED, q)
+            _feed(h, samplers.batch_interlacing_windows(lo, hi, p, s, count), s.counter)
+        for lo, hi in windows:
+            s = GeomStream(SEED, q)
+            _feed(h, samplers.sample_two_sided_interlacing(lo, hi, p, s).values, s.counter)
+        s = GeomStream(SEED, q)
+        _feed(h, samplers.sample_young_euler(p, s).parts, s.counter)
+    return h.hexdigest()
+
+
+def _words(grid: str) -> str:
+    h = hashlib.sha256()
+    qs, ns, counts = WORD_GRID[grid]
+    for q in qs:
+        p = QParam(q)
+        for n, count in ((n, c) for n in ns for c in counts):
+            for kernel in (samplers.batch_finite_r, samplers.batch_finite_words,
+                           samplers.batch_shuffle_prefixes):
+                s = GeomStream(SEED, q)
+                _feed(h, kernel(n, p, s, count), s.counter)
+        for n in ns:
+            s = GeomStream(SEED, q)
+            _feed(h, samplers.sample_finite_mallows(n, p, s).values,
+                  samplers.q_shuffle_prefix(n, p, s), s.counter)
+    rng = np.random.default_rng(SEED)
+    for q in qs:
+        for width in (1, 2, 8, 65):
+            _feed(h, perm._leftward_chains(rng.geometric(1.0 - q, size=(50, width)) - 1))
+    for top in CHAIN_EDGES:
+        skips = rng.integers(0, 40, size=(30, 8))
+        skips[np.arange(30), rng.integers(0, 8, size=30)] = top - rng.integers(0, 3, size=30)
+        skips[0] = top  # every entry of one row at the largest value
+        _feed(h, perm._leftward_chains(skips))
+    return h.hexdigest()
+
+
+def _streams(grid: str) -> str:
+    h = hashlib.sha256()
+    for q in STREAM_GRID[grid]:
+        s = GeomStream(SEED, q)
+        ratios = np.linspace(1e-9, 1.0 - 1e-9, 97)
+        limits = np.arange(1, 98)
+        _feed(h, s.uniform(), s.uniforms(0), s.uniforms(1000), s.geometrics(1000),
+              s.geometrics(97, ratio=0.25), s.geometrics(97, ratio=ratios),
+              s.truncated_geometrics(97, 0), s.truncated_geometrics(97, 5),
+              s.truncated_geometrics(97, limits), s.counter)
+        child = s.spawn("child").spawn(3)
+        _feed(h, child.uniforms(100), child.geometrics(100), child.counter, s.counter)
+    return h.hexdigest()
+
+
+FAMILIES = {
+    "kernels.inversion": _inversion,
+    "kernels.interlacing": _interlacing,
+    "kernels.words": _words,
+    "streams.draws": _streams,
+}
+
+
+def compute(grid: str) -> dict[str, str]:
+    """The digest of every family over one grid, "full" or "reduced"."""
+    return {name: family(grid) for name, family in FAMILIES.items()}
+
+
+def load() -> dict[str, dict[str, str]]:
+    return json.loads(PINS.read_text())
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--full", action="store_true", help="run the full grid")
+    parser.add_argument("--pin", action="store_true", help="rewrite the grid's pins")
+    args = parser.parse_args(argv)
+    grid = "full" if args.full else "reduced"
+    got = compute(grid)
+    pins = load() if PINS.exists() else {}
+    old = pins.get(grid, {})
+    for name, digest in got.items():
+        status = "ok" if old.get(name) == digest else ("new" if name not in old else "MOVED")
+        print(f"{grid} {name} {digest} {status}")
+    if args.pin:
+        pins[grid] = got
+        PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+        return 0
+    return 0 if old == got else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
