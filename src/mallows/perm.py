@@ -157,14 +157,20 @@ def _chain_horizon(q: float, eps_tv: float) -> int:
 
 def _leftward_chains(r: np.ndarray) -> np.ndarray:
     """Final state of the leftward chain (see the module docstring) of
-    every entry of a rows x width matrix, in width-1 array steps over an
-    entry-major copy: at offset t, entries t, t+1, ... meet the t before."""
+    every entry of a rows x width matrix r >= 0, as int64, in width-1 array
+    steps over an entry-major copy: at offset t, entries t, t+1, ... meet
+    the t before.  A state ends at most width-1 above its start, so where
+    r.max() < 2^31 - width the states run in int32."""
     width = r.shape[1]
     start = np.ascontiguousarray(r.T)
+    if r.size and start.max() < 2**31 - width:
+        start = start.astype(np.int32)
     x = start.copy()
+    step = np.empty(x.shape, dtype=bool)
     for t in range(1, width):
-        x[t:] += start[:-t] <= x[t:]
-    return x.T
+        np.less_equal(start[:-t], x[t:], out=step[t:])
+        x[t:] += step[t:]
+    return x.T.astype(np.int64)
 
 
 def adjacent_swap_r(r_i: int, r_next: int) -> tuple[int, int]:

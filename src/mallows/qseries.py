@@ -148,6 +148,15 @@ def normal_table(p: QParam, refusal: str, n_max: int = 0) -> QPochhammerTable:
     return table
 
 
+def _finite_table(n: int, p: QParam, what: str) -> QPochhammerTable:
+    """The n-factor table of <k>_q, k <= n, for a finite product, or
+    DomainError before any table is built where n is past MAX_TABLE."""
+    if n > MAX_TABLE:
+        raise DomainError(f"{what}: n={n} factors is past MAX_TABLE={MAX_TABLE}; "
+                          f"no value can be returned")
+    return _build_table(p.q, n)
+
+
 def quotient(num: float, den: float, p: QParam) -> float:
     """num / den, or DomainError where den underflowed to 0."""
     if den == 0.0:
@@ -158,7 +167,7 @@ def quotient(num: float, den: float, p: QParam) -> float:
 def q_factorial(n: int, p: QParam) -> float:
     """The q-factorial [n!]_q = prod_{i=1..n} (1-q^i)/(1-q); [0!]_q = 1.
 
-    DomainError where (1-q)^n underflows to 0.
+    DomainError where (1-q)^n underflows to 0, or n > MAX_TABLE.
 
     >>> q_factorial(3, QParam(0.5))
     2.625
@@ -167,7 +176,7 @@ def q_factorial(n: int, p: QParam) -> float:
     if n < 0:
         raise DomainError("q_factorial requires n >= 0")
     # n factors, not the depth of p's table, which grows like 1/(1-q)
-    return quotient(_build_table(p.q, n).value(n), (1.0 - p.q) ** n, p)
+    return quotient(_finite_table(n, p, "q_factorial").value(n), (1.0 - p.q) ** n, p)
 
 
 def _product_error(q: float, n: int, value: float) -> float:
@@ -195,11 +204,12 @@ def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
     """<n>_q as (value, error_bound); pass INFINITY for the infinite product.
 
     A finite product comes with an absolute bound on its rounding error
-    (_product_error; 0 only for the empty product n = 0).  The infinite
-    product returns the partial product <N>_q at a depth N guaranteeing
-    relative truncation error <= eps_series, with an absolute bound that
-    adds the rounding of its N factors to the truncation, or DomainError
-    where it is not a normal double.
+    (_product_error; 0 only for the empty product n = 0), and n >
+    MAX_TABLE is refused.  The infinite product returns the partial product
+    <N>_q at a depth N guaranteeing relative truncation error <=
+    eps_series, with an absolute bound that adds the rounding of its N
+    factors to the truncation, or DomainError where it is not a normal
+    double.
     """
     if n == INFINITY:
         table = normal_table(p, "no certified value can be returned")
@@ -208,5 +218,5 @@ def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
     (n,) = _integers((n,), "q_pochhammer's n")
     if n < 0:
         raise DomainError("q_pochhammer requires n >= 0 or INFINITY")
-    value = _build_table(p.q, n).value(n)
+    value = _finite_table(n, p, "q_pochhammer").value(n)
     return value, _product_error(p.q, n, value)

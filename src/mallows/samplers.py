@@ -317,43 +317,48 @@ def batch_interlacing_windows(
     row's minus word.  So at count=1 both samplers draw the same uniforms
     in the same order and return the same window (np.log and math.log of a
     multiplicity's ratio can differ in the last bit, which moves a draw
-    only when its quotient lies within an ulp of an integer).  Then on arrays:
+    only when its quotient lies within an ulp of an integer).  Then on
+    arrays, entry-major (a column or letter index by rows), so that each
+    pass runs along the block's rows and not along a window a few entries
+    wide:
 
     * C(i) = #(+ <= i) - i for i in lo-1..hi counts the + positions
       k - lambda_k of _plus_positions, each row's parts ranked in triple
       order (_sign_counts).  Position i carries + with rank i + C(i) when
       C(i) = C(i-1), else - with rank C(i-1); the row needs kmax = hi +
       C(hi) plus and tmax = C(lo-1) minus letters;
-    * the letters are 1 + _leftward_chains of the skips; a row's letters
-      past its need are never read;
-    * the window is filled by one gather from the entry-major chain states,
-      at a flat index picked by sign: + slots take plus letters by rank,
-      - slots take 1 - (minus letter) by rank from the right.
+    * the skips fill a letters x words matrix where the letter index is
+      below the word's need; the letters are 1 + _leftward_chains of its
+      words, and a row's letters past its need are never read;
+    * the window is filled by one gather from the chain states, at a flat
+      index picked by sign: + slots take plus letters by rank, - slots
+      take 1 - (minus letter) by rank from the right.
     """
     _check_window(lo, hi)
     if count < 0:
         raise DomainError("count must be >= 0")
     _check_stream(p, s)
     neg, qpow = (np.array(t) for t in _part_search(p))
-    prev = np.arange(lo - 1, hi)  # i - 1 for each window position i
+    prev = np.arange(lo - 1, hi)[:, None]  # i - 1 for each window position i
     out = np.empty((count, hi - lo + 1), dtype=np.int64)
     for b0 in range(0, count, _BLOCK_ROWS):
         nb = min(_BLOCK_ROWS, count - b0)
         row, part, mult = _diagram_triples(s, nb, neg, qpow)
-        c = _sign_counts(row, part, mult, nb, lo, hi)
-        # plus words in the top rows of one letter matrix, minus below
-        need = np.concatenate((hi + c[:, -1], c[:, 0]))
+        c = _sign_counts(row, part, mult, nb, lo, hi).T  # entry-major: c[i - lo + 1] = C(i)
+        need = np.concatenate((hi + c[-1], c[0]))  # plus words, then minus words
         width = max(1, int(need.max()))
-        skips = np.zeros((2 * nb, width), dtype=np.int64)
-        skips[np.arange(width) < need[:, None]] = s.geometrics(int(need.sum()))
-        # the chain states entry-major: letter k (0-based) of word w is
-        # 1 + chains[k * 2nb + w], and each slot reads only the sign it takes
-        chains = _leftward_chains(skips).T.reshape(-1)
-        before, at = c[:, :-1], c[:, 1:]
+        # letters x words; through the transposes the skips go in word by
+        # word, their draw order
+        skips = np.zeros((width, 2 * nb), dtype=np.int64)
+        skips.T[(np.arange(width)[:, None] < need).T] = s.geometrics(int(need.sum()))
+        # letter k (0-based) of word w is 1 + chains[k * 2nb + w]; each slot
+        # reads only the sign it takes
+        chains = _leftward_chains(skips.T).T.reshape(-1)
+        before, at = c[:-1], c[1:]
         plus = at == before
-        w = np.arange(nb)[:, None]
+        w = np.arange(nb)
         got = chains[np.where(plus, (prev + at) * (2 * nb) + w, (before - 1) * (2 * nb) + nb + w)]
-        out[b0 : b0 + nb] = np.where(plus, got + 1, -got)
+        out[b0 : b0 + nb] = np.where(plus, got + 1, -got).T
     return out
 
 
@@ -382,7 +387,8 @@ def _diagram_triples(
     row, part, mult = (
         np.concatenate([r[i] for r in reversed(rounds)]).astype(np.int32) for i in range(3)
     )
-    order = np.argsort(row, kind="stable")
+    # a radix sort on int16 row ids where they fit (a block has 2,048 rows)
+    order = np.argsort(row.astype(np.int16) if rows <= 2**15 else row, kind="stable")
     return row[order], part[order], mult[order]
 
 
@@ -391,13 +397,16 @@ def _sign_counts(
 ) -> np.ndarray:
     """nrows x (hi-lo+2) matrix with C[r, i-lo+1] = #(+ <= i) - i for
     i = lo-1..hi, the diagrams given as triples sorted by row and then by
-    decreasing part size.
+    decreasing part size.  It is the transpose of an entry-major array, in
+    which the counts, their running sums and C are made column by column
+    over all rows.
 
     This is the rule of _plus_positions on arrays: with a row's parts
     lambda_1 >= ... >= lambda_L in triple order, part k sits at + position
     k - lambda_k, and the + positions past the parts are L+1, L+2, ..., so
-    #(+ <= i) = #{k <= L : k - lambda_k <= i} + max(0, i - L).  C(i)
-    counts the - positions above i.
+    #(+ <= i) = #{k <= L : k - lambda_k <= i} + max(0, i - L), and C(i) =
+    #{k <= L : k - lambda_k <= i} - min(i, L).  C(i) counts the -
+    positions above i.
     """
     ncols = hi - lo + 2
     nparts = np.bincount(row, weights=mult, minlength=nrows).astype(np.int64)
@@ -408,10 +417,9 @@ def _sign_counts(
     first = (np.cumsum(nparts) - nparts + (lo - 1)).astype(np.int32)
     col = np.arange(1, int(nparts.sum()) + 1, dtype=np.int32) - np.repeat(first, nparts)
     col = np.clip(col - np.repeat(part, mult), 0, ncols)
-    plus = np.bincount(np.repeat(row * (ncols + 1), mult) + col, minlength=nrows * (ncols + 1))
-    below = np.cumsum(plus.reshape(nrows, ncols + 1)[:, :ncols], axis=1)
-    i = np.arange(lo - 1, hi + 1)
-    return below + np.maximum(0, i - nparts[:, None]) - i
+    plus = np.bincount(col * nrows + np.repeat(row, mult), minlength=(ncols + 1) * nrows)
+    below = np.cumsum(plus.reshape(ncols + 1, nrows)[:ncols], axis=0)
+    return (below - np.minimum(np.arange(lo - 1, hi + 1)[:, None], nparts)).T
 
 
 def batch_inversion_windows(
@@ -440,9 +448,12 @@ def batch_inversion_windows(
     Draws: every row's right counts, row by row, in one s.geometrics call;
     then search rounds, each one uniform per row still searching (at first
     the rows with low below x*, in row order) and one multiplicity per row
-    that found a part; then overshoot rounds, each one geometric per row
-    with hits left, rows by decreasing hits.  At count=1 these are one
-    chain's search and then its overshoots.
+    that found a part; then every overshoot in one s.geometrics call laid
+    out round-major: round t has one draw per row with more than t hits,
+    rows by decreasing hits and then by row.  At width 1 the row's one
+    chain is its lowest, so every overshoot hits it and its tail is its
+    hit count: the overshoots are drawn (as uniforms) and never read.  At
+    count=1 these are one chain's search and then its overshoots.
 
     Whatever eps_tv, a row's values are distinct and in the order of the
     exact ones: the cascade walks the row's chains over one sequence of
@@ -473,14 +484,24 @@ def batch_inversion_windows(
         found = j <= xstar
         active, base = active[found], j[found]
         hits[active] += 1 + s.geometrics(active.size, ratio=qpow[base])
-    order = np.argsort(-hits, kind="stable")
-    gap = (x - low[:, None])[order]
-    tail = np.zeros_like(gap)
-    for n in count - np.cumsum(np.bincount(hits))[:-1]:  # the rows with hits left
-        hit = gap[:n] <= s.geometrics(n)[:, None]
-        tail[:n] += hit
-        gap[:n] += ~hit
-    ell[order] += tail
+    if width == 1:
+        # the row's one chain is its lowest, which every overshoot hits
+        s.uniforms(int(hits.sum()))
+        ell[:, 0] += hits
+    else:
+        # rows by decreasing hits, then by row: a radix sort where the keys
+        # fit int16 ranks them as the int64 sort does
+        key = -hits if hits.max(initial=0) >= 2**15 else (-hits).astype(np.int16)
+        order = np.argsort(key, kind="stable")
+        gap = (x - low[:, None])[order]
+        tail = np.zeros_like(gap)
+        over, done = s.geometrics(int(hits.sum())), 0
+        for n in (count - np.cumsum(np.bincount(hits))[:-1]).tolist():  # rows with hits left
+            hit = gap[:n] <= over[done : done + n, None]
+            tail[:n] += hit
+            gap[:n] += ~hit
+            done += n
+        ell[order] += tail
     values = np.arange(lo, hi + 1) + r - ell
     if np.any(np.diff(np.sort(values, axis=1), axis=1) == 0):
         raise NotInjectiveError("window rebuild collided")

@@ -175,6 +175,22 @@ def test_leftward_chains_edge_shapes():
     assert letters.tolist() == [[big + 1, 1, big + 3, 3]]
 
 
+@pytest.mark.parametrize("width", [1, 2, 9])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_leftward_chains_at_the_int32_edge(width, offset):
+    # the states run in int32 only where r.max() < 2^31 - width, so a top
+    # skip of 2^31 - width - 1 takes that path, and 2^31 - width and one
+    # past it (whose chain would reach 2^31) do not
+    top = 2**31 - width + offset
+    rng = np.random.default_rng(13)
+    skips = rng.integers(0, 5, size=(40, width))
+    skips[np.arange(40), rng.integers(0, width, size=40)] = top - rng.integers(0, 3, size=40)
+    skips[0] = top  # its chains end at top, top + 1, ..., top + width - 1
+    chains = _leftward_chains(skips)
+    assert chains.dtype == np.int64 and skips.max() == top
+    assert (1 + chains).tolist() == [list(_pop_letters(row)) for row in skips.tolist()]
+
+
 @pytest.mark.parametrize("q", [0.3, 0.9, 0.999])
 def test_pop_letters_above_n_are_the_array_chain(q):
     # near q=1 most skips run past 1..n, the only values _pop_letters lists

@@ -100,6 +100,16 @@ def test_a_table_past_max_table_is_refused_before_it_is_built(monkeypatch):
     assert sizes == [MAX_TABLE]
 
 
+@pytest.mark.parametrize("fn", [q_pochhammer, q_factorial])
+@pytest.mark.parametrize("n", [MAX_TABLE + 1, 10**7])
+def test_a_finite_product_past_max_table_is_refused_before_its_table(fn, n):
+    # refused before the n-entry table is listed and cached, not after
+    built = _build_table.cache_info().currsize
+    with pytest.raises(DomainError, match="MAX_TABLE"):
+        fn(n, QParam(0.5))
+    assert _build_table.cache_info().currsize == built
+
+
 def test_pochhammer_finite_matches_direct_product():
     # the bound must contain a 256-bit product over the same double q
     sizes = set(range(41)) | {200, 1000}

@@ -1,6 +1,8 @@
 """Exactness and determinism checks for the scalar and batch samplers."""
 from __future__ import annotations
 
+import __future__
+import inspect
 import itertools
 import math
 from collections import Counter
@@ -10,7 +12,8 @@ import pytest
 from scipy import stats
 
 import oracles
-from mallows import qseries
+from golden import digests
+from mallows import qseries, samplers
 from mallows.dist import FddQuery, conditional_l_given_r, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
 from mallows.perm import _chain_horizon, _leftward_chains
@@ -498,8 +501,8 @@ def test_inversion_kernel_joint_law_of_two_positions():
 
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
 def test_inversion_kernel_keeps_the_value_order_at_any_eps(q):
-    # chains stopped early miss left inversions but keep the order of the
-    # values, so even a loose eps_tv never collides
+    # a shallower tail search drops the parts above x* but keeps the order
+    # of the values, so even a loose eps_tv never collides
     p = QParam(q)
     for seed in range(1, 21):
         exact, _ = batch_inversion_windows(-5, 5, p, GeomStream(seed=seed, q=q), 1, 1e-12)
@@ -574,6 +577,29 @@ def test_inversion_kernel_draws_what_its_cascade_needs(lo, hi, q, count, eps_tv)
     assert search % 2 == 0
     parts = search // 2  # the sum of D over the rows
     assert np.count_nonzero(l1) <= parts <= int(np.minimum(l1, xstar - low)[searching].sum())
+
+
+def test_the_width_one_overshoots_are_drawn_unread(monkeypatch):
+    # at width 1 the kernel draws its overshoots and reads none; without
+    # that draw the windows are the same but the stream falls behind, which
+    # the draw count above and the pinned digests both catch
+    unread = "        s.uniforms(int(hits.sum()))\n"
+    source = inspect.getsource(samplers.batch_inversion_windows)
+    assert source.count(unread) == 1
+    namespace = dict(vars(samplers))
+    exec(compile(source.replace(unread, ""), "<patched>", "exec",
+                 flags=__future__.annotations.compiler_flag), namespace)
+    patched = namespace["batch_inversion_windows"]
+    a, b = GeomStream(seed=5, q=0.5), GeomStream(seed=5, q=0.5)
+    want, got = batch_inversion_windows(0, 0, P5, a, 5000, 1e-6), patched(0, 0, P5, b, 5000, 1e-6)
+    assert all((x == y).all() for x, y in zip(want, got))
+    assert a.counter - b.counter == want[1].sum() > 0
+    monkeypatch.setattr(samplers, "batch_inversion_windows", patched)
+    monkeypatch.setitem(globals(), "batch_inversion_windows", patched)
+    with pytest.raises(AssertionError):
+        test_inversion_kernel_draws_what_its_cascade_needs(0, 0, 0.5, 5000, 1e-6)
+    pins = digests.load()["reduced"]
+    assert digests.compute("reduced")["kernels.inversion"] != pins["kernels.inversion"]
 
 
 @pytest.mark.parametrize("q, rs", [(0.3, (0, 1, 2)), (0.8, (0, 2, 5))])
