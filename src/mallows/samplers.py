@@ -365,8 +365,9 @@ def batch_interlacing_windows(
 def _diagram_triples(
     s: GeomStream, rows: int, neg: np.ndarray, qpow: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Euler-measure diagrams of `rows` >= 1 rows as int32 (row, part size,
-    multiplicity) triples, sorted by row and then by decreasing part size.
+    """Euler-measure diagrams of `rows` rows, 1 <= rows <= 2^15, as int32
+    (row, part size, multiplicity) triples, sorted by row and then by
+    decreasing part size.
 
     neg and qpow are _part_search's tables as arrays.  Each round, every
     row still drawing takes one uniform and finds its next part size by
@@ -387,8 +388,8 @@ def _diagram_triples(
     row, part, mult = (
         np.concatenate([r[i] for r in reversed(rounds)]).astype(np.int32) for i in range(3)
     )
-    # a radix sort on int16 row ids where they fit (a block has 2,048 rows)
-    order = np.argsort(row.astype(np.int16) if rows <= 2**15 else row, kind="stable")
+    assert rows <= 2**15
+    order = np.argsort(row.astype(np.int16), kind="stable")  # a radix sort
     return row[order], part[order], mult[order]
 
 
@@ -489,10 +490,7 @@ def batch_inversion_windows(
         s.uniforms(int(hits.sum()))
         ell[:, 0] += hits
     else:
-        # rows by decreasing hits, then by row: a radix sort where the keys
-        # fit int16 ranks them as the int64 sort does
-        key = -hits if hits.max(initial=0) >= 2**15 else (-hits).astype(np.int16)
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(-hits, kind="stable")  # by decreasing hits, then by row
         gap = (x - low[:, None])[order]
         tail = np.zeros_like(gap)
         over, done = s.geometrics(int(hits.sum())), 0

@@ -1,8 +1,6 @@
 """Exactness and determinism checks for the scalar and batch samplers."""
 from __future__ import annotations
 
-import __future__
-import inspect
 import itertools
 import math
 from collections import Counter
@@ -12,8 +10,7 @@ import pytest
 from scipy import stats
 
 import oracles
-from golden import digests
-from mallows import qseries, samplers
+from mallows import qseries
 from mallows.dist import FddQuery, conditional_l_given_r, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
 from mallows.perm import _chain_horizon, _leftward_chains
@@ -577,29 +574,6 @@ def test_inversion_kernel_draws_what_its_cascade_needs(lo, hi, q, count, eps_tv)
     assert search % 2 == 0
     parts = search // 2  # the sum of D over the rows
     assert np.count_nonzero(l1) <= parts <= int(np.minimum(l1, xstar - low)[searching].sum())
-
-
-def test_the_width_one_overshoots_are_drawn_unread(monkeypatch):
-    # at width 1 the kernel draws its overshoots and reads none; without
-    # that draw the windows are the same but the stream falls behind, which
-    # the draw count above and the pinned digests both catch
-    unread = "        s.uniforms(int(hits.sum()))\n"
-    source = inspect.getsource(samplers.batch_inversion_windows)
-    assert source.count(unread) == 1
-    namespace = dict(vars(samplers))
-    exec(compile(source.replace(unread, ""), "<patched>", "exec",
-                 flags=__future__.annotations.compiler_flag), namespace)
-    patched = namespace["batch_inversion_windows"]
-    a, b = GeomStream(seed=5, q=0.5), GeomStream(seed=5, q=0.5)
-    want, got = batch_inversion_windows(0, 0, P5, a, 5000, 1e-6), patched(0, 0, P5, b, 5000, 1e-6)
-    assert all((x == y).all() for x, y in zip(want, got))
-    assert a.counter - b.counter == want[1].sum() > 0
-    monkeypatch.setattr(samplers, "batch_inversion_windows", patched)
-    monkeypatch.setitem(globals(), "batch_inversion_windows", patched)
-    with pytest.raises(AssertionError):
-        test_inversion_kernel_draws_what_its_cascade_needs(0, 0, 0.5, 5000, 1e-6)
-    pins = digests.load()["reduced"]
-    assert digests.compute("reduced")["kernels.inversion"] != pins["kernels.inversion"]
 
 
 @pytest.mark.parametrize("q, rs", [(0.3, (0, 1, 2)), (0.8, (0, 2, 5))])
