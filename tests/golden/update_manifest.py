@@ -83,6 +83,12 @@ KERNEL_EDGES = (
     ["--window", "0:0", "--sampler", "inversion", "--q", "0.999", "--count", "100"],
 )
 
+#: inversion windows near both ends of int64, where every value's repr is
+#: longest (19 digits, and a sign); the interlacing kernel is left out, as
+#: its cost grows with the window's distance from 0
+FAR_WINDOWS = ("4611686018427387900:4611686018427387904",
+               "-4611686018427387904:-4611686018427387900")
+
 REFUSALS = [
     ["sample", "--mode", "two-sided", "--window", "3", "--q", "0.5"],
     ["sample", "--mode", "two-sided", "--window", "a:b", "--q", "0.5"],
@@ -170,6 +176,10 @@ def argvs() -> list[list[str]]:
     for args in KERNEL_EDGES:
         out.append(["sample", "--mode", "two-sided", *args, "--seed", SEED,
                     "--format", "csv"])
+    for window, count, fmt in itertools.product(FAR_WINDOWS, ("3", "2049"), ("jsonl", "csv")):
+        out.append(["sample", "--mode", "two-sided", "--window", window, "--sampler",
+                    "inversion", "--q", "0.5", "--count", count, "--seed", SEED,
+                    "--format", fmt])
     return out + REFUSALS
 
 
