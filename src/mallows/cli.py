@@ -19,6 +19,8 @@ import re
 import sys
 from typing import Iterable
 
+import numpy as np
+
 from . import __version__
 from .dist import (
     FddQuery,
@@ -123,6 +125,39 @@ def _build_parser() -> argparse.ArgumentParser:
 _KERNEL_WORD_MAX = 64
 
 
+def _line_format(fmt: str, lo: int, hi: int) -> tuple[str, str, str]:
+    """(head, sep, end) of a window line in format fmt: the line is head,
+    the values joined by sep, then end."""
+    if fmt == "jsonl":
+        # json.dumps once; the repr of a list of ints is its JSON array
+        return json.dumps({"lo": lo, "hi": hi, "values": []})[:-2], ", ", "]}\n"
+    return "", ",", "\n"
+
+
+def _line(vals: list, head: str, sep: str, end: str) -> str:
+    """The line of one window, by one repr of its values (the scalar path)."""
+    return head + repr(vals)[1:-1].replace(", ", sep) + end
+
+
+def _block_lines(block: np.ndarray, head: str, sep: str, end: str) -> list[str]:
+    """_line of each row of an int64 rows x width block, in row order.
+
+    One repr per distinct value: np.unique, not a table over the block's
+    value range, which a long one-sided word at q near 1 spreads over ~1e7
+    values.  The cells (the head, then value + sep, and value + end in the
+    last column) are gathered from that table, joined once and split into
+    lines; no line holds a line break but its last.
+    """
+    rows, width = block.shape
+    vals, inv = np.unique(block, return_inverse=True)
+    reprs = list(map(repr, vals.tolist()))
+    table = np.array([head, *(r + sep for r in reprs), *(r + end for r in reprs)], dtype=object)
+    idx = np.zeros((rows, width + 1), dtype=np.intp)  # column 0 reads the head
+    idx[:, 1:] = inv.reshape(rows, width) + 1
+    idx[:, -1] += len(reprs)  # the last value ends its line
+    return "".join(table[idx].ravel().tolist()).splitlines(keepends=True)
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     p = QParam(args.q)
@@ -140,25 +175,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             raise DomainError("two-sided mode requires --window LO:HI")
         lo, hi = _parse_window(args.window)
 
-    def block(rows: int) -> Iterable:
-        """The next `rows` windows in draw order: one kernel call, or, for
-        words and interlacing windows longer than _KERNEL_WORD_MAX, one
-        scalar call per window, made as the window is read (so they are
-        never all held)."""
-        if uses_eps:
-            return batch_inversion_windows(lo, hi, p, s, rows, args.eps_tv)[0].tolist()
-        if hi - lo + 1 <= _KERNEL_WORD_MAX:
-            if args.mode == "two-sided":
-                return batch_interlacing_windows(lo, hi, p, s, rows).tolist()
-            kernel = batch_finite_words if args.mode == "finite" else batch_shuffle_prefixes
-            return kernel(args.n, p, s, rows).tolist()
-        if args.mode == "two-sided":
-            return (list(sample_two_sided_interlacing(lo, hi, p, s).values)
-                    for _ in range(rows))
-        if args.mode == "finite":
-            return (list(sample_finite_mallows(args.n, p, s).values) for _ in range(rows))
-        return (list(q_shuffle_prefix(args.n, p, s)) for _ in range(rows))
-
     if args.format == "jsonl":
         header = json.dumps({
             "q": args.q,
@@ -168,23 +184,39 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "eps_tv": args.eps_tv if uses_eps else None,
             "version": __version__,
         })
-        # json.dumps once; the repr of a list of ints is its JSON array, so
-        # each line is one C call spliced into the same bytes
-        head = json.dumps({"lo": lo, "hi": hi, "values": []})[:-2]
-
-        def line(vals: list) -> str:
-            return head + repr(vals)[1:] + "}\n"
     else:
         header = ",".join(f"p{i}" for i in range(lo, hi + 1))
+    fmt = _line_format(args.format, lo, hi)
 
-        def line(vals: list) -> str:
-            return repr(vals)[1:-1].replace(", ", ",") + "\n"
+    def lines(rows: int) -> Iterable[str]:
+        """The lines of the next `rows` windows in draw order: one kernel
+        call formatted as a block, or, for words and interlacing windows
+        longer than _KERNEL_WORD_MAX, one scalar call per window, drawn and
+        formatted as its line is read (so they are never all held)."""
+        if not uses_eps and hi - lo + 1 > _KERNEL_WORD_MAX:
+            if args.mode == "two-sided":
+                draws = (sample_two_sided_interlacing(lo, hi, p, s).values for _ in range(rows))
+            elif args.mode == "finite":
+                draws = (sample_finite_mallows(args.n, p, s).values for _ in range(rows))
+            else:
+                draws = (q_shuffle_prefix(args.n, p, s) for _ in range(rows))
+            return (_line(list(vals), *fmt) for vals in draws)
+        if uses_eps:
+            block = batch_inversion_windows(lo, hi, p, s, rows, args.eps_tv)[0]
+        elif args.mode == "two-sided":
+            block = batch_interlacing_windows(lo, hi, p, s, rows)
+        elif args.mode == "finite":
+            block = batch_finite_words(args.n, p, s, rows)
+        else:
+            block = batch_shuffle_prefixes(args.n, p, s, rows)
+        return _block_lines(block, *fmt)
+
     out = sys.stdout
     for b0 in range(0, args.count, _BLOCK_ROWS):
-        for i, vals in enumerate(block(min(_BLOCK_ROWS, args.count - b0))):
+        for i, text in enumerate(lines(min(_BLOCK_ROWS, args.count - b0))):
             if b0 + i == 0:  # a refused draw raises before anything reaches stdout
                 out.write(header + "\n")
-            out.write(line(vals))
+            out.write(text)
     return 0
 
 

@@ -129,13 +129,23 @@ def _part_search(p: QParam) -> tuple[list[float], list[float]]:
     The tables are cached by (q, eps_series), so the cache keeps no
     parameter object (nor its memo) alive.
     """
-    return _part_tables(p.q, p.eps_series)
+    return _part_tables(p.q, p.eps_series)[0]
+
+
+def _part_search_arrays(p: QParam) -> tuple[np.ndarray, np.ndarray]:
+    """_part_search's tables as read-only float64 arrays, cached with them."""
+    return _part_tables(p.q, p.eps_series)[1]
 
 
 @lru_cache(maxsize=None)
-def _part_tables(q: float, eps_series: float) -> tuple[list[float], list[float]]:
+def _part_tables(q: float, eps_series: float) -> tuple[tuple, tuple]:
+    """The search's two lists, and the same as read-only arrays."""
     table = normal_table(QParam(q, eps_series), "Euler-measure diagrams cannot be drawn")
-    return [-v for v in table.values], [q**j for j in range(len(table.values))]
+    lists = [-v for v in table.values], [q**j for j in range(len(table.values))]
+    arrays = tuple(np.array(t) for t in lists)
+    for a in arrays:
+        a.flags.writeable = False
+    return lists, arrays
 
 
 def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
@@ -338,7 +348,7 @@ def batch_interlacing_windows(
     if count < 0:
         raise DomainError("count must be >= 0")
     _check_stream(p, s)
-    neg, qpow = (np.array(t) for t in _part_search(p))
+    neg, qpow = _part_search_arrays(p)
     prev = np.arange(lo - 1, hi)[:, None]  # i - 1 for each window position i
     out = np.empty((count, hi - lo + 1), dtype=np.int64)
     for b0 in range(0, count, _BLOCK_ROWS):

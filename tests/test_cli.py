@@ -1,6 +1,7 @@
 """End-to-end CLI checks through main(argv) — no subprocesses needed."""
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -11,7 +12,14 @@ import numpy as np
 import pytest
 
 from mallows import GeomStream, QParam, __version__
-from mallows.cli import _KERNEL_WORD_MAX, _build_parser, main
+from mallows.cli import (
+    _KERNEL_WORD_MAX,
+    _block_lines,
+    _build_parser,
+    _line,
+    _line_format,
+    main,
+)
 from mallows.samplers import (
     _BLOCK_ROWS,
     batch_interlacing_windows,
@@ -216,6 +224,68 @@ def test_sample_words_either_side_of_the_kernel_limit(capsys, mode, n):
     assert code == 0
     assert out.splitlines()[1:] == [
         ",".join(map(str, WORD_SCALARS[mode](n, p, s))) for _ in range(count)]
+
+
+I64 = np.iinfo(np.int64)
+
+#: int64 blocks at the formatter's edges: one column, all zeros, negatives,
+#: values repeated within and across rows, and the ends of int64
+FORMAT_BLOCKS = {
+    "width-1": np.array([[0], [-1], [7], [7]]),
+    "zeros": np.zeros((3, 4), dtype=np.int64),
+    "negatives": np.array([[-3, -1, -2], [-10, -200, -3000]]),
+    "repeats": np.array([[5, 5, 5, 1], [1, 5, 1, 5], [5, 1, 5, 5]]),
+    "int64-ends": np.array([[I64.max, -I64.max, I64.min, 0],
+                            [-I64.max, I64.max, 1, -1]]),
+    "one-value": np.array([[I64.max]]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("name", list(FORMAT_BLOCKS))
+def test_block_lines_are_the_scalar_lines(name, fmt):
+    # the kernels' block formatter and the scalar path's per-row rule give
+    # the same line for every row
+    block = FORMAT_BLOCKS[name].astype(np.int64)
+    lo = -(2**62)
+    hi = lo + block.shape[1] - 1
+    head_sep_end = _line_format(fmt, lo, hi)
+    lines = _block_lines(block, *head_sep_end)
+    assert lines == [_line(row, *head_sep_end) for row in block.tolist()]
+    for text, row in zip(lines, block.tolist()):
+        if fmt == "jsonl":
+            assert text == json.dumps({"lo": lo, "hi": hi, "values": row}) + "\n"
+        else:
+            assert text == ",".join(map(str, row)) + "\n"
+
+
+class CountingSink:
+    """Stand-in for stdout that keeps each write."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("window", ["-5:5", f"0:{_KERNEL_WORD_MAX}"])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_sample_writes_each_line_once(window, fmt):
+    # the header and then one write per window, across a block edge, from a
+    # kernel block and from the scalar path (one position past the limit)
+    count = _BLOCK_ROWS + 1
+    sink = CountingSink()
+    with contextlib.redirect_stdout(sink):
+        code = main(INTERLACING + ["--window", window, "--count", str(count),
+                                   "--seed", "5", "--format", fmt])
+    assert code == 0
+    assert len(sink.writes) == count + 1
+    assert all(w.count("\n") == 1 and w.endswith("\n") for w in sink.writes)
 
 
 @pytest.mark.parametrize(
