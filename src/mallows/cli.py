@@ -5,9 +5,11 @@ Identical invocations (same arguments and seed) produce byte-identical
 output; the seed defaults to the MALLOWS_SEED environment variable, then 0.
 CSV output uses `,` separators, `.` decimals, and LF line endings; JSONL
 output starts with a header line describing the run, written after the
-first draw.  `sample` writes each window line with one `write`, formatted
-by one `repr` of the row.  The argument parser is built once per process,
-on the first `main` call, and serves every later call.
+first draw.  `sample` writes each window line with one `write`.  The lines
+of a kernel block are formatted together, by one `repr` per distinct value
+of the block; a window of the scalar path (wider than _KERNEL_WORD_MAX) by
+one `repr` of its row.  The argument parser is built once per process, on
+the first `main` call, and serves every later call.
 """
 from __future__ import annotations
 
@@ -193,23 +195,20 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         call formatted as a block, or, for words and interlacing windows
         longer than _KERNEL_WORD_MAX, one scalar call per window, drawn and
         formatted as its line is read (so they are never all held)."""
-        if not uses_eps and hi - lo + 1 > _KERNEL_WORD_MAX:
-            if args.mode == "two-sided":
-                draws = (sample_two_sided_interlacing(lo, hi, p, s).values for _ in range(rows))
-            elif args.mode == "finite":
-                draws = (sample_finite_mallows(args.n, p, s).values for _ in range(rows))
-            else:
-                draws = (q_shuffle_prefix(args.n, p, s) for _ in range(rows))
-            return (_line(list(vals), *fmt) for vals in draws)
         if uses_eps:
-            block = batch_inversion_windows(lo, hi, p, s, rows, args.eps_tv)[0]
-        elif args.mode == "two-sided":
-            block = batch_interlacing_windows(lo, hi, p, s, rows)
-        elif args.mode == "finite":
-            block = batch_finite_words(args.n, p, s, rows)
-        else:
-            block = batch_shuffle_prefixes(args.n, p, s, rows)
-        return _block_lines(block, *fmt)
+            return _block_lines(batch_inversion_windows(lo, hi, p, s, rows, args.eps_tv)[0], *fmt)
+        if hi - lo + 1 <= _KERNEL_WORD_MAX:
+            if args.mode == "two-sided":
+                return _block_lines(batch_interlacing_windows(lo, hi, p, s, rows), *fmt)
+            kernel = batch_finite_words if args.mode == "finite" else batch_shuffle_prefixes
+            return _block_lines(kernel(args.n, p, s, rows), *fmt)
+        if args.mode == "two-sided":
+            return (_line(list(sample_two_sided_interlacing(lo, hi, p, s).values), *fmt)
+                    for _ in range(rows))
+        if args.mode == "finite":
+            return (_line(list(sample_finite_mallows(args.n, p, s).values), *fmt)
+                    for _ in range(rows))
+        return (_line(list(q_shuffle_prefix(args.n, p, s)), *fmt) for _ in range(rows))
 
     out = sys.stdout
     for b0 in range(0, args.count, _BLOCK_ROWS):

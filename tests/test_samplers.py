@@ -19,6 +19,7 @@ from mallows.samplers import (
     YoungDiagram,
     _diagram_triples,
     _part_search,
+    _part_search_arrays,
     _sign_counts,
     batch_finite_r,
     batch_finite_words,
@@ -240,10 +241,21 @@ def test_young_sampler_deep_diagram_law(q, n_draws):
     _assert_size_law(sizes, q)
 
 
+def test_part_search_arrays_are_its_lists_cached_read_only():
+    # the kernel's tables are the scalar search's lists, built once per
+    # (q, eps_series) and shared, so no caller may write to them
+    p = QParam(0.95)
+    neg, qpow = _part_search_arrays(p)
+    assert neg.tolist() == _part_search(p)[0] and qpow.tolist() == _part_search(p)[1]
+    assert neg.dtype == qpow.dtype == np.float64
+    assert not neg.flags.writeable and not qpow.flags.writeable
+    assert _part_search_arrays(QParam(0.95)) is _part_search_arrays(p)
+
+
 @pytest.mark.parametrize("q", [0.95, 0.99])
 def test_diagram_triples_deep_diagram_law(q):
     rows = 20_000
-    tables = map(np.array, _part_search(QParam(q)))
+    tables = _part_search_arrays(QParam(q))
     row, part, mult = _diagram_triples(GeomStream(seed=41, q=q), rows, *tables)
     sizes = np.bincount(row, weights=part.astype(np.int64) * mult, minlength=rows)
     _assert_size_law(sizes, q)
@@ -360,7 +372,7 @@ def test_diagram_triples_deep_rows():
     # at q=0.95 a row has about 19 part sizes, so the search takes many
     # rounds, each over a different set of rows still drawing
     p = QParam(0.95)
-    tables = map(np.array, _part_search(p))
+    tables = _part_search_arrays(p)
     row, part, mult = _diagram_triples(GeomStream(seed=103, q=0.95), 300, *tables)
     assert (np.diff(row) >= 0).all() and (mult >= 1).all() and row.max() < 300
     same_row = row[1:] == row[:-1]
