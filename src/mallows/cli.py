@@ -7,10 +7,9 @@ CSV output uses `,` separators, `.` decimals, and LF line endings; JSONL
 output starts with a header line describing the run, written after the
 first draw.  `sample` writes each window line with one `write`.  The lines
 of a kernel block are formatted together, by one `repr` per distinct value
-of the block; a window of the scalar path (wider than _KERNEL_WORD_MAX), and
-a row of a block whose values are mostly distinct, by one `repr` of its
-row.  The argument parser is built once per process, on the first `main`
-call, and serves every later call.
+of the block; a window of the scalar path (wider than _KERNEL_WORD_MAX) by
+one `repr` of its row.  The argument parser is built once per process, on
+the first `main` call, and serves every later call.
 """
 from __future__ import annotations
 
@@ -149,14 +148,12 @@ def _block_lines(block: np.ndarray, head: str, sep: str, end: str) -> list[str]:
     value range, which a long one-sided word at q near 1 spreads over ~1e7
     values.  The cells (the head, then value + sep, and value + end in the
     last column) are gathered from that table, joined once and split into
-    lines; no line holds a line break but its last.  Where more than a
-    third of the values are distinct (words at q near 1) the table costs
-    more than it saves, and each row is formatted by _line.
+    lines; no line holds a line break but its last.  A block of nearly
+    all distinct values (one-sided words at q near 1) builds two strings
+    per value and costs about three times the per-row rule.
     """
     rows, width = block.shape
     vals, inv = np.unique(block, return_inverse=True)
-    if 3 * vals.size > block.size:
-        return [_line(row, head, sep, end) for row in block.tolist()]
     reprs = list(map(repr, vals.tolist()))
     table = np.array([head, *(r + sep for r in reprs), *(r + end for r in reprs)], dtype=object)
     idx = np.zeros((rows, width + 1), dtype=np.intp)  # column 0 reads the head

@@ -241,14 +241,12 @@ FORMAT_BLOCKS = {
 }
 
 
-@pytest.mark.parametrize("copies", [1, 4])
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 @pytest.mark.parametrize("name", list(FORMAT_BLOCKS))
-def test_block_lines_are_the_scalar_lines(name, fmt, copies):
+def test_block_lines_are_the_scalar_lines(name, fmt):
     # the kernels' block formatter and the scalar path's per-row rule give
-    # the same line for every row; four copies of a block hold at most a
-    # quarter distinct values, so they take the value table
-    block = np.tile(FORMAT_BLOCKS[name].astype(np.int64), (copies, 1))
+    # the same line for every row
+    block = FORMAT_BLOCKS[name].astype(np.int64)
     lo = -(2**62)
     hi = lo + block.shape[1] - 1
     head_sep_end = _line_format(fmt, lo, hi)
