@@ -32,10 +32,11 @@ the right counts behind ``batch_finite_words``.
 ``batch_inversion_windows`` is the one implementation of the inversion
 route: all rows' right counts in one call, the in-window chains by
 ``perm._leftward_chains``, then each row's tail: a part search for its
-lowest chain's hits, and one overshoot per hit for the other chains.
-``sample_two_sided_inversion`` is its count=1 case and
-``batch_inversion_position0`` its [0..0] case, so both return what the
-kernel returns for the same stream.
+lowest chain's hits (``_tail_hits``), and one overshoot per hit for the
+other chains.  At width 1 there are no other chains and no in-window
+walk, so the tail is the hit count.  ``sample_two_sided_inversion`` is its
+count=1 case and ``batch_inversion_position0`` its [0..0] case, so both
+return what the kernel returns for the same stream.
 
 ``batch_interlacing_windows`` is the scalar interlacing sampler run on a
 block of rows at once: the diagrams come from the part-size search of
@@ -45,6 +46,10 @@ drawn in one call, and the sign-word slots (``_sign_counts``, the + position
 rule of ``_plus_positions``), the letters (``perm._leftward_chains``) and
 the window fill run on arrays.  At count=1 it draws the same uniforms in the
 same order as ``sample_two_sided_interlacing`` and returns the same window.
+
+Both part searches draw a round's multiplicities and the next round's
+search uniforms in one s.uniforms call, since uniforms(a) then uniforms(b)
+draws what uniforms(a + b) does.
 """
 from __future__ import annotations
 
@@ -57,7 +62,7 @@ import numpy as np
 from .errors import DomainError, NotInjectiveError
 from .perm import PermWindow, _chain_horizon, _leftward_chains, _pop_letters, eliminate_right
 from .qseries import MAX_TABLE, QParam, normal_table
-from .streams import GeomStream
+from .streams import GeomStream, _geometrics_of_logs
 
 
 def _check_stream(p: QParam, s: GeomStream) -> None:
@@ -335,11 +340,14 @@ def batch_interlacing_windows(
     * C(i) = #(+ <= i) - i for i in lo-1..hi counts the + positions
       k - lambda_k of _plus_positions, each row's parts ranked in triple
       order (_sign_counts).  Position i carries + with rank i + C(i) when
-      C(i) = C(i-1), else - with rank C(i-1); the row needs kmax = hi +
-      C(hi) plus and tmax = C(lo-1) minus letters;
-    * the skips fill a letters x words matrix where the letter index is
-      below the word's need; the letters are 1 + _leftward_chains of its
-      words, and a row's letters past its need are never read;
+      C(i) = C(i-1), else - with rank C(i-1) = C(i) + 1; the row needs
+      kmax = hi + C(hi) plus and tmax = C(lo-1) minus letters;
+    * a letters x words matrix of skips is gathered from the draws, padded
+      with zeros: letter k of a word is the draw k places after the word's
+      first, at offset cumsum(need) - need.  Past its need a word reads
+      the next words' draws or the padding.  No slot reads those letters,
+      and a chain reads only earlier letters of its word, so the letters
+      1 + _leftward_chains of the words are exact up to each need;
     * the window is filled by one gather from the chain states, at a flat
       index picked by sign: + slots take plus letters by rank, - slots
       take 1 - (minus letter) by rank from the right.
@@ -357,17 +365,18 @@ def batch_interlacing_windows(
         c = _sign_counts(row, part, mult, nb, lo, hi).T  # entry-major: c[i - lo + 1] = C(i)
         need = np.concatenate((hi + c[-1], c[0]))  # plus words, then minus words
         width = max(1, int(need.max()))
-        # letters x words; through the transposes the skips go in word by
-        # word, their draw order
-        skips = np.zeros((width, 2 * nb), dtype=np.int64)
-        skips.T[(np.arange(width)[:, None] < need).T] = s.geometrics(int(need.sum()))
+        # letters x words: word w's skips are the draws from its start on,
+        # in draw order; past its need a word reads the next words' draws
+        # or the padding, letters no slot reads
+        draws = np.concatenate((s.geometrics(int(need.sum())), np.zeros(width, dtype=np.int64)))
+        skips = draws[np.arange(width)[:, None] + (np.cumsum(need) - need)]
         # letter k (0-based) of word w is 1 + chains[k * 2nb + w]; each slot
-        # reads only the sign it takes
+        # reads only the sign it takes: k = i - 1 + C(i) at a + slot and
+        # k = C(i-1) - 1 = C(i) at a - slot
         chains = _leftward_chains(skips.T).T.reshape(-1)
-        before, at = c[:-1], c[1:]
-        plus = at == before
-        w = np.arange(nb)
-        got = chains[np.where(plus, (prev + at) * (2 * nb) + w, (before - 1) * (2 * nb) + nb + w)]
+        at = c[1:]
+        plus = at == c[:-1]
+        got = chains[at * (2 * nb) + np.arange(nb) + np.where(plus, prev * (2 * nb), nb)]
         out[b0 : b0 + nb] = np.where(plus, got + 1, -got).T
     return out
 
@@ -381,18 +390,28 @@ def _diagram_triples(
 
     neg and qpow are _part_search's tables as arrays.  Each round, every
     row still drawing takes one uniform and finds its next part size by
-    the search of sample_young_euler (one searchsorted), and the rows
-    that found one draw its multiplicity in one s.geometrics call.  For a
+    the search of sample_young_euler (one searchsorted), and the m rows
+    that found one draw its multiplicity, geometric with ratio q^j and log
+    q^j read from one np.log(qpow) per call.  Those m multiplicities and
+    the next round's m search uniforms are one s.uniforms(2m) call, the
+    multiplicities first, which draws what a call for each would.  For a
     single row these are sample_young_euler's draws.
     """
+    with np.errstate(divide="ignore"):  # -inf where q^j underflows, never a part
+        log_qpow = np.log(qpow)
     active = np.arange(rows)
     base = np.zeros(rows, dtype=np.int64)
+    u = s.uniforms(rows)
     rounds = []
     while active.size:
-        j = np.searchsorted(neg, s.uniforms(active.size) * neg[base], side="right")
+        j = np.searchsorted(neg, u * neg[base], side="right")
         more = j < neg.size
         active, base = active[more], j[more]
-        rounds.append((active, base, 1 + s.geometrics(active.size, ratio=qpow[base])))
+        m = active.size
+        u = s.uniforms(2 * m)
+        mult = 1 + _geometrics_of_logs(np.log(u[:m], out=u[:m]), log_qpow[base])
+        rounds.append((active, base, mult))
+        u = u[m:]
     # later rounds hold larger parts, so with them first a stable sort by
     # row keeps each row's parts decreasing
     row, part, mult = (
@@ -409,8 +428,8 @@ def _sign_counts(
     """nrows x (hi-lo+2) matrix with C[r, i-lo+1] = #(+ <= i) - i for
     i = lo-1..hi, the diagrams given as triples sorted by row and then by
     decreasing part size.  It is the transpose of an entry-major array, in
-    which the counts, their running sums and C are made column by column
-    over all rows.
+    which the counts and C are made column by column over all rows, and the
+    running sums by adding each column's counts to the next in place.
 
     This is the rule of _plus_positions on arrays: with a row's parts
     lambda_1 >= ... >= lambda_L in triple order, part k sits at + position
@@ -429,7 +448,9 @@ def _sign_counts(
     col = np.arange(1, int(nparts.sum()) + 1, dtype=np.int32) - np.repeat(first, nparts)
     col = np.clip(col - np.repeat(part, mult), 0, ncols)
     plus = np.bincount(col * nrows + np.repeat(row, mult), minlength=(ncols + 1) * nrows)
-    below = np.cumsum(plus.reshape(ncols + 1, nrows)[:ncols], axis=0)
+    below = plus.reshape(ncols + 1, nrows)[:ncols]
+    for k in range(1, ncols):  # the running sums, row by row in place
+        below[k] += below[k - 1]
     return (below - np.minimum(np.arange(lo - 1, hi + 1)[:, None], nparts)).T
 
 
@@ -457,14 +478,17 @@ def batch_inversion_windows(
     sigma(j) = j + r_j - ell_j.
 
     Draws: every row's right counts, row by row, in one s.geometrics call;
-    then search rounds, each one uniform per row still searching (at first
-    the rows with low below x*, in row order) and one multiplicity per row
-    that found a part; then every overshoot in one s.geometrics call laid
-    out round-major: round t has one draw per row with more than t hits,
-    rows by decreasing hits and then by row.  At width 1 the row's one
-    chain is its lowest, so every overshoot hits it and its tail is its
-    hit count: the overshoots are drawn (as uniforms) and never read.  At
-    count=1 these are one chain's search and then its overshoots.
+    then search rounds (_tail_hits), each one uniform per row still
+    searching (at first the rows with low below x*, in row order) and one
+    multiplicity per row that found a part, one s.uniforms call a round for
+    that round's multiplicities and the next round's search; then every
+    overshoot in one s.geometrics call laid out round-major: round t has
+    one draw per row with more than t hits, rows by decreasing hits and
+    then by row.  At width 1 the row's one chain is its lowest, with x = r
+    and no in-window left count, so every overshoot hits it and its tail is
+    its hit count: the overshoots are drawn (as uniforms) and never read,
+    and no chain, minimum or collision check runs.  At count=1 these are
+    one chain's search and then its overshoots.
 
     Whatever eps_tv, a row's values are distinct and in the order of the
     exact ones: the cascade walks the row's chains over one sequence of
@@ -482,38 +506,53 @@ def batch_inversion_windows(
     _check_stream(p, s)
     width = hi - lo + 1
     r = s.geometrics(count * width).reshape(count, width)
+    if width == 1:
+        # x = r and ell = 0: the row's one chain is its lowest, which every
+        # overshoot hits, and one value cannot collide
+        ell = _tail_hits(r[:, 0], q, xstar, s)[:, None]
+        s.uniforms(int(ell.sum()))
+        return lo + r - ell, ell
     x = _leftward_chains(r)
     ell = np.arange(width) - (x - r)
     low = x.min(axis=1)
-    qpow = q ** np.arange(xstar + 1)
-    neg = np.concatenate(([0.0], np.cumsum(-np.log1p(-qpow[1:]))))  # -log <j>_q
-    hits = np.zeros(count, dtype=np.int64)
-    active = np.flatnonzero(low < xstar)
-    base = low[active]
-    while active.size:
-        j = np.searchsorted(neg, neg[base] - np.log(s.uniforms(active.size)), side="right")
-        found = j <= xstar
-        active, base = active[found], j[found]
-        hits[active] += 1 + s.geometrics(active.size, ratio=qpow[base])
-    if width == 1:
-        # the row's one chain is its lowest, which every overshoot hits
-        s.uniforms(int(hits.sum()))
-        ell[:, 0] += hits
-    else:
-        order = np.argsort(-hits, kind="stable")  # by decreasing hits, then by row
-        gap = (x - low[:, None])[order]
-        tail = np.zeros_like(gap)
-        over, done = s.geometrics(int(hits.sum())), 0
-        for n in (count - np.cumsum(np.bincount(hits))[:-1]).tolist():  # rows with hits left
-            hit = gap[:n] <= over[done : done + n, None]
-            tail[:n] += hit
-            gap[:n] += ~hit
-            done += n
-        ell[order] += tail
+    hits = _tail_hits(low, q, xstar, s)
+    order = np.argsort(-hits, kind="stable")  # by decreasing hits, then by row
+    gap = (x - low[:, None])[order]
+    tail = np.zeros_like(gap)
+    over, done = s.geometrics(int(hits.sum())), 0
+    for n in (count - np.cumsum(np.bincount(hits))[:-1]).tolist():  # rows with hits left
+        hit = gap[:n] <= over[done : done + n, None]
+        tail[:n] += hit
+        gap[:n] += ~hit
+        done += n
+    ell[order] += tail
     values = np.arange(lo, hi + 1) + r - ell
     if np.any(np.diff(np.sort(values, axis=1), axis=1) == 0):
         raise NotInjectiveError("window rebuild collided")
     return values, ell
+
+
+def _tail_hits(low: np.ndarray, q: float, xstar: int, s: GeomStream) -> np.ndarray:
+    """Each row's tail hits, as int64: the parts above its in-window state
+    low of an Euler-measure diagram, by the part search on a table of
+    -log <j>_q, j <= xstar, over the rows with low below xstar in row order.
+    A round's m multiplicities and the next round's m search uniforms are
+    one s.uniforms(2m) call under one np.log, the multiplicities first."""
+    qpow = q ** np.arange(xstar + 1)
+    neg = np.concatenate(([0.0], np.cumsum(-np.log1p(-qpow[1:]))))  # -log <j>_q
+    log_qpow = np.log(qpow)
+    hits = np.zeros(low.size, dtype=np.int64)
+    active = np.flatnonzero(low < xstar)
+    base, log_u = low[active], np.log(s.uniforms(active.size))
+    while active.size:
+        j = np.searchsorted(neg, neg[base] - log_u, side="right")
+        found = j <= xstar
+        active, base = active[found], j[found]
+        m = active.size
+        log_u = np.log(s.uniforms(2 * m))
+        hits[active] += 1 + _geometrics_of_logs(log_u[:m], log_qpow[base])
+        log_u = log_u[m:]
+    return hits
 
 
 def batch_inversion_position0(

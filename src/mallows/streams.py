@@ -28,6 +28,13 @@ def _philox_key(seed: int, label: str) -> np.ndarray:
     return np.frombuffer(digest[:16], dtype=np.uint64).copy()
 
 
+def _geometrics_of_logs(log_u: np.ndarray, log_r: float | np.ndarray) -> np.ndarray:
+    """floor(log U / log r) as int64, dividing in place on log_u: the inverse
+    CDF of GeomStream.geometrics for uniforms whose logs, and ratios whose
+    logs, the caller has already taken."""
+    return np.divide(log_u, log_r, out=log_u).astype(np.int64)
+
+
 def _size(n: int) -> int:
     """A draw count, refused before any bookkeeping when negative."""
     n = int(n)
@@ -84,7 +91,7 @@ class GeomStream:
         r = self.q if ratio is None else ratio
         u = self.uniforms(n)
         log_r = np.log(r) if isinstance(r, np.ndarray) else math.log(r)
-        return np.divide(np.log(u, out=u), log_r, out=u).astype(np.int64)
+        return _geometrics_of_logs(np.log(u, out=u), log_r)
 
     def truncated_geometrics(self, n: int, limit: int | np.ndarray) -> np.ndarray:
         """n draws from P(k) proportional to q^k on {0..limit} (exact inverse

@@ -782,6 +782,61 @@ def test_geometrics_with_one_ratio_per_draw_are_the_floor_of_the_twin_quotients(
     assert a.counter == b.counter == ratios.size
 
 
+@pytest.mark.parametrize("a, b", [(0, 5), (7, 0), (3, 3), (2049, 1)])
+def test_uniform_calls_in_a_row_are_one_call_for_their_sum(a, b):
+    # the part searches draw a round's multiplicities and the next round's
+    # search uniforms in one call on this property
+    one, two = GeomStream(seed=19, q=0.5), GeomStream(seed=19, q=0.5)
+    split = np.concatenate((one.uniforms(a), one.uniforms(b)))
+    assert split.tobytes() == two.uniforms(a + b).tobytes()
+    assert one.counter == two.counter == a + b
+    assert np.array_equal(one.uniforms(4), two.uniforms(4))
+
+
+def test_kernels_at_q_near_zero_draw_the_identity_by_one_empty_search_round():
+    # every diagram is empty and every right count 0, so each row's part
+    # search runs one round that finds no part: one search uniform per row,
+    # no multiplicity and (inversion) no overshoot; interlacing then draws
+    # kmax = 3 plus and C(-4) = 4 minus letters a row
+    q, lo, hi, count = 1e-9, -3, 3, 2049
+    p = QParam(q)
+    identity = np.tile(np.arange(lo, hi + 1), (count, 1))
+    s = GeomStream(seed=23, q=q)
+    assert np.array_equal(batch_interlacing_windows(lo, hi, p, s, count), identity)
+    assert s.counter == count * (1 + 7)
+    assert _chain_horizon(q, 1e-9) == 1
+    s = GeomStream(seed=23, q=q)
+    values, ell = batch_inversion_windows(lo, hi, p, s, count, 1e-9)
+    assert np.array_equal(values, identity) and ell.shape == values.shape and not ell.any()
+    assert s.counter == count * (hi - lo + 1) + count
+    for kernel, scalar in ((lambda s: batch_interlacing_windows(lo, hi, p, s, 1),
+                            lambda s: sample_two_sided_interlacing(lo, hi, p, s)),
+                           (lambda s: batch_inversion_windows(lo, hi, p, s, 1, 1e-9)[0],
+                            lambda s: sample_two_sided_inversion(lo, hi, p, s, 1e-9))):
+        a, b = GeomStream(seed=29, q=q), GeomStream(seed=29, q=q)
+        assert kernel(a)[0].tolist() == list(scalar(b).values) == list(range(lo, hi + 1))
+        assert a.counter == b.counter
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (-5, 5)])
+def test_inversion_kernel_with_no_row_searching_draws_only_right_counts(lo, hi):
+    # eps_tv = 10 sets the horizon x* = 0, which no in-window state is below,
+    # so no row searches: no tail hit, no overshoot, and the left counts are
+    # the in-window walks
+    count, width = 2049, hi - lo + 1
+    assert _chain_horizon(0.5, 10.0) == 0
+    s, twin = GeomStream(seed=31, q=0.5), GeomStream(seed=31, q=0.5)
+    values, ell = batch_inversion_windows(lo, hi, P5, s, count, 10.0)
+    r = twin.geometrics(count * width).reshape(count, width).tolist()
+    walks = [[oracles.left_walk(row[:k][::-1], rk)[0] for k, rk in enumerate(row)] for row in r]
+    assert values.dtype == ell.dtype == np.int64
+    assert ell.tolist() == walks
+    assert values.tolist() == [[lo + k + rk - e for k, (rk, e) in enumerate(zip(row, w))]
+                               for row, w in zip(r, walks)]
+    assert s.counter == twin.counter == count * width
+    assert np.array_equal(s.uniforms(4), twin.uniforms(4))
+
+
 def test_batch_interlacing_matches_displacement_pmf():
     q = 0.5
     n_draws = 100_000
