@@ -53,6 +53,7 @@ draws what uniforms(a + b) does.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -127,7 +128,8 @@ def q_shuffle_prefix(n_letters: int, p: QParam, s: GeomStream) -> tuple[int, ...
 # --------------------------------------------------------------------------
 
 def _part_search(p: QParam) -> tuple[list[float], list[float]]:
-    """(-<j>_q, q^j) for j = 0..N, N the depth of p's Pochhammer table.
+    """(-<j>_q, log q^j) for j = 0..N, N the depth of p's Pochhammer table,
+    log q^j being -inf where q^j underflows (never a part).
 
     The search compares U <b>_q with <j>_q down to <N>_q ~ <inf>_q, so it
     is refused where <inf>_q is not a normal double (from q ~ 0.9977).
@@ -146,11 +148,12 @@ def _part_search_arrays(p: QParam) -> tuple[np.ndarray, np.ndarray]:
 def _part_tables(q: float, eps_series: float) -> tuple[tuple, tuple]:
     """The search's two lists, and the same as read-only arrays."""
     table = normal_table(QParam(q, eps_series), "Euler-measure diagrams cannot be drawn")
-    lists = [-v for v in table.values], [q**j for j in range(len(table.values))]
-    arrays = tuple(np.array(t) for t in lists)
+    with np.errstate(divide="ignore"):  # -inf where q^j underflows, never a part
+        log_qpow = np.log([q**j for j in range(len(table.values))])
+    arrays = np.array([-v for v in table.values]), log_qpow
     for a in arrays:
         a.flags.writeable = False
-    return lists, arrays
+    return tuple(a.tolist() for a in arrays), arrays
 
 
 def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
@@ -164,17 +167,18 @@ def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
     error eps_series of the table's last entry).  Otherwise J has
     multiplicity 1 + geometric(q^J) and the search goes on from b = J.
     Part sizes increase strictly and stay below the table length, so the
-    loop ends.  Draws: one uniform per distinct part size plus one that
-    ends the diagram, and one geometric per multiplicity;
+    loop ends.  Draws: one uniform per search (one per distinct part size
+    plus one that ends the diagram), and one uniform U per multiplicity,
+    which is 1 + floor(log U / log q^J), the kernel's inverse CDF;
     _diagram_triples runs the same rounds over many rows.  Raises
     DomainError where <inf>_q is not a normal double (q >~ 0.9977).
     """
     _check_stream(p, s)
-    neg, qpow = _part_search(p)
+    neg, log_qpow = _part_search(p)
     parts: list[int] = []
     b = 0
     while (j := bisect_right(neg, s.uniform() * neg[b], b + 1)) < len(neg):
-        parts.extend([j] * (1 + int(s.geometrics(1, qpow[j])[0])))
+        parts.extend([j] * (1 + int(math.log(s.uniform()) / log_qpow[j])))
         b = j
     return YoungDiagram(tuple(reversed(parts)))
 
@@ -296,22 +300,13 @@ def batch_shuffle_prefixes(n: int, p: QParam, s: GeomStream, count: int) -> np.n
 
 
 def finite_r_codes(r_matrix: np.ndarray) -> np.ndarray:
-    """Mixed-radix code of each row; a bijection onto 0..n!-1."""
+    """Mixed-radix code of each row; a bijection onto 0..n!-1, the
+    lexicographic rank of the row's word (its Lehmer code)."""
     count, n = r_matrix.shape
     codes = np.zeros(count, dtype=np.int64)
     for i in range(n):
         codes = codes * (n - i) + r_matrix[:, i]
     return codes
-
-
-def finite_code_to_r(code: int, n: int) -> tuple[int, ...]:
-    """Inverse of finite_r_codes for a single code."""
-    digits = []
-    for i in range(n - 1, -1, -1):
-        radix = n - i
-        digits.append(code % radix)
-        code //= radix
-    return tuple(reversed(digits))
 
 
 #: rows drawn and filled together; bounds the slot and letter arrays to a
@@ -331,7 +326,7 @@ def batch_interlacing_windows(
     one s.geometrics call: each row's plus word in row order, then each
     row's minus word.  So at count=1 both samplers draw the same uniforms
     in the same order and return the same window (np.log and math.log of a
-    multiplicity's ratio can differ in the last bit, which moves a draw
+    multiplicity's uniform can differ in the last bit, which moves a draw
     only when its quotient lies within an ulp of an integer).  Then on
     arrays, entry-major (a column or letter index by rows), so that each
     pass runs along the block's rows and not along a window a few entries
@@ -356,12 +351,12 @@ def batch_interlacing_windows(
     if count < 0:
         raise DomainError("count must be >= 0")
     _check_stream(p, s)
-    neg, qpow = _part_search_arrays(p)
+    neg, log_qpow = _part_search_arrays(p)
     prev = np.arange(lo - 1, hi)[:, None]  # i - 1 for each window position i
     out = np.empty((count, hi - lo + 1), dtype=np.int64)
     for b0 in range(0, count, _BLOCK_ROWS):
         nb = min(_BLOCK_ROWS, count - b0)
-        row, part, mult = _diagram_triples(s, nb, neg, qpow)
+        row, part, mult = _diagram_triples(s, nb, neg, log_qpow)
         c = _sign_counts(row, part, mult, nb, lo, hi).T  # entry-major: c[i - lo + 1] = C(i)
         need = np.concatenate((hi + c[-1], c[0]))  # plus words, then minus words
         width = max(1, int(need.max()))
@@ -382,23 +377,21 @@ def batch_interlacing_windows(
 
 
 def _diagram_triples(
-    s: GeomStream, rows: int, neg: np.ndarray, qpow: np.ndarray
+    s: GeomStream, rows: int, neg: np.ndarray, log_qpow: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler-measure diagrams of `rows` rows, 1 <= rows <= 2^15, as int32
     (row, part size, multiplicity) triples, sorted by row and then by
     decreasing part size.
 
-    neg and qpow are _part_search's tables as arrays.  Each round, every
-    row still drawing takes one uniform and finds its next part size by
-    the search of sample_young_euler (one searchsorted), and the m rows
-    that found one draw its multiplicity, geometric with ratio q^j and log
-    q^j read from one np.log(qpow) per call.  Those m multiplicities and
-    the next round's m search uniforms are one s.uniforms(2m) call, the
-    multiplicities first, which draws what a call for each would.  For a
-    single row these are sample_young_euler's draws.
+    neg and log_qpow are _part_search's tables as arrays.  Each round,
+    every row still drawing takes one uniform and finds its next part size
+    by the search of sample_young_euler (one searchsorted), and the m rows
+    that found one draw its multiplicity, geometric with ratio q^j, from
+    one uniform each.  Those m multiplicities and the next round's m search
+    uniforms are one s.uniforms(2m) call, the multiplicities first, which
+    draws what a call for each would.  For a single row these are
+    sample_young_euler's draws.
     """
-    with np.errstate(divide="ignore"):  # -inf where q^j underflows, never a part
-        log_qpow = np.log(qpow)
     active = np.arange(rows)
     base = np.zeros(rows, dtype=np.int64)
     u = s.uniforms(rows)

@@ -7,9 +7,9 @@ substream no matter how much the parent has already consumed.
 
 Draws map uniforms U in (0,1] through the inverse CDF:
 
-    geometric, P(k) = (1-ratio) * ratio^k:   k = floor(log U / log ratio)
-    truncated to {0..limit}:                 same, with U rescaled to the
-                                             support's CDF range
+    geometric, P(k) = (1-q) * q^k:   k = floor(log U / log q)
+    truncated to {0..limit}:         same, with U rescaled to the
+                                     support's CDF range
 
 both exact and O(1) per draw.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 
 import numpy as np
 
@@ -30,14 +31,18 @@ def _philox_key(seed: int, label: str) -> np.ndarray:
 
 def _geometrics_of_logs(log_u: np.ndarray, log_r: float | np.ndarray) -> np.ndarray:
     """floor(log U / log r) as int64, dividing in place on log_u: the inverse
-    CDF of GeomStream.geometrics for uniforms whose logs, and ratios whose
-    logs, the caller has already taken."""
+    CDF of a geometric with ratio r, for uniforms whose logs, and ratios
+    whose logs, the caller has already taken."""
     return np.divide(log_u, log_r, out=log_u).astype(np.int64)
 
 
 def _size(n: int) -> int:
-    """A draw count, refused before any bookkeeping when negative."""
-    n = int(n)
+    """A draw count, refused before any bookkeeping when it is not an
+    integer (numpy integers pass) or is negative."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"draw count must be an integer, got {n!r}") from None
     if n < 0:
         raise DomainError(f"draw count must be >= 0, got {n}")
     return n
@@ -82,28 +87,25 @@ class GeomStream:
         return np.subtract(1.0, u, out=u)
 
     # -- geometric laws ----------------------------------------------------
-    def geometrics(self, n: int, ratio: float | np.ndarray | None = None) -> np.ndarray:
-        """n draws from P(k) = (1-r) r^k; r is ratio (default q) or one per draw.
+    def geometrics(self, n: int) -> np.ndarray:
+        """n draws from P(k) = (1-q) q^k.
 
         The log and the division run in place on the fresh uniforms.  U lies in
-        (0,1] and log r < 0, so the quotient is >= 0 (or -0.0) and below 2^63,
+        (0,1] and log q < 0, so the quotient is >= 0 (or -0.0) and below 2^63,
         and the int64 truncation is the floor."""
-        r = self.q if ratio is None else ratio
         u = self.uniforms(n)
-        log_r = np.log(r) if isinstance(r, np.ndarray) else math.log(r)
-        return _geometrics_of_logs(np.log(u, out=u), log_r)
+        return _geometrics_of_logs(np.log(u, out=u), math.log(self.q))
 
-    def truncated_geometrics(self, n: int, limit: int | np.ndarray) -> np.ndarray:
-        """n draws from P(k) proportional to q^k on {0..limit} (exact inverse
-        CDF); limit may also be an int array of n limits >= 1, one per draw.
-        Limit 0 draws nothing, and a negative limit is refused."""
-        if isinstance(limit, np.ndarray):
-            if limit.shape != (_size(n),) or not np.all(limit >= 1):
-                raise DomainError("need one limit >= 1 per draw")
-        elif limit < 0:
-            raise DomainError(f"limit must be >= 0, got {limit}")
-        elif limit == 0:
-            return np.zeros(_size(n), dtype=np.int64)
+    def truncated_geometrics(self, n: int, limit: np.ndarray) -> np.ndarray:
+        """n draws, draw i from P(k) proportional to q^k on {0..limit[i]}
+        (exact inverse CDF); limit is an integer array of n limits >= 1."""
+        if (
+            not isinstance(limit, np.ndarray)
+            or limit.dtype.kind not in "iu"
+            or limit.shape != (_size(n),)
+            or not np.all(limit >= 1)
+        ):
+            raise DomainError("need an integer array of one limit >= 1 per draw")
         w = self.uniforms(n)
         w *= 1.0 - self.q ** (limit + 1)
         with np.errstate(divide="ignore"):  # log 0 at U = 1 where q^(limit+1) < 2^-53

@@ -24,13 +24,12 @@ import numpy as np
 from .dist import conditional_l_given_r, displacement_pmf
 from .errors import DomainError, UnknownSuiteError
 from .oracle import oracle_enumerate
-from .perm import adjacent_swap_r, eliminate_right, invert_window, truncate
+from .perm import adjacent_swap_r, invert_window, truncate
 from .qseries import QParam
 from .samplers import (
     batch_finite_r,
     batch_interlacing_windows,
     batch_inversion_position0,
-    finite_code_to_r,
     finite_r_codes,
 )
 from .streams import GeomStream
@@ -179,11 +178,8 @@ def _suite_finite_oracle(p: QParam, master: GeomStream, draws: int) -> list[Case
         codes = finite_r_codes(batch_finite_r(n, p, s, draws))
         nfact = math.factorial(n)
         observed = np.bincount(codes, minlength=nfact).astype(float)
-        oracle = oracle_enumerate(n, p)
-        probs = np.empty(nfact)
-        for c in range(nfact):
-            word = "".join(str(v) for v in eliminate_right(finite_code_to_r(c, n)).values)
-            probs[c] = oracle.prob(word)
+        # a word's code is its lexicographic rank, the oracle's order
+        probs = np.fromiter(oracle_enumerate(n, p).probs.values(), float, nfact)
         cases.append(chi_square_case(f"chi-square-n{n}", observed, probs))
     return cases
 

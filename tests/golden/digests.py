@@ -15,7 +15,9 @@ them:
   batch_shuffle_prefixes over q x n x counts, their scalar twins, and
   perm._leftward_chains on skips from small to past 2^31;
 * ``streams.draws``: every GeomStream draw method, spawned substreams
-  included.
+  included: ``geometrics`` at the stream's ratio, ``truncated_geometrics``
+  with an integer array of limits, and the part searches' draws at other
+  ratios, scalar and one per draw, through ``_geometrics_of_logs``.
 
 digests.json beside this file pins two grids: "reduced", which
 tests/test_golden.py recomputes (well under a second), and "full", which
@@ -32,13 +34,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from mallows import perm, samplers
 from mallows.qseries import QParam
-from mallows.streams import GeomStream
+from mallows.streams import GeomStream, _geometrics_of_logs
 
 PINS = Path(__file__).resolve().parent / "digests.json"
 
@@ -160,8 +163,9 @@ def _streams(grid: str) -> str:
         ratios = np.linspace(1e-9, 1.0 - 1e-9, 97)
         limits = np.arange(1, 98)
         _feed(h, s.uniform(), s.uniforms(0), s.uniforms(1000), s.geometrics(1000),
-              s.geometrics(97, ratio=0.25), s.geometrics(97, ratio=ratios),
-              s.truncated_geometrics(97, 0), s.truncated_geometrics(97, 5),
+              _geometrics_of_logs(np.log(s.uniforms(97)), math.log(0.25)),
+              _geometrics_of_logs(np.log(s.uniforms(97)), np.log(ratios)),
+              s.truncated_geometrics(97, np.full(97, 5)),
               s.truncated_geometrics(97, limits), s.counter)
         child = s.spawn("child").spawn(3)
         _feed(h, child.uniforms(100), child.geometrics(100), child.counter, s.counter)

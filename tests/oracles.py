@@ -62,6 +62,17 @@ def brute_pmf(n: int, q: float) -> dict[tuple[int, ...], float]:
     return {s: w / z for s, w in weights.items()}
 
 
+def finite_code_to_r(code: int, n: int) -> tuple[int, ...]:
+    """The right counts r_0..r_{n-1} of a mixed-radix code, r_i in
+    {0..n-1-i}: the inverse of samplers.finite_r_codes for a single code."""
+    digits = []
+    for i in range(n - 1, -1, -1):
+        radix = n - i
+        digits.append(code % radix)
+        code //= radix
+    return tuple(reversed(digits))
+
+
 def finite_pinned_prob(n: int, q: float, pins: dict[int, int]) -> float:
     """Exact P(sigma(pos) = val for all pins) in the size-n model.
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import finite_code_to_r
 from mallows.dist import FddQuery, displacement_pmf, fdd_probability, joint_rl_pmf
 from mallows.oracle import oracle_enumerate
 from mallows.perm import (
@@ -31,7 +32,6 @@ from mallows.samplers import (
     batch_finite_r,
     batch_interlacing_windows,
     batch_inversion_position0,
-    finite_code_to_r,
     finite_r_codes,
 )
 from mallows.streams import GeomStream

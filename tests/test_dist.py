@@ -503,7 +503,7 @@ def test_underflowing_quotients_are_domain_errors(call):
         lambda s: q_factorial(-1, P5),
         lambda s: fdd_probability(QParam(1e-200), FddQuery(2, (0, 1)), 1e-12),
         lambda s: displacement_pmf(QParam(1e-310), 10),
-        lambda s: s.truncated_geometrics(1, -1),
+        lambda s: s.truncated_geometrics(1, np.full(1, -1)),
         lambda s: sample_finite_mallows(0, P5, s),
         lambda s: q_shuffle_prefix(0, P5, s),
         lambda s: sample_two_sided_interlacing(2, 1, P5, s),

@@ -61,8 +61,8 @@ def test_matches_test_side_brute_force():
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.999])
 def test_words_in_lexicographic_order_with_the_direct_floats(q):
-    # the exchangeability suite reads the words in this order, and the
-    # floats are q**inv / [n!]_q with inv counted pair by pair
+    # the exchangeability and finite-oracle suites read the words in this
+    # order, and the floats are q**inv / [n!]_q with inv counted pair by pair
     p = QParam(q)
     for n in range(1, 8):
         norm = q_factorial(n, p)

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 import oracles
+from oracles import finite_code_to_r
 from mallows import qseries
 from mallows.dist import FddQuery, conditional_l_given_r, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
@@ -27,7 +28,6 @@ from mallows.samplers import (
     batch_inversion_position0,
     batch_inversion_windows,
     batch_shuffle_prefixes,
-    finite_code_to_r,
     finite_r_codes,
     q_shuffle_prefix,
     sample_finite_mallows,
@@ -35,7 +35,7 @@ from mallows.samplers import (
     sample_two_sided_inversion,
     sample_young_euler,
 )
-from mallows.streams import GeomStream
+from mallows.streams import GeomStream, _geometrics_of_logs
 from mallows.verify import chi_square_case
 
 P5 = QParam(0.5)
@@ -76,8 +76,9 @@ def test_truncated_geometric_support_and_law():
     limit = 3
     n = 40_000
     counts = np.zeros(limit + 1)
+    limits = np.full(1, limit)
     for _ in range(n):
-        k = int(s.truncated_geometrics(1, limit)[0])
+        k = int(s.truncated_geometrics(1, limits)[0])
         assert 0 <= k <= limit
         counts[k] += 1
     norm = (1.0 - 0.5 ** (limit + 1)) / (1.0 - 0.5)
@@ -88,10 +89,15 @@ def test_truncated_geometric_support_and_law():
 
 
 def test_truncated_geometric_limit_zero_consumes_nothing():
+    # a limit-0 draw has one outcome: the array form refuses it, and an
+    # empty draw takes no uniform (batch_finite_r's last column draws none)
     a = GeomStream(seed=7, q=0.5)
     b = GeomStream(seed=7, q=0.5)
     for _ in range(5):
-        assert a.truncated_geometrics(1, 0).tolist() == [0]
+        with pytest.raises(DomainError):
+            a.truncated_geometrics(1, np.zeros(1, dtype=np.int64))
+        assert a.truncated_geometrics(0, np.zeros(0, dtype=np.int64)).tolist() == []
+    assert a.counter == 0
     assert a.uniform() == b.uniform()
 
 
@@ -186,19 +192,22 @@ def test_young_sampler_size_law():
 
 
 class _ConstantStream:
-    """Ratio q; every uniform is u.  Counts its uniform calls and fails once
-    they pass limit, so a search that does not end fails instead of hanging."""
+    """Ratio q; every uniform is u.  The search's uniforms and the
+    multiplicities' alternate, a search first, so it counts them apart:
+    calls counts the search uniforms and fails once they pass limit, so a
+    search that does not end fails instead of hanging; mults counts the
+    multiplicity uniforms."""
 
     def __init__(self, q, u, limit):
-        self.q, self.u, self.limit, self.calls = q, u, limit, 0
+        self.q, self.u, self.limit, self.calls, self.mults = q, u, limit, 0, 0
 
     def uniform(self):
-        self.calls += 1
-        assert self.calls <= self.limit, "the part search did not end"
+        if self.calls > self.mults:
+            self.mults += 1
+        else:
+            self.calls += 1
+            assert self.calls <= self.limit, "the part search did not end"
         return self.u
-
-    def geometrics(self, n, ratio):
-        return np.floor(np.log(np.full(n, self.u)) / np.log(ratio)).astype(np.int64)
 
 
 @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.8, 0.95, 0.99])
@@ -210,8 +219,9 @@ def test_young_multiplicities_stop_at_float_saturation(q, u):
     s = _ConstantStream(q, u, limit=len(values))
     parts = sample_young_euler(QParam(q), s).parts
     sizes = set(parts)
-    # one uniform per distinct part size, found once each, and one that ends
-    assert len(sizes) == s.calls - 1
+    # one uniform per distinct part size, found once each, and one that ends;
+    # one multiplicity uniform per distinct part size
+    assert len(sizes) == s.calls - 1 == s.mults
     assert all(1 <= j < len(values) for j in sizes)
     if u > 0.5:
         # every geometric is 0: each size has multiplicity 1
@@ -245,11 +255,26 @@ def test_part_search_arrays_are_its_lists_cached_read_only():
     # the kernel's tables are the scalar search's lists, built once per
     # (q, eps_series) and shared, so no caller may write to them
     p = QParam(0.95)
-    neg, qpow = _part_search_arrays(p)
-    assert neg.tolist() == _part_search(p)[0] and qpow.tolist() == _part_search(p)[1]
-    assert neg.dtype == qpow.dtype == np.float64
-    assert not neg.flags.writeable and not qpow.flags.writeable
+    neg, log_qpow = _part_search_arrays(p)
+    assert neg.tolist() == _part_search(p)[0] and log_qpow.tolist() == _part_search(p)[1]
+    assert neg.dtype == log_qpow.dtype == np.float64
+    assert not neg.flags.writeable and not log_qpow.flags.writeable
+    assert np.array_equal(log_qpow, np.log([0.95**j for j in range(neg.size)]))
     assert _part_search_arrays(QParam(0.95)) is _part_search_arrays(p)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99, 0.997])
+def test_young_sampler_is_the_diagram_search_at_one_row(q):
+    # the scalar search and the kernel's rounds take the same uniforms in
+    # the same order, and the same quotient log U / log q^j per multiplicity
+    p = QParam(q)
+    tables = _part_search_arrays(p)
+    for seed in range(200):
+        a, b = GeomStream(seed, q), GeomStream(seed, q)
+        parts = sample_young_euler(p, a).parts
+        _, part, mult = _diagram_triples(b, 1, *tables)
+        assert parts == tuple(int(j) for j, m in zip(part, mult) for _ in range(m)), seed
+        assert a.counter == b.counter, seed
 
 
 @pytest.mark.parametrize("q", [0.95, 0.99])
@@ -450,7 +475,7 @@ def _cascade_replay(lo, hi, p, s, eps_tv):
         e = neg[b] - math.log(s.uniform())
         b = next((j for j in range(b + 1, xstar + 1) if neg[j] > e), None)
         if b is not None:
-            parts.append((b, 1 + int(s.geometrics(1, q**b)[0])))
+            parts.append((b, 1 + int(np.log(s.uniforms(1))[0] / math.log(q**b))))
     tail, y = [], low
     for j, mult in parts:
         tail += [0] * (j - 1 - y) + [j + int(s.geometrics(1)[0]) for _ in range(mult)]
@@ -657,6 +682,18 @@ def test_batch_finite_r_support_and_round_trip():
         assert finite_code_to_r(int(code), 5) == tuple(int(v) for v in row)
 
 
+def test_finite_r_code_is_the_lexicographic_rank_of_its_word():
+    # the Lehmer code: the finite-oracle suite reads the oracle's
+    # probabilities, in lexicographic word order, as the codes' cells
+    from mallows.perm import eliminate_right
+
+    for n in range(1, 7):
+        rs = [finite_code_to_r(c, n) for c in range(math.factorial(n))]
+        assert finite_r_codes(np.array(rs)).tolist() == list(range(len(rs)))
+        words = [eliminate_right(r).values for r in rs]
+        assert words == list(itertools.permutations(range(1, n + 1))), n
+
+
 def test_batch_finite_r_matches_scalar_law():
     # same pmf as the scalar sampler (cross-check via the n=3 brute force)
     q = 0.5
@@ -716,11 +753,12 @@ def test_truncated_geometrics_array_limit_is_the_scalar_draw():
         got = a.truncated_geometrics(limits.size, limits)
         u = b.uniforms(limits.size).tolist()
         assert got.tolist() == [inverse_cdf(v, k, q) for v, k in zip(u, limits.tolist())]
-        got = a.truncated_geometrics(50, 7)
+        got = a.truncated_geometrics(50, np.full(50, 7))
         assert got.tolist() == [inverse_cdf(v, 7, q) for v in b.uniforms(50).tolist()]
         assert a.counter == b.counter
     s = GeomStream(seed=0, q=0.5)
-    for n, limits in ((3, np.array([2, 0, 1])), (2, np.array([1, 1, 1])), (1, np.array([[1]]))):
+    for n, limits in ((3, np.array([2, 0, 1])), (2, np.array([1, 1, 1])), (1, np.array([[1]])),
+                      (3, np.array([1.5, 2.5, 3.5])), (3, np.full(3, True)), (1, 5)):
         with pytest.raises(DomainError):
             s.truncated_geometrics(n, limits)
     assert s.counter == 0
@@ -739,13 +777,14 @@ def test_stream_draws_are_the_floor_of_the_twin_quotients(r):
     want = np.floor(np.log(b.uniforms(1000)) / math.log(r)).astype(np.int64)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert a.counter == b.counter == 1000
-    for limit in (40, np.arange(1, 1001)):
+    for limit in (np.full(1000, 40), np.arange(1, 1001)):
         got = a.truncated_geometrics(1000, limit)
         u = b.uniforms(1000)
         want = np.floor(np.log(1.0 - u * (1.0 - r ** (limit + 1))) / math.log(r))
         assert np.array_equal(got, np.minimum(want.astype(np.int64), limit))
     assert a.counter == b.counter == 3000
-    for empty in (a.geometrics(0), a.geometrics(0, np.zeros(0)), a.truncated_geometrics(0, 40),
+    for empty in (a.geometrics(0), _geometrics_of_logs(np.log(a.uniforms(0)), np.log(np.zeros(0))),
+                  a.truncated_geometrics(0, np.full(0, 40)),
                   a.truncated_geometrics(0, np.zeros(0, dtype=np.int64))):
         assert empty.shape == (0,) and empty.dtype == np.int64
     assert a.counter == 3000
@@ -762,21 +801,23 @@ def test_truncated_geometrics_cap_a_uniform_of_one_at_the_limit():
 
     s = GeomStream(seed=0, q=0.5)
     s._gen = Zeros()
-    assert s.truncated_geometrics(2, 60).tolist() == [60, 60]
+    assert s.truncated_geometrics(2, np.full(2, 60)).tolist() == [60, 60]
     assert s.truncated_geometrics(3, np.array([60, 70, 5])).tolist() == [60, 70, 5]
-    assert s.truncated_geometrics(2, 10).tolist() == [10, 10]
+    assert s.truncated_geometrics(2, np.full(2, 10)).tolist() == [10, 10]
     assert s.geometrics(2).tolist() == [0, 0]
     assert s.counter == 9
     s = GeomStream(seed=0, q=0.01)
     s._gen = Zeros()
-    assert s.truncated_geometrics(5, 20).tolist() == [20] * 5
+    assert s.truncated_geometrics(5, np.full(5, 20)).tolist() == [20] * 5
     assert s.counter == 5
 
 
 def test_geometrics_with_one_ratio_per_draw_are_the_floor_of_the_twin_quotients():
+    # the part searches' multiplicities: the inverse CDF on logs taken by
+    # the caller, ratio q^j per draw
     ratios = np.tile(RATIOS, 200)
     a, b = GeomStream(seed=17, q=0.5), GeomStream(seed=17, q=0.5)
-    got = a.geometrics(ratios.size, ratios)
+    got = _geometrics_of_logs(np.log(a.uniforms(ratios.size)), np.log(ratios))
     want = np.floor(np.log(b.uniforms(ratios.size)) / np.log(ratios)).astype(np.int64)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert a.counter == b.counter == ratios.size
@@ -907,11 +948,25 @@ def test_batch_inversion_rejects_negative_count():
 def test_stream_refuses_negative_sizes_without_counting():
     s = GeomStream(seed=0, q=0.5)
     s.uniforms(4)
-    for draw in (s.uniforms, s.geometrics, lambda n: s.truncated_geometrics(n, 3),
-                 lambda n: s.truncated_geometrics(n, 0)):
+    for draw in (s.uniforms, s.geometrics, lambda n: s.truncated_geometrics(n, np.full(1, 3)),
+                 lambda n: s.truncated_geometrics(n, np.zeros(0, dtype=np.int64))):
         with pytest.raises(DomainError):
             draw(-1)
         assert s.counter == 4
+
+
+def test_stream_refuses_non_integer_sizes_without_counting():
+    # a float count is refused, not truncated; numpy integers pass
+    s = GeomStream(seed=0, q=0.5)
+    s.uniforms(4)
+    for draw in (s.uniforms, s.geometrics, lambda n: s.truncated_geometrics(n, np.full(2, 3))):
+        for n in (2.7, 2.0, "2", None):
+            with pytest.raises(DomainError):
+                draw(n)
+            assert s.counter == 4
+    assert s.uniforms(np.int64(3)).size == s.geometrics(np.int32(2)).size + 1
+    assert s.truncated_geometrics(np.uint8(2), np.full(2, 3, dtype=np.int32)).size == 2
+    assert s.counter == 11
 
 
 @pytest.mark.parametrize("i", [0, -3, 4])
