@@ -6,10 +6,12 @@ output; the seed defaults to the MALLOWS_SEED environment variable, then 0.
 CSV output uses `,` separators, `.` decimals, and LF line endings; JSONL
 output starts with a header line describing the run, written after the
 first draw.  `sample` writes each window line with one `write`.  The lines
-of a kernel block are formatted together, by one `repr` per distinct value
-of the block; a window of the scalar path (wider than _KERNEL_WORD_MAX) by
-one `repr` of its row.  The argument parser is built once per process, on
-the first `main` call, and serves every later call.
+of a kernel block are formatted together, by one `repr` per distinct
+value of the block, found without a sort (by a table indexed by offset
+from the minimum) where the block spans at most as many values as it
+holds, else by np.unique; a window of the scalar path (wider than
+_KERNEL_WORD_MAX) by one `repr` of its row.  The argument parser is built
+once per process, on the first `main` call, and serves every later call.
 """
 from __future__ import annotations
 
@@ -144,20 +146,33 @@ def _line(vals: list, head: str, sep: str, end: str) -> str:
 def _block_lines(block: np.ndarray, head: str, sep: str, end: str) -> list[str]:
     """_line of each row of an int64 rows x width block, in row order.
 
-    One repr per distinct value: np.unique, not a table over the block's
-    value range, which a long one-sided word at q near 1 spreads over ~1e7
-    values.  The cells (the head, then value + sep, and value + end in the
-    last column) are gathered from that table, joined once and split into
-    lines; no line holds a line break but its last.  A block of nearly
-    all distinct values (one-sided words at q near 1) builds two strings
+    One repr per distinct value.  Where the block spans at most as many
+    values as it holds (max - min + 1 <= block.size, in Python ints, so the
+    int64 ends cannot wrap), a table indexed by offset from the minimum
+    marks the values present and a running count ranks them, with no sort;
+    only those values get strings, none the gaps of the span.  A wider
+    block (a long one-sided word at q near 1 spreads over ~1e7 values)
+    takes its distinct values from np.unique, a sort.  The cells (the head,
+    then value + sep, and value + end in the last column) are gathered from
+    the table, joined once and split into lines; no line holds a line break
+    but its last.  A block of nearly all distinct values builds two strings
     per value and costs about three times the per-row rule.
     """
     rows, width = block.shape
-    vals, inv = np.unique(block, return_inverse=True)
+    lo, hi = int(block.min()), int(block.max())
+    if hi - lo < block.size:
+        offset = block - lo
+        seen = np.zeros(hi - lo + 1, dtype=bool)
+        seen[offset] = True
+        cell = np.cumsum(seen)[offset]  # 1 + the value's rank
+        vals = np.flatnonzero(seen) + lo
+    else:
+        vals, inv = np.unique(block, return_inverse=True)
+        cell = inv + 1
     reprs = list(map(repr, vals.tolist()))
     table = np.array([head, *(r + sep for r in reprs), *(r + end for r in reprs)], dtype=object)
     idx = np.zeros((rows, width + 1), dtype=np.intp)  # column 0 reads the head
-    idx[:, 1:] = inv.reshape(rows, width) + 1
+    idx[:, 1:] = cell.reshape(rows, width)
     idx[:, -1] += len(reprs)  # the last value ends its line
     return "".join(table[idx].ravel().tolist()).splitlines(keepends=True)
 

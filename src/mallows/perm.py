@@ -159,12 +159,13 @@ def _leftward_chains(r: np.ndarray) -> np.ndarray:
     """Final state of the leftward chain (see the module docstring) of
     every entry of a rows x width matrix r >= 0, as int64, in width-1 array
     steps over an entry-major copy: at offset t, entries t, t+1, ... meet
-    the t before.  A state ends at most width-1 above its start, so where
-    r.max() < 2^31 - width the states run in int32."""
+    the t before.  A state ends at most width-1 above its start, so the
+    states run in int16 where r.max() < 2^15 - width, else in int32 where
+    r.max() < 2^31 - width, else in int64."""
     width = r.shape[1]
-    start = np.ascontiguousarray(r.T)
-    if r.size and start.max() < 2**31 - width:
-        start = start.astype(np.int32)
+    top = int(r.max()) if r.size else 0
+    dtype = np.int16 if top < 2**15 - width else np.int32 if top < 2**31 - width else np.int64
+    start = np.ascontiguousarray(r.T, dtype=dtype)
     x = start.copy()
     step = np.empty(x.shape, dtype=bool)
     for t in range(1, width):

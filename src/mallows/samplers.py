@@ -527,13 +527,12 @@ def batch_inversion_windows(
 
 def _tail_hits(low: np.ndarray, q: float, xstar: int, s: GeomStream) -> np.ndarray:
     """Each row's tail hits, as int64: the parts above its in-window state
-    low of an Euler-measure diagram, by the part search on a table of
-    -log <j>_q, j <= xstar, over the rows with low below xstar in row order.
-    A round's m multiplicities and the next round's m search uniforms are
-    one s.uniforms(2m) call under one np.log, the multiplicities first."""
-    qpow = q ** np.arange(xstar + 1)
-    neg = np.concatenate(([0.0], np.cumsum(-np.log1p(-qpow[1:]))))  # -log <j>_q
-    log_qpow = np.log(qpow)
+    low of an Euler-measure diagram, by the part search on the table of
+    -log <j>_q, j <= xstar (_tail_tables), over the rows with low below
+    xstar in row order.  A round's m multiplicities and the next round's m
+    search uniforms are one s.uniforms(2m) call under one np.log, the
+    multiplicities first."""
+    neg, log_qpow = _tail_tables(q, xstar)
     hits = np.zeros(low.size, dtype=np.int64)
     active = np.flatnonzero(low < xstar)
     base, log_u = low[active], np.log(s.uniforms(active.size))
@@ -546,6 +545,18 @@ def _tail_hits(low: np.ndarray, q: float, xstar: int, s: GeomStream) -> np.ndarr
         hits[active] += 1 + _geometrics_of_logs(log_u[:m], log_qpow[base])
         log_u = log_u[m:]
     return hits
+
+
+@lru_cache(maxsize=None)
+def _tail_tables(q: float, xstar: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-log <j>_q, log q^j) for j = 0..xstar as read-only float64 arrays,
+    cached by (q, xstar) as _part_tables is.  The inversion route keeps
+    this table of its own, apart from the interlacing route's."""
+    qpow = q ** np.arange(xstar + 1)
+    tables = np.concatenate(([0.0], np.cumsum(-np.log1p(-qpow[1:])))), np.log(qpow)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def batch_inversion_position0(

@@ -238,6 +238,11 @@ FORMAT_BLOCKS = {
     "int64-ends": np.array([[I64.max, -I64.max, I64.min, 0],
                             [-I64.max, I64.max, 1, -1]]),
     "one-value": np.array([[I64.max]]),
+    # the offset table serves a block spanning at most its size, np.unique
+    # a wider one; the int64 ends above would wrap if the span were int64
+    "span-is-size": np.array([[3, 4, 5], [8, 3, 7]]),
+    "span-past-size": np.array([[3, 4, 5], [9, 3, 7]]),
+    "one-repeated": np.full((4, 3), -7),
 }
 
 

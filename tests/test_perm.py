@@ -24,7 +24,7 @@ from mallows.perm import (
 from mallows.qseries import QParam
 from mallows.samplers import batch_interlacing_windows
 from mallows.streams import GeomStream
-from oracles import pair_counts
+from oracles import left_walk, pair_counts
 
 P5 = QParam(0.5)
 
@@ -189,6 +189,26 @@ def test_leftward_chains_at_the_int32_edge(width, offset):
     chains = _leftward_chains(skips)
     assert chains.dtype == np.int64 and skips.max() == top
     assert (1 + chains).tolist() == [list(_pop_letters(row)) for row in skips.tolist()]
+
+
+@pytest.mark.parametrize("bits", [15, 31])
+@pytest.mark.parametrize("width", [1, 2, 64])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_leftward_chains_at_each_dtype_switch(bits, width, offset):
+    # the states run in int16 where r.max() < 2^15 - width and in int32
+    # where r.max() < 2^31 - width: a top right count one below each
+    # switch takes the narrower type, the switch itself and one past it
+    # (whose chain would reach 2^bits) the wider one
+    top = 2**bits - width + offset
+    rng = np.random.default_rng(17)
+    r = rng.integers(0, 5, size=(30, width))
+    r[np.arange(30), rng.integers(0, width, size=30)] = top - rng.integers(0, 3, size=30)
+    r[0] = top  # its chains end at top, top + 1, ..., top + width - 1
+    chains = _leftward_chains(r)
+    assert chains.dtype == np.int64 and r.max() == top
+    want = [[left_walk(row[j - 1 :: -1] if j else [], row[j])[1] for j in range(width)]
+            for row in r.tolist()]
+    assert chains.tolist() == want
 
 
 @pytest.mark.parametrize("q", [0.3, 0.9, 0.999])

@@ -22,6 +22,7 @@ from mallows.samplers import (
     _part_search,
     _part_search_arrays,
     _sign_counts,
+    _tail_tables,
     batch_finite_r,
     batch_finite_words,
     batch_interlacing_windows,
@@ -261,6 +262,19 @@ def test_part_search_arrays_are_its_lists_cached_read_only():
     assert not neg.flags.writeable and not log_qpow.flags.writeable
     assert np.array_equal(log_qpow, np.log([0.95**j for j in range(neg.size)]))
     assert _part_search_arrays(QParam(0.95)) is _part_search_arrays(p)
+
+
+@pytest.mark.parametrize("q, xstar", [(0.5, 0), (0.5, 30), (0.9, 1), (0.999, 20_000)])
+def test_tail_tables_are_the_per_call_tables_cached_read_only(q, xstar):
+    # the inversion tail's tables, built once per (q, xstar) and shared, so
+    # no caller may write to them
+    qpow = q ** np.arange(xstar + 1)
+    neg, log_qpow = _tail_tables(q, xstar)
+    assert np.array_equal(neg, np.concatenate(([0.0], np.cumsum(-np.log1p(-qpow[1:])))))
+    assert np.array_equal(log_qpow, np.log(qpow))
+    assert neg.dtype == log_qpow.dtype == np.float64 and neg.size == xstar + 1
+    assert not neg.flags.writeable and not log_qpow.flags.writeable
+    assert _tail_tables(q, xstar) is _tail_tables(q, xstar)
 
 
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99, 0.997])

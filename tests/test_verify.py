@@ -123,10 +123,8 @@ def test_statistic_helpers_refuse_what_they_cannot_test():
 
 
 def test_ks_case_refuses_a_threshold_of_one_before_scipy(monkeypatch):
-    import scipy.stats
-
     def no_statistic(*args, **kwargs):
-        raise AssertionError("ks_2samp called for a case that cannot fail")
+        raise AssertionError("KS statistic computed for a case that cannot fail")
 
     xs = np.arange(6)
     case = ks_case("six-each", xs, xs + 100)
@@ -134,10 +132,27 @@ def test_ks_case_refuses_a_threshold_of_one_before_scipy(monkeypatch):
     # six draws a side is the smallest stationarity count with a verdict
     (case,) = run_suite("stationarity", (6,), P5, seed=0).cases
     assert case.samples_used == 12 and case.threshold < 1.0
-    monkeypatch.setattr(scipy.stats, "ks_2samp", no_statistic)
+    monkeypatch.setattr(verify, "_ks_statistic", no_statistic)
     for n, m in ((5, 5), (1, 1000), (2, 3)):
         with pytest.raises(DomainError, match=">= 1"):
             ks_case("few", np.arange(n), np.arange(m))
+
+
+def test_statistic_helpers_are_scipy_stats():
+    # the chi-square quantile and the KS statistic without scipy.stats give
+    # its values bit for bit, so no threshold or verdict moves
+    from scipy import stats
+
+    for alpha in (verify.CHI2_ALPHA, verify.KS_ALPHA):
+        for df in range(1, 401):
+            assert verify._chi2_quantile(1.0 - alpha, df) == stats.chi2.ppf(1.0 - alpha, df), df
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n, m, spread = rng.integers(1, 400), rng.integers(1, 400), rng.integers(1, 40)
+        xs = rng.integers(-spread, spread + 1, size=n)
+        ys = rng.integers(-spread, spread + 1, size=m) + rng.integers(0, 3)
+        want = stats.ks_2samp(xs, ys, method="asymp").statistic
+        assert verify._ks_statistic(xs, ys) == want, (n, m, spread)
 
 
 BOX = 3  # the window law is binned on [-BOX, BOX]^3 plus one outside cell
