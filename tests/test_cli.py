@@ -238,8 +238,9 @@ FORMAT_BLOCKS = {
     "int64-ends": np.array([[I64.max, -I64.max, I64.min, 0],
                             [-I64.max, I64.max, 1, -1]]),
     "one-value": np.array([[I64.max]]),
-    # the offset table serves a block spanning at most its size, np.unique
-    # a wider one; the int64 ends above would wrap if the span were int64
+    # a table by offset from the minimum ranks a block spanning at most its
+    # size (here with gaps), np.unique a wider one; the int64 ends above
+    # would wrap if the span were int64
     "span-is-size": np.array([[3, 4, 5], [8, 3, 7]]),
     "span-past-size": np.array([[3, 4, 5], [9, 3, 7]]),
     "one-repeated": np.full((4, 3), -7),
@@ -262,6 +263,16 @@ def test_block_lines_are_the_scalar_lines(name, fmt):
             assert text == json.dumps({"lo": lo, "hi": hi, "values": row}) + "\n"
         else:
             assert text == ",".join(map(str, row)) + "\n"
+
+
+@pytest.mark.parametrize("name, sorts", [("span-is-size", False), ("one-repeated", False),
+                                         ("span-past-size", True), ("int64-ends", True)])
+def test_block_lines_sort_only_a_block_spanning_past_its_size(name, sorts, monkeypatch):
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+    _block_lines(FORMAT_BLOCKS[name].astype(np.int64), *_line_format("csv", 0, 0))
+    assert bool(calls) == sorts
 
 
 class CountingSink:
