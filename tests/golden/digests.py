@@ -9,7 +9,8 @@ them:
   x eps_tv, and batch_inversion_position0 (the full grid adds one call
   near q = 1, DEEP_TAIL);
 * ``kernels.interlacing``: batch_interlacing_windows over q x windows x
-  counts, and at count 1 the scalar sample_two_sided_interlacing and
+  counts (the reduced grid adds the two shapes of the ``deep`` benchmark,
+  DEEP_SHAPES), and at count 1 the scalar sample_two_sided_interlacing and
   sample_young_euler;
 * ``kernels.words``: batch_finite_r, batch_finite_words and
   batch_shuffle_prefixes over q x n x counts, their scalar twins, and
@@ -67,6 +68,11 @@ KERNEL_GRID = {
 #: a full-grid inversion call (lo, hi, q, count, eps_tv) whose rows take
 #: more than 2^15 tail hits each
 DEEP_TAIL = (0, 1, 0.99997, 3, 10.0)
+
+#: interlacing calls (lo, hi, q, count) of the reduced grid only: the two
+#: shapes of the ``deep`` benchmark, a wide window of deep diagrams and a
+#: narrow one near q = 1
+DEEP_SHAPES = ((-40, 40, 0.8, 300), (0, 2, 0.95, 300))
 
 #: per grid: (q values, word lengths, counts) of the word kernels
 WORD_GRID = {
@@ -127,6 +133,10 @@ def _interlacing(grid: str) -> str:
             _feed(h, samplers.sample_two_sided_interlacing(lo, hi, p, s).values, s.counter)
         s = GeomStream(SEED, q)
         _feed(h, samplers.sample_young_euler(p, s).parts, s.counter)
+    if grid == "reduced":
+        for lo, hi, q, count in DEEP_SHAPES:
+            s = GeomStream(SEED, q)
+            _feed(h, samplers.batch_interlacing_windows(lo, hi, QParam(q), s, count), s.counter)
     return h.hexdigest()
 
 
