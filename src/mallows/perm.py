@@ -27,8 +27,11 @@ ell_j = (j - lo) - (x_j - r_j).  For skips R, letter j of the q-shuffle (the
 (R_j+1)-th smallest positive integer not used yet) is 1 + x_j: removing an
 earlier letter drops letter j's rank by one exactly when that letter lies
 below it, i.e. when R_k + 1 is at most the rank after the removal, so each
-step undoes one removal.  _leftward_chains runs the chain on arrays;
-_pop_letters (one word) is its scalar twin.
+step undoes one removal.  _chain_states runs the chain on arrays, entry-major
+and in the narrowest integer dtype that holds the states (_narrow_skips),
+which is how the interlacing kernel reads them; _leftward_chains is its
+row-major int64 form, for words and the inversion kernel.  _pop_letters
+(one word) is their scalar twin.
 
 truncate and invert_window take windows one per row of an array, as the
 batch samplers return them.
@@ -155,23 +158,37 @@ def _chain_horizon(q: float, eps_tv: float) -> int:
     return x
 
 
+def _narrow_skips(skips: np.ndarray, width: int) -> np.ndarray:
+    """skips >= 0, C-contiguous, in the narrowest dtype that holds the
+    states of chains of width entries started at them: a state ends at most
+    width-1 above its start, so int16 where skips.max() < 2^15 - width,
+    else int32 where skips.max() < 2^31 - width, else int64.  Float
+    quotients log U / log q are floored by that cast, as
+    GeomStream.geometrics floors them, so they stand for their floors."""
+    top = int(skips.max()) if skips.size else 0
+    dtype = np.int16 if top < 2**15 - width else np.int32 if top < 2**31 - width else np.int64
+    return np.ascontiguousarray(skips, dtype=dtype)
+
+
+def _chain_states(start: np.ndarray) -> np.ndarray:
+    """Final states of the leftward chains of an entry-major width x rows
+    matrix start >= 0 (entry t of every row in row t), entry-major and in
+    start's _narrow_skips dtype, in width-1 array steps: at offset t,
+    entries t, t+1, ... meet the t before."""
+    first = _narrow_skips(start, start.shape[0])
+    x = first.copy()
+    step = np.empty(x.shape, dtype=bool)
+    for t in range(1, x.shape[0]):
+        np.less_equal(first[:-t], x[t:], out=step[t:])
+        x[t:] += step[t:]
+    return x
+
+
 def _leftward_chains(r: np.ndarray) -> np.ndarray:
     """Final state of the leftward chain (see the module docstring) of
-    every entry of a rows x width matrix r >= 0, as int64, in width-1 array
-    steps over an entry-major copy: at offset t, entries t, t+1, ... meet
-    the t before.  A state ends at most width-1 above its start, so the
-    states run in int16 where r.max() < 2^15 - width, else in int32 where
-    r.max() < 2^31 - width, else in int64."""
-    width = r.shape[1]
-    top = int(r.max()) if r.size else 0
-    dtype = np.int16 if top < 2**15 - width else np.int32 if top < 2**31 - width else np.int64
-    start = np.ascontiguousarray(r.T, dtype=dtype)
-    x = start.copy()
-    step = np.empty(x.shape, dtype=bool)
-    for t in range(1, width):
-        np.less_equal(start[:-t], x[t:], out=step[t:])
-        x[t:] += step[t:]
-    return x.T.astype(np.int64)
+    every entry of a rows x width matrix r >= 0, as a rows x width int64
+    matrix: _chain_states of the entry-major copy, widened back."""
+    return _chain_states(r.T).T.astype(np.int64)
 
 
 def adjacent_swap_r(r_i: int, r_next: int) -> tuple[int, int]:

@@ -43,13 +43,15 @@ block of rows at once: the diagrams come from the part-size search of
 ``sample_young_euler`` applied to every row still drawing
 (``_diagram_triples``), then exactly the shuffle skips the rows need are
 drawn in one call, and the sign-word slots (``_sign_counts``, the + position
-rule of ``_plus_positions``), the letters (``perm._leftward_chains``) and
-the window fill run on arrays.  At count=1 it draws the same uniforms in the
-same order as ``sample_two_sided_interlacing`` and returns the same window.
+rule of ``_plus_positions``), the letters (``perm._chain_states``, in the
+narrowest integer type that holds them) and the window fill run on arrays.
+At count=1 it draws the same uniforms in the same order as
+``sample_two_sided_interlacing`` and returns the same window.
 
 Both part searches draw a round's multiplicities and the next round's
 search uniforms in one s.uniforms call, since uniforms(a) then uniforms(b)
-draws what uniforms(a + b) does.
+draws what uniforms(a + b) does.  Their rounds only search: every
+multiplicity is computed once, after the last round.
 """
 from __future__ import annotations
 
@@ -61,7 +63,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NotInjectiveError
-from .perm import PermWindow, _chain_horizon, _leftward_chains, _pop_letters, eliminate_right
+from .perm import (
+    PermWindow, _chain_horizon, _chain_states, _leftward_chains, _narrow_skips, _pop_letters,
+    eliminate_right,
+)
 from .qseries import MAX_TABLE, QParam, normal_table
 from .streams import GeomStream, _geometrics_of_logs
 
@@ -313,6 +318,11 @@ def finite_r_codes(r_matrix: np.ndarray) -> np.ndarray:
 #: few MB whatever the count
 _BLOCK_ROWS = 2048
 
+#: the largest bound (max(letters, |lo - 1|, |hi - 1|) + 1) * (2 * rows + 1)
+#: at which a block's gather indices run in int32: it bounds every index
+#: into the skips and the letter matrix, and every partial sum on the way
+_INDEX32_MAX = 2**31 - 1
+
 
 def batch_interlacing_windows(
     lo: int, hi: int, p: QParam, s: GeomStream, count: int
@@ -323,8 +333,9 @@ def batch_interlacing_windows(
     sample_two_sided_interlacing does for each of its rows, in this order:
     the diagrams, by the rounds of the part-size search (_diagram_triples);
     then the shuffle skips, exactly as many as the rows have letters, in
-    one s.geometrics call: each row's plus word in row order, then each
-    row's minus word.  So at count=1 both samplers draw the same uniforms
+    one s.uniforms call taken as the quotients log U / log q of
+    s.geometrics: each row's plus word in row order, then each row's minus
+    word.  So at count=1 both samplers draw the same uniforms
     in the same order and return the same window (np.log and math.log of a
     multiplicity's uniform can differ in the last bit, which moves a draw
     only when its quotient lies within an ulp of an integer).  Then on
@@ -337,15 +348,23 @@ def batch_interlacing_windows(
       order (_sign_counts).  Position i carries + with rank i + C(i) when
       C(i) = C(i-1), else - with rank C(i-1) = C(i) + 1; the row needs
       kmax = hi + C(hi) plus and tmax = C(lo-1) minus letters;
-    * a letters x words matrix of skips is gathered from the draws, padded
-      with zeros: letter k of a word is the draw k places after the word's
-      first, at offset cumsum(need) - need.  Past its need a word reads
-      the next words' draws or the padding.  No slot reads those letters,
-      and a chain reads only earlier letters of its word, so the letters
-      1 + _leftward_chains of the words are exact up to each need;
+    * the quotients are floored into the narrowest integer type that
+      holds the letters (perm._narrow_skips, the cast that floors
+      s.geometrics' draws), and a letters x words matrix of skips is
+      gathered from them by np.take(mode="clip"): letter k of a word is
+      the draw k places after the word's first, at offset cumsum(need) -
+      need.  Past its need a word reads the next words' draws, or the last
+      draw again where the clip holds an index past the end.  No slot reads
+      those letters, and a chain reads only earlier letters of its word,
+      so the letters 1 + perm._chain_states of the words, entry-major and
+      in that narrow type, are exact up to each need;
     * the window is filled by one gather from the chain states, at a flat
       index picked by sign: + slots take plus letters by rank, - slots
       take 1 - (minus letter) by rank from the right.
+
+    Both gathers index in int32, built in place, unless a bound on the
+    indices passes _INDEX32_MAX (a letter matrix of 2^31 or more entries,
+    or a window as far from 0), where they index in int64.
     """
     _check_window(lo, hi)
     if count < 0:
@@ -360,18 +379,28 @@ def batch_interlacing_windows(
         c = _sign_counts(row, part, mult, nb, lo, hi).T  # entry-major: c[i - lo + 1] = C(i)
         need = np.concatenate((hi + c[-1], c[0]))  # plus words, then minus words
         width = max(1, int(need.max()))
-        # letters x words: word w's skips are the draws from its start on,
-        # in draw order; past its need a word reads the next words' draws
-        # or the padding, letters no slot reads
-        draws = np.concatenate((s.geometrics(int(need.sum())), np.zeros(width, dtype=np.int64)))
-        skips = draws[np.arange(width)[:, None] + (np.cumsum(need) - need)]
-        # letter k (0-based) of word w is 1 + chains[k * 2nb + w]; each slot
-        # reads only the sign it takes: k = i - 1 + C(i) at a + slot and
-        # k = C(i-1) - 1 = C(i) at a - slot
-        chains = _leftward_chains(skips.T).T.reshape(-1)
-        at = c[1:]
-        plus = at == c[:-1]
-        got = chains[at * (2 * nb) + np.arange(nb) + np.where(plus, prev * (2 * nb), nb)]
+        # every index below fits the narrower type (see _INDEX32_MAX)
+        bound = (max(width, abs(lo - 1), abs(hi - 1)) + 1) * (2 * nb + 1)
+        dtype = np.int32 if bound <= _INDEX32_MAX else np.int64
+        # letters x words: word w's skips are the floored quotients
+        # log U / log q from its start on, in draw order; past its need a
+        # word reads the next words' skips or the last one again, letters
+        # no slot reads
+        quot = s.uniforms(int(need.sum()))
+        np.divide(np.log(quot, out=quot), math.log(s.q), out=quot)
+        at = np.arange(width, dtype=dtype)[:, None] + (np.cumsum(need) - need).astype(dtype)
+        chains = _chain_states(np.take(_narrow_skips(quot, width), at, mode="clip"))
+        # letter k (0-based) of word w is 1 + chains[k, w], at flat index
+        # k * 2nb + w; each slot reads only the sign it takes: k = i - 1 +
+        # C(i) at a + slot and k = C(i-1) - 1 = C(i) at a - slot
+        plus = c[1:] == c[:-1]
+        # at = C(i) * 2nb + nb + w, a - slot's index; a + slot's is
+        # (i - 1) * 2nb - nb more
+        at = c[1:].astype(dtype)
+        at *= 2 * nb
+        at += np.arange(nb, 2 * nb, dtype=dtype)
+        np.add(at, (prev * (2 * nb) - nb).astype(dtype), out=at, where=plus)
+        got = np.take(chains, at)
         out[b0 : b0 + nb] = np.where(plus, got + 1, -got).T
     return out
 
@@ -390,7 +419,10 @@ def _diagram_triples(
     one uniform each.  Those m multiplicities and the next round's m search
     uniforms are one s.uniforms(2m) call, the multiplicities first, which
     draws what a call for each would.  For a single row these are
-    sample_young_euler's draws.
+    sample_young_euler's draws.  A round only searches: it keeps its (rows,
+    parts, multiplicity uniforms), and after the last round one np.log,
+    one log_qpow gather, one division and one cast turn all the uniforms
+    into multiplicities, 1 + floor(log U / log q^j) as in the rounds.
     """
     active = np.arange(rows)
     base = np.zeros(rows, dtype=np.int64)
@@ -402,14 +434,14 @@ def _diagram_triples(
         active, base = active[more], j[more]
         m = active.size
         u = s.uniforms(2 * m)
-        mult = 1 + _geometrics_of_logs(np.log(u[:m], out=u[:m]), log_qpow[base])
-        rounds.append((active, base, mult))
+        rounds.append((active, base, u[:m]))
         u = u[m:]
     # later rounds hold larger parts, so with them first a stable sort by
     # row keeps each row's parts decreasing
-    row, part, mult = (
-        np.concatenate([r[i] for r in reversed(rounds)]).astype(np.int32) for i in range(3)
-    )
+    row, part, u = (np.concatenate([r[i] for r in reversed(rounds)]) for i in range(3))
+    mult = _geometrics_of_logs(np.log(u, out=u), log_qpow[part])
+    mult += 1
+    row, part, mult = (a.astype(np.int32) for a in (row, part, mult))
     assert rows <= 2**15
     order = np.argsort(row.astype(np.int16), kind="stable")  # a radix sort
     return row[order], part[order], mult[order]
@@ -444,7 +476,8 @@ def _sign_counts(
     below = plus.reshape(ncols + 1, nrows)[:ncols]
     for k in range(1, ncols):  # the running sums, row by row in place
         below[k] += below[k - 1]
-    return (below - np.minimum(np.arange(lo - 1, hi + 1)[:, None], nparts)).T
+    below -= np.minimum(np.arange(lo - 1, hi + 1)[:, None], nparts)
+    return below.T
 
 
 def batch_inversion_windows(
@@ -531,19 +564,28 @@ def _tail_hits(low: np.ndarray, q: float, xstar: int, s: GeomStream) -> np.ndarr
     -log <j>_q, j <= xstar (_tail_tables), over the rows with low below
     xstar in row order.  A round's m multiplicities and the next round's m
     search uniforms are one s.uniforms(2m) call under one np.log, the
-    multiplicities first."""
+    multiplicities first.  A round only searches and keeps its (rows,
+    parts, multiplicity logs); after the last round one gather, division
+    and cast make the multiplicities, and np.add.at sums each row's, in
+    int64, so exactly at any size."""
     neg, log_qpow = _tail_tables(q, xstar)
-    hits = np.zeros(low.size, dtype=np.int64)
     active = np.flatnonzero(low < xstar)
     base, log_u = low[active], np.log(s.uniforms(active.size))
+    hits = np.zeros(low.size, dtype=np.int64)
+    rounds = []
     while active.size:
         j = np.searchsorted(neg, neg[base] - log_u, side="right")
         found = j <= xstar
         active, base = active[found], j[found]
         m = active.size
         log_u = np.log(s.uniforms(2 * m))
-        hits[active] += 1 + _geometrics_of_logs(log_u[:m], log_qpow[base])
+        rounds.append((active, base, log_u[:m]))
         log_u = log_u[m:]
+    if rounds:
+        row, part, log_u = (np.concatenate([r[i] for r in rounds]) for i in range(3))
+        mult = _geometrics_of_logs(log_u, log_qpow[part])
+        mult += 1
+        np.add.at(hits, row, mult)
     return hits
 
 

@@ -12,7 +12,9 @@ from mallows.errors import DomainError, NotSelfContainedError, RejectSupportErro
 from mallows.perm import (
     PermWindow,
     _chain_horizon,
+    _chain_states,
     _leftward_chains,
+    _narrow_skips,
     _pop_letters,
     adjacent_swap_r,
     eliminate_left,
@@ -209,6 +211,52 @@ def test_leftward_chains_at_each_dtype_switch(bits, width, offset):
     want = [[left_walk(row[j - 1 :: -1] if j else [], row[j])[1] for j in range(width)]
             for row in r.tolist()]
     assert chains.tolist() == want
+
+
+@pytest.mark.parametrize("bits", [15, 31])
+@pytest.mark.parametrize("width", [1, 2, 64])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_chain_states_of_float_quotients_are_those_of_their_floors(bits, width, offset):
+    # quotients log U / log q stand for their floors: exact integers, and
+    # fractions just above an integer and just below the next, with a top
+    # floor one below each dtype switch, at it and one past it
+    top = 2**bits - width + offset
+    rng = np.random.default_rng(19)
+    r = rng.integers(0, 5, size=(30, width))
+    r[np.arange(30), rng.integers(0, width, size=30)] = top - rng.integers(0, 3, size=30)
+    r[0] = top
+    frac = rng.choice([0.0, 2.0**-20, 0.5, 1.0 - 2.0**-20], size=r.shape)
+    frac[1] = 0.0  # one row of exact integers
+    quot = r + frac
+    assert (np.floor(quot) == r).all() and quot.max() >= top
+    states = _chain_states(quot.T)
+    narrow = np.int16 if top < 2**15 - width else np.int32 if top < 2**31 - width else np.int64
+    assert states.dtype == narrow and states.shape == (width, 30)
+    assert np.array_equal(states.T, _leftward_chains(r))
+    assert _narrow_skips(quot, width).dtype == narrow
+    assert np.array_equal(_narrow_skips(quot, width), r)
+
+
+@pytest.mark.parametrize("top", [2**15 - 9, 2**15 - 8, 2**31 - 8, 2**31 + 0.5])
+def test_chain_states_of_a_clipped_gather_are_each_words_letters(top):
+    # the interlacing kernel's input form: each word's skips gathered from
+    # one run of quotients at its start offset, np.take clipping the last
+    # word's letters past the end to the last quotient; every letter up to
+    # a word's need is the q-shuffle letter of that word's own skips
+    rng = np.random.default_rng(23)
+    need = np.array([3, 8, 1, 5, 8, 2])
+    width = int(need.max())
+    quot = rng.integers(0, 6, size=int(need.sum())) + rng.choice([0.0, 0.25, 0.75], need.sum())
+    quot[4] = top  # a letter of the second word, at a dtype switch
+    start = np.cumsum(need) - need
+    at = np.arange(width)[:, None] + start
+    assert (at[:, -1] >= quot.size).sum() == width - need[-1]  # one clipped column
+    states = _chain_states(np.take(_narrow_skips(quot, width), at, mode="clip"))
+    floors = np.floor(quot).astype(np.int64)
+    assert np.array_equal(states.T, _leftward_chains(floors[np.minimum(at, quot.size - 1)].T))
+    for w, (s0, n) in enumerate(zip(start, need)):
+        letters = 1 + states[:n, w]
+        assert letters.tolist() == list(_pop_letters(floors[s0 : s0 + n].tolist()))
 
 
 @pytest.mark.parametrize("q", [0.3, 0.9, 0.999])

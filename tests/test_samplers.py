@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import numpy as np
@@ -11,17 +12,19 @@ from scipy import stats
 
 import oracles
 from oracles import finite_code_to_r
-from mallows import qseries
+from mallows import qseries, samplers
 from mallows.dist import FddQuery, conditional_l_given_r, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
-from mallows.perm import _chain_horizon, _leftward_chains
+from mallows.perm import _chain_horizon, _leftward_chains, _pop_letters
 from mallows.qseries import QParam, pochhammer_table
 from mallows.samplers import (
     YoungDiagram,
     _diagram_triples,
     _part_search,
     _part_search_arrays,
+    _plus_positions,
     _sign_counts,
+    _tail_hits,
     _tail_tables,
     batch_finite_r,
     batch_finite_words,
@@ -950,6 +953,133 @@ def test_scalar_interlacing_is_the_kernel_at_count_one(lo, hi, q):
         window = sample_two_sided_interlacing(lo, hi, p, a)
         assert batch_interlacing_windows(lo, hi, p, b, 1)[0].tolist() == list(window.values)
         assert a.counter == b.counter
+
+
+def _interlacing_block_replay(lo, hi, p, s, rows):
+    """One block of batch_interlacing_windows by scalar rules: the rows'
+    part searches round by round (each row still drawing takes one search
+    uniform, in row order; then the m rows that found a part take one
+    multiplicity uniform each and the next round's m search uniforms, in
+    one call), then every row's plus-word skips in row order and every
+    row's minus-word skips, each window filled by the rule of
+    sample_two_sided_interlacing."""
+    neg, log_qpow = _part_search(p)
+    parts = [[] for _ in range(rows)]
+    base = [0] * rows
+    active, u = list(range(rows)), s.uniforms(rows).tolist()
+    while active:
+        found = []
+        for r, ur in zip(active, u):
+            j = bisect_right(neg, ur * neg[base[r]], base[r] + 1)
+            if j < len(neg):
+                found.append(r)
+                base[r] = j
+        m = len(found)
+        u = s.uniforms(2 * m)
+        for r, log_u in zip(found, np.log(u[:m]).tolist()):
+            parts[r] += [base[r]] * (1 + int(log_u / log_qpow[base[r]]))
+        active, u = found, u[m:].tolist()
+    plus = [_plus_positions(tuple(reversed(x)), hi) for x in parts]
+    first = [bisect_left(x, lo) for x in plus]
+    need = [len(x) for x in plus] + [f - (lo - 1) for f in first]
+    skips = s.geometrics(sum(need)).tolist()
+    words, at = [], 0
+    for n in need:
+        words.append(_pop_letters(skips[at : at + n]))
+        at += n
+    out = []
+    for r in range(rows):
+        wp, u_word, vals = words[r], words[rows + r], []
+        k, t = len(plus[r]) - 1, len(plus[r]) - hi
+        for i in range(hi, lo - 1, -1):
+            if k >= first[r] and plus[r][k] == i:
+                vals.append(wp[k])
+                k -= 1
+            else:
+                vals.append(1 - u_word[t])
+                t += 1
+        out.append(vals[::-1])
+    return out
+
+
+@pytest.mark.parametrize("lo, hi, q, count", [
+    (-5, 5, 0.05, 2049), (0, 0, 0.05, 300), (-40, 40, 0.8, 300), (0, 2, 0.95, 300),
+    (3, 9, 0.5, 7), (-9, -4, 0.9, 40)])
+def test_interlacing_blocks_are_the_block_replay(lo, hi, q, count):
+    # at q=0.05 most diagrams are empty, so most rows leave the search in
+    # its first round; the deferred multiplicities of later rounds must
+    # still meet their own rows and parts, latest round first
+    p = QParam(q)
+    a, b = GeomStream(seed=37, q=q), GeomStream(seed=37, q=q)
+    got = batch_interlacing_windows(lo, hi, p, a, count)
+    want = []
+    for b0 in range(0, count, 2048):
+        want += _interlacing_block_replay(lo, hi, p, b, min(2048, count - b0))
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert a.counter == b.counter
+
+
+@pytest.mark.parametrize("lo, hi, q", [(-5, 5, 0.5), (0, 2, 0.95), (3, 70, 0.3)])
+def test_interlacing_kernel_gathers_the_same_letters_by_int64_indices(lo, hi, q, monkeypatch):
+    # blocks whose index bound passes _INDEX32_MAX (2^31 or more letter
+    # entries) gather by int64; forced here on small blocks
+    p = QParam(q)
+    narrow = batch_interlacing_windows(lo, hi, p, GeomStream(seed=43, q=q), 2049)
+    monkeypatch.setattr(samplers, "_INDEX32_MAX", 0)
+    s = GeomStream(seed=43, q=q)
+    assert np.array_equal(batch_interlacing_windows(lo, hi, p, s, 2049), narrow)
+
+
+def _tail_hits_replay(low, q, xstar, s):
+    """_tail_hits by scalar rules, summed in Python ints: each round every
+    row still searching (row order) finds its next part by one search
+    uniform, then the m rows that found one take one multiplicity uniform
+    each and the next round's m search uniforms, in one call under one
+    np.log."""
+    neg, log_qpow = (a.tolist() for a in _tail_tables(q, xstar))
+    hits, base = [0] * len(low), list(low)
+    active = [r for r in range(len(low)) if low[r] < xstar]
+    log_u = np.log(s.uniforms(len(active))).tolist()
+    while active:
+        found = []
+        for r, lu in zip(active, log_u):
+            j = bisect_right(neg, neg[base[r]] - lu)
+            if j <= xstar:
+                found.append(r)
+                base[r] = j
+        m = len(found)
+        log_u = np.log(s.uniforms(2 * m))
+        for r, lu in zip(found, log_u[:m].tolist()):
+            hits[r] += 1 + int(lu / log_qpow[base[r]])
+        active, log_u = found, log_u[m:].tolist()
+    return hits
+
+
+@pytest.mark.parametrize("q, xstar, low", [
+    (0.5, 40, list(range(-1, 45)) * 5), (0.95, 400, [0, 1, 399, 400, 401] * 40),
+    (0.05, 10, [0] * 300),
+    # multiplicities near 2^52 / j: a row's hits pass 2^53, exact as ints
+    (1.0 - 2.0**-52, 5, [0, 0, 1, 4, 5])])
+def test_tail_hits_are_the_round_replay(q, xstar, low):
+    a, b = GeomStream(seed=47, q=q), GeomStream(seed=47, q=q)
+    hits = _tail_hits(np.array(low), q, xstar, a)
+    assert hits.dtype == np.int64 and hits.tolist() == _tail_hits_replay(low, q, xstar, b)
+    assert a.counter == b.counter
+    if q > 0.99:
+        assert hits.max() > 2**53
+
+
+def test_tail_hits_with_no_row_searching_or_no_rows_draw_nothing():
+    # eps_tv = 10 sets x* = 0, which no state is below; an empty block has
+    # no rows at all
+    xstar = _chain_horizon(0.5, 10.0)
+    assert xstar == 0
+    s = GeomStream(seed=53, q=0.5)
+    hits = _tail_hits(np.array([0, 3, 9]), 0.5, xstar, s)
+    assert hits.dtype == np.int64 and hits.tolist() == [0, 0, 0]
+    hits = _tail_hits(np.zeros(0, dtype=np.int64), 0.5, 30, s)
+    assert hits.dtype == np.int64 and hits.shape == (0,)
+    assert s.counter == 0
 
 
 def test_batch_inversion_rejects_negative_count():
