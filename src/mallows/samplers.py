@@ -319,8 +319,9 @@ def finite_r_codes(r_matrix: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 2048
 
 #: the largest bound (max(letters, |lo - 1|, |hi - 1|) + 1) * (2 * rows + 1)
-#: at which a block's gather indices run in int32: it bounds every index
-#: into the skips and the letter matrix, and every partial sum on the way
+#: at which a block's gather indices, built in place, run in int32 (else in
+#: int64): it bounds every index into the skips and the letter matrix, and
+#: every partial sum on the way
 _INDEX32_MAX = 2**31 - 1
 
 
@@ -361,10 +362,6 @@ def batch_interlacing_windows(
     * the window is filled by one gather from the chain states, at a flat
       index picked by sign: + slots take plus letters by rank, - slots
       take 1 - (minus letter) by rank from the right.
-
-    Both gathers index in int32, built in place, unless a bound on the
-    indices passes _INDEX32_MAX (a letter matrix of 2^31 or more entries,
-    or a window as far from 0), where they index in int64.
     """
     _check_window(lo, hi)
     if count < 0:
@@ -569,9 +566,9 @@ def _tail_hits(low: np.ndarray, q: float, xstar: int, s: GeomStream) -> np.ndarr
     and cast make the multiplicities, and np.add.at sums each row's, in
     int64, so exactly at any size."""
     neg, log_qpow = _tail_tables(q, xstar)
+    hits = np.zeros(low.size, dtype=np.int64)
     active = np.flatnonzero(low < xstar)
     base, log_u = low[active], np.log(s.uniforms(active.size))
-    hits = np.zeros(low.size, dtype=np.int64)
     rounds = []
     while active.size:
         j = np.searchsorted(neg, neg[base] - log_u, side="right")
