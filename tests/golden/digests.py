@@ -1,9 +1,10 @@
-"""Bit-identity digests of the sampling kernels and the stream's draws.
+"""Bit-identity digests of the sampling kernels, the stream's draws and
+the closed-form laws.
 
-Each family runs its routines over a fixed grid, every call on a fresh
-stream of seed SEED, and hashes into one sha256 every array the calls
-return (its dtype, shape and bytes) and the stream's ``counter`` after
-them:
+Each kernel and stream family runs its routines over a fixed grid, every
+call on a fresh stream of seed SEED, and hashes into one sha256 every array
+the calls return (its dtype, shape and bytes) and the stream's ``counter``
+after them:
 
 * ``kernels.inversion``: batch_inversion_windows over q x windows x counts
   x eps_tv, and batch_inversion_position0 (the full grid adds one call
@@ -20,6 +21,19 @@ them:
   with an integer array of limits, and the part searches' draws at other
   ratios, scalar and one per draw, through ``_geometrics_of_logs``.
 
+The laws families evaluate, on a fresh QParam per q of LAWS_GRID, the fdd
+box (k=3 and k <= 2), ``displacement_pmf`` and a small grid of
+``joint_rl_pmf``, ``conditional_l_given_r`` and ``block_p2``, and hash each
+call's label with the repr of its floats (exact to the last bit):
+
+* ``laws.values``: every value returned;
+* ``laws.bounds``: every error and tail bound returned (fdd and
+  ``displacement_pmf``), apart from the values, so a change of rounding
+  terms moves this family alone;
+* ``laws.refusals``: every refused call as its exception type and message;
+* ``suites.exchangeability``: the exchangeability suite's report at each
+  q, or its refusal as type and message.
+
 digests.json beside this file pins two grids: "reduced", which
 tests/test_golden.py recomputes (well under a second), and "full", which
 runs by hand.  Print each family's digest against its pin (exit 1 if one
@@ -34,13 +48,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from mallows import perm, samplers
+from mallows import dist, perm, samplers, verify
+from mallows.errors import MallowsError
 from mallows.qseries import QParam
 from mallows.streams import GeomStream, _geometrics_of_logs
 
@@ -91,6 +107,18 @@ STREAM_GRID = {
 #: and one past it, whose chains reach 2^31, for width-8 rows), then past
 #: 2^31 and near the one-sided skips at q -> 1
 CHAIN_EDGES = (2**31 - 9, 2**31 - 8, 2**31 - 7, 2**31, 4 * 10**12)
+
+
+#: per grid: (q values, radius of the k=3 fdd box, radius of the k <= 2
+#: boxes, displacement_pmf radius, largest entry of the joint_rl_pmf,
+#: conditional_l_given_r and block_p2 grids).  0.985 makes the radius-40
+#: tail bound vacuous and 0.996 still evaluates every fdd event; 0.997
+#: refuses the possible ones by an underflowing denominator, and 0.999
+#: because <inf>_q is 0.0.  The reduced k=3 box is the ``laws`` benchmark's
+LAWS_GRID = {
+    "full": ((0.02, 0.3, 0.5, 0.8, 0.95, 0.985, 0.996, 0.997, 0.999), 4, 6, 40, 5),
+    "reduced": ((0.3, 0.985, 0.996, 0.997, 0.999), 3, 4, 40, 2),
+}
 
 
 def _feed(h, *items) -> None:
@@ -182,17 +210,71 @@ def _streams(grid: str) -> str:
     return h.hexdigest()
 
 
+def _law_calls(grid: str):
+    """(label, call) for every law evaluation of the grid; a call returns
+    (values, bounds), each a tuple of floats."""
+    qs, r3, r2, radius, top = LAWS_GRID[grid]
+    for q in qs:
+        p = QParam(q)
+        boxes = [itertools.product(range(-r2, r2 + 1), repeat=k) for k in (1, 2)]
+        boxes.append(itertools.product(range(-r3, r3 + 1), repeat=3))
+        for d in itertools.chain(*boxes):
+            def fdd(d=d):
+                value, bound = dist.fdd_probability(p, dist.FddQuery(len(d), d), 1e-12)
+                return (value,), (bound,)
+            yield ("fdd", q, d), fdd
+
+        def pmf():
+            law = dist.displacement_pmf(p, radius)
+            return tuple(law.probs[d] for d in range(-radius, radius + 1)), (law.tail_bound,)
+        yield ("displacement_pmf", q, radius), pmf
+        pairs = list(itertools.product(range(top + 1), repeat=2))
+        for fn in (dist.joint_rl_pmf, dist.conditional_l_given_r):
+            for r, ell in pairs:
+                yield (fn.__name__, q, r, ell), lambda fn=fn, r=r, ell=ell: ((fn(p, r, ell),), ())
+        for b, a in itertools.product(pairs, repeat=2):
+            yield ("block_p2", q, b, a), lambda b=b, a=a: ((dist.block_p2(p, b, a),), ())
+
+
+def _laws(grid: str) -> dict[str, str]:
+    values, bounds, refusals = (hashlib.sha256() for _ in range(3))
+    for label, call in _law_calls(grid):
+        try:
+            vals, bnds = call()
+        except MallowsError as e:
+            _feed(refusals, label, type(e).__name__, str(e))
+            continue
+        _feed(values, label, vals)
+        if bnds:
+            _feed(bounds, label, bnds)
+    return {"laws.values": values.hexdigest(), "laws.bounds": bounds.hexdigest(),
+            "laws.refusals": refusals.hexdigest()}
+
+
+def _exchangeability(grid: str) -> str:
+    h = hashlib.sha256()
+    for q in LAWS_GRID[grid][0]:
+        try:
+            _feed(h, q, verify.run_suite("exchangeability", (), QParam(q), 0).to_json())
+        except MallowsError as e:
+            _feed(h, q, type(e).__name__, str(e))
+    return h.hexdigest()
+
+
 FAMILIES = {
     "kernels.inversion": _inversion,
     "kernels.interlacing": _interlacing,
     "kernels.words": _words,
     "streams.draws": _streams,
+    "suites.exchangeability": _exchangeability,
 }
 
 
 def compute(grid: str) -> dict[str, str]:
     """The digest of every family over one grid, "full" or "reduced"."""
-    return {name: family(grid) for name, family in FAMILIES.items()}
+    out = {name: family(grid) for name, family in FAMILIES.items()}
+    out.update(_laws(grid))
+    return dict(sorted(out.items()))
 
 
 def load() -> dict[str, dict[str, str]]:

@@ -1,6 +1,6 @@
 """The CLI against its committed output corpus (tests/golden/manifest.json),
-and the kernels and streams against their committed digests
-(tests/golden/digests.json).
+and the kernels, streams, laws and exchangeability suite against their
+committed digests (tests/golden/digests.json).
 
 An entry that moves on purpose is rewritten by
 `PYTHONPATH=src python tests/golden/update_manifest.py`, which prints it; a
@@ -27,5 +27,6 @@ def test_output_matches_the_manifest(entry):
 
 
 def test_kernel_and_stream_digests_match_the_pins():
-    # the reduced grid; `digests.py --full` runs the whole one by hand
+    # every family on the reduced grid, the laws' values, bounds and
+    # refusals included; `digests.py --full` runs the whole one by hand
     assert digests.compute("reduced") == digests.load()["reduced"]
