@@ -68,6 +68,12 @@ class QParam:
     never share entries.  A defect planted with monkeypatch must therefore
     be checked through a fresh QParam: an instance that evaluated before
     the patch answers from its memo.
+
+    Two caches live per process instead, outside the memo: the tables of
+    <n>_q by (q, size) (_build_table), and the q-independent ranking of an
+    fdd query, its sorted query and inversion count, by d (dist._ranked,
+    bounded; it holds no value).  A defect planted under either must
+    clear or patch that cache: a fresh QParam does not reach it.
     """
 
     q: float
@@ -113,11 +119,11 @@ def _build_table(q: float, n_max: int) -> QPochhammerTable:
         prod *= 1.0 - q**k
         vals.append(prod)
         if prod == 0.0:
-            # every later factor lies in (0, 1], so every later entry is 0.0
-            vals.extend([0.0] * (n_max - k))
             break
+    # every factor lies in (0, 1], so every entry past a 0.0 is 0.0
+    values = tuple(vals) + (0.0,) * (n_max + 1 - len(vals))
     err = prod * q ** (n_max + 1) / (1.0 - q)
-    return QPochhammerTable(values=tuple(vals), infinite_value=prod, infinite_error=err)
+    return QPochhammerTable(values=values, infinite_value=prod, infinite_error=err)
 
 
 def pochhammer_table(p: QParam, n_max: int = 0) -> QPochhammerTable:

@@ -276,6 +276,29 @@ def test_table_is_the_sequential_product(q):
     assert table.infinite_error == prod * q ** (n_max + 1) / (1.0 - q)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.999, 0.9999])
+def test_table_padding_is_the_list_builders(q):
+    # the loop that appended every product and extended a list of zeros
+    # once the product reached 0.0
+    for n_max in (2**j for j in range(6, 17)):
+        vals = [1.0]
+        prod = 1.0
+        for k in range(1, n_max + 1):
+            prod *= 1.0 - q**k
+            vals.append(prod)
+            if prod == 0.0:
+                vals.extend([0.0] * (n_max - k))
+                break
+        table = _build_table(q, n_max)
+        assert table.values == tuple(vals)
+        assert table.infinite_value == prod
+        assert table.infinite_error == prod * q ** (n_max + 1) / (1.0 - q)
+        assert len(table.values) == n_max + 1
+        if 0.0 in table.values:
+            zero = table.values.index(0.0)
+            assert not any(table.values[zero:])
+
+
 def test_infinite_product_near_one():
     assert pochhammer_table(QParam(0.999)).infinite_value == 0.0
     assert pochhammer_table(QParam(0.9985)).infinite_value == 5e-324
