@@ -114,7 +114,7 @@ CHAIN_EDGES = (2**31 - 9, 2**31 - 8, 2**31 - 7, 2**31, 4 * 10**12)
 #: conditional_l_given_r and block_p2 grids).  0.985 makes the radius-40
 #: tail bound vacuous and 0.996 still evaluates every fdd event; 0.997
 #: refuses the possible ones by an underflowing denominator, and 0.999
-#: because <inf>_q is 0.0.  The reduced k=3 box is the ``laws`` benchmark's
+#: because <inf>_q is 0.0.  The reduced k=3 box is the ``laws`` benchmark's.
 LAWS_GRID = {
     "full": ((0.02, 0.3, 0.5, 0.8, 0.95, 0.985, 0.996, 0.997, 0.999), 4, 6, 40, 5),
     "reduced": ((0.3, 0.985, 0.996, 0.997, 0.999), 3, 4, 40, 2),
@@ -212,28 +212,29 @@ def _streams(grid: str) -> str:
 
 def _law_calls(grid: str):
     """(label, call) for every law evaluation of the grid; a call returns
-    (values, bounds), each a tuple of floats."""
+    (values, bounds), each a tuple of floats, and binds its own arguments,
+    so the calls may run in any order."""
     qs, r3, r2, radius, top = LAWS_GRID[grid]
     for q in qs:
         p = QParam(q)
         boxes = [itertools.product(range(-r2, r2 + 1), repeat=k) for k in (1, 2)]
         boxes.append(itertools.product(range(-r3, r3 + 1), repeat=3))
         for d in itertools.chain(*boxes):
-            def fdd(d=d):
+            def fdd(p=p, d=d):
                 value, bound = dist.fdd_probability(p, dist.FddQuery(len(d), d), 1e-12)
                 return (value,), (bound,)
             yield ("fdd", q, d), fdd
 
-        def pmf():
+        def pmf(p=p):
             law = dist.displacement_pmf(p, radius)
             return tuple(law.probs[d] for d in range(-radius, radius + 1)), (law.tail_bound,)
         yield ("displacement_pmf", q, radius), pmf
         pairs = list(itertools.product(range(top + 1), repeat=2))
         for fn in (dist.joint_rl_pmf, dist.conditional_l_given_r):
             for r, ell in pairs:
-                yield (fn.__name__, q, r, ell), lambda fn=fn, r=r, ell=ell: ((fn(p, r, ell),), ())
+                yield (fn.__name__, q, r, ell), lambda p=p, fn=fn, r=r, ell=ell: ((fn(p, r, ell),), ())
         for b, a in itertools.product(pairs, repeat=2):
-            yield ("block_p2", q, b, a), lambda b=b, a=a: ((dist.block_p2(p, b, a),), ())
+            yield ("block_p2", q, b, a), lambda p=p, b=b, a=a: ((dist.block_p2(p, b, a),), ())
 
 
 def _laws(grid: str) -> dict[str, str]:
