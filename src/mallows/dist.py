@@ -22,9 +22,6 @@ return an explicit error bound alongside the value.
 
 Each evaluation reads <n>_q off one tuple of table values and fetches a
 longer table only when an index runs past its end (tables share entries).
-Values are kept per QParam (see its memo); the q-independent ranking of
-an fdd query (its sorted query and inversion count) is kept per process
-by _ranked, in a bounded cache that holds no value.
 """
 from __future__ import annotations
 
@@ -32,7 +29,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import DomainError
 from .perm import inversions
@@ -280,47 +276,28 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     return out
 
 
-@lru_cache(maxsize=4096)
-def _ranked(d: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """(sorted d, inv) for a query d: the sorted query, whose implied values
-    are those of d in increasing order, and the inversion count of d's
-    implied values v_m = d_m + m; or None where two implied values collide.
-
-    It depends on d alone, never on q, so it is kept per process in a
-    bounded cache.  A defect planted on what it calls (perm.inversions, say)
-    therefore shows only after _ranked.cache_clear(), or by patching
-    _ranked itself: a query ranked before the patch answers from the cache.
-    """
-    vals = [x + m for m, x in enumerate(d, 1)]
-    if len(set(vals)) != len(vals):
-        return None
-    ranked = sorted(vals)
-    if ranked == vals:
-        return d, 0
-    return tuple(v - m for m, v in enumerate(ranked, 1)), inversions(vals)
-
-
 def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, float]:
     """P(sigma(m) = m + d_m for m = 1..k) as (value, error bound).
 
     For nondecreasing d the sorted series is evaluated directly.  Otherwise
     the implied values v_m = d_m + m are sorted increasingly, the sorted
     query is evaluated, and the result is multiplied by q^inv(v): each
-    inversion of the value word costs exactly one factor q.  The ranking
-    (the sorted query and inv(v)) is q-independent and comes from _ranked,
-    once per query per process.  Colliding implied values mean the event is
-    impossible and the exact answer (0, 0) is returned rather than an
-    error; a possible event whose value underflows to 0 or to a subnormal
-    double raises DomainError.
+    inversion of the value word costs exactly one factor q.  Colliding
+    implied values mean the event is impossible and the exact answer (0, 0)
+    is returned rather than an error; a possible event whose value
+    underflows to 0 or to a subnormal double raises DomainError.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    ranked = _ranked(query.d)
-    if ranked is None:
+    d = query.d
+    vals = [x + m for m, x in enumerate(d, 1)]
+    if len(set(vals)) != len(vals):
         return 0.0, 0.0
-    d, inv = ranked
-    value, err = _fdd_sorted(d, p, tol)
-    factor = p.q ** inv  # 1.0 for a sorted query, which leaves both exact
+    ranked = sorted(vals)
+    if ranked == vals:
+        return _fdd_sorted(d, p, tol)
+    value, err = _fdd_sorted(tuple(v - m for m, v in enumerate(ranked, 1)), p, tol)
+    factor = p.q ** inversions(vals)
     return _normal(factor * value, p.q), factor * err
 
 

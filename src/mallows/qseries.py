@@ -68,12 +68,6 @@ class QParam:
     never share entries.  A defect planted with monkeypatch must therefore
     be checked through a fresh QParam: an instance that evaluated before
     the patch answers from its memo.
-
-    Two caches live per process instead, outside the memo: the tables of
-    <n>_q by (q, size) (_build_table), and the q-independent ranking of an
-    fdd query, its sorted query and inversion count, by d (dist._ranked,
-    bounded; it holds no value).  A defect planted under either must
-    clear or patch that cache: a fresh QParam does not reach it.
     """
 
     q: float

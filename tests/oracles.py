@@ -226,21 +226,6 @@ def count_inversions(seq) -> int:
     )
 
 
-def ranked_query(d) -> tuple[tuple[int, ...], int] | None:
-    """(sorted query, inversions) of an fdd query d, or None where two of
-    its implied values v_m = d_m + m collide.  Each value's rank is the
-    number of values below it; the value of rank r sits at position r+1 of
-    the sorted query, whose displacement there is v - (r+1)."""
-    values = [x + m for m, x in enumerate(d, 1)]
-    ranks = [sum(w < v for w in values) for v in values]
-    if len(set(ranks)) < len(ranks):
-        return None
-    out = [0] * len(values)
-    for v, r in zip(values, ranks):
-        out[r] = v - (r + 1)
-    return tuple(out), count_inversions(values)
-
-
 def pair_counts(values) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(r, ell) of a word by direct pair comparison: r_i counts the smaller
     values to the right of i, ell_i the larger values to its left."""

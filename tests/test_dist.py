@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import oracles
-from mallows import dist, perm
 from mallows.dist import (
     FddQuery,
     block_p2,
@@ -240,45 +239,6 @@ def test_fdd_unsorted_is_q_power_times_sorted():
     sorted_val, _ = fdd_probability(P5, FddQuery(2, (0, 0)), 1e-12)
     swapped_val, _ = fdd_probability(P5, FddQuery(2, (1, -1)), 1e-12)
     assert swapped_val == pytest.approx(0.5 * sorted_val, rel=1e-12)
-
-
-def test_ranking_is_the_oracle_ranking():
-    # every query of {-4..4}^k, k <= 4: its sorted query and inversion
-    # count, or None where two implied values collide
-    for k in range(1, 5):
-        for d in itertools.product(range(-4, 5), repeat=k):
-            assert dist._ranked(d) == oracles.ranked_query(d), d
-
-
-def test_ranking_cache_is_bounded():
-    maxsize = dist._ranked.cache_info().maxsize
-    assert isinstance(maxsize, int) and maxsize > 0
-
-
-def test_a_wrong_inversion_count_on_the_ranking_moves_an_unsorted_value(monkeypatch):
-    # d = (1, -1) pins values (2, 1): sorted query (0, 0), one inversion
-    honest = fdd_probability(QParam(0.5), FddQuery(2, (1, -1)), 1e-12)
-    ranked = dist._ranked
-    monkeypatch.setattr(dist, "_ranked", lambda d: (ranked(d)[0], ranked(d)[1] + 1))
-    planted = fdd_probability(QParam(0.5), FddQuery(2, (1, -1)), 1e-12)
-    assert planted[0] != honest[0]
-    assert planted[0] == pytest.approx(0.5 * honest[0], rel=1e-15)
-
-
-def test_a_defect_under_the_ranking_shows_once_its_cache_is_cleared(monkeypatch):
-    # the cache answers a query ranked before the patch; cleared, it ranks
-    # afresh through the patched count
-    query = FddQuery(3, (2, -1, -1))
-    honest = fdd_probability(QParam(0.5), query, 1e-12)
-    monkeypatch.setattr(dist, "inversions", lambda vals: perm.inversions(vals) + 1)
-    try:
-        assert fdd_probability(QParam(0.5), query, 1e-12) == honest
-        dist._ranked.cache_clear()
-        assert fdd_probability(QParam(0.5), query, 1e-12)[0] != honest[0]
-    finally:
-        monkeypatch.undo()
-        dist._ranked.cache_clear()
-    assert fdd_probability(QParam(0.5), query, 1e-12) == honest
 
 
 def test_fdd_marginalizes_to_displacement():

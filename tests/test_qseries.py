@@ -260,43 +260,23 @@ def test_a_parameter_is_freed_after_sampling_and_series():
     assert ref() is None
 
 
-@pytest.mark.parametrize("q", [0.5, 0.99, 0.9977, 0.998, 0.999])
+@pytest.mark.parametrize("q", [0.5, 0.99, 0.9977, 0.998, 0.999, 0.9999])
 def test_table_is_the_sequential_product(q):
     # the build stops multiplying once the product is 0.0; every entry,
-    # the limit and its error must be what the full loop gives
-    n_max = len(pochhammer_table(QParam(q)).values) - 1
-    vals = [1.0]
-    prod = 1.0
-    for k in range(1, n_max + 1):
-        prod *= 1.0 - q**k
-        vals.append(prod)
-    table = _build_table(q, n_max)
-    assert table.values == tuple(vals)
-    assert table.infinite_value == prod
-    assert table.infinite_error == prod * q ** (n_max + 1) / (1.0 - q)
-
-
-@pytest.mark.parametrize("q", [0.5, 0.999, 0.9999])
-def test_table_padding_is_the_list_builders(q):
-    # the loop that appended every product and extended a list of zeros
-    # once the product reached 0.0
-    for n_max in (2**j for j in range(6, 17)):
+    # the limit and its error must be what the full loop gives, at the
+    # default size and at sizes 64 to 65,536
+    sizes = [len(pochhammer_table(QParam(q)).values) - 1]
+    sizes += [2**j for j in range(6, 17)]
+    for n_max in sizes:
         vals = [1.0]
         prod = 1.0
         for k in range(1, n_max + 1):
             prod *= 1.0 - q**k
             vals.append(prod)
-            if prod == 0.0:
-                vals.extend([0.0] * (n_max - k))
-                break
         table = _build_table(q, n_max)
-        assert table.values == tuple(vals)
+        assert table.values == tuple(vals), n_max
         assert table.infinite_value == prod
         assert table.infinite_error == prod * q ** (n_max + 1) / (1.0 - q)
-        assert len(table.values) == n_max + 1
-        if 0.0 in table.values:
-            zero = table.values.index(0.0)
-            assert not any(table.values[zero:])
 
 
 def test_infinite_product_near_one():
