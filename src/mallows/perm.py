@@ -41,6 +41,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations, starmap
+from operator import gt
 from typing import Sequence
 
 import numpy as np
@@ -74,10 +76,7 @@ class PermWindow:
 
 def inversions(values: Sequence[int]) -> int:
     """Total number of inversions of a finite word (direct pair count)."""
-    n = len(values)
-    return sum(
-        1 for i in range(n) for j in range(i + 1, n) if values[i] > values[j]
-    )
+    return int(sum(starmap(gt, combinations(values, 2))))
 
 
 def _pop_letters(r: Sequence[int]) -> tuple[int, ...]:
