@@ -22,6 +22,18 @@ return an explicit error bound alongside the value.
 
 Each evaluation reads <n>_q off one tuple of table values and fetches a
 longer table only when an index runs past its end (tables share entries).
+
+This module alone fills a QParam's memo, which holds what it evaluated at
+that q for as long as the caller holds the parameter: each sorted fdd
+series as (value, bound) under (d, tol), each inner tail sum of those
+series as (sum, bound, <b1>, <a_k>) under (e, A, R, tol), shared by every
+sorted series with the same (d_1, d_k, head), and the composition weights
+of each gap tuple under ("weights", gaps) (see _fdd_sorted).  Those are
+deterministic in q and the key, so a hit is exactly what a fresh
+evaluation returns; refusals are raised and never stored.  Equal
+parameters never share entries, so a defect planted with monkeypatch must
+be checked through a fresh QParam: an instance that evaluated before the
+patch answers from its memo.
 """
 from __future__ import annotations
 

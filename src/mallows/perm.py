@@ -15,7 +15,7 @@ left counts built right to left.  For two-sided windows the identity
 
 rebuilds values, but the left counts depend on data arbitrarily far to the
 left: under geometric data a chain at state x meets a later left inversion
-with probability at most q^(x+1)/(1-q), and _chain_horizon, where that
+with probability at most q^(x+1)/(1-q), and qseries._horizon, where that
 bound reaches eps_tv, is the deepest part the inversion kernel's tail
 search draws.
 
@@ -38,7 +38,6 @@ batch samplers return them.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, starmap
@@ -137,24 +136,6 @@ def eliminate_left(ell: Sequence[int]) -> PermWindow:
             raise RejectSupportError(f"ell[{i}] = {ell[i]} outside support 0..{i}")
     word = eliminate_right(ell[::-1]).values
     return PermWindow(lo=1, hi=n, values=tuple(n + 1 - v for v in reversed(word)))
-
-
-def _chain_horizon(q: float, eps_tv: float) -> int:
-    """Smallest state x >= 0 with q^(x+1)/(1-q) <= eps_tv, a bound on the
-    chance that a chain at x is hit again: the largest part the inversion
-    kernel's tail search draws.  The log estimate can land one past it
-    where the bound meets eps_tv exactly, so it is stepped to that state."""
-    if not 0.0 < eps_tv < math.inf:
-        raise DomainError(f"eps_tv must be finite and > 0, got {eps_tv!r}")
-    tail = eps_tv * (1.0 - q)
-    if tail == 0.0:
-        raise DomainError(f"eps_tv * (1-q) underflows to 0 at eps_tv={eps_tv!r}")
-    x = max(0, math.ceil(math.log(tail) / math.log(q) - 1.0))
-    while x > 0 and q**x / (1.0 - q) <= eps_tv:
-        x -= 1
-    while q ** (x + 1) / (1.0 - q) > eps_tv:
-        x += 1
-    return x
 
 
 def _narrow_skips(skips: np.ndarray, width: int) -> np.ndarray:

@@ -14,7 +14,8 @@ Infinite products are truncated adaptively using the elementary bound
 
     prod_{k>N} (1-q^k) >= 1 - q^(N+1)/(1-q),
 
-never by a fixed term count, so accuracy is uniform in q.
+never by a fixed term count, so accuracy is uniform in q.  _horizon is
+the package's one rule for that depth; tables take it at EPS_SERIES.
 """
 from __future__ import annotations
 
@@ -23,14 +24,18 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 from .errors import DomainError
 
 #: Token accepted by :func:`q_pochhammer` for the infinite product <inf>_q.
 INFINITY = math.inf
 
-#: the most entries of a table of <n>_q; a larger one (from q ~ 0.9999906
-#: at the default eps_series) is refused before it is built
+#: the relative truncation error of every infinite series and product
+EPS_SERIES = 1e-12
+
+#: the most entries of a table of <n>_q; a larger one (from q ~ 0.9999906)
+#: is refused before it is built
 MAX_TABLE = 2**22
 
 #: refusal where a denominator, a product of <n>_q values or of factors
@@ -50,35 +55,22 @@ def _integers(xs, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class QParam:
-    """The deformation parameter q in (0,1) plus numeric tolerance policy.
+    """The deformation parameter q in (0,1).
 
-    eps_series bounds the relative truncation error of infinite series and
-    products.
-
-    memo holds what this instance has evaluated, for as long as the caller
-    holds it: the rounded table size under the key "table_size", each
-    sorted fdd series as (value, bound) under (d, tol), each inner tail
-    sum of those series as (sum, bound, <b1>, <a_k>) under (e, A, R, tol),
-    shared by every sorted series with the same (d_1, d_k, head), and the
-    composition weights of each gap tuple under ("weights", gaps) (see
-    dist._fdd_sorted).  Those are deterministic in (q, eps_series) and the
-    key, so a hit is exactly what a fresh evaluation returns; refusals are
-    raised and never stored.  The memo takes no part in __init__, ==, hash
-    or repr, so equal parameters still compare and hash equal, but they
-    never share entries.  A defect planted with monkeypatch must therefore
-    be checked through a fresh QParam: an instance that evaluated before
-    the patch answers from its memo.
+    eps_series is EPS_SERIES, a class attribute and not a field.  memo is
+    the cache that dist keeps its evaluations of this q in, for as long as
+    the caller holds the parameter (see dist for its keys).  It takes no
+    part in __init__, ==, hash or repr, so equal parameters compare and
+    hash equal, but they never share entries.
     """
 
     q: float
-    eps_series: float = 1e-12
+    eps_series: ClassVar[float] = EPS_SERIES
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"q must lie strictly in (0,1), got {self.q}")
-        if not 0.0 < self.eps_series < math.inf:
-            raise DomainError(f"eps_series must be finite and > 0, got {self.eps_series}")
 
 
 @dataclass(frozen=True)
@@ -98,11 +90,34 @@ class QPochhammerTable:
         return self.values[n]
 
 
-def _table_size(p: QParam) -> int:
-    # smallest N with q^(N+1)/(1-q) <= eps_series
-    q = p.q
-    n = math.ceil(math.log(p.eps_series * (1.0 - q)) / math.log(q)) - 1
-    return max(n, 1)
+def _horizon(q: float, eps: float) -> int:
+    """Smallest N >= 0 with q^(N+1)/(1-q) <= eps: the depth past which an
+    infinite product or series of ratio q is truncated, and the deepest
+    part the inversion kernel's tail search draws (eps = its eps_tv, whose
+    name the refusals carry).  The log estimate can land one past it where
+    the bound meets eps exactly, so it is stepped to that N."""
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps_tv must be finite and > 0, got {eps!r}")
+    tail = eps * (1.0 - q)
+    if tail == 0.0:
+        raise DomainError(f"eps_tv * (1-q) underflows to 0 at eps_tv={eps!r}")
+    x = max(0, math.ceil(math.log(tail) / math.log(q) - 1.0))
+    while x > 0 and q**x / (1.0 - q) <= eps:
+        x -= 1
+    while q ** (x + 1) / (1.0 - q) > eps:
+        x += 1
+    return x
+
+
+@lru_cache(maxsize=None)
+def _table_size(q: float) -> int:
+    """The size of q's own table: _horizon(q, EPS_SERIES) rounded up to a
+    power of two >= 64, so repeated slightly larger requests reuse one
+    table."""
+    size, need = 64, _horizon(q, EPS_SERIES)
+    while size < need:
+        size *= 2
+    return size
 
 
 @lru_cache(maxsize=None)
@@ -121,15 +136,9 @@ def _build_table(q: float, n_max: int) -> QPochhammerTable:
 
 
 def pochhammer_table(p: QParam, n_max: int = 0) -> QPochhammerTable:
-    """Return the (cached) table for p, covering at least n = 0..n_max."""
-    # round up to a power of two >= 64 so repeated slightly-larger requests
-    # reuse one table; p's own size is rounded once and kept in its memo
-    size = p.memo.get("table_size")
-    if size is None:
-        size, need = 64, _table_size(p)
-        while size < need:
-            size *= 2
-        p.memo["table_size"] = size
+    """Return the (cached) table for p, covering at least n = 0..n_max:
+    _table_size(p.q), doubled until it covers n_max."""
+    size = _table_size(p.q)
     while size < n_max:
         size *= 2
     if size > MAX_TABLE:
@@ -207,7 +216,7 @@ def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
     (_product_error; 0 only for the empty product n = 0), and n >
     MAX_TABLE is refused.  The infinite product returns the partial product
     <N>_q at a depth N guaranteeing relative truncation error <=
-    eps_series, with an absolute bound that adds the rounding of its N
+    EPS_SERIES, with an absolute bound that adds the rounding of its N
     factors to the truncation, or DomainError where it is not a normal
     double.
     """

@@ -64,10 +64,9 @@ import numpy as np
 
 from .errors import DomainError, NotInjectiveError
 from .perm import (
-    PermWindow, _chain_horizon, _chain_states, _leftward_chains, _narrow_skips, _pop_letters,
-    eliminate_right,
+    PermWindow, _chain_states, _leftward_chains, _narrow_skips, _pop_letters, eliminate_right,
 )
-from .qseries import MAX_TABLE, QParam, normal_table
+from .qseries import MAX_TABLE, QParam, _horizon, normal_table
 from .streams import GeomStream, _geometrics_of_logs
 
 
@@ -138,21 +137,21 @@ def _part_search(p: QParam) -> tuple[list[float], list[float]]:
 
     The search compares U <b>_q with <j>_q down to <N>_q ~ <inf>_q, so it
     is refused where <inf>_q is not a normal double (from q ~ 0.9977).
-    The tables are cached by (q, eps_series), so the cache keeps no
-    parameter object (nor its memo) alive.
+    The tables are cached by q, so the cache keeps no parameter object
+    (nor its memo) alive.
     """
-    return _part_tables(p.q, p.eps_series)[0]
+    return _part_tables(p.q)[0]
 
 
 def _part_search_arrays(p: QParam) -> tuple[np.ndarray, np.ndarray]:
     """_part_search's tables as read-only float64 arrays, cached with them."""
-    return _part_tables(p.q, p.eps_series)[1]
+    return _part_tables(p.q)[1]
 
 
 @lru_cache(maxsize=None)
-def _part_tables(q: float, eps_series: float) -> tuple[tuple, tuple]:
+def _part_tables(q: float) -> tuple[tuple, tuple]:
     """The search's two lists, and the same as read-only arrays."""
-    table = normal_table(QParam(q, eps_series), "Euler-measure diagrams cannot be drawn")
+    table = normal_table(QParam(q), "Euler-measure diagrams cannot be drawn")
     with np.errstate(divide="ignore"):  # -inf where q^j underflows, never a part
         log_qpow = np.log([q**j for j in range(len(table.values))])
     arrays = np.array([-v for v in table.values]), log_qpow
@@ -169,7 +168,7 @@ def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
     has P(J > j) = <j>_q / <b>_q.  One uniform U gives
     J = min{j > b : <j>_q < U <b>_q}; where there is none the diagram is
     complete, which has probability <inf>_q / <b>_q (up to the relative
-    error eps_series of the table's last entry).  Otherwise J has
+    error EPS_SERIES of the table's last entry).  Otherwise J has
     multiplicity 1 + geometric(q^J) and the search goes on from b = J.
     Part sizes increase strictly and stay below the table length, so the
     loop ends.  Draws: one uniform per search (one per distinct part size
@@ -253,7 +252,7 @@ def sample_two_sided_inversion(
 
     The count=1 case of batch_inversion_windows: left counts come from the
     leftward chains, whose hits left of the window are drawn by a part
-    search that skips parts above _chain_horizon(q, eps_tv), so the window
+    search that skips parts above qseries._horizon(q, eps_tv), so the window
     is within eps_tv of exact in total variation.  The search depth never
     changes the order of the values, so they never collide.
     """
@@ -494,7 +493,7 @@ def batch_inversion_windows(
     ratio q^J).  A hit's overshoot, the right count less y+1, is geometric(q),
     and a chain with gap g = x - y is hit where g <= the overshoot, else its
     gap grows by 1 (a right count <= y steps every chain).  So a part search
-    from low on a table of -log <j>_q, j <= x* = _chain_horizon(q, eps_tv),
+    from low on a table of -log <j>_q, j <= x* = qseries._horizon(q, eps_tv),
     gives the hits, and one overshoot per hit the rest.  A part above x*
     has probability at most q^(x*+1)/(1-q) <= eps_tv, so each row is within
     eps_tv of exact in total variation.  The values are
@@ -522,7 +521,7 @@ def batch_inversion_windows(
     _check_window(lo, hi)
     if count < 0:
         raise DomainError("count must be >= 0")
-    q, xstar = p.q, _chain_horizon(p.q, eps_tv)
+    q, xstar = p.q, _horizon(p.q, eps_tv)
     if xstar > MAX_TABLE:
         raise DomainError(f"eps_tv={eps_tv!r} at q={q} needs a tail table of {xstar} "
                           f"parts, past MAX_TABLE={MAX_TABLE}")

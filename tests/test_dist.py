@@ -338,8 +338,7 @@ def test_fdd_memo_hit_is_a_fresh_evaluation(q):
             inner_keys.add((d[0] + head, head + k - 1, d[-1] - d[0] - head + k - 1, 1e-12))
     # and one composition weight table per distinct gap tuple
     weight_keys = {("weights", tuple(b - a for a, b in zip(d, d[1:]))) for d in sorted_queries}
-    assert set(p.memo) == ({(d, 1e-12) for d in sorted_queries} | inner_keys | weight_keys
-                           | {"table_size"})
+    assert set(p.memo) == {(d, 1e-12) for d in sorted_queries} | inner_keys | weight_keys
     # displacement_pmf's entries are the k=1 queries at tol = eps_series
     pmf = displacement_pmf(p, 3)
     assert all(pmf.prob(d) == p.memo[((abs(d),), p.eps_series)][0] for d in range(-3, 4))
@@ -445,21 +444,6 @@ def test_fdd_refuses_where_a_full_denominator_underflows(d):
     with pytest.raises(DomainError, match="a denominator underflows to 0"):
         fdd_probability(p, FddQuery(len(d), d), 1e-12)
     assert (d, 1e-12) not in p.memo
-
-
-def test_parameters_differing_in_eps_series_share_no_entries():
-    fine, coarse = QParam(0.8), QParam(0.8, eps_series=1e-6)
-    for d in [(0,), (-1, 2), (1, -1, 2)]:
-        got_fine = fdd_probability(fine, FddQuery(len(d), d), 1e-12)
-        got_coarse = fdd_probability(coarse, FddQuery(len(d), d), 1e-12)
-        assert got_fine == fdd_probability(QParam(0.8), FddQuery(len(d), d), 1e-12)
-        assert got_coarse == fdd_probability(
-            QParam(0.8, eps_series=1e-6), FddQuery(len(d), d), 1e-12
-        )
-        # the coarser table truncates <inf>_q earlier, so its bound differs
-        assert got_fine != got_coarse, f"d={d}"
-    assert fine.memo is not coarse.memo
-    assert fine.memo["table_size"] > coarse.memo["table_size"]
 
 
 @pytest.mark.parametrize("q", [0.9977, 0.998, 0.999])

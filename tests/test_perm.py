@@ -11,7 +11,6 @@ import pytest
 from mallows.errors import DomainError, NotSelfContainedError, RejectSupportError
 from mallows.perm import (
     PermWindow,
-    _chain_horizon,
     _chain_states,
     _leftward_chains,
     _narrow_skips,
@@ -129,21 +128,6 @@ def test_adjacent_swap_matches_word_swap():
                 r2, _ = pair_counts(swapped)
                 na, nb = adjacent_swap_r(r[i], r[i + 1])
                 assert r2 == r[:i] + (na, nb) + r[i + 2 :], f"{sigma} i={i}"
-
-
-# --------------------------------------------------------------------------
-# the chain horizon
-# --------------------------------------------------------------------------
-
-@pytest.mark.parametrize("q", [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95])
-def test_chain_horizon_is_the_first_state_within_budget(q):
-    # q^k/(1-q) puts eps_tv on the boundary, where a log estimate can land
-    # one state past it
-    for k in range(1, 60):
-        for eps_tv in (q**k / (1.0 - q), q**k, 2.0**-k, 10.0 ** -(k % 15 + 1)):
-            x = _chain_horizon(q, eps_tv)
-            assert x >= 0 and q ** (x + 1) / (1.0 - q) <= eps_tv
-            assert x == 0 or q**x / (1.0 - q) > eps_tv, f"k={k} eps_tv={eps_tv!r}"
 
 
 # --------------------------------------------------------------------------

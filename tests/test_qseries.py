@@ -14,10 +14,12 @@ from mallows import qseries
 from mallows.dist import FddQuery, displacement_pmf, fdd_probability, joint_rl_pmf
 from mallows.errors import DomainError
 from mallows.qseries import (
+    EPS_SERIES,
     INFINITY,
     MAX_TABLE,
     QParam,
     _build_table,
+    _horizon,
     _table_size,
     pochhammer_table,
     q_factorial,
@@ -34,9 +36,17 @@ def test_qparam_domain():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(DomainError):
             QParam(bad)
-    for bad in (0.0, -1e-12, float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            QParam(0.5, eps_series=bad)
+
+
+@pytest.mark.parametrize("q", [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95])
+def test_horizon_is_the_first_state_within_budget(q):
+    # q^k/(1-q) puts eps on the boundary, where a log estimate can land one
+    # state past it
+    for k in range(1, 60):
+        for eps in (q**k / (1.0 - q), q**k, 2.0**-k, 10.0 ** -(k % 15 + 1)):
+            x = _horizon(q, eps)
+            assert x >= 0 and q ** (x + 1) / (1.0 - q) <= eps
+            assert x == 0 or q**x / (1.0 - q) > eps, f"k={k} eps={eps!r}"
 
 
 def test_q_factorial_examples():
@@ -219,33 +229,41 @@ def test_integer_counts_of_any_type_are_the_same_count():
     assert q_pochhammer(np.float64(INFINITY), P5) == q_pochhammer(INFINITY, P5)
 
 
-def test_table_size_is_rounded_once_per_parameter():
-    # the size kept in the memo gives the table the one formula gives: the
-    # smallest power of two >= 64 covering _table_size(p) and n_max
+def test_table_size_is_one_size_per_q():
+    # q's size is the smallest power of two >= 64 covering the horizon at
+    # EPS_SERIES, and a table is that size doubled until it covers n_max
     for q in (*Q_GRID, 0.99, 0.997):
-        p = QParam(q)
+        size, horizon = _table_size(q), _horizon(q, EPS_SERIES)
+        assert size >= max(horizon, 64) and (size == 64 or size // 2 < horizon)
+        assert size & (size - 1) == 0
         for n_max in (0, 1, 63, 64, 65, 1000, 70_000, 0, 5):
-            need = max(_table_size(p), n_max, 64)
-            size = 64
-            while size < need:
-                size *= 2
-            table = pochhammer_table(p, n_max)
-            assert len(table.values) == size + 1, f"q={q} n_max={n_max}"
+            want = size
+            while want < n_max:
+                want *= 2
+            table = pochhammer_table(QParam(q), n_max)
+            assert len(table.values) == want + 1, f"q={q} n_max={n_max}"
             assert table is pochhammer_table(QParam(q), n_max)
-        assert p.memo["table_size"] == len(pochhammer_table(p).values) - 1
+        assert len(pochhammer_table(QParam(q)).values) == size + 1
 
 
 def test_equal_parameters_compare_and_hash_equal_with_their_own_memos():
     a, b = QParam(0.5), QParam(0.5)
+    # a table leaves no memo entry; a series evaluated by dist does
     pochhammer_table(a)
+    assert not a.memo
+    fdd_probability(a, FddQuery(1, (0,)), 1e-12)
     assert a.memo and not b.memo
     assert a == b and hash(a) == hash(b)
-    assert repr(a) == repr(b) == "QParam(q=0.5, eps_series=1e-12)"
+    assert repr(a) == repr(b) == "QParam(q=0.5)"
     # samplers._part_search's cache finds an equal parameter's entry
     assert _part_search(a) is _part_search(b)
-    assert a != QParam(0.5, eps_series=1e-6)
+    # the series tolerance is the package's one EPS_SERIES, not a field
+    assert a.eps_series == QParam.eps_series == EPS_SERIES
+    for args in ((0.5, 1e-6), (0.5, 1e-12, {})):
+        with pytest.raises(TypeError):
+            QParam(*args)
     with pytest.raises(TypeError):
-        QParam(0.5, 1e-12, {})
+        QParam(0.5, eps_series=1e-12)
 
 
 def test_a_parameter_is_freed_after_sampling_and_series():

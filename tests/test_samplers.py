@@ -15,8 +15,8 @@ from oracles import finite_code_to_r
 from mallows import qseries, samplers
 from mallows.dist import FddQuery, conditional_l_given_r, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
-from mallows.perm import _chain_horizon, _leftward_chains, _pop_letters
-from mallows.qseries import QParam, pochhammer_table
+from mallows.perm import _leftward_chains, _pop_letters
+from mallows.qseries import QParam, _horizon, pochhammer_table
 from mallows.samplers import (
     YoungDiagram,
     _diagram_triples,
@@ -257,7 +257,7 @@ def test_young_sampler_deep_diagram_law(q, n_draws):
 
 def test_part_search_arrays_are_its_lists_cached_read_only():
     # the kernel's tables are the scalar search's lists, built once per
-    # (q, eps_series) and shared, so no caller may write to them
+    # q and shared, so no caller may write to them
     p = QParam(0.95)
     neg, log_qpow = _part_search_arrays(p)
     assert neg.tolist() == _part_search(p)[0] and log_qpow.tolist() == _part_search(p)[1]
@@ -479,7 +479,7 @@ def _cascade_replay(lo, hi, p, s, eps_tv):
     window is made, zeros up to the state y = J - 1 of each part J and then
     a hit y + 1 + overshoot for each of its multiplicity, and every chain
     walks it."""
-    q, xstar = p.q, _chain_horizon(p.q, eps_tv)
+    q, xstar = p.q, _horizon(p.q, eps_tv)
     r = s.geometrics(hi - lo + 1).tolist()
     walks = [oracles.left_walk(r[:k][::-1], rj) for k, rj in enumerate(r)]
     low = min(x for _, x in walks)
@@ -621,7 +621,7 @@ def test_inversion_kernel_draws_what_its_cascade_needs(lo, hi, q, count, eps_tv)
     l1 = np.where(lowest, hits, 0).max(axis=1, initial=0)
     assert np.all(hits >= 0) and np.all(hits <= l1[:, None])
     assert np.all(hits[lowest] == np.repeat(l1, lowest.sum(axis=1)))
-    xstar = _chain_horizon(q, eps_tv)
+    xstar = _horizon(q, eps_tv)
     searching = low < xstar
     assert not l1[~searching].any()
     search = s.counter - count * width - int(l1.sum()) - int(searching.sum())
@@ -862,7 +862,7 @@ def test_kernels_at_q_near_zero_draw_the_identity_by_one_empty_search_round():
     s = GeomStream(seed=23, q=q)
     assert np.array_equal(batch_interlacing_windows(lo, hi, p, s, count), identity)
     assert s.counter == count * (1 + 7)
-    assert _chain_horizon(q, 1e-9) == 1
+    assert _horizon(q, 1e-9) == 1
     s = GeomStream(seed=23, q=q)
     values, ell = batch_inversion_windows(lo, hi, p, s, count, 1e-9)
     assert np.array_equal(values, identity) and ell.shape == values.shape and not ell.any()
@@ -882,7 +882,7 @@ def test_inversion_kernel_with_no_row_searching_draws_only_right_counts(lo, hi):
     # so no row searches: no tail hit, no overshoot, and the left counts are
     # the in-window walks
     count, width = 2049, hi - lo + 1
-    assert _chain_horizon(0.5, 10.0) == 0
+    assert _horizon(0.5, 10.0) == 0
     s, twin = GeomStream(seed=31, q=0.5), GeomStream(seed=31, q=0.5)
     values, ell = batch_inversion_windows(lo, hi, P5, s, count, 10.0)
     r = twin.geometrics(count * width).reshape(count, width).tolist()
@@ -1072,7 +1072,7 @@ def test_tail_hits_are_the_round_replay(q, xstar, low):
 def test_tail_hits_with_no_row_searching_or_no_rows_draw_nothing():
     # eps_tv = 10 sets x* = 0, which no state is below; an empty block has
     # no rows at all
-    xstar = _chain_horizon(0.5, 10.0)
+    xstar = _horizon(0.5, 10.0)
     assert xstar == 0
     s = GeomStream(seed=53, q=0.5)
     hits = _tail_hits(np.array([0, 3, 9]), 0.5, xstar, s)
