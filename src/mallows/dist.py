@@ -120,13 +120,14 @@ def joint_rl_pmf(p: QParam, r: int, ell: int) -> float:
     """P(R=r, L=ell) = (1-q) q^(r*ell+r+ell) <inf> / (<r><ell>).
 
     Both marginals are geometric with ratio q; the coupling factor q^(r*ell)
-    makes large R and large L repel each other.
+    makes large R and large L repel each other.  DomainError where <inf>_q
+    is not a normal double (from q ~ 0.9977), as for the series.
     """
     r, ell = _integers((r, ell), "r and ell")
     if r < 0 or ell < 0:
         raise DomainError("r and ell must be >= 0")
     q = p.q
-    inf_val = pochhammer_table(p).infinite_value
+    inf_val = normal_table(p, "the value cannot be returned").infinite_value
     vals = pochhammer_table(p, max(r, ell)).values
     return quotient((1.0 - q) * q ** (r * ell + r + ell) * inf_val, vals[r] * vals[ell], p)
 
@@ -327,6 +328,7 @@ def block_p2(p: QParam, b: tuple[int, ...], a: tuple[int, ...]) -> float:
     At k=1 the exponent is (b+1)a and summing over a >= 0 gives total mass 1
     (Euler's identity), which pins down the index offsets; the k=2 case is
     checked against direct diagram enumeration in the test suite.
+    DomainError where <inf>_q is not a normal double (from q ~ 0.9977).
     """
     b = _integers(b, "gap coordinates")
     a = _integers(a, "gap coordinates")
@@ -335,8 +337,8 @@ def block_p2(p: QParam, b: tuple[int, ...], a: tuple[int, ...]) -> float:
         raise DomainError("b and a must be equal-length, nonempty")
     if any(x < 0 for x in b) or any(x < 0 for x in a):
         raise DomainError("gap coordinates must be >= 0")
+    num = normal_table(p, "the value cannot be returned").infinite_value
     vals = pochhammer_table(p, max(b) + max(a)).values
-    num = pochhammer_table(p).infinite_value
     for m in range(1, k):
         num *= vals[b[m] + a[m - 1]]
     den = 1.0

@@ -453,6 +453,11 @@ def test_laws_refuse_a_subnormal_infinite_product(q):
     calls = [lambda: displacement_pmf(p, radius=0)]
     calls += [lambda d=d: fdd_probability(p, FddQuery(len(d), d), 1e-12)
               for d in [(0,), (-1, 1), (2, 0), (0, 0, 0)]]
+    # the closed forms read the same <inf>_q; at q=0.999 it is 0.0, so their
+    # quotient would be 0.0 for a possible event
+    calls += [lambda: joint_rl_pmf(p, 0, 0), lambda: joint_rl_pmf(p, 2, 5),
+              lambda: conditional_l_given_r(p, 0, 0), lambda: conditional_l_given_r(p, 3, 1),
+              lambda: block_p2(p, (0,), (0,)), lambda: block_p2(p, (1, 2), (2, 0))]
     for call in calls:
         with pytest.raises(DomainError, match=r"<inf>_q = .* is not a normal double"):
             call()
