@@ -589,9 +589,16 @@ def _tail_hits(low: np.ndarray, q: float, xstar: int, s: GeomStream) -> np.ndarr
 def _tail_tables(q: float, xstar: int) -> tuple[np.ndarray, np.ndarray]:
     """(-log <j>_q, log q^j) for j = 0..xstar as read-only float64 arrays,
     cached by (q, xstar) as _part_tables is.  The inversion route keeps
-    this table of its own, apart from the interlacing route's."""
+    this table of its own, apart from the interlacing route's.  Each step
+    of the running sum adds back its TwoSum rounding error, summed by a
+    second cumsum, so entry j is the sum of its j terms to about an ulp
+    where a plain cumsum drifts by ~j ulps (1e-8 at q = 0.9999)."""
     qpow = q ** np.arange(xstar + 1)
-    tables = np.concatenate(([0.0], np.cumsum(-np.log1p(-qpow[1:])))), np.log(qpow)
+    terms = np.concatenate(([0.0], -np.log1p(-qpow[1:])))
+    neg = np.cumsum(terms)
+    step = neg[1:] - neg[:-1]
+    neg[1:] += np.cumsum((neg[:-1] - (neg[1:] - step)) + (terms[1:] - step))
+    tables = neg, np.log(qpow)
     for a in tables:
         a.flags.writeable = False
     return tables

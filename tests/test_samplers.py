@@ -273,11 +273,23 @@ def test_tail_tables_are_the_per_call_tables_cached_read_only(q, xstar):
     # no caller may write to them
     qpow = q ** np.arange(xstar + 1)
     neg, log_qpow = _tail_tables(q, xstar)
-    assert np.array_equal(neg, np.concatenate(([0.0], np.cumsum(-np.log1p(-qpow[1:])))))
+    assert neg[0] == 0.0 and np.all(np.diff(neg) > 0.0)
     assert np.array_equal(log_qpow, np.log(qpow))
     assert neg.dtype == log_qpow.dtype == np.float64 and neg.size == xstar + 1
     assert not neg.flags.writeable and not log_qpow.flags.writeable
     assert _tail_tables(q, xstar) is _tail_tables(q, xstar)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.999, 0.9999])
+def test_tail_tables_are_the_exact_sums_of_their_terms(q):
+    # entry j is math.fsum of -log(1 - q^i), i <= j, to within an ulp; a
+    # plain cumsum drifts by 1.2e-8 over the 299,321 terms at q = 0.9999
+    xstar = _horizon(q, 1e-9)
+    neg = _tail_tables(q, xstar)[0]
+    terms = (-np.log1p(-(q ** np.arange(1, xstar + 1)))).tolist()
+    for j in np.unique(np.geomspace(1, xstar, 40).astype(int)).tolist():
+        want = math.fsum(terms[:j])
+        assert abs(neg[j] - want) <= math.ulp(want), f"j={j}"
 
 
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99, 0.997])
