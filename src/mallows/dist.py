@@ -22,18 +22,15 @@ return an explicit error bound alongside the value.
 
 Each evaluation reads <n>_q off one tuple of table values and fetches a
 longer table only when an index runs past its end (tables share entries).
+Every law refuses with DomainError where <inf>_q is not a normal double.
 
-This module alone fills a QParam's memo, which holds what it evaluated at
-that q for as long as the caller holds the parameter: each sorted fdd
-series as (value, bound) under (d, tol), each inner tail sum of those
-series as (sum, bound, <b1>, <a_k>) under (e, A, R, tol), shared by every
-sorted series with the same (d_1, d_k, head), and the composition weights
-of each gap tuple under ("weights", gaps) (see _fdd_sorted).  Those are
-deterministic in q and the key, so a hit is exactly what a fresh
-evaluation returns; refusals are raised and never stored.  Equal
-parameters never share entries, so a defect planted with monkeypatch must
-be checked through a fresh QParam: an instance that evaluated before the
-patch answers from its memo.
+This module alone fills a QParam's memo, for as long as the caller holds
+the parameter: each sorted fdd series as (value, bound) under (d, tol),
+each inner tail sum as (sum, bound, <b1>, <a_k>) under (e, A, R, tol), and
+each gap tuple's composition weights under ("weights", gaps) (see
+_fdd_sorted).  A hit is exactly what a fresh evaluation returns, and
+refusals are never stored.  Equal parameters share no entries, so a defect
+planted with monkeypatch must be checked through a fresh QParam.
 """
 from __future__ import annotations
 
@@ -120,8 +117,7 @@ def joint_rl_pmf(p: QParam, r: int, ell: int) -> float:
     """P(R=r, L=ell) = (1-q) q^(r*ell+r+ell) <inf> / (<r><ell>).
 
     Both marginals are geometric with ratio q; the coupling factor q^(r*ell)
-    makes large R and large L repel each other.  DomainError where <inf>_q
-    is not a normal double (from q ~ 0.9977), as for the series.
+    makes large R and large L repel each other.
     """
     r, ell = _integers((r, ell), "r and ell")
     if r < 0 or ell < 0:
@@ -328,7 +324,6 @@ def block_p2(p: QParam, b: tuple[int, ...], a: tuple[int, ...]) -> float:
     At k=1 the exponent is (b+1)a and summing over a >= 0 gives total mass 1
     (Euler's identity), which pins down the index offsets; the k=2 case is
     checked against direct diagram enumeration in the test suite.
-    DomainError where <inf>_q is not a normal double (from q ~ 0.9977).
     """
     b = _integers(b, "gap coordinates")
     a = _integers(a, "gap coordinates")

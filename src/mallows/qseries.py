@@ -55,14 +55,9 @@ def _integers(xs, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class QParam:
-    """The deformation parameter q in (0,1).
-
-    eps_series is EPS_SERIES, a class attribute and not a field.  memo is
-    the cache that dist keeps its evaluations of this q in, for as long as
-    the caller holds the parameter (see dist for its keys).  It takes no
-    part in __init__, ==, hash or repr, so equal parameters compare and
-    hash equal, but they never share entries.
-    """
+    """The deformation parameter q in (0,1); eps_series is the class
+    attribute EPS_SERIES.  memo is where dist keeps its evaluations at q
+    (see dist); it takes no part in __init__, ==, hash or repr."""
 
     q: float
     eps_series: ClassVar[float] = EPS_SERIES
@@ -111,9 +106,8 @@ def _horizon(q: float, eps: float) -> int:
 
 @lru_cache(maxsize=None)
 def _table_size(q: float) -> int:
-    """The size of q's own table: _horizon(q, EPS_SERIES) rounded up to a
-    power of two >= 64, so repeated slightly larger requests reuse one
-    table."""
+    """_horizon(q, EPS_SERIES) rounded up to a power of two >= 64, so
+    slightly larger requests reuse q's one table."""
     size, need = 64, _horizon(q, EPS_SERIES)
     while size < need:
         size *= 2

@@ -589,10 +589,9 @@ def _tail_hits(low: np.ndarray, q: float, xstar: int, s: GeomStream) -> np.ndarr
 def _tail_tables(q: float, xstar: int) -> tuple[np.ndarray, np.ndarray]:
     """(-log <j>_q, log q^j) for j = 0..xstar as read-only float64 arrays,
     cached by (q, xstar) as _part_tables is.  The inversion route keeps
-    this table of its own, apart from the interlacing route's.  Each step
-    of the running sum adds back its TwoSum rounding error, summed by a
-    second cumsum, so entry j is the sum of its j terms to about an ulp
-    where a plain cumsum drifts by ~j ulps (1e-8 at q = 0.9999)."""
+    this table of its own, apart from the interlacing route's.  A second
+    cumsum adds back each step's TwoSum rounding error (a plain one drifts
+    by 1e-8 at q = 0.9999), so entry j is the sum of its terms to an ulp."""
     qpow = q ** np.arange(xstar + 1)
     terms = np.concatenate(([0.0], -np.log1p(-qpow[1:])))
     neg = np.cumsum(terms)
