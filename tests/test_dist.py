@@ -464,21 +464,22 @@ def test_laws_refuse_a_subnormal_infinite_product(q):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "q, call",
     [
-        lambda p: q_factorial(200, p),
-        lambda p: conditional_l_given_r(p, 3000, 0),
-        lambda p: joint_rl_pmf(p, 3000, 0),
-        lambda p: block_p2(p, (3000,), (0,)),
+        (0.999, lambda p: q_factorial(200, p)),
+        (0.996, lambda p: conditional_l_given_r(p, 3000, 3000)),
+        (0.996, lambda p: joint_rl_pmf(p, 3000, 3000)),
+        (0.996, lambda p: block_p2(p, (3000,), (3000,))),
     ],
     ids=["q_factorial", "conditional_l_given_r", "joint_rl_pmf", "block_p2"],
 )
-def test_underflowing_quotients_are_domain_errors(call):
-    # <3000>_q and (1-q)^200 underflow to 0 at q = 0.999
+def test_underflowing_quotients_are_domain_errors(q, call):
+    # (1-q)^200 underflows to 0 at q = 0.999, and <3000>_q^2 at q = 0.996,
+    # below the q ~ 0.9977 from which the closed forms refuse <inf>_q first
+    with pytest.raises(DomainError, match="a denominator underflows to 0"):
+        call(QParam(q))
+    # what the laws benchmark evaluates at q = 0.999 still works
     p = QParam(0.999)
-    with pytest.raises(DomainError):
-        call(p)
-    # what the laws benchmark evaluates at this q still works
     want = math.prod(math.fsum(p.q**k for k in range(i)) for i in range(1, 7))
     assert q_factorial(6, p) == pytest.approx(want, rel=1e-12)
     assert run_suite("exchangeability", (), p, 0).overall_pass
