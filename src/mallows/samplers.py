@@ -34,7 +34,8 @@ route: all rows' right counts in one call, the in-window chains by
 ``perm._leftward_chains``, then each row's tail: a part search for its
 lowest chain's hits (``_tail_hits``), and one overshoot per hit for the
 other chains.  At width 1 there are no other chains and no in-window
-walk, so the tail is the hit count.  ``sample_two_sided_inversion`` is its
+walk, so the tail is the hit count and the overshoots are skipped
+(``GeomStream.skip``), not drawn.  ``sample_two_sided_inversion`` is its
 count=1 case and ``batch_inversion_position0`` its [0..0] case, so both
 return what the kernel returns for the same stream.
 
@@ -44,7 +45,8 @@ block of rows at once: the diagrams come from the part-size search of
 (``_diagram_triples``), then exactly the shuffle skips the rows need are
 drawn in one call, and the sign-word slots (``_sign_counts``, the + position
 rule of ``_plus_positions``), the letters (``perm._chain_states``, in the
-narrowest integer type that holds them) and the window fill run on arrays.
+narrowest integer type that holds them) and the window fill, one gather
+of the letters signed in place (``_signed_letters``), run on arrays.
 At count=1 it draws the same uniforms in the same order as
 ``sample_two_sided_interlacing`` and returns the same window.
 
@@ -358,9 +360,11 @@ def batch_interlacing_windows(
       those letters, and a chain reads only earlier letters of its word,
       so the letters 1 + perm._chain_states of the words, entry-major and
       in that narrow type, are exact up to each need;
-    * the window is filled by one gather from the chain states, at a flat
-      index picked by sign: + slots take plus letters by rank, - slots
-      take 1 - (minus letter) by rank from the right.
+    * the chain states are signed in place (_signed_letters): 1 + state,
+      the letter, in the plus words, and -state, the 1 - (minus letter) a
+      - slot takes, in the minus words; the window is then one gather of
+      them at a flat index picked by sign: + slots take plus letters by
+      rank, - slots minus ones by rank from the right.
     """
     _check_window(lo, hi)
     if count < 0:
@@ -385,20 +389,32 @@ def batch_interlacing_windows(
         quot = s.uniforms(int(need.sum()))
         np.divide(np.log(quot, out=quot), math.log(s.q), out=quot)
         at = np.arange(width, dtype=dtype)[:, None] + (np.cumsum(need) - need).astype(dtype)
-        chains = _chain_states(np.take(_narrow_skips(quot, width), at, mode="clip"))
-        # letter k (0-based) of word w is 1 + chains[k, w], at flat index
-        # k * 2nb + w; each slot reads only the sign it takes: k = i - 1 +
-        # C(i) at a + slot and k = C(i-1) - 1 = C(i) at a - slot
+        signed = _signed_letters(
+            _chain_states(np.take(_narrow_skips(quot, width), at, mode="clip")), nb
+        )
+        # each slot reads only the sign it takes, at flat index k * 2nb + w
+        # for letter k (0-based) of word w: k = i - 1 + C(i) at a + slot and
+        # k = C(i-1) - 1 = C(i) at a - slot
         plus = c[1:] == c[:-1]
         # at = C(i) * 2nb + nb + w, a - slot's index; a + slot's is
         # (i - 1) * 2nb - nb more
         at = c[1:].astype(dtype)
         at *= 2 * nb
         at += np.arange(nb, 2 * nb, dtype=dtype)
-        np.add(at, (prev * (2 * nb) - nb).astype(dtype), out=at, where=plus)
-        got = np.take(chains, at)
-        out[b0 : b0 + nb] = np.where(plus, got + 1, -got).T
+        at += (prev * (2 * nb) - nb).astype(dtype) * plus
+        out[b0 : b0 + nb] = np.take(signed, at).T
     return out
+
+
+def _signed_letters(chains: np.ndarray, nb: int) -> np.ndarray:
+    """The letters x words chain states of a block of nb rows, signed in
+    place as the window takes them: plus letter k of word w < nb is
+    1 + chains[k, w], and a - slot takes 1 - (minus letter) = -chains[k, w]
+    from word w >= nb.  The states stay in their _narrow_skips dtype, whose
+    maximum no state reaches, so the + 1 cannot wrap."""
+    chains[:, :nb] += 1
+    np.negative(chains[:, nb:], out=chains[:, nb:])
+    return chains
 
 
 def _diagram_triples(
@@ -421,17 +437,16 @@ def _diagram_triples(
     into multiplicities, 1 + floor(log U / log q^j) as in the rounds.
     """
     active = np.arange(rows)
-    base = np.zeros(rows, dtype=np.int64)
-    u = s.uniforms(rows)
+    target = -s.uniforms(rows)  # U * neg[0], as neg[0] = -<0>_q = -1.0
     rounds = []
     while active.size:
-        j = np.searchsorted(neg, u * neg[base], side="right")
+        j = np.searchsorted(neg, target, side="right")
         more = j < neg.size
         active, base = active[more], j[more]
         m = active.size
         u = s.uniforms(2 * m)
         rounds.append((active, base, u[:m]))
-        u = u[m:]
+        target = u[m:] * neg[base]
     # later rounds hold larger parts, so with them first a stable sort by
     # row keeps each row's parts decreasing
     row, part, u = (np.concatenate([r[i] for r in reversed(rounds)]) for i in range(3))
@@ -508,9 +523,10 @@ def batch_inversion_windows(
     one draw per row with more than t hits, rows by decreasing hits and
     then by row.  At width 1 the row's one chain is its lowest, with x = r
     and no in-window left count, so every overshoot hits it and its tail is
-    its hit count: the overshoots are drawn (as uniforms) and never read,
-    and no chain, minimum or collision check runs.  At count=1 these are
-    one chain's search and then its overshoots.
+    its hit count: the overshoots are skipped, not drawn (GeomStream.skip
+    leaves s where drawing them would), and no chain, minimum or collision
+    check runs.  At count=1 these are one chain's search and then its
+    overshoots.
 
     Whatever eps_tv, a row's values are distinct and in the order of the
     exact ones: the cascade walks the row's chains over one sequence of
@@ -532,7 +548,7 @@ def batch_inversion_windows(
         # x = r and ell = 0: the row's one chain is its lowest, which every
         # overshoot hits, and one value cannot collide
         ell = _tail_hits(r[:, 0], q, xstar, s)[:, None]
-        s.uniforms(int(ell.sum()))
+        s.skip(int(ell.sum()))
         return lo + r - ell, ell
     x = _leftward_chains(r)
     ell = np.arange(width) - (x - r)

@@ -12,6 +12,10 @@ Draws map uniforms U in (0,1] through the inverse CDF:
                                      support's CDF range
 
 both exact and O(1) per draw.
+
+``skip(n)`` leaves the stream where ``uniforms(n)`` would without making the
+draws: a counter-based generator jumps past whole counter steps.  The
+inversion kernel skips the overshoots it never reads at width 1.
 """
 from __future__ import annotations
 
@@ -85,6 +89,22 @@ class GeomStream:
         self.counter += n
         u = self._gen.random(n)
         return np.subtract(1.0, u, out=u)
+
+    def skip(self, n: int) -> None:
+        """Leave the stream where uniforms(n) would, counter included,
+        without making the n draws.  Philox makes four 64-bit words, one
+        per uniform, a counter step and keeps the unread words of the
+        current step.  Up to that many are read from what is kept; for
+        more, the counter advances past the whole steps (which drops what
+        is kept) and the 0-3 words left over are drawn."""
+        n = _size(n)
+        self.counter += n
+        bits = self._gen.bit_generator
+        kept = 4 - bits.state["buffer_pos"]
+        if n > kept:
+            steps, n = divmod(n - kept, 4)
+            bits.advance(steps)
+        bits.random_raw(n)
 
     # -- geometric laws ----------------------------------------------------
     def geometrics(self, n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from mallows.perm import (
     truncate,
 )
 from mallows.qseries import QParam
-from mallows.samplers import batch_interlacing_windows
+from mallows.samplers import _signed_letters, batch_interlacing_windows
 from mallows.streams import GeomStream
 from oracles import left_walk, pair_counts
 
@@ -241,6 +241,30 @@ def test_chain_states_of_a_clipped_gather_are_each_words_letters(top):
     for w, (s0, n) in enumerate(zip(start, need)):
         letters = 1 + states[:n, w]
         assert letters.tolist() == list(_pop_letters(floors[s0 : s0 + n].tolist()))
+
+
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_signed_letters_at_the_int16_top_are_the_window_rule(width):
+    # the interlacing kernel's fill: a block's letters x words states,
+    # plus words then minus words, signed in place and gathered at one
+    # flat index per slot, give what np.where(plus, got + 1, -got) does;
+    # skips at _narrow_skips' int16 top keep the states int16, the last
+    # letter of words 0 and nb ending at 2^15 - 2, one below the maximum
+    nb, top = 40, 2**15 - width - 1
+    rng = np.random.default_rng(31)
+    skips = rng.integers(0, 6, size=(width, 2 * nb))
+    skips[rng.integers(0, width, size=2 * nb), np.arange(2 * nb)] = top - rng.integers(0, 3, 2 * nb)
+    skips[:, [0, nb]] = 0
+    skips[-1, [0, nb]] = top
+    chains = _chain_states(skips)
+    assert _narrow_skips(skips, width).dtype == chains.dtype == np.int16
+    assert int(chains.max()) + 1 == 2**15 - 1 == np.iinfo(np.int16).max
+    plus = rng.random((7, nb)) < 0.5
+    at = rng.integers(0, width, size=plus.shape) * 2 * nb + np.arange(nb) + nb * ~plus
+    got = np.take(chains, at).astype(np.int64)
+    want = np.where(plus, got + 1, -got)
+    signed = _signed_letters(chains, nb)
+    assert signed.dtype == np.int16 and np.array_equal(np.take(signed, at), want)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.9, 0.999])

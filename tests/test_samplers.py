@@ -857,6 +857,22 @@ def test_uniform_calls_in_a_row_are_one_call_for_their_sum(a, b):
     assert np.array_equal(one.uniforms(4), two.uniforms(4))
 
 
+@pytest.mark.parametrize("before", range(9))
+def test_skip_leaves_the_stream_where_the_uniforms_would(before):
+    # Philox keeps the rest of a four-word counter step: 0-8 prior draws
+    # leave every buffer position, and n covers the kept words, whole
+    # steps, the 0-3 words left over and a pool-sized skip
+    for n in (*range(10), 15, 16, 17, 6727):
+        drawn, skipped = GeomStream(seed=37, q=0.5), GeomStream(seed=37, q=0.5)
+        drawn.uniforms(before)
+        skipped.uniforms(before)
+        drawn.uniforms(n)
+        assert skipped.skip(n) is None
+        assert skipped.counter == drawn.counter == before + n
+        assert skipped.uniforms(13).tobytes() == drawn.uniforms(13).tobytes()
+        assert np.array_equal(skipped.geometrics(5), drawn.geometrics(5))
+
+
 def test_kernels_at_q_near_zero_draw_the_identity_by_one_empty_search_round():
     # every diagram is empty and every right count 0, so each row's part
     # search runs one round that finds no part: one search uniform per row,
@@ -1098,7 +1114,8 @@ def test_batch_inversion_rejects_negative_count():
 def test_stream_refuses_negative_sizes_without_counting():
     s = GeomStream(seed=0, q=0.5)
     s.uniforms(4)
-    for draw in (s.uniforms, s.geometrics, lambda n: s.truncated_geometrics(n, np.full(1, 3)),
+    for draw in (s.uniforms, s.skip, s.geometrics,
+                 lambda n: s.truncated_geometrics(n, np.full(1, 3)),
                  lambda n: s.truncated_geometrics(n, np.zeros(0, dtype=np.int64))):
         with pytest.raises(DomainError):
             draw(-1)
@@ -1109,7 +1126,8 @@ def test_stream_refuses_non_integer_sizes_without_counting():
     # a float count is refused, not truncated; numpy integers pass
     s = GeomStream(seed=0, q=0.5)
     s.uniforms(4)
-    for draw in (s.uniforms, s.geometrics, lambda n: s.truncated_geometrics(n, np.full(2, 3))):
+    for draw in (s.uniforms, s.skip, s.geometrics,
+                 lambda n: s.truncated_geometrics(n, np.full(2, 3))):
         for n in (2.7, 2.0, "2", None):
             with pytest.raises(DomainError):
                 draw(n)
