@@ -3,8 +3,10 @@ the closed-form laws.
 
 Each kernel and stream family runs its routines over a fixed grid, every
 call on a fresh stream of seed SEED, and hashes into one sha256 every array
-the calls return (its dtype, shape and bytes) and the stream's ``counter``
-after them:
+the calls return (its dtype, shape and bytes), then where each call left
+its stream: the stream's ``counter`` and its next PEEK uniforms.  The
+uniforms pin the generator's own position, so a call that moves it
+without counting (a ``skip`` a word short, say) moves its family too:
 
 * ``kernels.inversion``: batch_inversion_windows over q x windows x counts
   x eps_tv, and batch_inversion_position0 (the full grid adds one call
@@ -108,6 +110,9 @@ STREAM_GRID = {
 #: 2^31 and near the one-sided skips at q -> 1
 CHAIN_EDGES = (2**31 - 9, 2**31 - 8, 2**31 - 7, 2**31, 4 * 10**12)
 
+#: uniforms drawn and hashed after each call (_where)
+PEEK = 3
+
 
 #: per grid: (q values, radius of the k=3 fdd box, radius of the k <= 2
 #: boxes, displacement_pmf radius, largest entry of the joint_rl_pmf,
@@ -119,6 +124,12 @@ LAWS_GRID = {
     "full": ((0.02, 0.3, 0.5, 0.8, 0.95, 0.985, 0.996, 0.997, 0.999), 4, 6, 40, 5),
     "reduced": ((0.3, 0.985, 0.996, 0.997, 0.999), 3, 4, 40, 2),
 }
+
+
+def _where(s: GeomStream) -> tuple:
+    """Where the calls before left s: its counter and its next PEEK
+    uniforms (drawn here)."""
+    return s.counter, s.uniforms(PEEK)
 
 
 def _feed(h, *items) -> None:
@@ -137,14 +148,14 @@ def _inversion(grid: str) -> str:
         p = QParam(q)
         for (lo, hi), count, eps_tv in ((w, c, e) for w in windows for c in counts for e in epss):
             s = GeomStream(SEED, q)
-            _feed(h, *samplers.batch_inversion_windows(lo, hi, p, s, count, eps_tv), s.counter)
+            _feed(h, *samplers.batch_inversion_windows(lo, hi, p, s, count, eps_tv), *_where(s))
         for count, eps_tv in ((c, e) for c in counts for e in epss):
             s = GeomStream(SEED, q)
-            _feed(h, *samplers.batch_inversion_position0(p, s, count, eps_tv), s.counter)
+            _feed(h, *samplers.batch_inversion_position0(p, s, count, eps_tv), *_where(s))
     if grid == "full":
         lo, hi, q, count, eps_tv = DEEP_TAIL
         s = GeomStream(SEED, q)
-        _feed(h, *samplers.batch_inversion_windows(lo, hi, QParam(q), s, count, eps_tv), s.counter)
+        _feed(h, *samplers.batch_inversion_windows(lo, hi, QParam(q), s, count, eps_tv), *_where(s))
     return h.hexdigest()
 
 
@@ -155,16 +166,16 @@ def _interlacing(grid: str) -> str:
         p = QParam(q)
         for (lo, hi), count in ((w, c) for w in windows for c in counts):
             s = GeomStream(SEED, q)
-            _feed(h, samplers.batch_interlacing_windows(lo, hi, p, s, count), s.counter)
+            _feed(h, samplers.batch_interlacing_windows(lo, hi, p, s, count), *_where(s))
         for lo, hi in windows:
             s = GeomStream(SEED, q)
-            _feed(h, samplers.sample_two_sided_interlacing(lo, hi, p, s).values, s.counter)
+            _feed(h, samplers.sample_two_sided_interlacing(lo, hi, p, s).values, *_where(s))
         s = GeomStream(SEED, q)
-        _feed(h, samplers.sample_young_euler(p, s).parts, s.counter)
+        _feed(h, samplers.sample_young_euler(p, s).parts, *_where(s))
     if grid == "reduced":
         for lo, hi, q, count in DEEP_SHAPES:
             s = GeomStream(SEED, q)
-            _feed(h, samplers.batch_interlacing_windows(lo, hi, QParam(q), s, count), s.counter)
+            _feed(h, samplers.batch_interlacing_windows(lo, hi, QParam(q), s, count), *_where(s))
     return h.hexdigest()
 
 
@@ -177,11 +188,11 @@ def _words(grid: str) -> str:
             for kernel in (samplers.batch_finite_r, samplers.batch_finite_words,
                            samplers.batch_shuffle_prefixes):
                 s = GeomStream(SEED, q)
-                _feed(h, kernel(n, p, s, count), s.counter)
+                _feed(h, kernel(n, p, s, count), *_where(s))
         for n in ns:
             s = GeomStream(SEED, q)
-            _feed(h, samplers.sample_finite_mallows(n, p, s).values,
-                  samplers.q_shuffle_prefix(n, p, s), s.counter)
+            _feed(h, samplers.sample_finite_mallows(n, p, s).values, *_where(s))
+            _feed(h, samplers.q_shuffle_prefix(n, p, s), *_where(s))
     rng = np.random.default_rng(SEED)
     for q in qs:
         for width in (1, 2, 8, 65):
@@ -204,9 +215,9 @@ def _streams(grid: str) -> str:
               _geometrics_of_logs(np.log(s.uniforms(97)), math.log(0.25)),
               _geometrics_of_logs(np.log(s.uniforms(97)), np.log(ratios)),
               s.truncated_geometrics(97, np.full(97, 5)),
-              s.truncated_geometrics(97, limits), s.counter)
+              s.truncated_geometrics(97, limits), *_where(s))
         child = s.spawn("child").spawn(3)
-        _feed(h, child.uniforms(100), child.geometrics(100), child.counter, s.counter)
+        _feed(h, child.uniforms(100), child.geometrics(100), *_where(child), *_where(s))
     return h.hexdigest()
 
 
