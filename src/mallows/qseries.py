@@ -3,6 +3,8 @@
 Everything downstream (samplers, distribution formulas, the brute-force
 oracle) is built from the quantities here, so this module is deliberately
 small, exact where possible, and explicit about truncation error where not.
+The laws read <n>_q from pochhammer_table; both samplers' part searches
+read one exact table of -log <n>_q (log_table).
 
 Notation used throughout the package:
 
@@ -25,6 +27,8 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -104,14 +108,22 @@ def _horizon(q: float, eps: float) -> int:
     return x
 
 
+def _doubled(q: float, size: int, n: int) -> int:
+    """size doubled until it covers n, or DomainError where that is past
+    MAX_TABLE, before any table is built."""
+    while size < n:
+        size *= 2
+    if size > MAX_TABLE:
+        raise DomainError(f"q={q}: a table of {size} entries of <n>_q is past "
+                          f"MAX_TABLE={MAX_TABLE}; no value can be returned")
+    return size
+
+
 @lru_cache(maxsize=None)
 def _table_size(q: float) -> int:
     """_horizon(q, EPS_SERIES) rounded up to a power of two >= 64, so
     slightly larger requests reuse q's one table."""
-    size, need = 64, _horizon(q, EPS_SERIES)
-    while size < need:
-        size *= 2
-    return size
+    return _doubled(q, 64, _horizon(q, EPS_SERIES))
 
 
 @lru_cache(maxsize=None)
@@ -132,13 +144,32 @@ def _build_table(q: float, n_max: int) -> QPochhammerTable:
 def pochhammer_table(p: QParam, n_max: int = 0) -> QPochhammerTable:
     """Return the (cached) table for p, covering at least n = 0..n_max:
     _table_size(p.q), doubled until it covers n_max."""
-    size = _table_size(p.q)
-    while size < n_max:
-        size *= 2
-    if size > MAX_TABLE:
-        raise DomainError(f"q={p.q}: a table of {size} entries of <n>_q is past "
-                          f"MAX_TABLE={MAX_TABLE}; no value can be returned")
-    return _build_table(p.q, size)
+    return _build_table(p.q, _doubled(p.q, _table_size(p.q), n_max))
+
+
+def log_table(q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-log <j>_q, log q^j) for j = 0..n: read-only float64 views of the
+    cached table of the smallest power-of-two size >= max(64, n)."""
+    neg, log_qpow = _log_table(q, _doubled(q, 64, n))
+    return neg[: n + 1], log_qpow[: n + 1]
+
+
+@lru_cache(maxsize=None)
+def _log_table(q: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-log <j>_q, log q^j) for j = 0..size, read-only; log q^j is -inf
+    where q^j underflows (never a part).  A second cumsum adds back each
+    step's TwoSum rounding error (a plain one drifts by 1e-8 at q = 0.9999),
+    so entry j is the sum of its terms to an ulp, whatever the size."""
+    qpow = q ** np.arange(size + 1)
+    terms = np.concatenate(([0.0], -np.log1p(-qpow[1:])))
+    neg = np.cumsum(terms)
+    step = neg[1:] - neg[:-1]
+    neg[1:] += np.cumsum((neg[:-1] - (neg[1:] - step)) + (terms[1:] - step))
+    with np.errstate(divide="ignore"):
+        tables = neg, np.log(qpow)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def normal_table(p: QParam, refusal: str, n_max: int = 0) -> QPochhammerTable:

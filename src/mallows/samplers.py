@@ -50,17 +50,18 @@ of the letters signed in place (``_signed_letters``), run on arrays.
 At count=1 it draws the same uniforms in the same order as
 ``sample_two_sided_interlacing`` and returns the same window.
 
-Both part searches draw a round's multiplicities and the next round's
-search uniforms in one s.uniforms call, since uniforms(a) then uniforms(b)
-draws what uniforms(a + b) does.  Their rounds only search: every
-multiplicity is computed once, after the last round.
+Both kernels' part searches are one round loop, ``_parts_above``, on
+``qseries.log_table``: the diagrams from part 0, the tail hits from each
+row's lowest chain state.  A round draws its multiplicities and the next
+round's search uniforms in one s.uniforms call, since uniforms(a) then
+uniforms(b) draws what uniforms(a + b) does.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,7 +69,7 @@ from .errors import DomainError, NotInjectiveError
 from .perm import (
     PermWindow, _chain_states, _leftward_chains, _narrow_skips, _pop_letters, eliminate_right,
 )
-from .qseries import MAX_TABLE, QParam, _horizon, normal_table
+from .qseries import MAX_TABLE, QParam, _horizon, _table_size, log_table
 from .streams import GeomStream, _geometrics_of_logs
 
 
@@ -133,33 +134,14 @@ def q_shuffle_prefix(n_letters: int, p: QParam, s: GeomStream) -> tuple[int, ...
 # Young diagrams under the Euler measure
 # --------------------------------------------------------------------------
 
-def _part_search(p: QParam) -> tuple[list[float], list[float]]:
-    """(-<j>_q, log q^j) for j = 0..N, N the depth of p's Pochhammer table,
-    log q^j being -inf where q^j underflows (never a part).
-
-    The search compares U <b>_q with <j>_q down to <N>_q ~ <inf>_q, so it
-    is refused where <inf>_q is not a normal double (from q ~ 0.9977).
-    The tables are cached by q, so the cache keeps no parameter object
-    (nor its memo) alive.
-    """
-    return _part_tables(p.q)[0]
-
-
-def _part_search_arrays(p: QParam) -> tuple[np.ndarray, np.ndarray]:
-    """_part_search's tables as read-only float64 arrays, cached with them."""
-    return _part_tables(p.q)[1]
-
-
-@lru_cache(maxsize=None)
-def _part_tables(q: float) -> tuple[tuple, tuple]:
-    """The search's two lists, and the same as read-only arrays."""
-    table = normal_table(QParam(q), "Euler-measure diagrams cannot be drawn")
-    with np.errstate(divide="ignore"):  # -inf where q^j underflows, never a part
-        log_qpow = np.log([q**j for j in range(len(table.values))])
-    arrays = np.array([-v for v in table.values]), log_qpow
-    for a in arrays:
-        a.flags.writeable = False
-    return tuple(a.tolist() for a in arrays), arrays
+def _euler_table(q: float) -> tuple[np.ndarray, np.ndarray]:
+    """log_table(q, N), N = qseries._table_size(q), or DomainError where
+    <inf>_q ~ exp(-neg[N]) is not a normal double (from q ~ 0.9977)."""
+    neg, log_qpow = log_table(q, _table_size(q))
+    if neg[-1] > -math.log(sys.float_info.min):
+        raise DomainError(f"<inf>_q = {math.exp(-neg[-1])!r} is not a normal double "
+                          f"at q={q}; Euler-measure diagrams cannot be drawn")
+    return neg, log_qpow
 
 
 def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
@@ -168,23 +150,23 @@ def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
     The multiplicity of part size k is geometric with ratio q^k,
     independently over k, so given no part in 1..b the next part size J
     has P(J > j) = <j>_q / <b>_q.  One uniform U gives
-    J = min{j > b : <j>_q < U <b>_q}; where there is none the diagram is
-    complete, which has probability <inf>_q / <b>_q (up to the relative
+    J = min{j : -log <j>_q > -log <b>_q - log U}; if there is none, the
+    diagram is complete, which has probability <inf>_q / <b>_q (up to the relative
     error EPS_SERIES of the table's last entry).  Otherwise J has
     multiplicity 1 + geometric(q^J) and the search goes on from b = J.
     Part sizes increase strictly and stay below the table length, so the
     loop ends.  Draws: one uniform per search (one per distinct part size
     plus one that ends the diagram), and one uniform U per multiplicity,
-    which is 1 + floor(log U / log q^J), the kernel's inverse CDF;
-    _diagram_triples runs the same rounds over many rows.  Raises
-    DomainError where <inf>_q is not a normal double (q >~ 0.9977).
+    which is 1 + floor(log U / log q^J): _parts_above at one row, numpy's
+    log included.  Raises DomainError where <inf>_q is not a normal double
+    (q >~ 0.9977).
     """
     _check_stream(p, s)
-    neg, log_qpow = _part_search(p)
+    neg, log_qpow = _euler_table(p.q)
     parts: list[int] = []
     b = 0
-    while (j := bisect_right(neg, s.uniform() * neg[b], b + 1)) < len(neg):
-        parts.extend([j] * (1 + int(math.log(s.uniform()) / log_qpow[j])))
+    while (j := int(neg.searchsorted(neg[b] - np.log(s.uniform()), "right"))) < neg.size:
+        parts.extend([j] * (1 + int(np.log(s.uniform()) / log_qpow[j])))
         b = j
     return YoungDiagram(tuple(reversed(parts)))
 
@@ -338,9 +320,7 @@ def batch_interlacing_windows(
     one s.uniforms call taken as the quotients log U / log q of
     s.geometrics: each row's plus word in row order, then each row's minus
     word.  So at count=1 both samplers draw the same uniforms
-    in the same order and return the same window (np.log and math.log of a
-    multiplicity's uniform can differ in the last bit, which moves a draw
-    only when its quotient lies within an ulp of an integer).  Then on
+    in the same order and return the same window.  Then on
     arrays, entry-major (a column or letter index by rows), so that each
     pass runs along the block's rows and not along a window a few entries
     wide:
@@ -370,7 +350,7 @@ def batch_interlacing_windows(
     if count < 0:
         raise DomainError("count must be >= 0")
     _check_stream(p, s)
-    neg, log_qpow = _part_search_arrays(p)
+    neg, log_qpow = _euler_table(p.q)
     prev = np.arange(lo - 1, hi)[:, None]  # i - 1 for each window position i
     out = np.empty((count, hi - lo + 1), dtype=np.int64)
     for b0 in range(0, count, _BLOCK_ROWS):
@@ -417,41 +397,49 @@ def _signed_letters(chains: np.ndarray, nb: int) -> np.ndarray:
     return chains
 
 
+def _parts_above(
+    s: GeomStream, active: np.ndarray, base, neg: np.ndarray, log_qpow: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts above base (up to the end of the table neg, log_qpow of
+    qseries.log_table) of an Euler-measure diagram for each row of active,
+    in row order, as int64 (row, part size, multiplicity) triples, the
+    later rounds first.
+
+    Each round, every row still drawing takes one uniform U and finds its
+    next part size j, the first with neg[j] > neg[base] - log U, and the m
+    rows that found one draw its multiplicity, geometric with ratio q^j,
+    from one uniform each: one s.uniforms(2m) call under one np.log, the
+    multiplicities first, then the next round's search.  A round only
+    searches; after the last one, one gather, division and cast make all
+    the multiplicities, 1 + floor(log U / log q^j).
+    """
+    log_u = np.log(s.uniforms(active.size))
+    rounds = []
+    while True:
+        j = np.searchsorted(neg, neg[base] - log_u, side="right")
+        found = j < neg.size
+        active, base = active[found], j[found]
+        m = active.size
+        log_u = np.log(s.uniforms(2 * m))
+        rounds.append((active, base, log_u[:m]))
+        if not m:
+            break
+        log_u = log_u[m:]
+    row, part, log_u = (np.concatenate([r[i] for r in reversed(rounds)]) for i in range(3))
+    mult = _geometrics_of_logs(log_u, log_qpow[part])
+    mult += 1
+    return row, part, mult
+
+
 def _diagram_triples(
     s: GeomStream, rows: int, neg: np.ndarray, log_qpow: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler-measure diagrams of `rows` rows, 1 <= rows <= 2^15, as int32
     (row, part size, multiplicity) triples, sorted by row and then by
-    decreasing part size.
-
-    neg and log_qpow are _part_search's tables as arrays.  Each round,
-    every row still drawing takes one uniform and finds its next part size
-    by the search of sample_young_euler (one searchsorted), and the m rows
-    that found one draw its multiplicity, geometric with ratio q^j, from
-    one uniform each.  Those m multiplicities and the next round's m search
-    uniforms are one s.uniforms(2m) call, the multiplicities first, which
-    draws what a call for each would.  For a single row these are
-    sample_young_euler's draws.  A round only searches: it keeps its (rows,
-    parts, multiplicity uniforms), and after the last round one np.log,
-    one log_qpow gather, one division and one cast turn all the uniforms
-    into multiplicities, 1 + floor(log U / log q^j) as in the rounds.
-    """
-    active = np.arange(rows)
-    target = -s.uniforms(rows)  # U * neg[0], as neg[0] = -<0>_q = -1.0
-    rounds = []
-    while active.size:
-        j = np.searchsorted(neg, target, side="right")
-        more = j < neg.size
-        active, base = active[more], j[more]
-        m = active.size
-        u = s.uniforms(2 * m)
-        rounds.append((active, base, u[:m]))
-        target = u[m:] * neg[base]
+    decreasing part size: _parts_above from base 0 on _euler_table."""
+    row, part, mult = _parts_above(s, np.arange(rows), 0, neg, log_qpow)
     # later rounds hold larger parts, so with them first a stable sort by
     # row keeps each row's parts decreasing
-    row, part, u = (np.concatenate([r[i] for r in reversed(rounds)]) for i in range(3))
-    mult = _geometrics_of_logs(np.log(u, out=u), log_qpow[part])
-    mult += 1
     row, part, mult = (a.astype(np.int32) for a in (row, part, mult))
     assert rows <= 2**15
     order = np.argsort(row.astype(np.int16), kind="stable")  # a radix sort
@@ -508,11 +496,11 @@ def batch_inversion_windows(
     ratio q^J).  A hit's overshoot, the right count less y+1, is geometric(q),
     and a chain with gap g = x - y is hit where g <= the overshoot, else its
     gap grows by 1 (a right count <= y steps every chain).  So a part search
-    from low on a table of -log <j>_q, j <= x* = qseries._horizon(q, eps_tv),
-    gives the hits, and one overshoot per hit the rest.  A part above x*
-    has probability at most q^(x*+1)/(1-q) <= eps_tv, so each row is within
-    eps_tv of exact in total variation.  The values are
-    sigma(j) = j + r_j - ell_j.
+    from low (_parts_above) on the table of -log <j>_q, j <= x* =
+    qseries._horizon(q, eps_tv), gives the hits, and one overshoot per hit
+    the rest.  A part above x* has probability at most q^(x*+1)/(1-q) <=
+    eps_tv, so each row is within eps_tv of exact in total variation.  The
+    values are sigma(j) = j + r_j - ell_j.
 
     Draws: every row's right counts, row by row, in one s.geometrics call;
     then search rounds (_tail_hits), each one uniform per row still
@@ -572,51 +560,15 @@ def batch_inversion_windows(
 
 def _tail_hits(low: np.ndarray, q: float, xstar: int, s: GeomStream) -> np.ndarray:
     """Each row's tail hits, as int64: the parts above its in-window state
-    low of an Euler-measure diagram, by the part search on the table of
-    -log <j>_q, j <= xstar (_tail_tables), over the rows with low below
-    xstar in row order.  A round's m multiplicities and the next round's m
-    search uniforms are one s.uniforms(2m) call under one np.log, the
-    multiplicities first.  A round only searches and keeps its (rows,
-    parts, multiplicity logs); after the last round one gather, division
-    and cast make the multiplicities, and np.add.at sums each row's, in
-    int64, so exactly at any size."""
-    neg, log_qpow = _tail_tables(q, xstar)
+    low of an Euler-measure diagram, by _parts_above from base low on the
+    table of -log <j>_q, j <= xstar (qseries.log_table), over the rows with
+    low below xstar in row order.  np.add.at sums each row's multiplicities
+    in int64, so exactly at any size."""
     hits = np.zeros(low.size, dtype=np.int64)
     active = np.flatnonzero(low < xstar)
-    base, log_u = low[active], np.log(s.uniforms(active.size))
-    rounds = []
-    while active.size:
-        j = np.searchsorted(neg, neg[base] - log_u, side="right")
-        found = j <= xstar
-        active, base = active[found], j[found]
-        m = active.size
-        log_u = np.log(s.uniforms(2 * m))
-        rounds.append((active, base, log_u[:m]))
-        log_u = log_u[m:]
-    if rounds:
-        row, part, log_u = (np.concatenate([r[i] for r in rounds]) for i in range(3))
-        mult = _geometrics_of_logs(log_u, log_qpow[part])
-        mult += 1
-        np.add.at(hits, row, mult)
+    row, _, mult = _parts_above(s, active, low[active], *log_table(q, xstar))
+    np.add.at(hits, row, mult)
     return hits
-
-
-@lru_cache(maxsize=None)
-def _tail_tables(q: float, xstar: int) -> tuple[np.ndarray, np.ndarray]:
-    """(-log <j>_q, log q^j) for j = 0..xstar as read-only float64 arrays,
-    cached by (q, xstar) as _part_tables is.  The inversion route keeps
-    this table of its own, apart from the interlacing route's.  A second
-    cumsum adds back each step's TwoSum rounding error (a plain one drifts
-    by 1e-8 at q = 0.9999), so entry j is the sum of its terms to an ulp."""
-    qpow = q ** np.arange(xstar + 1)
-    terms = np.concatenate(([0.0], -np.log1p(-qpow[1:])))
-    neg = np.cumsum(terms)
-    step = neg[1:] - neg[:-1]
-    neg[1:] += np.cumsum((neg[:-1] - (neg[1:] - step)) + (terms[1:] - step))
-    tables = neg, np.log(qpow)
-    for a in tables:
-        a.flags.writeable = False
-    return tables
 
 
 def batch_inversion_position0(

@@ -155,7 +155,8 @@ def _inversion(grid: str) -> str:
     if grid == "full":
         lo, hi, q, count, eps_tv = DEEP_TAIL
         s = GeomStream(SEED, q)
-        _feed(h, *samplers.batch_inversion_windows(lo, hi, QParam(q), s, count, eps_tv), *_where(s))
+        windows = samplers.batch_inversion_windows(lo, hi, QParam(q), s, count, eps_tv)
+        _feed(h, *windows, *_where(s))
     return h.hexdigest()
 
 

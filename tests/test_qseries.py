@@ -20,12 +20,14 @@ from mallows.qseries import (
     QParam,
     _build_table,
     _horizon,
+    _log_table,
     _table_size,
+    log_table,
     pochhammer_table,
     q_factorial,
     q_pochhammer,
 )
-from mallows.samplers import _part_search, batch_interlacing_windows
+from mallows.samplers import _euler_table, batch_interlacing_windows
 from mallows.streams import GeomStream
 from oracles import poch
 
@@ -246,6 +248,36 @@ def test_table_size_is_one_size_per_q():
         assert len(pochhammer_table(QParam(q)).values) == size + 1
 
 
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.997, 0.9999])
+def test_log_table_is_the_exact_sum_cached_read_only(q):
+    # both samplers' part searches read this one table, at every q of the
+    # kernel digest grid and near 1.  Entry j is math.fsum of its j terms
+    # to within an ulp; a plain cumsum drifts by 1.2e-8 over the 299,321
+    # terms at q = 0.9999 (eps_tv 1e-9)
+    n = _table_size(q)
+    neg, log_qpow = log_table(q, n)
+    qpow = q ** np.arange(n + 1)
+    terms = (-np.log1p(-qpow[1:])).tolist()
+    for j in {n, *range(0, n, max(1, n // 40))}:
+        want = math.fsum(terms[:j])
+        assert abs(neg[j] - want) <= math.ulp(want), f"j={j}"
+    assert np.array_equal(log_qpow, np.log(qpow))
+    assert neg.dtype == log_qpow.dtype == np.float64 and neg.size == n + 1
+    # every length reads the same values, from q's one table of the
+    # smallest power-of-two size >= max(64, length)
+    for m in (0, 1, 63, 64, 65, 1000, n - 1, n):
+        size = max(64, 1 << (m - 1).bit_length())
+        short, short_log = log_table(q, m)
+        assert short.size == short_log.size == m + 1
+        assert short.base is _log_table(q, size)[0] and short_log.base is _log_table(q, size)[1]
+        k = min(m, n) + 1
+        assert np.array_equal(short[:k], neg[:k]) and np.array_equal(short_log[:k], log_qpow[:k])
+        assert np.array_equal(_log_table(q, size)[0], _log_table(q, 2 * size)[0][: size + 1])
+        for a in (short, short_log, *_log_table(q, size)):
+            assert not a.flags.writeable
+    assert _log_table(q, n) is _log_table(q, n)
+
+
 def test_equal_parameters_compare_and_hash_equal_with_their_own_memos():
     a, b = QParam(0.5), QParam(0.5)
     # a table leaves no memo entry; a series evaluated by dist does
@@ -255,8 +287,8 @@ def test_equal_parameters_compare_and_hash_equal_with_their_own_memos():
     assert a.memo and not b.memo
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == "QParam(q=0.5)"
-    # samplers._part_search's cache finds an equal parameter's entry
-    assert _part_search(a) is _part_search(b)
+    # the samplers' table is cached by q, so an equal parameter reads its entry
+    assert _euler_table(a.q)[0].base is _euler_table(b.q)[0].base
     # the series tolerance is the package's one EPS_SERIES, not a field
     assert a.eps_series == QParam.eps_series == EPS_SERIES
     for args in ((0.5, 1e-6), (0.5, 1e-12, {})):

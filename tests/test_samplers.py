@@ -16,16 +16,14 @@ from mallows import qseries, samplers
 from mallows.dist import FddQuery, conditional_l_given_r, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
 from mallows.perm import _leftward_chains, _pop_letters
-from mallows.qseries import QParam, _horizon, pochhammer_table
+from mallows.qseries import QParam, _horizon, log_table, pochhammer_table
 from mallows.samplers import (
     YoungDiagram,
     _diagram_triples,
-    _part_search,
-    _part_search_arrays,
+    _euler_table,
     _plus_positions,
     _sign_counts,
     _tail_hits,
-    _tail_tables,
     batch_finite_r,
     batch_finite_words,
     batch_interlacing_windows,
@@ -217,21 +215,22 @@ class _ConstantStream:
 @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.8, 0.95, 0.99])
 @pytest.mark.parametrize("u", [1.0, 1.0 - 2.0**-53, 2.0**-53])
 def test_young_multiplicities_stop_at_float_saturation(q, u):
-    # U = 1 asks for a part wherever <j>_q still drops, up to where 1 - q^j
-    # rounds to 1; the search must end there, inside the table
-    values = pochhammer_table(QParam(q)).values
-    s = _ConstantStream(q, u, limit=len(values))
+    # U = 1 asks for a part wherever -log <j>_q still grows, up to where
+    # its terms no longer move the sum; the search must end there, inside
+    # the table
+    neg = _euler_table(q)[0]
+    s = _ConstantStream(q, u, limit=neg.size)
     parts = sample_young_euler(QParam(q), s).parts
     sizes = set(parts)
     # one uniform per distinct part size, found once each, and one that ends;
     # one multiplicity uniform per distinct part size
     assert len(sizes) == s.calls - 1 == s.mults
-    assert all(1 <= j < len(values) for j in sizes)
+    assert all(1 <= j < neg.size for j in sizes)
     if u > 0.5:
         # every geometric is 0: each size has multiplicity 1
         assert len(parts) == len(sizes)
     if u == 1.0:
-        assert sizes == {j for j in range(1, len(values)) if values[j] < values[j - 1]}
+        assert sizes == {j for j in range(1, neg.size) if neg[j] > neg[j - 1]}
 
 
 def _assert_size_law(sizes, q):
@@ -255,43 +254,12 @@ def test_young_sampler_deep_diagram_law(q, n_draws):
     _assert_size_law(sizes, q)
 
 
-def test_part_search_arrays_are_its_lists_cached_read_only():
-    # the kernel's tables are the scalar search's lists, built once per
-    # q and shared, so no caller may write to them
-    p = QParam(0.95)
-    neg, log_qpow = _part_search_arrays(p)
-    assert neg.tolist() == _part_search(p)[0] and log_qpow.tolist() == _part_search(p)[1]
-    assert neg.dtype == log_qpow.dtype == np.float64
-    assert not neg.flags.writeable and not log_qpow.flags.writeable
-    assert np.array_equal(log_qpow, np.log([0.95**j for j in range(neg.size)]))
-    assert _part_search_arrays(QParam(0.95)) is _part_search_arrays(p)
-
-
-@pytest.mark.parametrize("q, xstar", [(0.5, 0), (0.5, 30), (0.9, 1), (0.999, 20_000),
-                                      (0.9999, 299_321)])
-def test_tail_tables_are_the_per_call_tables_cached_read_only(q, xstar):
-    # the inversion tail's tables, built once per (q, xstar) and shared, so
-    # no caller may write to them
-    qpow = q ** np.arange(xstar + 1)
-    neg, log_qpow = _tail_tables(q, xstar)
-    # entry j is math.fsum of its j terms to within an ulp; a plain cumsum
-    # drifts by 1.2e-8 over the 299,321 terms at q = 0.9999 (eps_tv 1e-9)
-    terms = (-np.log1p(-qpow[1:])).tolist()
-    for j in {xstar, *range(0, xstar, max(1, xstar // 40))}:
-        want = math.fsum(terms[:j])
-        assert abs(neg[j] - want) <= math.ulp(want), f"j={j}"
-    assert np.array_equal(log_qpow, np.log(qpow))
-    assert neg.dtype == log_qpow.dtype == np.float64 and neg.size == xstar + 1
-    assert not neg.flags.writeable and not log_qpow.flags.writeable
-    assert _tail_tables(q, xstar) is _tail_tables(q, xstar)
-
-
 @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99, 0.997])
 def test_young_sampler_is_the_diagram_search_at_one_row(q):
     # the scalar search and the kernel's rounds take the same uniforms in
     # the same order, and the same quotient log U / log q^j per multiplicity
     p = QParam(q)
-    tables = _part_search_arrays(p)
+    tables = _euler_table(q)
     for seed in range(200):
         a, b = GeomStream(seed, q), GeomStream(seed, q)
         parts = sample_young_euler(p, a).parts
@@ -303,7 +271,7 @@ def test_young_sampler_is_the_diagram_search_at_one_row(q):
 @pytest.mark.parametrize("q", [0.95, 0.99])
 def test_diagram_triples_deep_diagram_law(q):
     rows = 20_000
-    tables = _part_search_arrays(QParam(q))
+    tables = _euler_table(q)
     row, part, mult = _diagram_triples(GeomStream(seed=41, q=q), rows, *tables)
     sizes = np.bincount(row, weights=part.astype(np.int64) * mult, minlength=rows)
     _assert_size_law(sizes, q)
@@ -419,8 +387,7 @@ def test_sign_counts_agree_with_slots(lo, hi):
 def test_diagram_triples_deep_rows():
     # at q=0.95 a row has about 19 part sizes, so the search takes many
     # rounds, each over a different set of rows still drawing
-    p = QParam(0.95)
-    tables = _part_search_arrays(p)
+    tables = _euler_table(0.95)
     row, part, mult = _diagram_triples(GeomStream(seed=103, q=0.95), 300, *tables)
     assert (np.diff(row) >= 0).all() and (mult >= 1).all() and row.max() < 300
     same_row = row[1:] == row[:-1]
@@ -982,25 +949,25 @@ def _interlacing_block_replay(lo, hi, p, s, rows):
     part searches round by round (each row still drawing takes one search
     uniform, in row order; then the m rows that found a part take one
     multiplicity uniform each and the next round's m search uniforms, in
-    one call), then every row's plus-word skips in row order and every
-    row's minus-word skips, each window filled by the rule of
-    sample_two_sided_interlacing."""
-    neg, log_qpow = _part_search(p)
+    one call under one np.log), then every row's plus-word skips in row
+    order and every row's minus-word skips, each window filled by the rule
+    of sample_two_sided_interlacing."""
+    neg, log_qpow = (a.tolist() for a in _euler_table(p.q))
     parts = [[] for _ in range(rows)]
     base = [0] * rows
-    active, u = list(range(rows)), s.uniforms(rows).tolist()
+    active, log_u = list(range(rows)), np.log(s.uniforms(rows)).tolist()
     while active:
         found = []
-        for r, ur in zip(active, u):
-            j = bisect_right(neg, ur * neg[base[r]], base[r] + 1)
+        for r, lu in zip(active, log_u):
+            j = bisect_right(neg, neg[base[r]] - lu)
             if j < len(neg):
                 found.append(r)
                 base[r] = j
         m = len(found)
-        u = s.uniforms(2 * m)
-        for r, log_u in zip(found, np.log(u[:m]).tolist()):
-            parts[r] += [base[r]] * (1 + int(log_u / log_qpow[base[r]]))
-        active, u = found, u[m:].tolist()
+        log_u = np.log(s.uniforms(2 * m))
+        for r, lu in zip(found, log_u[:m].tolist()):
+            parts[r] += [base[r]] * (1 + int(lu / log_qpow[base[r]]))
+        active, log_u = found, log_u[m:].tolist()
     plus = [_plus_positions(tuple(reversed(x)), hi) for x in parts]
     first = [bisect_left(x, lo) for x in plus]
     need = [len(x) for x in plus] + [f - (lo - 1) for f in first]
@@ -1058,7 +1025,7 @@ def _tail_hits_replay(low, q, xstar, s):
     uniform, then the m rows that found one take one multiplicity uniform
     each and the next round's m search uniforms, in one call under one
     np.log."""
-    neg, log_qpow = (a.tolist() for a in _tail_tables(q, xstar))
+    neg, log_qpow = (a.tolist() for a in log_table(q, xstar))
     hits, base = [0] * len(low), list(low)
     active = [r for r in range(len(low)) if low[r] < xstar]
     log_u = np.log(s.uniforms(len(active))).tolist()
@@ -1102,6 +1069,24 @@ def test_tail_hits_with_no_row_searching_or_no_rows_draw_nothing():
     hits = _tail_hits(np.zeros(0, dtype=np.int64), 0.5, 30, s)
     assert hits.dtype == np.int64 and hits.shape == (0,)
     assert s.counter == 0
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9])
+@pytest.mark.parametrize("y", [0, 3, 10])
+def test_tail_hits_follow_the_euler_law_above_the_lowest_state(q, y):
+    # a chain at state y is hit as often as an Euler-measure diagram has
+    # parts above y: none with probability <inf>_q / <y>_q, and
+    # sum_{k>y} q^k / (1 - q^k) on average, with both taken from the
+    # oracles and not from the table the search reads
+    n = 20_000
+    hits = _tail_hits(np.full(n, y), q, _horizon(q, 1e-12), GeomStream(seed=59, q=q))
+    p_none = oracles.poch_inf(q) / oracles.poch(q, y)
+    none = int((hits == 0).sum())
+    assert stats.binom.cdf(none, n, p_none) > CHI2_ALPHA
+    assert stats.binom.sf(none - 1, n, p_none) > CHI2_ALPHA
+    mean = math.fsum(q**k / (1 - q**k) for k in range(y + 1, 2_000))
+    z = (hits.mean() - mean) / (hits.std(ddof=1) / np.sqrt(n))
+    assert abs(z) < SIGMA_BOUND, f"mean hits z = {z:.2f}"
 
 
 def test_batch_inversion_rejects_negative_count():
