@@ -33,7 +33,7 @@ from .dist import (
     joint_rl_pmf,
 )
 from .errors import DomainError, MallowsError
-from .qseries import QParam
+from .qseries import EPS_SERIES, QParam
 from .samplers import (
     _BLOCK_ROWS,
     batch_finite_words,
@@ -103,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--r", type=int, default=0, help="joint-rl right count")
     pp.add_argument("--ell", type=int, default=0, help="joint-rl left count")
     pp.add_argument("--d", type=str, help="fdd displacements, comma-separated")
-    pp.add_argument("--tol", type=float, default=1e-12, help="fdd series tolerance")
     pp.add_argument("--format", choices=("csv", "json"), default=None)
 
     vp = sub.add_parser("verify", help="run a statistical verification suite")
@@ -267,7 +266,7 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
         d = tuple(int(x) for x in args.d.split(","))
     except ValueError as exc:
         raise DomainError(f"--d must be comma-separated integers, got {args.d!r}") from exc
-    value, err = fdd_probability(p, FddQuery(k=len(d), d=d), args.tol)
+    value, err = fdd_probability(p, FddQuery(k=len(d), d=d), EPS_SERIES)
     out.write(json.dumps({"query": list(d), "value": value, "error_bound": err}) + "\n")
     return 0
 
@@ -308,13 +307,12 @@ _SIGNED_VALUE_FLAGS = {
     "--d": re.compile(r"^-?\d+(,-?\d+)*$"),
     "--q": _FLOAT,
     "--eps-tv": _FLOAT,
-    "--tol": _FLOAT,
 }
 
 
 def _join_signed_flags(argv: list[str]) -> list[str]:
     """Turn ("--window", "-2:2") into ("--window=-2:2",), same for --d,
-    --q, --eps-tv and --tol.
+    --q and --eps-tv.
 
     argparse would otherwise read a negative value as an unknown option
     flag, so it would never reach its domain check.

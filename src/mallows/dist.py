@@ -41,7 +41,9 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .perm import inversions
-from .qseries import UNDERFLOW, QParam, _integers, normal_table, pochhammer_table, quotient
+from .qseries import (
+    EPS_SERIES, UNDERFLOW, QParam, _integers, normal_table, pochhammer_table, quotient,
+)
 
 
 def _normal(value: float, q: float) -> float:
@@ -96,7 +98,7 @@ def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
 
     P(D=d) for d >= 0 is the k=1 fdd series
     (1-q)<inf> sum_l q^(l^2+l*d+2l+d)/(<l+d><l>), so each entry is the value
-    fdd_probability(p, FddQuery(1, (d,)), p.eps_series) returns.  The law is
+    fdd_probability(p, FddQuery(1, (d,)), EPS_SERIES) returns.  The law is
     symmetric about 0, so only d >= 0 is evaluated and the negative half
     reuses the same floats (symmetry is bit-exact).  The tail bound
     2 q^radius dominates P(|D| > radius) because |D| > m forces more than m
@@ -107,7 +109,7 @@ def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
         raise DomainError("radius must be >= 0")
     probs: dict[int, float] = {}
     for d in range(radius + 1):
-        probs[d] = probs[-d] = _fdd_sorted((d,), p, p.eps_series)[0]
+        probs[d] = probs[-d] = _fdd_sorted((d,), p, EPS_SERIES)[0]
     return DisplacementPmf(
         q=p.q, radius=radius, probs=probs, tail_bound=2.0 * p.q**radius
     )
@@ -123,9 +125,9 @@ def joint_rl_pmf(p: QParam, r: int, ell: int) -> float:
     if r < 0 or ell < 0:
         raise DomainError("r and ell must be >= 0")
     q = p.q
-    inf_val = normal_table(p, "the value cannot be returned").infinite_value
-    vals = pochhammer_table(p, max(r, ell)).values
-    return quotient((1.0 - q) * q ** (r * ell + r + ell) * inf_val, vals[r] * vals[ell], p)
+    table = normal_table(p, "the value cannot be returned", max(r, ell))
+    num = (1.0 - q) * q ** (r * ell + r + ell) * table.infinite_value
+    return quotient(num, table.values[r] * table.values[ell], p)
 
 
 def conditional_l_given_r(p: QParam, r: int, ell: int) -> float:
@@ -332,8 +334,8 @@ def block_p2(p: QParam, b: tuple[int, ...], a: tuple[int, ...]) -> float:
         raise DomainError("b and a must be equal-length, nonempty")
     if any(x < 0 for x in b) or any(x < 0 for x in a):
         raise DomainError("gap coordinates must be >= 0")
-    num = normal_table(p, "the value cannot be returned").infinite_value
-    vals = pochhammer_table(p, max(b) + max(a)).values
+    table = normal_table(p, "the value cannot be returned", max(b) + max(a))
+    num, vals = table.infinite_value, table.values
     for m in range(1, k):
         num *= vals[b[m] + a[m - 1]]
     den = 1.0

@@ -3,8 +3,9 @@
 Everything downstream (samplers, distribution formulas, the brute-force
 oracle) is built from the quantities here, so this module is deliberately
 small, exact where possible, and explicit about truncation error where not.
-The laws read <n>_q from pochhammer_table; both samplers' part searches
-read one exact table of -log <n>_q (log_table).
+The laws read <n>_q from pochhammer_table, a finite product from its n
+factors; both samplers' part searches read one exact table of -log <n>_q
+(log_table).  _doubled and subnormal_inf word the tables' two refusals.
 
 Notation used throughout the package:
 
@@ -110,7 +111,7 @@ def _horizon(q: float, eps: float) -> int:
 
 def _doubled(q: float, size: int, n: int) -> int:
     """size doubled until it covers n, or DomainError where that is past
-    MAX_TABLE, before any table is built."""
+    MAX_TABLE, before any table is built (every product table's refusal)."""
     while size < n:
         size *= 2
     if size > MAX_TABLE:
@@ -172,23 +173,20 @@ def _log_table(q: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+def subnormal_inf(q: float, refusal: str) -> DomainError:
+    """DomainError ending in refusal, where <inf>_q is not a normal double
+    (from q ~ 0.9977).  It names exp of log_table's exact sum at _table_size(q)."""
+    value = math.exp(-log_table(q, _table_size(q))[0][-1])
+    return DomainError(f"<inf>_q = {value!r} is not a normal double at q={q}; {refusal}")
+
+
 def normal_table(p: QParam, refusal: str, n_max: int = 0) -> QPochhammerTable:
-    """pochhammer_table(p, n_max), or DomainError ending in refusal where
-    <inf>_q is not a normal double (from q ~ 0.9977)."""
+    """pochhammer_table(p, n_max), or subnormal_inf(p.q, refusal) where its
+    <inf>_q is not a normal double."""
     table = pochhammer_table(p, n_max)
     if table.infinite_value < sys.float_info.min:
-        raise DomainError(f"<inf>_q = {table.infinite_value!r} is not a normal "
-                          f"double at q={p.q}; {refusal}")
+        raise subnormal_inf(p.q, refusal)
     return table
-
-
-def _finite_table(n: int, p: QParam, what: str) -> QPochhammerTable:
-    """The n-factor table of <k>_q, k <= n, for a finite product, or
-    DomainError before any table is built where n is past MAX_TABLE."""
-    if n > MAX_TABLE:
-        raise DomainError(f"{what}: n={n} factors is past MAX_TABLE={MAX_TABLE}; "
-                          f"no value can be returned")
-    return _build_table(p.q, n)
 
 
 def quotient(num: float, den: float, p: QParam) -> float:
@@ -210,7 +208,7 @@ def q_factorial(n: int, p: QParam) -> float:
     if n < 0:
         raise DomainError("q_factorial requires n >= 0")
     # n factors, not the depth of p's table, which grows like 1/(1-q)
-    return quotient(_finite_table(n, p, "q_factorial").value(n), (1.0 - p.q) ** n, p)
+    return quotient(_build_table(p.q, _doubled(p.q, n, n)).value(n), (1.0 - p.q) ** n, p)
 
 
 def _product_error(q: float, n: int, value: float) -> float:
@@ -252,5 +250,5 @@ def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
     (n,) = _integers((n,), "q_pochhammer's n")
     if n < 0:
         raise DomainError("q_pochhammer requires n >= 0 or INFINITY")
-    value = _finite_table(n, p, "q_pochhammer").value(n)
+    value = _build_table(p.q, _doubled(p.q, n, n)).value(n)
     return value, _product_error(p.q, n, value)

@@ -69,7 +69,7 @@ from .errors import DomainError, NotInjectiveError
 from .perm import (
     PermWindow, _chain_states, _leftward_chains, _narrow_skips, _pop_letters, eliminate_right,
 )
-from .qseries import MAX_TABLE, QParam, _horizon, _table_size, log_table
+from .qseries import MAX_TABLE, QParam, _horizon, _table_size, log_table, subnormal_inf
 from .streams import GeomStream, _geometrics_of_logs
 
 
@@ -135,12 +135,11 @@ def q_shuffle_prefix(n_letters: int, p: QParam, s: GeomStream) -> tuple[int, ...
 # --------------------------------------------------------------------------
 
 def _euler_table(q: float) -> tuple[np.ndarray, np.ndarray]:
-    """log_table(q, N), N = qseries._table_size(q), or DomainError where
-    <inf>_q ~ exp(-neg[N]) is not a normal double (from q ~ 0.9977)."""
+    """log_table(q, N), N = qseries._table_size(q), or subnormal_inf where
+    <inf>_q = exp(-neg[N]) is not a normal double."""
     neg, log_qpow = log_table(q, _table_size(q))
     if neg[-1] > -math.log(sys.float_info.min):
-        raise DomainError(f"<inf>_q = {math.exp(-neg[-1])!r} is not a normal double "
-                          f"at q={q}; Euler-measure diagrams cannot be drawn")
+        raise subnormal_inf(q, "Euler-measure diagrams cannot be drawn")
     return neg, log_qpow
 
 

@@ -440,11 +440,13 @@ def test_pmf_near_one_is_a_domain_error(capsys, law):
     assert err.startswith("error[DOMAIN]")
 
 
-def test_pmf_fdd_nan_tolerance_is_a_domain_error(capsys):
+def test_pmf_fdd_takes_no_tolerance(capsys):
+    # the series run at EPS_SERIES; fdd_probability's own check of tol is
+    # tested in test_dist
     code, out, err = run_cli(capsys, ["pmf", "fdd", "--q", "0.5", "--d", "0", "--tol", "nan"])
     assert code == 2
     assert out == ""
-    assert err.startswith("error[DOMAIN]")
+    assert err.startswith("usage:") and "unrecognized arguments: --tol nan" in err
 
 
 PMF_OUTPUT = {

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import math
+import re
 import weakref
 
 import mpmath
@@ -23,6 +24,7 @@ from mallows.qseries import (
     _log_table,
     _table_size,
     log_table,
+    normal_table,
     pochhammer_table,
     q_factorial,
     q_pochhammer,
@@ -332,3 +334,41 @@ def test_table_is_the_sequential_product(q):
 def test_infinite_product_near_one():
     assert pochhammer_table(QParam(0.999)).infinite_value == 0.0
     assert pochhammer_table(QParam(0.9985)).infinite_value == 5e-324
+
+
+#: the largest double q at which the laws and the interlacing sampler take
+#: <inf>_q for a normal double; the laws decide on its product table, the
+#: sampler on its -log table
+Q_EDGE = 0.9976935014128776
+
+
+def _inf_edge_calls(q):
+    # fdd at d = 5000: at Q_EDGE a query near 0 runs on until a
+    # denominator underflows
+    p = QParam(q)
+    return {
+        "normal_table": lambda: normal_table(p, "refused"),
+        "joint_rl_pmf": lambda: joint_rl_pmf(p, 0, 0),
+        "fdd_probability": lambda: fdd_probability(p, FddQuery(1, (5000,)), EPS_SERIES),
+        "batch_interlacing_windows":
+            lambda: batch_interlacing_windows(0, 2, p, GeomStream(0, q), 2),
+    }
+
+
+def test_laws_and_interlacing_refuse_from_the_same_q():
+    for call in _inf_edge_calls(Q_EDGE).values():
+        call()
+    for call in _inf_edge_calls(math.nextafter(Q_EDGE, 1.0)).values():
+        with pytest.raises(DomainError, match=r"<inf>_q = .* is not a normal double"):
+            call()
+
+
+@pytest.mark.parametrize("q, value", [(0.9978, 2.5e-323), (0.998, 0.0)])
+def test_every_inf_refusal_names_the_exact_value(q, value):
+    # not the product table's subnormal tail (3.85e-322 and 1.5e-323 here)
+    assert oracles.poch_inf(q) == value
+    for name, call in _inf_edge_calls(q).items():
+        with pytest.raises(DomainError) as exc:
+            call()
+        named = re.match(r"<inf>_q = (\S+) is not a normal double", str(exc.value))
+        assert named and float(named.group(1)) == value, name
