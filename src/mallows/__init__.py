@@ -37,7 +37,6 @@ from .perm import (
 from .qseries import (
     INFINITY,
     QParam,
-    QPochhammerTable,
     q_factorial,
     q_pochhammer,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "NotSelfContainedError",
     "PermWindow",
     "QParam",
-    "QPochhammerTable",
     "RejectSupportError",
     "TooLargeError",
     "UnknownSuiteError",

@@ -103,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--r", type=int, default=0, help="joint-rl right count")
     pp.add_argument("--ell", type=int, default=0, help="joint-rl left count")
     pp.add_argument("--d", type=str, help="fdd displacements, comma-separated")
-    pp.add_argument("--format", choices=("csv", "json"), default=None)
 
     vp = sub.add_parser("verify", help="run a statistical verification suite")
     vp.add_argument("--suite", required=True,
@@ -239,14 +238,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 # pmf
 # --------------------------------------------------------------------------
 
-#: the one format each law writes
-_PMF_FORMATS = {"displacement": "csv", "joint-rl": "json", "fdd": "json"}
-
-
 def _cmd_pmf(args: argparse.Namespace) -> int:
-    fmt = _PMF_FORMATS[args.law]
-    if args.format not in (None, fmt):
-        raise DomainError(f"{args.law} pmf is exported as {fmt.upper()}")
+    """displacement writes CSV, joint-rl and fdd one JSON line each."""
     p = QParam(args.q)
     out = sys.stdout
     if args.law == "displacement":

@@ -20,9 +20,10 @@ below q^2, so adaptive truncation carries a geometric-domination remainder
 certificate; functions that can accumulate meaningful truncation error
 return an explicit error bound alongside the value.
 
-Each evaluation reads <n>_q off one tuple of table values and fetches a
-longer table only when an index runs past its end (tables share entries).
-Every law refuses with DomainError where <inf>_q is not a normal double.
+Each evaluation reads <n>_q off one table, a tuple whose last entry stands
+for <inf>_q (qseries.normal_table), and fetches a longer table only when an
+index runs past its end (tables share entries).  Every law refuses with
+DomainError where <inf>_q is not a normal double.
 
 This module alone fills a QParam's memo, for as long as the caller holds
 the parameter: each sorted fdd series as (value, bound) under (d, tol),
@@ -43,6 +44,7 @@ from .errors import DomainError
 from .perm import inversions
 from .qseries import (
     EPS_SERIES, UNDERFLOW, QParam, _integers, normal_table, pochhammer_table, quotient,
+    truncation_error,
 )
 
 
@@ -125,9 +127,9 @@ def joint_rl_pmf(p: QParam, r: int, ell: int) -> float:
     if r < 0 or ell < 0:
         raise DomainError("r and ell must be >= 0")
     q = p.q
-    table = normal_table(p, "the value cannot be returned", max(r, ell))
-    num = (1.0 - q) * q ** (r * ell + r + ell) * table.infinite_value
-    return quotient(num, table.values[r] * table.values[ell], p)
+    vals = normal_table(p, max(r, ell))
+    num = (1.0 - q) * q ** (r * ell + r + ell) * vals[-1]
+    return quotient(num, vals[r] * vals[ell], p)
 
 
 def conditional_l_given_r(p: QParam, r: int, ell: int) -> float:
@@ -170,7 +172,7 @@ def _tail_series(p: QParam, vals: tuple[float, ...], e: int, big_a: int, big_r: 
     inner = comp = 0.0  # compensated (Kahan) sum
     while True:
         if a_k + top >= n_vals:
-            vals = pochhammer_table(p, a_k + top).values
+            vals = pochhammer_table(p, a_k + top)
             n_vals = len(vals)
         den = vals[b1] * vals[a_k]
         if den == 0.0:
@@ -259,15 +261,14 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     k = len(d)
     # refused before any term: where <inf>_q is not a normal double, the
     # series would run until a denominator underflows
-    table = normal_table(p, "the value cannot be returned", d[-1] - d[0] + 8)
-    vals = table.values
+    vals = normal_table(p, d[-1] - d[0] + 8)
     try:
         shift = q ** -(k * (k + 1) // 2)
     except OverflowError:
         raise DomainError(
             f"q={q}: q^-{k * (k + 1) // 2} overflows; the value cannot be returned"
         ) from None
-    pref = (1.0 - q) ** k * shift * table.infinite_value
+    pref = (1.0 - q) ** k * shift * vals[-1]
     gaps = tuple(d[m] - d[m - 1] for m in range(1, k))
     for g in gaps:
         pref *= vals[g]
@@ -282,7 +283,7 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     err = 0.0
     for w, tail in terms:
         err += w * tail[1]
-    rel_inf = table.infinite_error / table.infinite_value
+    rel_inf = truncation_error(q, vals) / vals[-1]
     out = p.memo[key] = value, abs(pref) * err + abs(value) * rel_inf
     return out
 
@@ -334,8 +335,8 @@ def block_p2(p: QParam, b: tuple[int, ...], a: tuple[int, ...]) -> float:
         raise DomainError("b and a must be equal-length, nonempty")
     if any(x < 0 for x in b) or any(x < 0 for x in a):
         raise DomainError("gap coordinates must be >= 0")
-    table = normal_table(p, "the value cannot be returned", max(b) + max(a))
-    num, vals = table.infinite_value, table.values
+    vals = normal_table(p, max(b) + max(a))
+    num = vals[-1]
     for m in range(1, k):
         num *= vals[b[m] + a[m - 1]]
     den = 1.0

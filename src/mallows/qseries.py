@@ -3,9 +3,11 @@
 Everything downstream (samplers, distribution formulas, the brute-force
 oracle) is built from the quantities here, so this module is deliberately
 small, exact where possible, and explicit about truncation error where not.
-The laws read <n>_q from pochhammer_table, a finite product from its n
+The laws read <n>_q from pochhammer_table, a tuple whose last entry stands
+for <inf>_q (truncation_error bounds the gap), a finite product from its n
 factors; both samplers' part searches read one exact table of -log <n>_q
-(log_table).  _doubled and subnormal_inf word the tables' two refusals.
+(log_table).  The tables' edges are decided here: _doubled refuses past
+MAX_TABLE, normal_table and euler_table where <inf>_q is not a normal double.
 
 Notation used throughout the package:
 
@@ -43,6 +45,10 @@ EPS_SERIES = 1e-12
 #: is refused before it is built
 MAX_TABLE = 2**22
 
+#: the most tables each cache keeps, the least recently read dropped first;
+#: a laws pass reads about 6 product tables and 2 log tables at one q
+CACHE_TABLES = 32
+
 #: refusal where a denominator, a product of <n>_q values or of factors
 #: 1-q, underflows to 0 (for q near 1)
 UNDERFLOW = "q={q}: a denominator underflows to 0; the value cannot be returned"
@@ -71,23 +77,6 @@ class QParam:
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"q must lie strictly in (0,1), got {self.q}")
-
-
-@dataclass(frozen=True)
-class QPochhammerTable:
-    """Memoized table of <n>_q for n = 0..N plus the certified infinite limit.
-
-    values[0] = 1 and values[n] = values[n-1] * (1 - q^n); the sequence is
-    strictly decreasing.  infinite_value is the partial product values[N] and
-    infinite_error bounds |<inf>_q - infinite_value| (absolute).
-    """
-
-    values: tuple[float, ...]
-    infinite_value: float
-    infinite_error: float
-
-    def value(self, n: int) -> float:
-        return self.values[n]
 
 
 def _horizon(q: float, eps: float) -> int:
@@ -120,15 +109,16 @@ def _doubled(q: float, size: int, n: int) -> int:
     return size
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_TABLES)
 def _table_size(q: float) -> int:
     """_horizon(q, EPS_SERIES) rounded up to a power of two >= 64, so
     slightly larger requests reuse q's one table."""
     return _doubled(q, 64, _horizon(q, EPS_SERIES))
 
 
-@lru_cache(maxsize=None)
-def _build_table(q: float, n_max: int) -> QPochhammerTable:
+@lru_cache(maxsize=CACHE_TABLES)
+def _build_table(q: float, n_max: int) -> tuple[float, ...]:
+    """<n>_q for n = 0..n_max: entry n is entry n-1 times fl(1 - q**n)."""
     vals = [1.0]
     prod = 1.0
     for k in range(1, n_max + 1):
@@ -137,15 +127,19 @@ def _build_table(q: float, n_max: int) -> QPochhammerTable:
         if prod == 0.0:
             break
     # every factor lies in (0, 1], so every entry past a 0.0 is 0.0
-    values = tuple(vals) + (0.0,) * (n_max + 1 - len(vals))
-    err = prod * q ** (n_max + 1) / (1.0 - q)
-    return QPochhammerTable(values=values, infinite_value=prod, infinite_error=err)
+    return tuple(vals) + (0.0,) * (n_max + 1 - len(vals))
 
 
-def pochhammer_table(p: QParam, n_max: int = 0) -> QPochhammerTable:
-    """Return the (cached) table for p, covering at least n = 0..n_max:
-    _table_size(p.q), doubled until it covers n_max."""
+def pochhammer_table(p: QParam, n_max: int = 0) -> tuple[float, ...]:
+    """The (cached) table of <n>_q for p, n = 0.._table_size(p.q), doubled
+    until it covers n_max; its last entry stands for <inf>_q."""
     return _build_table(p.q, _doubled(p.q, _table_size(p.q), n_max))
+
+
+def truncation_error(q: float, table: tuple[float, ...]) -> float:
+    """Bound on |<inf>_q - table[-1]| for a table of <n>_q, n = 0..N: the
+    factors past N multiply to at least 1 - q^(N+1)/(1-q)."""
+    return table[-1] * q ** len(table) / (1.0 - q)
 
 
 def log_table(q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +149,7 @@ def log_table(q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return neg[: n + 1], log_qpow[: n + 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_TABLES)
 def _log_table(q: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(-log <j>_q, log q^j) for j = 0..size, read-only; log q^j is -inf
     where q^j underflows (never a part).  A second cumsum adds back each
@@ -173,20 +167,30 @@ def _log_table(q: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def subnormal_inf(q: float, refusal: str) -> DomainError:
+def _subnormal_inf(q: float, refusal: str) -> DomainError:
     """DomainError ending in refusal, where <inf>_q is not a normal double
     (from q ~ 0.9977).  It names exp of log_table's exact sum at _table_size(q)."""
     value = math.exp(-log_table(q, _table_size(q))[0][-1])
     return DomainError(f"<inf>_q = {value!r} is not a normal double at q={q}; {refusal}")
 
 
-def normal_table(p: QParam, refusal: str, n_max: int = 0) -> QPochhammerTable:
-    """pochhammer_table(p, n_max), or subnormal_inf(p.q, refusal) where its
-    <inf>_q is not a normal double."""
+def normal_table(p: QParam, n_max: int = 0) -> tuple[float, ...]:
+    """pochhammer_table(p, n_max), or DomainError where its <inf>_q is not
+    a normal double: the table of every law."""
     table = pochhammer_table(p, n_max)
-    if table.infinite_value < sys.float_info.min:
-        raise subnormal_inf(p.q, refusal)
+    if table[-1] < sys.float_info.min:
+        raise _subnormal_inf(p.q, "the value cannot be returned")
     return table
+
+
+def euler_table(q: float) -> tuple[np.ndarray, np.ndarray]:
+    """log_table(q, _table_size(q)), the table of the Euler-measure part
+    searches, or DomainError where <inf>_q = exp(-neg[-1]) is not a normal
+    double."""
+    neg, log_qpow = log_table(q, _table_size(q))
+    if neg[-1] > -math.log(sys.float_info.min):
+        raise _subnormal_inf(q, "Euler-measure diagrams cannot be drawn")
+    return neg, log_qpow
 
 
 def quotient(num: float, den: float, p: QParam) -> float:
@@ -208,7 +212,7 @@ def q_factorial(n: int, p: QParam) -> float:
     if n < 0:
         raise DomainError("q_factorial requires n >= 0")
     # n factors, not the depth of p's table, which grows like 1/(1-q)
-    return quotient(_build_table(p.q, _doubled(p.q, n, n)).value(n), (1.0 - p.q) ** n, p)
+    return quotient(_build_table(p.q, _doubled(p.q, n, n))[n], (1.0 - p.q) ** n, p)
 
 
 def _product_error(q: float, n: int, value: float) -> float:
@@ -244,11 +248,11 @@ def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
     double.
     """
     if n == INFINITY:
-        table = normal_table(p, "no certified value can be returned")
-        value = table.infinite_value
-        return value, table.infinite_error + _product_error(p.q, len(table.values) - 1, value)
+        table = normal_table(p)
+        value = table[-1]
+        return value, truncation_error(p.q, table) + _product_error(p.q, len(table) - 1, value)
     (n,) = _integers((n,), "q_pochhammer's n")
     if n < 0:
         raise DomainError("q_pochhammer requires n >= 0 or INFINITY")
-    value = _build_table(p.q, _doubled(p.q, n, n)).value(n)
+    value = _build_table(p.q, _doubled(p.q, n, n))[n]
     return value, _product_error(p.q, n, value)

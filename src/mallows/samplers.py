@@ -51,15 +51,15 @@ At count=1 it draws the same uniforms in the same order as
 ``sample_two_sided_interlacing`` and returns the same window.
 
 Both kernels' part searches are one round loop, ``_parts_above``, on
-``qseries.log_table``: the diagrams from part 0, the tail hits from each
-row's lowest chain state.  A round draws its multiplicities and the next
-round's search uniforms in one s.uniforms call, since uniforms(a) then
-uniforms(b) draws what uniforms(a + b) does.
+``qseries.log_table``: the diagrams from part 0 at q's full depth
+(``qseries.euler_table``), the tail hits from each row's lowest chain
+state.  A round draws its multiplicities and the next round's search
+uniforms in one s.uniforms call, since uniforms(a) then uniforms(b) draws
+what uniforms(a + b) does.
 """
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -69,7 +69,7 @@ from .errors import DomainError, NotInjectiveError
 from .perm import (
     PermWindow, _chain_states, _leftward_chains, _narrow_skips, _pop_letters, eliminate_right,
 )
-from .qseries import MAX_TABLE, QParam, _horizon, _table_size, log_table, subnormal_inf
+from .qseries import MAX_TABLE, QParam, _horizon, euler_table, log_table
 from .streams import GeomStream, _geometrics_of_logs
 
 
@@ -134,15 +134,6 @@ def q_shuffle_prefix(n_letters: int, p: QParam, s: GeomStream) -> tuple[int, ...
 # Young diagrams under the Euler measure
 # --------------------------------------------------------------------------
 
-def _euler_table(q: float) -> tuple[np.ndarray, np.ndarray]:
-    """log_table(q, N), N = qseries._table_size(q), or subnormal_inf where
-    <inf>_q = exp(-neg[N]) is not a normal double."""
-    neg, log_qpow = log_table(q, _table_size(q))
-    if neg[-1] > -math.log(sys.float_info.min):
-        raise subnormal_inf(q, "Euler-measure diagrams cannot be drawn")
-    return neg, log_qpow
-
-
 def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
     """Diagram with P(lambda) = <inf>_q * q^|lambda| — Euler's measure.
 
@@ -161,7 +152,7 @@ def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
     (q >~ 0.9977).
     """
     _check_stream(p, s)
-    neg, log_qpow = _euler_table(p.q)
+    neg, log_qpow = euler_table(p.q)
     parts: list[int] = []
     b = 0
     while (j := int(neg.searchsorted(neg[b] - np.log(s.uniform()), "right"))) < neg.size:
@@ -260,9 +251,8 @@ def batch_finite_r(n: int, p: QParam, s: GeomStream, count: int) -> np.ndarray:
         raise DomainError("need n >= 1 and count >= 0")
     _check_stream(p, s)
     out = np.zeros((count, n), dtype=np.int64)
-    out[:, :-1] = s.truncated_geometrics(
-        count * (n - 1), np.tile(np.arange(n - 1, 0, -1), count)
-    ).reshape(count, n - 1)
+    limits = np.tile(np.arange(n - 1, 0, -1), count)
+    out[:, :-1] = s.truncated_geometrics(limits).reshape(count, n - 1)
     return out
 
 
@@ -349,7 +339,7 @@ def batch_interlacing_windows(
     if count < 0:
         raise DomainError("count must be >= 0")
     _check_stream(p, s)
-    neg, log_qpow = _euler_table(p.q)
+    neg, log_qpow = euler_table(p.q)
     prev = np.arange(lo - 1, hi)[:, None]  # i - 1 for each window position i
     out = np.empty((count, hi - lo + 1), dtype=np.int64)
     for b0 in range(0, count, _BLOCK_ROWS):
@@ -435,7 +425,7 @@ def _diagram_triples(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euler-measure diagrams of `rows` rows, 1 <= rows <= 2^15, as int32
     (row, part size, multiplicity) triples, sorted by row and then by
-    decreasing part size: _parts_above from base 0 on _euler_table."""
+    decreasing part size: _parts_above from base 0 on qseries.euler_table."""
     row, part, mult = _parts_above(s, np.arange(rows), 0, neg, log_qpow)
     # later rounds hold larger parts, so with them first a stable sort by
     # row keeps each row's parts decreasing

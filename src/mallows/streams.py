@@ -116,17 +116,18 @@ class GeomStream:
         u = self.uniforms(n)
         return _geometrics_of_logs(np.log(u, out=u), math.log(self.q))
 
-    def truncated_geometrics(self, n: int, limit: np.ndarray) -> np.ndarray:
-        """n draws, draw i from P(k) proportional to q^k on {0..limit[i]}
-        (exact inverse CDF); limit is an integer array of n limits >= 1."""
+    def truncated_geometrics(self, limit: np.ndarray) -> np.ndarray:
+        """One draw per entry of limit, a 1-D integer array of limits >= 1:
+        draw i from P(k) proportional to q^k on {0..limit[i]} (exact
+        inverse CDF)."""
         if (
             not isinstance(limit, np.ndarray)
             or limit.dtype.kind not in "iu"
-            or limit.shape != (_size(n),)
+            or limit.ndim != 1
             or not np.all(limit >= 1)
         ):
-            raise DomainError("need an integer array of one limit >= 1 per draw")
-        w = self.uniforms(n)
+            raise DomainError("need a 1-D integer array of limits >= 1, one per draw")
+        w = self.uniforms(limit.size)
         w *= 1.0 - self.q ** (limit + 1)
         with np.errstate(divide="ignore"):  # log 0 at U = 1 where q^(limit+1) < 2^-53
             np.log(np.subtract(1.0, w, out=w), out=w)

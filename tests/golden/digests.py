@@ -215,8 +215,8 @@ def _streams(grid: str) -> str:
         _feed(h, s.uniform(), s.uniforms(0), s.uniforms(1000), s.geometrics(1000),
               _geometrics_of_logs(np.log(s.uniforms(97)), math.log(0.25)),
               _geometrics_of_logs(np.log(s.uniforms(97)), np.log(ratios)),
-              s.truncated_geometrics(97, np.full(97, 5)),
-              s.truncated_geometrics(97, limits), *_where(s))
+              s.truncated_geometrics(np.full(97, 5)),
+              s.truncated_geometrics(limits), *_where(s))
         child = s.spawn("child").spawn(3)
         _feed(h, child.uniforms(100), child.geometrics(100), *_where(child), *_where(s))
     return h.hexdigest()

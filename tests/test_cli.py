@@ -449,13 +449,14 @@ def test_pmf_fdd_takes_no_tolerance(capsys):
     assert err.startswith("usage:") and "unrecognized arguments: --tol nan" in err
 
 
+#: each law's one format: CSV for displacement, a JSON line for the others
 PMF_OUTPUT = {
-    "displacement": (["displacement", "--radius", "1"], "csv",
+    "displacement": (["displacement", "--radius", "1"],
                      "d,probability\n-1,0.16903544585520072\n0,0.22064303609653282\n"
                      "1,0.16903544585520072\ntail_bound,1.0\n"),
-    "joint-rl": (["joint-rl", "--r", "2", "--ell", "1"], "json",
+    "joint-rl": (["joint-rl", "--r", "2", "--ell", "1"],
                  '{"r": 2, "ell": 1, "value": 0.0240656745905502}\n'),
-    "fdd": (["fdd", "--d", "0"], "json",
+    "fdd": (["fdd", "--d", "0"],
             '{"query": [0], "value": 0.22064303609653282, '
             '"error_bound": 1.9676864930063477e-19}\n'),
 }
@@ -463,10 +464,20 @@ PMF_OUTPUT = {
 
 @pytest.mark.parametrize("law", list(PMF_OUTPUT))
 def test_pmf_writes_its_one_format(capsys, law):
-    argv, fmt, want = PMF_OUTPUT[law]
-    for extra in ([], ["--format", fmt]):
-        code, out, err = run_cli(capsys, ["pmf", *argv, "--q", "0.5", *extra])
-        assert (code, out, err) == (0, want, "")
+    argv, want = PMF_OUTPUT[law]
+    code, out, err = run_cli(capsys, ["pmf", *argv, "--q", "0.5"])
+    assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("law", list(PMF_OUTPUT))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pmf_takes_no_format(capsys, law, fmt):
+    # each law writes one format, so there is no --format to name it
+    code, out, err = run_cli(capsys, ["pmf", *PMF_OUTPUT[law][0], "--q", "0.5",
+                                      "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage:") and f"unrecognized arguments: --format {fmt}" in err
 
 
 def test_pmf_fdd_requires_d(capsys):
@@ -573,9 +584,6 @@ def test_verify_unknown_suite(capsys):
      ["sample", "--mode", "two-sided", "--q", "0.5"],
      ["pmf", "displacement", "--q", "0.5", "--radius", "-1"],
      ["pmf", "fdd", "--q", "0.5", "--d", "1,x"],
-     ["pmf", "displacement", "--q", "0.5", "--format", "json"],
-     ["pmf", "joint-rl", "--q", "0.5", "--format", "csv"],
-     ["pmf", "fdd", "--q", "0.5", "--d", "0", "--format", "csv"],
      ["pmf", "fdd", "--q", "1e-200", "--d", "0,1"],
      ["pmf", "displacement", "--q", "1e-310"],
      ["sample", "--mode", "two-sided", "--window", "9223372036854775800:9223372036854775806",
@@ -585,8 +593,8 @@ def test_verify_unknown_suite(capsys):
      ["sample", "--mode", "two-sided", "--window", "-9223372036854775808:-9223372036854775800",
       "--q", "0.5", "--count", "3", "--seed", "1"]],
     ids=["window-one-number", "window-not-integers", "window-reversed", "count-zero",
-         "no-window", "negative-radius", "d-not-integers", "displacement-json",
-         "joint-rl-csv", "fdd-csv", "fdd-overflow", "displacement-overflow",
+         "no-window", "negative-radius", "d-not-integers", "fdd-overflow",
+         "displacement-overflow",
          "inversion-window-past-int64", "interlacing-window-past-int64",
          "interlacing-window-at-int64-min"],
 )

@@ -15,6 +15,7 @@ from mallows import qseries
 from mallows.dist import FddQuery, displacement_pmf, fdd_probability, joint_rl_pmf
 from mallows.errors import DomainError
 from mallows.qseries import (
+    CACHE_TABLES,
     EPS_SERIES,
     INFINITY,
     MAX_TABLE,
@@ -23,13 +24,15 @@ from mallows.qseries import (
     _horizon,
     _log_table,
     _table_size,
+    euler_table,
     log_table,
     normal_table,
     pochhammer_table,
     q_factorial,
     q_pochhammer,
+    truncation_error,
 )
-from mallows.samplers import _euler_table, batch_interlacing_windows
+from mallows.samplers import batch_interlacing_windows
 from mallows.streams import GeomStream
 from oracles import poch
 
@@ -87,7 +90,7 @@ def test_finite_products_take_n_factors(monkeypatch):
     for q in (1e-12, *Q_GRID, 0.999):
         p = QParam(q)
         for n in (0, 1, 2, 5, 6, 8, 40, 200):
-            assert q_pochhammer(n, p)[0] == pochhammer_table(p, n).value(n), f"q={q} n={n}"
+            assert q_pochhammer(n, p)[0] == pochhammer_table(p, n)[n], f"q={q} n={n}"
 
 
 def test_a_table_past_max_table_is_refused_before_it_is_built(monkeypatch):
@@ -146,9 +149,9 @@ def test_pochhammer_monotone_decreasing():
     for q in Q_GRID:
         table = pochhammer_table(QParam(q), 40)
         for n in range(1, 41):
-            assert table.value(n) <= table.value(n - 1), f"q={q} n={n}"
+            assert table[n] <= table[n - 1], f"q={q} n={n}"
             if 1.0 - q**n < 1.0:  # factor still below 1 after rounding
-                assert table.value(n) < table.value(n - 1), f"q={q} n={n}"
+                assert table[n] < table[n - 1], f"q={q} n={n}"
 
 
 def test_pochhammer_infinite_certificate():
@@ -179,7 +182,7 @@ def test_pochhammer_infinite_known_constant():
 def test_pochhammer_infinite_refuses_subnormal_value():
     # <inf>_q is about e^-822 at q=0.998: no normal double, no honest bound
     for q in (0.998, 0.999):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="the value cannot be returned"):
             q_pochhammer(INFINITY, QParam(q))
         # the table itself still serves finite products there
         assert q_factorial(6, QParam(q)) > 0.0
@@ -195,7 +198,7 @@ def test_euler_series_identity():
         y = q
         lhs = 0.0
         for n in range(400):
-            lhs += y**n / table.value(n)
+            lhs += y**n / table[n]
         rhs = 1.0
         for m in range(2000):
             rhs /= 1.0 - y * q**m
@@ -245,9 +248,9 @@ def test_table_size_is_one_size_per_q():
             while want < n_max:
                 want *= 2
             table = pochhammer_table(QParam(q), n_max)
-            assert len(table.values) == want + 1, f"q={q} n_max={n_max}"
+            assert len(table) == want + 1, f"q={q} n_max={n_max}"
             assert table is pochhammer_table(QParam(q), n_max)
-        assert len(pochhammer_table(QParam(q)).values) == size + 1
+        assert len(pochhammer_table(QParam(q))) == size + 1
 
 
 @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.997, 0.9999])
@@ -290,7 +293,7 @@ def test_equal_parameters_compare_and_hash_equal_with_their_own_memos():
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == "QParam(q=0.5)"
     # the samplers' table is cached by q, so an equal parameter reads its entry
-    assert _euler_table(a.q)[0].base is _euler_table(b.q)[0].base
+    assert euler_table(a.q)[0].base is euler_table(b.q)[0].base
     # the series tolerance is the package's one EPS_SERIES, not a field
     assert a.eps_series == QParam.eps_series == EPS_SERIES
     for args in ((0.5, 1e-6), (0.5, 1e-12, {})):
@@ -317,7 +320,7 @@ def test_table_is_the_sequential_product(q):
     # the build stops multiplying once the product is 0.0; every entry,
     # the limit and its error must be what the full loop gives, at the
     # default size and at sizes 64 to 65,536
-    sizes = [len(pochhammer_table(QParam(q)).values) - 1]
+    sizes = [len(pochhammer_table(QParam(q))) - 1]
     sizes += [2**j for j in range(6, 17)]
     for n_max in sizes:
         vals = [1.0]
@@ -326,19 +329,19 @@ def test_table_is_the_sequential_product(q):
             prod *= 1.0 - q**k
             vals.append(prod)
         table = _build_table(q, n_max)
-        assert table.values == tuple(vals), n_max
-        assert table.infinite_value == prod
-        assert table.infinite_error == prod * q ** (n_max + 1) / (1.0 - q)
+        assert table == tuple(vals), n_max
+        assert table[-1] == prod
+        assert truncation_error(q, table) == prod * q ** (n_max + 1) / (1.0 - q)
 
 
 def test_infinite_product_near_one():
-    assert pochhammer_table(QParam(0.999)).infinite_value == 0.0
-    assert pochhammer_table(QParam(0.9985)).infinite_value == 5e-324
+    assert pochhammer_table(QParam(0.999))[-1] == 0.0
+    assert pochhammer_table(QParam(0.9985))[-1] == 5e-324
 
 
 #: the largest double q at which the laws and the interlacing sampler take
-#: <inf>_q for a normal double; the laws decide on its product table, the
-#: sampler on its -log table
+#: <inf>_q for a normal double; the laws decide on its product table
+#: (normal_table), the sampler on its -log table (euler_table)
 Q_EDGE = 0.9976935014128776
 
 
@@ -347,7 +350,9 @@ def _inf_edge_calls(q):
     # denominator underflows
     p = QParam(q)
     return {
-        "normal_table": lambda: normal_table(p, "refused"),
+        "normal_table": lambda: normal_table(p),
+        "q_pochhammer": lambda: q_pochhammer(INFINITY, p),
+        "euler_table": lambda: euler_table(q),
         "joint_rl_pmf": lambda: joint_rl_pmf(p, 0, 0),
         "fdd_probability": lambda: fdd_probability(p, FddQuery(1, (5000,)), EPS_SERIES),
         "batch_interlacing_windows":
@@ -372,3 +377,16 @@ def test_every_inf_refusal_names_the_exact_value(q, value):
             call()
         named = re.match(r"<inf>_q = (\S+) is not a normal double", str(exc.value))
         assert named and float(named.group(1)) == value, name
+
+
+def test_table_caches_keep_at_most_cache_tables():
+    # a laws pass and a sampler call at more distinct q than the bound: each
+    # cache drops its least recently read tables instead of growing with q
+    for i in range(CACHE_TABLES + 8):
+        q = 0.9 + i / 1000
+        displacement_pmf(QParam(q), 2)
+        q_factorial(5, QParam(q))
+        batch_interlacing_windows(0, 0, QParam(q), GeomStream(0, q), 1)
+    for cache in (_build_table, _log_table, _table_size):
+        info = cache.cache_info()
+        assert info.maxsize == CACHE_TABLES and info.currsize <= CACHE_TABLES

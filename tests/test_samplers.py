@@ -16,11 +16,10 @@ from mallows import qseries, samplers
 from mallows.dist import FddQuery, conditional_l_given_r, displacement_pmf, fdd_probability
 from mallows.errors import DomainError
 from mallows.perm import _leftward_chains, _pop_letters
-from mallows.qseries import QParam, _horizon, log_table, pochhammer_table
+from mallows.qseries import QParam, _horizon, euler_table, log_table, pochhammer_table
 from mallows.samplers import (
     YoungDiagram,
     _diagram_triples,
-    _euler_table,
     _plus_positions,
     _sign_counts,
     _tail_hits,
@@ -80,7 +79,7 @@ def test_truncated_geometric_support_and_law():
     counts = np.zeros(limit + 1)
     limits = np.full(1, limit)
     for _ in range(n):
-        k = int(s.truncated_geometrics(1, limits)[0])
+        k = int(s.truncated_geometrics(limits)[0])
         assert 0 <= k <= limit
         counts[k] += 1
     norm = (1.0 - 0.5 ** (limit + 1)) / (1.0 - 0.5)
@@ -97,8 +96,8 @@ def test_truncated_geometric_limit_zero_consumes_nothing():
     b = GeomStream(seed=7, q=0.5)
     for _ in range(5):
         with pytest.raises(DomainError):
-            a.truncated_geometrics(1, np.zeros(1, dtype=np.int64))
-        assert a.truncated_geometrics(0, np.zeros(0, dtype=np.int64)).tolist() == []
+            a.truncated_geometrics(np.zeros(1, dtype=np.int64))
+        assert a.truncated_geometrics(np.zeros(0, dtype=np.int64)).tolist() == []
     assert a.counter == 0
     assert a.uniform() == b.uniform()
 
@@ -175,7 +174,7 @@ def test_young_sampler_size_law():
     sizes = np.zeros(n_draws, dtype=np.int64)
     for i in range(n_draws):
         sizes[i] = sum(sample_young_euler(QParam(q), s).parts)
-    poch_inf = pochhammer_table(QParam(q)).infinite_value
+    poch_inf = pochhammer_table(QParam(q))[-1]
 
     # chi-square of |lambda| against p(n) <inf> q^n with a pooled tail
     nmax = len(PARTITIONS) - 1
@@ -218,7 +217,7 @@ def test_young_multiplicities_stop_at_float_saturation(q, u):
     # U = 1 asks for a part wherever -log <j>_q still grows, up to where
     # its terms no longer move the sum; the search must end there, inside
     # the table
-    neg = _euler_table(q)[0]
+    neg = euler_table(q)[0]
     s = _ConstantStream(q, u, limit=neg.size)
     parts = sample_young_euler(QParam(q), s).parts
     sizes = set(parts)
@@ -237,7 +236,7 @@ def _assert_size_law(sizes, q):
     # P(lambda = empty) = <inf>_q, checked by both binomial tails, and
     # E|lambda| = sum_k k q^k / (1 - q^k)
     n = sizes.size
-    p_empty = pochhammer_table(QParam(q)).infinite_value
+    p_empty = pochhammer_table(QParam(q))[-1]
     empty = int((sizes == 0).sum())
     assert stats.binom.cdf(empty, n, p_empty) > CHI2_ALPHA
     assert stats.binom.sf(empty - 1, n, p_empty) > CHI2_ALPHA
@@ -259,7 +258,7 @@ def test_young_sampler_is_the_diagram_search_at_one_row(q):
     # the scalar search and the kernel's rounds take the same uniforms in
     # the same order, and the same quotient log U / log q^j per multiplicity
     p = QParam(q)
-    tables = _euler_table(q)
+    tables = euler_table(q)
     for seed in range(200):
         a, b = GeomStream(seed, q), GeomStream(seed, q)
         parts = sample_young_euler(p, a).parts
@@ -271,7 +270,7 @@ def test_young_sampler_is_the_diagram_search_at_one_row(q):
 @pytest.mark.parametrize("q", [0.95, 0.99])
 def test_diagram_triples_deep_diagram_law(q):
     rows = 20_000
-    tables = _euler_table(q)
+    tables = euler_table(q)
     row, part, mult = _diagram_triples(GeomStream(seed=41, q=q), rows, *tables)
     sizes = np.bincount(row, weights=part.astype(np.int64) * mult, minlength=rows)
     _assert_size_law(sizes, q)
@@ -387,7 +386,7 @@ def test_sign_counts_agree_with_slots(lo, hi):
 def test_diagram_triples_deep_rows():
     # at q=0.95 a row has about 19 part sizes, so the search takes many
     # rounds, each over a different set of rows still drawing
-    tables = _euler_table(0.95)
+    tables = euler_table(0.95)
     row, part, mult = _diagram_triples(GeomStream(seed=103, q=0.95), 300, *tables)
     assert (np.diff(row) >= 0).all() and (mult >= 1).all() and row.max() < 300
     same_row = row[1:] == row[:-1]
@@ -740,19 +739,19 @@ def test_truncated_geometrics_array_limit_is_the_scalar_draw():
     for q in (0.05, 0.5, 0.999):
         limits = np.arange(1, 301).repeat(3)
         a, b = GeomStream(seed=11, q=q), GeomStream(seed=11, q=q)
-        got = a.truncated_geometrics(limits.size, limits)
+        got = a.truncated_geometrics(limits)
         u = b.uniforms(limits.size).tolist()
         assert got.tolist() == [inverse_cdf(v, k, q) for v, k in zip(u, limits.tolist())]
-        got = a.truncated_geometrics(50, np.full(50, 7))
+        got = a.truncated_geometrics(np.full(50, 7))
         assert got.tolist() == [inverse_cdf(v, 7, q) for v in b.uniforms(50).tolist()]
         assert a.counter == b.counter
     s = GeomStream(seed=0, q=0.5)
-    for n, limits in ((3, np.array([2, 0, 1])), (2, np.array([1, 1, 1])), (1, np.array([[1]])),
-                      (3, np.array([1.5, 2.5, 3.5])), (3, np.full(3, True)), (1, 5)):
+    for limits in (np.array([2, 0, 1]), np.array([[1]]), np.array([1.5, 2.5, 3.5]),
+                   np.full(3, True), 5):
         with pytest.raises(DomainError):
-            s.truncated_geometrics(n, limits)
+            s.truncated_geometrics(limits)
     assert s.counter == 0
-    assert s.truncated_geometrics(0, np.zeros(0, dtype=np.int64)).size == 0
+    assert s.truncated_geometrics(np.zeros(0, dtype=np.int64)).size == 0
 
 
 RATIOS = (1e-300, 1e-12, 0.5, 0.999999, 1.0 - 2.0**-53)
@@ -768,14 +767,14 @@ def test_stream_draws_are_the_floor_of_the_twin_quotients(r):
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert a.counter == b.counter == 1000
     for limit in (np.full(1000, 40), np.arange(1, 1001)):
-        got = a.truncated_geometrics(1000, limit)
+        got = a.truncated_geometrics(limit)
         u = b.uniforms(1000)
         want = np.floor(np.log(1.0 - u * (1.0 - r ** (limit + 1))) / math.log(r))
         assert np.array_equal(got, np.minimum(want.astype(np.int64), limit))
     assert a.counter == b.counter == 3000
     for empty in (a.geometrics(0), _geometrics_of_logs(np.log(a.uniforms(0)), np.log(np.zeros(0))),
-                  a.truncated_geometrics(0, np.full(0, 40)),
-                  a.truncated_geometrics(0, np.zeros(0, dtype=np.int64))):
+                  a.truncated_geometrics(np.full(0, 40)),
+                  a.truncated_geometrics(np.zeros(0, dtype=np.int64))):
         assert empty.shape == (0,) and empty.dtype == np.int64
     assert a.counter == 3000
 
@@ -791,14 +790,14 @@ def test_truncated_geometrics_cap_a_uniform_of_one_at_the_limit():
 
     s = GeomStream(seed=0, q=0.5)
     s._gen = Zeros()
-    assert s.truncated_geometrics(2, np.full(2, 60)).tolist() == [60, 60]
-    assert s.truncated_geometrics(3, np.array([60, 70, 5])).tolist() == [60, 70, 5]
-    assert s.truncated_geometrics(2, np.full(2, 10)).tolist() == [10, 10]
+    assert s.truncated_geometrics(np.full(2, 60)).tolist() == [60, 60]
+    assert s.truncated_geometrics(np.array([60, 70, 5])).tolist() == [60, 70, 5]
+    assert s.truncated_geometrics(np.full(2, 10)).tolist() == [10, 10]
     assert s.geometrics(2).tolist() == [0, 0]
     assert s.counter == 9
     s = GeomStream(seed=0, q=0.01)
     s._gen = Zeros()
-    assert s.truncated_geometrics(5, np.full(5, 20)).tolist() == [20] * 5
+    assert s.truncated_geometrics(np.full(5, 20)).tolist() == [20] * 5
     assert s.counter == 5
 
 
@@ -952,7 +951,7 @@ def _interlacing_block_replay(lo, hi, p, s, rows):
     one call under one np.log), then every row's plus-word skips in row
     order and every row's minus-word skips, each window filled by the rule
     of sample_two_sided_interlacing."""
-    neg, log_qpow = (a.tolist() for a in _euler_table(p.q))
+    neg, log_qpow = (a.tolist() for a in euler_table(p.q))
     parts = [[] for _ in range(rows)]
     base = [0] * rows
     active, log_u = list(range(rows)), np.log(s.uniforms(rows)).tolist()
@@ -1099,9 +1098,8 @@ def test_batch_inversion_rejects_negative_count():
 def test_stream_refuses_negative_sizes_without_counting():
     s = GeomStream(seed=0, q=0.5)
     s.uniforms(4)
-    for draw in (s.uniforms, s.skip, s.geometrics,
-                 lambda n: s.truncated_geometrics(n, np.full(1, 3)),
-                 lambda n: s.truncated_geometrics(n, np.zeros(0, dtype=np.int64))):
+    # truncated_geometrics takes no count: it draws one per limit
+    for draw in (s.uniforms, s.skip, s.geometrics):
         with pytest.raises(DomainError):
             draw(-1)
         assert s.counter == 4
@@ -1111,14 +1109,13 @@ def test_stream_refuses_non_integer_sizes_without_counting():
     # a float count is refused, not truncated; numpy integers pass
     s = GeomStream(seed=0, q=0.5)
     s.uniforms(4)
-    for draw in (s.uniforms, s.skip, s.geometrics,
-                 lambda n: s.truncated_geometrics(n, np.full(2, 3))):
+    for draw in (s.uniforms, s.skip, s.geometrics):
         for n in (2.7, 2.0, "2", None):
             with pytest.raises(DomainError):
                 draw(n)
             assert s.counter == 4
     assert s.uniforms(np.int64(3)).size == s.geometrics(np.int32(2)).size + 1
-    assert s.truncated_geometrics(np.uint8(2), np.full(2, 3, dtype=np.int32)).size == 2
+    assert s.truncated_geometrics(np.full(2, 3, dtype=np.int32)).size == 2
     assert s.counter == 11
 
 
