@@ -20,10 +20,11 @@ below q^2, so adaptive truncation carries a geometric-domination remainder
 certificate; functions that can accumulate meaningful truncation error
 return an explicit error bound alongside the value.
 
-Each evaluation reads <n>_q off one table, a tuple whose last entry stands
-for <inf>_q (qseries.normal_table), and fetches a longer table only when an
-index runs past its end (tables share entries).  Every law refuses with
-DomainError where <inf>_q is not a normal double.
+Each evaluation reads <n>_q off one table, a tuple whose last entry
+stands for <inf>_q (qseries.pochhammer_table), and fetches a longer table
+only when an index runs past its end (tables share entries).  That table
+refuses with DomainError where <inf>_q is not a normal double, so every
+law does.
 
 This module alone fills a QParam's memo, for as long as the caller holds
 the parameter: each sorted fdd series as (value, bound) under (d, tol),
@@ -38,13 +39,12 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .perm import inversions
 from .qseries import (
-    EPS_SERIES, UNDERFLOW, QParam, _integers, normal_table, pochhammer_table, quotient,
-    truncation_error,
+    EPS_SERIES, UNDERFLOW, QParam, _integers, pochhammer_table, quotient, truncation_error,
 )
 
 
@@ -66,9 +66,8 @@ class DisplacementPmf:
     to at least 1 - tail_bound.
     """
 
-    q: float
     radius: int
-    probs: dict[int, float] = field(compare=False)
+    probs: dict[int, float]
     tail_bound: float = 0.0
 
     def prob(self, d: int) -> float:
@@ -112,9 +111,7 @@ def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
     probs: dict[int, float] = {}
     for d in range(radius + 1):
         probs[d] = probs[-d] = _fdd_sorted((d,), p, EPS_SERIES)[0]
-    return DisplacementPmf(
-        q=p.q, radius=radius, probs=probs, tail_bound=2.0 * p.q**radius
-    )
+    return DisplacementPmf(radius=radius, probs=probs, tail_bound=2.0 * p.q**radius)
 
 
 def joint_rl_pmf(p: QParam, r: int, ell: int) -> float:
@@ -127,7 +124,7 @@ def joint_rl_pmf(p: QParam, r: int, ell: int) -> float:
     if r < 0 or ell < 0:
         raise DomainError("r and ell must be >= 0")
     q = p.q
-    vals = normal_table(p, max(r, ell))
+    vals = pochhammer_table(p, max(r, ell))
     num = (1.0 - q) * q ** (r * ell + r + ell) * vals[-1]
     return quotient(num, vals[r] * vals[ell], p)
 
@@ -138,11 +135,8 @@ def conditional_l_given_r(p: QParam, r: int, ell: int) -> float:
     Given R=r, L is the length of row r+1 of the q^|lambda| diagram, so this
     is block_p2 at k=1.  At ell=0 it is <inf>/<r>, the probability that the
     leftward reconstruction chain started from state r never sees a trivial
-    transition.
+    transition.  block_p2 checks r and ell.
     """
-    r, ell = _integers((r, ell), "r and ell")
-    if r < 0 or ell < 0:
-        raise DomainError("r and ell must be >= 0")
     return block_p2(p, (r,), (ell,))
 
 
@@ -261,7 +255,7 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     k = len(d)
     # refused before any term: where <inf>_q is not a normal double, the
     # series would run until a denominator underflows
-    vals = normal_table(p, d[-1] - d[0] + 8)
+    vals = pochhammer_table(p, d[-1] - d[0] + 8)
     try:
         shift = q ** -(k * (k + 1) // 2)
     except OverflowError:
@@ -335,7 +329,7 @@ def block_p2(p: QParam, b: tuple[int, ...], a: tuple[int, ...]) -> float:
         raise DomainError("b and a must be equal-length, nonempty")
     if any(x < 0 for x in b) or any(x < 0 for x in a):
         raise DomainError("gap coordinates must be >= 0")
-    vals = normal_table(p, max(b) + max(a))
+    vals = pochhammer_table(p, max(b) + max(a))
     num = vals[-1]
     for m in range(1, k):
         num *= vals[b[m] + a[m - 1]]

@@ -6,7 +6,7 @@ are counted by direct pair comparison and the normalizer is the q-factorial
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain, permutations
 
@@ -24,9 +24,7 @@ class OraclePmf:
     """Exact law on S_n: word string (e.g. "312") -> probability, with the
     words in lexicographic order."""
 
-    n: int
-    q: float
-    probs: dict[str, float] = field(compare=False)
+    probs: dict[str, float]
 
     def prob(self, word: str) -> float:
         return self.probs.get(word, 0.0)
@@ -50,7 +48,7 @@ def oracle_enumerate(n: int, p: QParam) -> OraclePmf:
     q = p.q
     # one division per inversion count: the same floats as q**inv / norm word by word
     probs = [q**k / norm for k in range(n * (n - 1) // 2 + 1)]
-    return OraclePmf(n=n, q=q, probs=dict(zip(words, map(probs.__getitem__, inv))))
+    return OraclePmf(probs=dict(zip(words, map(probs.__getitem__, inv))))
 
 
 @cache

@@ -7,7 +7,8 @@ The laws read <n>_q from pochhammer_table, a tuple whose last entry stands
 for <inf>_q (truncation_error bounds the gap), a finite product from its n
 factors; both samplers' part searches read one exact table of -log <n>_q
 (log_table).  The tables' edges are decided here: _doubled refuses past
-MAX_TABLE, normal_table and euler_table where <inf>_q is not a normal double.
+MAX_TABLE, and _normal_inf, on q's product table, refuses where <inf>_q is
+not a normal double, for pochhammer_table and euler_table alike.
 
 Notation used throughout the package:
 
@@ -132,8 +133,11 @@ def _build_table(q: float, n_max: int) -> tuple[float, ...]:
 
 def pochhammer_table(p: QParam, n_max: int = 0) -> tuple[float, ...]:
     """The (cached) table of <n>_q for p, n = 0.._table_size(p.q), doubled
-    until it covers n_max; its last entry stands for <inf>_q."""
-    return _build_table(p.q, _doubled(p.q, _table_size(p.q), n_max))
+    until it covers n_max; its last entry stands for <inf>_q.  The table of
+    every law, so DomainError where <inf>_q is not a normal double."""
+    size = _doubled(p.q, _table_size(p.q), n_max)
+    _normal_inf(p.q, "the value cannot be returned")
+    return _build_table(p.q, size)
 
 
 def truncation_error(q: float, table: tuple[float, ...]) -> float:
@@ -167,30 +171,22 @@ def _log_table(q: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _subnormal_inf(q: float, refusal: str) -> DomainError:
-    """DomainError ending in refusal, where <inf>_q is not a normal double
-    (from q ~ 0.9977).  It names exp of log_table's exact sum at _table_size(q)."""
-    value = math.exp(-log_table(q, _table_size(q))[0][-1])
-    return DomainError(f"<inf>_q = {value!r} is not a normal double at q={q}; {refusal}")
-
-
-def normal_table(p: QParam, n_max: int = 0) -> tuple[float, ...]:
-    """pochhammer_table(p, n_max), or DomainError where its <inf>_q is not
-    a normal double: the table of every law."""
-    table = pochhammer_table(p, n_max)
-    if table[-1] < sys.float_info.min:
-        raise _subnormal_inf(p.q, "the value cannot be returned")
-    return table
+def _normal_inf(q: float, refusal: str) -> None:
+    """DomainError ending in refusal where <inf>_q, the last entry of q's
+    product table, is not a normal double (from q ~ 0.9977): the one
+    decision for every law and both samplers.  The message names exp of
+    log_table's sum: 1e-13 relative off at the edge, where exp magnifies the
+    last ulp of a sum near 708, and the nearest double deeper in the subnormals."""
+    if _build_table(q, _table_size(q))[-1] < sys.float_info.min:
+        value = math.exp(-log_table(q, _table_size(q))[0][-1])
+        raise DomainError(f"<inf>_q = {value!r} is not a normal double at q={q}; {refusal}")
 
 
 def euler_table(q: float) -> tuple[np.ndarray, np.ndarray]:
     """log_table(q, _table_size(q)), the table of the Euler-measure part
-    searches, or DomainError where <inf>_q = exp(-neg[-1]) is not a normal
-    double."""
-    neg, log_qpow = log_table(q, _table_size(q))
-    if neg[-1] > -math.log(sys.float_info.min):
-        raise _subnormal_inf(q, "Euler-measure diagrams cannot be drawn")
-    return neg, log_qpow
+    searches, or DomainError where <inf>_q is not a normal double."""
+    _normal_inf(q, "Euler-measure diagrams cannot be drawn")
+    return log_table(q, _table_size(q))
 
 
 def quotient(num: float, den: float, p: QParam) -> float:
@@ -248,7 +244,7 @@ def q_pochhammer(n: int | float, p: QParam) -> tuple[float, float]:
     double.
     """
     if n == INFINITY:
-        table = normal_table(p)
+        table = pochhammer_table(p)
         value = table[-1]
         return value, truncation_error(p.q, table) + _product_error(p.q, len(table) - 1, value)
     (n,) = _integers((n,), "q_pochhammer's n")

@@ -110,10 +110,9 @@ def sample_finite_mallows(n: int, p: QParam, s: GeomStream) -> PermWindow:
     """Word of {1..n} with P(sigma) = q^inv(sigma) / [n!]_q.
 
     Applies the elimination algorithm to batch_finite_r's one row of
-    truncated-geometric right counts (limit n-i at position i).
+    truncated-geometric right counts (limit n-i at position i), which
+    checks n.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
     return eliminate_right(batch_finite_r(n, p, s, 1)[0].tolist())
 
 
@@ -198,7 +197,6 @@ def sample_two_sided_interlacing(
     C(hi) = kmax - hi of them.
     """
     _check_window(lo, hi)
-    _check_stream(p, s)
     lam = sample_young_euler(p, s)
     plus = _plus_positions(lam.parts, hi)
     kmax = len(plus)

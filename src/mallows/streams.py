@@ -55,14 +55,18 @@ def _size(n: int) -> int:
 class GeomStream:
     """Reproducible stream of geometric draws with ratio q.
 
-    Attributes: ``seed`` (the 64-bit master seed), ``q`` (default ratio of
-    geometric draws), ``counter`` (uniforms consumed so far, bookkeeping).
+    Attributes: ``seed`` (the 64-bit master seed, an integer: a float is
+    refused, not truncated), ``q`` (default ratio of geometric draws),
+    ``counter`` (uniforms consumed so far, bookkeeping).
     """
 
     def __init__(self, seed: int, q: float, _label: str = "root") -> None:
         if not (0.0 < q < 1.0):
             raise DomainError(f"stream ratio q must lie in (0,1), got {q}")
-        self.seed = int(seed)
+        try:
+            self.seed = operator.index(seed)
+        except TypeError:
+            raise DomainError(f"seed must be an integer, got {seed!r}") from None
         self.q = float(q)
         self.counter = 0
         self._label = _label

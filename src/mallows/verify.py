@@ -35,6 +35,8 @@ from .samplers import (
 from .streams import GeomStream
 
 CHI2_ALPHA = 0.001
+#: the least expected count of a pooled chi-square group
+MIN_EXPECTED = 5.0
 KS_ALPHA = 0.01
 
 
@@ -79,16 +81,12 @@ class VerificationReport:
 # --------------------------------------------------------------------------
 
 def chi_square_case(
-    name: str,
-    observed: np.ndarray,
-    probs: np.ndarray,
-    alpha: float = CHI2_ALPHA,
-    min_expected: float = 5.0,
+    name: str, observed: np.ndarray, probs: np.ndarray, alpha: float = CHI2_ALPHA
 ) -> CaseResult:
     """Pearson chi-square with greedy pooling of low-expectation cells.
 
     Cells are pooled left to right until each group's expected count is at
-    least min_expected; a deficient final group is merged backwards.  Fewer
+    least MIN_EXPECTED; a deficient final group is merged backwards.  Fewer
     than two groups leave nothing to test, and DomainError is raised.
     """
     n = int(observed.sum())
@@ -99,7 +97,7 @@ def chi_square_case(
     for o, e in zip(observed, exp):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= MIN_EXPECTED:
             groups_obs.append(acc_o)
             groups_exp.append(acc_e)
             acc_o = acc_e = 0.0
@@ -108,7 +106,7 @@ def chi_square_case(
         groups_exp[-1] += acc_e
     if len(groups_obs) < 2:
         raise DomainError(
-            f"{name}: {n} samples make fewer than 2 groups of expected count >= {min_expected}"
+            f"{name}: {n} samples make fewer than 2 groups of expected count >= {MIN_EXPECTED}"
         )
     obs_arr = np.asarray(groups_obs)
     exp_arr = np.asarray(groups_exp)

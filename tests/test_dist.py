@@ -19,6 +19,7 @@ from mallows.dist import (
     joint_rl_pmf,
 )
 from mallows.errors import DomainError
+from mallows.oracle import oracle_enumerate
 from mallows.qseries import QParam, pochhammer_table, q_factorial
 from mallows.samplers import (
     batch_interlacing_windows,
@@ -406,6 +407,14 @@ def test_displacement_pmf_refuses_an_underflowing_entry():
     assert displacement_pmf(p, 0).prob(0) > 0.0
     with pytest.raises(DomainError, match="below the normal doubles"):
         displacement_pmf(p, 1)
+
+
+def test_law_tables_compare_by_their_probabilities():
+    # neither table keeps q, and every radius-0 displacement table has
+    # tail_bound 2.0, so only the entries tell two q apart
+    assert displacement_pmf(QParam(0.3), 0) != displacement_pmf(QParam(0.5), 0)
+    assert displacement_pmf(QParam(0.3), 2) == displacement_pmf(QParam(0.3), 2)
+    assert oracle_enumerate(2, QParam(0.3)) != oracle_enumerate(2, QParam(0.5))
 
 
 def test_fdd_query_keeps_its_fields_equality_and_hash():

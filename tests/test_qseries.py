@@ -21,12 +21,12 @@ from mallows.qseries import (
     MAX_TABLE,
     QParam,
     _build_table,
+    _doubled,
     _horizon,
     _log_table,
     _table_size,
     euler_table,
     log_table,
-    normal_table,
     pochhammer_table,
     q_factorial,
     q_pochhammer,
@@ -86,11 +86,11 @@ def test_finite_products_take_n_factors(monkeypatch):
     assert q_factorial(6, p) == pytest.approx(720.0, rel=1e-4)
     assert 0.0 < q_pochhammer(6, p)[0] < 1e-30
     assert depths and max(depths) <= 6
-    # the same floats as a read of p's full table
+    # the same floats as a read of q's full table
     for q in (1e-12, *Q_GRID, 0.999):
-        p = QParam(q)
         for n in (0, 1, 2, 5, 6, 8, 40, 200):
-            assert q_pochhammer(n, p)[0] == pochhammer_table(p, n)[n], f"q={q} n={n}"
+            table = _build_table(q, _doubled(q, _table_size(q), n))
+            assert q_pochhammer(n, QParam(q))[0] == table[n], f"q={q} n={n}"
 
 
 def test_a_table_past_max_table_is_refused_before_it_is_built(monkeypatch):
@@ -100,10 +100,10 @@ def test_a_table_past_max_table_is_refused_before_it_is_built(monkeypatch):
 
     def build(q, n_max):
         sizes.append(n_max)
-        return "table"
+        return (1.0, 0.5)
 
     monkeypatch.setattr(qseries, "_build_table", build)
-    assert pochhammer_table(QParam(0.99999)) == "table" and sizes == [MAX_TABLE]
+    assert pochhammer_table(QParam(0.99999)) == (1.0, 0.5) and set(sizes) == {MAX_TABLE}
     for q in (0.999999, 0.9999999):
         p = QParam(q)
         calls = [lambda: pochhammer_table(p), lambda: displacement_pmf(p, radius=0),
@@ -114,7 +114,7 @@ def test_a_table_past_max_table_is_refused_before_it_is_built(monkeypatch):
                 call()
     with pytest.raises(DomainError, match="MAX_TABLE"):
         pochhammer_table(QParam(0.5), MAX_TABLE + 1)
-    assert sizes == [MAX_TABLE]
+    assert set(sizes) == {MAX_TABLE}
 
 
 @pytest.mark.parametrize("fn", [q_pochhammer, q_factorial])
@@ -320,8 +320,7 @@ def test_table_is_the_sequential_product(q):
     # the build stops multiplying once the product is 0.0; every entry,
     # the limit and its error must be what the full loop gives, at the
     # default size and at sizes 64 to 65,536
-    sizes = [len(pochhammer_table(QParam(q))) - 1]
-    sizes += [2**j for j in range(6, 17)]
+    sizes = [_table_size(q), *(2**j for j in range(6, 17))]
     for n_max in sizes:
         vals = [1.0]
         prod = 1.0
@@ -335,13 +334,12 @@ def test_table_is_the_sequential_product(q):
 
 
 def test_infinite_product_near_one():
-    assert pochhammer_table(QParam(0.999))[-1] == 0.0
-    assert pochhammer_table(QParam(0.9985))[-1] == 5e-324
+    assert _build_table(0.999, _table_size(0.999))[-1] == 0.0
+    assert _build_table(0.9985, _table_size(0.9985))[-1] == 5e-324
 
 
 #: the largest double q at which the laws and the interlacing sampler take
-#: <inf>_q for a normal double; the laws decide on its product table
-#: (normal_table), the sampler on its -log table (euler_table)
+#: <inf>_q for a normal double, decided once on q's product table
 Q_EDGE = 0.9976935014128776
 
 
@@ -350,7 +348,7 @@ def _inf_edge_calls(q):
     # denominator underflows
     p = QParam(q)
     return {
-        "normal_table": lambda: normal_table(p),
+        "pochhammer_table": lambda: pochhammer_table(p),
         "q_pochhammer": lambda: q_pochhammer(INFINITY, p),
         "euler_table": lambda: euler_table(q),
         "joint_rl_pmf": lambda: joint_rl_pmf(p, 0, 0),
@@ -368,15 +366,20 @@ def test_laws_and_interlacing_refuse_from_the_same_q():
             call()
 
 
-@pytest.mark.parametrize("q, value", [(0.9978, 2.5e-323), (0.998, 0.0)])
+@pytest.mark.parametrize("q, value", [
+    (0.9976935014128777, 2.225073858455945e-308), (0.9978, 2.5e-323), (0.998, 0.0),
+])
 def test_every_inf_refusal_names_the_exact_value(q, value):
-    # not the product table's subnormal tail (3.85e-322 and 1.5e-323 here)
+    # not the product table's subnormal tail (3.85e-322 and 1.5e-323 at
+    # 0.9978 and 0.998).  At the first refused q, exp magnifies the last ulp
+    # of a sum near 708: 2.2250738584561644e-308 is 9.9e-14 off, relative.
+    # Deeper, 1e-12 relative is below half an ulp, so there the match is exact
     assert oracles.poch_inf(q) == value
     for name, call in _inf_edge_calls(q).items():
         with pytest.raises(DomainError) as exc:
             call()
         named = re.match(r"<inf>_q = (\S+) is not a normal double", str(exc.value))
-        assert named and float(named.group(1)) == value, name
+        assert named and float(named.group(1)) == pytest.approx(value, rel=1e-12, abs=0.0), name
 
 
 def test_table_caches_keep_at_most_cache_tables():

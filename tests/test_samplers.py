@@ -1119,6 +1119,16 @@ def test_stream_refuses_non_integer_sizes_without_counting():
     assert s.counter == 11
 
 
+def test_stream_refuses_a_seed_that_is_not_an_integer():
+    # truncating 1.5 to 1 would draw seed 1's stream; numpy integers pass
+    for seed in (1.5, 2.9, np.float64(2.0), "3", None):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            GeomStream(seed, 0.5)
+    for seed in (np.int64(3), np.uint8(3)):
+        assert np.array_equal(GeomStream(seed, 0.5).uniforms(8), GeomStream(3, 0.5).uniforms(8))
+    assert GeomStream(np.int64(3), 0.5).seed == 3
+
+
 @pytest.mark.parametrize("i", [0, -3, 4])
 def test_scalar_interlacing_matches_displacement_pmf(i):
     # a - slot at i takes w- letter C(i) + 1 and C(i) = #(+ <= i) - i >= -i,

@@ -1,6 +1,6 @@
 """The public surface of src/: every public name has a caller there, or is
-API that the README names with its reason, and the package exports exactly
-what its __init__ imports."""
+API that the README names with its reason, the package exports exactly
+what its __init__ imports, and every other module reads what it imports."""
 from __future__ import annotations
 
 import ast
@@ -97,3 +97,39 @@ def test_the_export_list_is_what_init_imports():
                 if isinstance(node, ast.ImportFrom) and node.module != "__future__"
                 for alias in node.names if not alias.name.startswith("_")}
     assert imported <= set(mallows.__all__)
+
+
+def _unread_imports(src: Path) -> set[tuple[str, str]]:
+    """(file, name) for each name that a module of the package in src binds
+    by an import and never reads in code.  __init__.py re-exports names and
+    is left out; `import a.b` binds a."""
+    unread = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread |= {(path.name, name) for name in imported - read}
+    return unread
+
+
+def test_every_import_in_src_is_read():
+    assert _unread_imports(SRC) == set()
+
+
+def test_an_import_is_read_only_by_code(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import f, os\n")
+    (tmp_path / "a.py").write_text(
+        '"""math is named here."""\n'
+        "from __future__ import annotations\n"
+        "import math\nimport os.path\nimport numpy as np\n"
+        "from sys import float_info, maxsize as big\n\n"
+        "def f(x: big) -> None:\n    return np.sum(x)  # float_info\n"
+    )
+    assert _unread_imports(tmp_path) == {("a.py", "math"), ("a.py", "os"), ("a.py", "float_info")}

@@ -249,7 +249,7 @@ def test_exchangeability_reads_its_tables_once_and_stays_sensitive():
             return pmf
         probs = dict(pmf.probs)
         probs["21345"] *= 1.0 + 1e-9
-        return OraclePmf(n=n, q=pmf.q, probs=probs)
+        return OraclePmf(probs=probs)
 
     def off_by_one(a, b):
         na, nb = swap(a, b)
@@ -271,7 +271,7 @@ def test_exchangeability_reads_its_tables_once_and_stays_sensitive():
 
 def _nan_word(n, p):
     pmf = oracle_enumerate(n, p)
-    return pmf if n != 5 else OraclePmf(n=n, q=pmf.q, probs={**pmf.probs, "21345": float("nan")})
+    return pmf if n != 5 else OraclePmf(probs={**pmf.probs, "21345": float("nan")})
 
 
 def _nan_swap(a, b):
