@@ -27,18 +27,22 @@ refuses with DomainError where <inf>_q is not a normal double, so every
 law does.
 
 This module alone fills a QParam's memo, for as long as the caller holds
-the parameter: each sorted fdd series as (value, bound) under (d, tol),
-each inner tail sum as (sum, bound, <b1>, <a_k>) under (e, A, R, tol), and
-each gap tuple's composition weights under ("weights", gaps) (see
-_fdd_sorted).  A hit is exactly what a fresh evaluation returns, and
-refusals are never stored.  Equal parameters share no entries, so a defect
-planted with monkeypatch must be checked through a fresh QParam.
+the parameter: each sorted fdd series with k >= 2 as (value, bound) under
+(d, tol), each inner tail sum as (sum, bound, <b1>, <a_k>) under
+(e, A, R, tol), and each gap tuple's composition weights under
+("weights", gaps) (see _fdd_sorted).  A k=1 series, an fdd query at k=1 or
+an entry of displacement_pmf, is one tail sum under (d, 0, 0, tol) times
+a prefactor, so it keeps that tail alone (see _k1_series).  Each routine
+reads its entry before it calls the one that evaluates it.  A hit is
+exactly what a fresh evaluation returns, and refusals are never stored.
+Equal parameters share no entries, so a defect planted with monkeypatch
+must be checked through a fresh QParam.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -98,10 +102,12 @@ def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
     """Tabulate the displacement law on [-radius..radius].
 
     P(D=d) for d >= 0 is the k=1 fdd series
-    (1-q)<inf> sum_l q^(l^2+l*d+2l+d)/(<l+d><l>), so each entry is the value
-    fdd_probability(p, FddQuery(1, (d,)), EPS_SERIES) returns.  The law is
-    symmetric about 0, so only d >= 0 is evaluated and the negative half
-    reuses the same floats (symmetry is bit-exact).  The tail bound
+    (1-q)<inf> sum_l q^(l^2+l*d+2l+d)/(<l+d><l>), evaluated for d = 0..radius
+    in one pass of _k1_series, the routine fdd_probability runs at k=1; so
+    each entry is the value fdd_probability(p, FddQuery(1, (d,)), EPS_SERIES)
+    returns, and a refusal is the one the first refused d would raise.  The
+    law is symmetric about 0, so only d >= 0 is evaluated and the negative
+    half reuses the same floats (symmetry is bit-exact).  The tail bound
     2 q^radius dominates P(|D| > radius) because |D| > m forces more than m
     right (or left) inversions at the position.
     """
@@ -109,8 +115,8 @@ def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
     if radius < 0:
         raise DomainError("radius must be >= 0")
     probs: dict[int, float] = {}
-    for d in range(radius + 1):
-        probs[d] = probs[-d] = _fdd_sorted((d,), p, EPS_SERIES)[0]
+    for d, (value, _) in enumerate(_k1_series(p, range(radius + 1), EPS_SERIES)):
+        probs[d] = probs[-d] = value
     return DisplacementPmf(radius=radius, probs=probs, tail_bound=2.0 * p.q**radius)
 
 
@@ -140,8 +146,8 @@ def conditional_l_given_r(p: QParam, r: int, ell: int) -> float:
     return block_p2(p, (r,), (ell,))
 
 
-def _tail_series(p: QParam, vals: tuple[float, ...], e: int, big_a: int, big_r: int,
-                 tol: float) -> tuple[float, float, float, float]:
+def _tail_series(p: QParam, vals: tuple[float, ...],
+                 key: tuple[int, int, int, float]) -> tuple[float, float, float, float]:
     """The inner sum over the free gap a_k of q^(A(b1+1) + (a_k+1)(b1+1+R))
     / (<b1><a_k>), with b1 = e + a_k and a_k from max(0, -e), as
     (sum, error bound, <b1>, <a_k>) at the term where it stopped.
@@ -149,29 +155,27 @@ def _tail_series(p: QParam, vals: tuple[float, ...], e: int, big_a: int, big_r: 
     Terms are summed with Kahan compensation until a term is at most tol
     times the sum and the ratio of the next term to it is at most q^2; the
     geometric tail from there bounds the truncation.  vals is a table of p
-    to start from.  The entry is kept in p.memo under (e, A, R, tol).
+    to start from.  The entry is kept in p.memo under key = (e, A, R, tol),
+    which its callers read before they call.
     """
-    key = (e, big_a, big_r, tol)
-    hit = p.memo.get(key)
-    if hit is not None:
-        return hit
+    e, big_a, big_r, tol = key
     q = p.q
-    n_vals = len(vals)
     q2 = q * q
     a_k = max(0, -e)
     b1 = e + a_k
-    top = max(b1, a_k) - a_k  # b1 and a_k step together
+    lead = max(e, 0)  # max(b1, a_k) - a_k; b1 and a_k step together
+    stop = len(vals) - lead  # the a_k at which vals runs out
     expo = big_a * (b1 + 1) + (a_k + 1) * (b1 + 1 + big_r)
     step = big_a + b1 + big_r + a_k + 3  # expo's next increment; grows by 2
     inner = comp = 0.0  # compensated (Kahan) sum
     while True:
-        if a_k + top >= n_vals:
-            vals = pochhammer_table(p, a_k + top)
-            n_vals = len(vals)
-        den = vals[b1] * vals[a_k]
-        if den == 0.0:
-            raise DomainError(UNDERFLOW.format(q=q))
-        term = q**expo / den
+        if a_k >= stop:
+            vals = pochhammer_table(p, a_k + lead)
+            stop = len(vals) - lead
+        try:
+            term = q**expo / (vals[b1] * vals[a_k])
+        except ZeroDivisionError:  # <b1><a_k> underflowed to 0
+            raise DomainError(UNDERFLOW.format(q=q)) from None
         y = term - comp
         t = inner + y
         comp = (t - inner) - y
@@ -195,36 +199,76 @@ def _gap_weights(p: QParam, gaps: tuple[int, ...],
     of the fixed gaps, in order of first appearance: the sum of q^C /
     den_rest in itertools.product order, and the smallest den_rest.  Both
     depend on q and the gaps alone, so they are kept in p.memo under
-    ("weights", gaps), shared by every d_1.  A den_rest of 0 or a weight
-    that overflows is refused.  vals is a table of p covering every gap.
+    ("weights", gaps), shared by every d_1; its callers read it before they
+    call.  A den_rest of 0 or a weight that overflows is refused.  vals is a
+    table of p covering every gap.
     """
-    key = ("weights", gaps)
-    hit = p.memo.get(key)
-    if hit is not None:
-        return hit
     q = p.q
+    # each composition's prefix, extended gap by gap in itertools.product
+    # order: (head, C, R, the row gaps' <b_j> multiplied in gap order, the
+    # <a_j> factors, multiplied after them)
+    rows = [(0, 0, 0, 1.0, ())]
+    for g in gaps:
+        # per a_j: a_j + 1, b_j + 1 = g - a_j + 1, <b_j> and (<a_j>,)
+        choices = [(a, a + 1, g - a + 1, vals[g - a], (vals[a],)) for a in range(g + 1)]
+        rows = [(head + a, big_c + a_inc * big_r, big_r + b_inc, den * den_b, dens + den_a)
+                for head, big_c, big_r, den, dens in rows
+                for a, a_inc, b_inc, den_b, den_a in choices]
     weights: dict[int, list[float]] = {}
-    for a_head in itertools.product(*[range(g + 1) for g in gaps]):
-        den_rest = 1.0
-        big_c = big_r = 0  # C of _fdd_sorted
-        for g, a_j in zip(gaps, a_head):
-            den_rest *= vals[g - a_j]  # the row gap b_j fixed by a_head
-            big_c += (a_j + 1) * big_r
-            big_r += g - a_j + 1
-        for a_j in a_head:
-            den_rest *= vals[a_j]
+    for head, big_c, _, den_rest, dens in rows:
+        for x in dens:
+            den_rest *= x
         weight = q**big_c / den_rest if den_rest else math.inf
         if weight == math.inf:
             raise DomainError(UNDERFLOW.format(q=q))
-        entry = weights.setdefault(sum(a_head), [0.0, den_rest])
+        entry = weights.setdefault(head, [0.0, den_rest])
         entry[0] += weight
         entry[1] = min(entry[1], den_rest)
-    out = p.memo[key] = tuple((h, w, den) for h, (w, den) in weights.items())
+    out = p.memo["weights", gaps] = tuple((h, w, den) for h, (w, den) in weights.items())
+    return out
+
+
+def _prefactor(q: float, k: int, vals: tuple[float, ...]) -> float:
+    """(1-q)^k q^-(k(k+1)/2) <inf>_q, the fdd series' prefactor before the
+    fixed gaps' <n>_q, or DomainError where q^-(k(k+1)/2) overflows."""
+    try:
+        shift = q ** -(k * (k + 1) // 2)
+    except OverflowError:
+        raise DomainError(
+            f"q={q}: q^-{k * (k + 1) // 2} overflows; the value cannot be returned"
+        ) from None
+    return (1.0 - q) ** k * shift * vals[-1]
+
+
+def _k1_series(p: QParam, ds: Iterable[int], tol: float) -> list[tuple[float, float]]:
+    """(value, error bound) of the k=1 fdd series at each d of ds, in order.
+
+    The series has one composition, of weight 1.0: the value is pref times
+    the tail sum under (d, 0, 0, tol), the bound |pref| err + |value|
+    rel_inf.  Its full denominator is the tail's <b1><a_k>, which the tail
+    refuses where it underflows.  The table, pref and rel_inf are taken
+    once for all of ds, and refusals come in the order one call per d
+    raises them.  Only the tail sums enter p.memo.
+    """
+    q = p.q
+    memo = p.memo
+    # refused before any term, as in _fdd_sorted
+    vals = pochhammer_table(p, 8)
+    pref = _prefactor(q, 1, vals)
+    rel_inf = truncation_error(q, vals) / vals[-1]
+    out = []
+    for d in ds:
+        key = (d, 0, 0, tol)
+        tail = memo.get(key)
+        if tail is None:
+            tail = _tail_series(p, vals, key)
+        value = _normal(pref * tail[0], q)
+        out.append((value, abs(pref) * tail[1] + abs(value) * rel_inf))
     return out
 
 
 def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float]:
-    """(value, error bound) for nondecreasing d.
+    """(value, error bound) for nondecreasing d with k >= 2 entries.
 
     Enumerates gap variables a_1..a_{k-1} over their finite ranges
     0 <= a_m <= d_{m+1}-d_m; the free tail variable a_k (bounded below so
@@ -243,12 +287,12 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     + |value| rel_inf.  A head whose smallest den_rest times <b1><a_k> at
     the tail's last term underflows to 0 is refused: rounding is monotone,
     so that is where some composition's full denominator does.  A value
-    below the normal doubles is refused too.  At k=1 the weight is exactly
-    1.0.  The result is kept in p.memo under (d, tol), so p evaluates each
-    series once.
+    below the normal doubles is refused too.  The result is kept in p.memo
+    under (d, tol), so p evaluates each series once.  k=1 is _k1_series.
     """
     key = (d, tol)
-    hit = p.memo.get(key)
+    memo = p.memo
+    hit = memo.get(key)
     if hit is not None:
         return hit
     q = p.q
@@ -256,36 +300,37 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     # refused before any term: where <inf>_q is not a normal double, the
     # series would run until a denominator underflows
     vals = pochhammer_table(p, d[-1] - d[0] + 8)
-    try:
-        shift = q ** -(k * (k + 1) // 2)
-    except OverflowError:
-        raise DomainError(
-            f"q={q}: q^-{k * (k + 1) // 2} overflows; the value cannot be returned"
-        ) from None
-    pref = (1.0 - q) ** k * shift * vals[-1]
+    pref = _prefactor(q, k, vals)
     gaps = tuple(d[m] - d[m - 1] for m in range(1, k))
     for g in gaps:
         pref *= vals[g]
     span = d[-1] - d[0] + k - 1
-    terms = []
-    for head, weight, den_min in _gap_weights(p, gaps, vals):
-        tail = _tail_series(p, vals, d[0] + head, head + k - 1, span - head, tol)
+    weights = memo.get(("weights", gaps))
+    if weights is None:
+        weights = _gap_weights(p, gaps, vals)
+    d_1 = d[0]
+    parts = []
+    err = 0.0
+    for head, weight, den_min in weights:
+        inner_key = (d_1 + head, head + k - 1, span - head, tol)
+        tail = memo.get(inner_key)
+        if tail is None:
+            tail = _tail_series(p, vals, inner_key)
         if den_min * tail[2] * tail[3] == 0.0:
             raise DomainError(UNDERFLOW.format(q=q))
-        terms.append((weight, tail))
-    value = _normal(pref * math.fsum(w * tail[0] for w, tail in terms), q)
-    err = 0.0
-    for w, tail in terms:
-        err += w * tail[1]
+        parts.append(weight * tail[0])
+        err += weight * tail[1]
+    value = _normal(pref * math.fsum(parts), q)
     rel_inf = truncation_error(q, vals) / vals[-1]
-    out = p.memo[key] = value, abs(pref) * err + abs(value) * rel_inf
+    out = memo[key] = value, abs(pref) * err + abs(value) * rel_inf
     return out
 
 
 def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, float]:
     """P(sigma(m) = m + d_m for m = 1..k) as (value, error bound).
 
-    For nondecreasing d the sorted series is evaluated directly.  Otherwise
+    At k=1 this is _k1_series, the routine displacement_pmf runs.  For
+    nondecreasing d the sorted series is evaluated directly.  Otherwise
     the implied values v_m = d_m + m are sorted increasingly, the sorted
     query is evaluated, and the result is multiplied by q^inv(v): each
     inversion of the value word costs exactly one factor q.  Colliding
@@ -296,6 +341,8 @@ def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, floa
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     d = query.d
+    if query.k == 1:
+        return _k1_series(p, d, tol)[0]
     vals = [x + m for m, x in enumerate(d, 1)]
     if len(set(vals)) != len(vals):
         return 0.0, 0.0

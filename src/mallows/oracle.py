@@ -12,7 +12,7 @@ from itertools import chain, permutations
 
 import numpy as np
 
-from .errors import TooLargeError
+from .errors import DomainError, TooLargeError
 from .qseries import QParam, q_factorial
 
 #: Enumeration budget: 8! = 40320 permutations.
@@ -38,7 +38,7 @@ def oracle_enumerate(n: int, p: QParam) -> OraclePmf:
     (0.6666666667, 0.3333333333)
     """
     if n < 1:
-        raise TooLargeError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     if n > MAX_ORACLE_N:
         raise TooLargeError(
             f"enumeration of S_{n} exceeds the budget (n <= {MAX_ORACLE_N})"

@@ -177,8 +177,9 @@ def _normal_inf(q: float, refusal: str) -> None:
     decision for every law and both samplers.  The message names exp of
     log_table's sum: 1e-13 relative off at the edge, where exp magnifies the
     last ulp of a sum near 708, and the nearest double deeper in the subnormals."""
-    if _build_table(q, _table_size(q))[-1] < sys.float_info.min:
-        value = math.exp(-log_table(q, _table_size(q))[0][-1])
+    size = _table_size(q)
+    if _build_table(q, size)[-1] < sys.float_info.min:
+        value = math.exp(-_log_table(q, size)[0][-1])
         raise DomainError(f"<inf>_q = {value!r} is not a normal double at q={q}; {refusal}")
 
 

@@ -236,6 +236,14 @@ def sample_two_sided_inversion(
 # batch kernels (vectorized Monte Carlo; same laws as the scalar samplers)
 # --------------------------------------------------------------------------
 
+def _check_sizes(n: int, count: int) -> None:
+    """DomainError naming the argument out of its domain, n first."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if count < 0:
+        raise DomainError("count must be >= 0")
+
+
 def batch_finite_r(n: int, p: QParam, s: GeomStream, count: int) -> np.ndarray:
     """count x n matrix of independent truncated-geometric right counts.
 
@@ -245,8 +253,7 @@ def batch_finite_r(n: int, p: QParam, s: GeomStream, count: int) -> np.ndarray:
     row k holds the right counts of the k-th of count successive
     sample_finite_mallows calls.
     """
-    if n < 1 or count < 0:
-        raise DomainError("need n >= 1 and count >= 0")
+    _check_sizes(n, count)
     _check_stream(p, s)
     out = np.zeros((count, n), dtype=np.int64)
     limits = np.tile(np.arange(n - 1, 0, -1), count)
@@ -268,8 +275,7 @@ def batch_shuffle_prefixes(n: int, p: QParam, s: GeomStream, count: int) -> np.n
     """count x n matrix whose rows are what count successive
     q_shuffle_prefix(n, p, s) calls return, from the same draws (all rows'
     geometric skips, row by row, in one call)."""
-    if n < 1 or count < 0:
-        raise DomainError("need n >= 1 and count >= 0")
+    _check_sizes(n, count)
     _check_stream(p, s)
     return 1 + _leftward_chains(s.geometrics(count * n).reshape(count, n))
 

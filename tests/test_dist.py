@@ -277,7 +277,7 @@ def test_fdd_indices_past_the_first_table():
             assert got == pytest.approx(pmf.prob(d[0]), rel=1e-12), f"d={d}"
 
 
-@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("q", [0.02, 0.3, 0.5, 0.8, 0.95, 0.9965])
 def test_displacement_pmf_is_the_k1_fdd_series(q):
     p = QParam(q)
     radius = 70
@@ -315,6 +315,25 @@ def test_laws_refuse_underflowing_denominators(q):
             fdd_probability(p, FddQuery(len(d), d), 1e-12)
 
 
+@pytest.mark.parametrize("q", [1e-310, 1e-300, 0.997, 0.999])
+def test_displacement_pmf_refuses_as_its_first_refused_k1_query(q):
+    # the one pass over d = 0..radius raises what one FddQuery(1, (d,)) per
+    # d raises first: q^-1 overflows at 1e-310, P(D=1) underflows at 1e-300,
+    # the tail's <b1><a_k> underflows at 0.997 and <inf>_q is subnormal at 0.999
+    with pytest.raises(DomainError) as pmf:
+        displacement_pmf(QParam(q), 40)
+    p = QParam(q)
+    first = None
+    for d in range(41):
+        try:
+            fdd_probability(p, FddQuery(1, (d,)), p.eps_series)
+        except DomainError as err:
+            first = err
+            break
+    assert first is not None
+    assert (type(pmf.value), str(pmf.value)) == (type(first), str(first))
+
+
 @pytest.mark.parametrize("q", [0.3, 0.8, 0.985])
 def test_fdd_memo_hit_is_a_fresh_evaluation(q):
     # p keeps one entry per distinct sorted query; a permuted query and a
@@ -337,12 +356,16 @@ def test_fdd_memo_hit_is_a_fresh_evaluation(q):
         for a_head in itertools.product(*[range(d[m + 1] - d[m] + 1) for m in range(k - 1)]):
             head = sum(a_head)
             inner_keys.add((d[0] + head, head + k - 1, d[-1] - d[0] - head + k - 1, 1e-12))
-    # and one composition weight table per distinct gap tuple
-    weight_keys = {("weights", tuple(b - a for a, b in zip(d, d[1:]))) for d in sorted_queries}
-    assert set(p.memo) == {(d, 1e-12) for d in sorted_queries} | inner_keys | weight_keys
-    # displacement_pmf's entries are the k=1 queries at tol = eps_series
+    # and one composition weight table per distinct gap tuple; a k=1 series
+    # is its one tail sum times the prefactor, so it keeps only the tail
+    series = {d for d in sorted_queries if len(d) > 1}
+    weight_keys = {("weights", tuple(b - a for a, b in zip(d, d[1:]))) for d in series}
+    assert set(p.memo) == {(d, 1e-12) for d in series} | inner_keys | weight_keys
+    # displacement_pmf reads the k=1 tails at tol = eps_series and adds none
+    before = dict(p.memo)
     pmf = displacement_pmf(p, 3)
-    assert all(pmf.prob(d) == p.memo[((abs(d),), p.eps_series)][0] for d in range(-3, 4))
+    assert p.memo == before
+    assert all(pmf.prob(d) == first[box.index((abs(d),))][0] for d in range(-3, 4))
 
 
 def test_fdd_queries_with_equal_gaps_share_one_weight_table():
@@ -502,6 +525,9 @@ def test_underflowing_quotients_are_domain_errors(q, call):
         lambda s: q_factorial(-1, P5),
         lambda s: fdd_probability(QParam(1e-200), FddQuery(2, (0, 1)), 1e-12),
         lambda s: displacement_pmf(QParam(1e-310), 10),
+        lambda s: fdd_probability(QParam(1e-310), FddQuery(1, (3,)), 1e-12),
+        lambda s: displacement_pmf(QParam(1e-300), 10),
+        lambda s: fdd_probability(QParam(1e-300), FddQuery(1, (1,)), 1e-12),
         lambda s: s.truncated_geometrics(np.full(1, -1)),
         lambda s: sample_finite_mallows(0, P5, s),
         lambda s: q_shuffle_prefix(0, P5, s),
@@ -513,13 +539,15 @@ def test_underflowing_quotients_are_domain_errors(q, call):
         lambda s: batch_interlacing_windows(-(2**62) - 1, -(2**62) + 1, P5, s, 3),
     ],
     ids=["block_p2-lengths", "block_p2-negative-gap", "q_factorial",
-         "fdd-overflow", "displacement-overflow", "truncated-geometric", "finite",
+         "fdd-overflow", "displacement-overflow", "fdd-k1-overflow",
+         "displacement-underflow", "fdd-k1-underflow", "truncated-geometric", "finite",
          "shuffle-prefix", "interlacing", "interlacing-kernel", "interlacing-past-2^62",
          "interlacing-at-int64-min", "interlacing-kernel-at-int64-max",
          "interlacing-kernel-below-2^62"],
 )
 def test_library_refusals_draw_nothing(call):
-    # q^-(k(k+1)/2) overflows at k=2, q=1e-200 and at k=1, q=1e-310
+    # q^-(k(k+1)/2) overflows at k=2, q=1e-200 and at k=1, q=1e-310; P(D=1)
+    # underflows at q=1e-300
     s = GeomStream(seed=0, q=0.5)
     with pytest.raises(DomainError):
         call(s)

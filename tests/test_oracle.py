@@ -8,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from mallows.errors import TooLargeError
+from mallows.errors import DomainError, TooLargeError
 from mallows.oracle import MAX_ORACLE_N, oracle_enumerate
 from mallows.qseries import QParam, q_factorial
 
@@ -93,5 +93,9 @@ def test_unknown_word_has_zero_prob():
 def test_budget_enforced():
     with pytest.raises(TooLargeError):
         oracle_enumerate(MAX_ORACLE_N + 1, QParam(0.5))
-    with pytest.raises(TooLargeError):
+
+
+def test_below_the_domain_is_a_domain_error():
+    # n = 0 is no request past the budget, but a count below its domain
+    with pytest.raises(DomainError, match="n must be >= 1"):
         oracle_enumerate(0, QParam(0.5))

@@ -1095,6 +1095,24 @@ def test_batch_inversion_rejects_negative_count():
     assert s.counter == 0
 
 
+def test_finite_kernels_name_the_argument_they_refuse():
+    # the scalar sampler passes count=1, so it names n alone
+    for call, match in [
+        (lambda s: sample_finite_mallows(0, P5, s), "n must be >= 1"),
+        (lambda s: batch_finite_r(0, P5, s, 3), "n must be >= 1"),
+        (lambda s: batch_finite_r(3, P5, s, -1), "count must be >= 0"),
+        (lambda s: batch_finite_words(0, P5, s, 3), "n must be >= 1"),
+        (lambda s: batch_finite_words(3, P5, s, -1), "count must be >= 0"),
+        (lambda s: batch_shuffle_prefixes(0, P5, s, 3), "n must be >= 1"),
+        (lambda s: batch_shuffle_prefixes(3, P5, s, -1), "count must be >= 0"),
+        (lambda s: batch_shuffle_prefixes(0, P5, s, -1), "n must be >= 1"),
+    ]:
+        s = GeomStream(seed=0, q=0.5)
+        with pytest.raises(DomainError, match=f"^{match}$"):
+            call(s)
+        assert s.counter == 0
+
+
 def test_stream_refuses_negative_sizes_without_counting():
     s = GeomStream(seed=0, q=0.5)
     s.uniforms(4)
