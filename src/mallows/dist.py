@@ -33,8 +33,10 @@ the parameter: each sorted fdd series with k >= 2 as (value, bound) under
 ("weights", gaps) (see _fdd_sorted).  A k=1 series, an fdd query at k=1 or
 an entry of displacement_pmf, is one tail sum under (d, 0, 0, tol) times
 a prefactor, so it keeps that tail alone (see _k1_series).  Each routine
-reads its entry before it calls the one that evaluates it.  A hit is
-exactly what a fresh evaluation returns, and refusals are never stored.
+reads its entry before it calls the one that evaluates it: fdd_probability
+reads the sorted series, so a repeated or permuted query runs no series
+routine.  A hit is exactly what a fresh evaluation returns, and refusals
+are never stored.
 Equal parameters share no entries, so a defect planted with monkeypatch
 must be checked through a fresh QParam.
 """
@@ -44,12 +46,16 @@ import math
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import add, index, sub
 
 from .errors import DomainError
 from .perm import inversions
 from .qseries import (
     EPS_SERIES, UNDERFLOW, QParam, _integers, pochhammer_table, quotient, truncation_error,
 )
+
+#: the ranks m = 1, 2, 3, ... of an fdd query's entries: v_m = d_m + m
+_RANKS = range(1, sys.maxsize)
 
 
 def _normal(value: float, q: float) -> float:
@@ -82,13 +88,17 @@ class DisplacementPmf:
 class FddQuery:
     """A finite-dimensional displacement event: sigma(m) = m + d[m-1] for
     m = 1..k.  The d need not be sorted; colliding implied values make the
-    event impossible.  Each d_m must be an integer (int or numpy integer):
-    a float, even 1.0, is refused rather than rounded to another event."""
+    event impossible.  k and each d_m must be integers (int or numpy integer,
+    kept as int): a float, even 1.0, is refused, not rounded to another event."""
 
     k: int
     d: tuple[int, ...]
 
     def __init__(self, k: int, d) -> None:
+        try:
+            k = index(k)
+        except TypeError:
+            raise DomainError(f"k must be an integer, got {k!r}") from None
         if k < 1:
             raise DomainError("k must be >= 1")
         d = _integers(d, "displacements")
@@ -267,8 +277,8 @@ def _k1_series(p: QParam, ds: Iterable[int], tol: float) -> list[tuple[float, fl
     return out
 
 
-def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float]:
-    """(value, error bound) for nondecreasing d with k >= 2 entries.
+def _fdd_sorted(p: QParam, key: tuple[tuple[int, ...], float]) -> tuple[float, float]:
+    """(value, error bound) at key = (d, tol): d is k >= 2 nondecreasing ints.
 
     Enumerates gap variables a_1..a_{k-1} over their finite ranges
     0 <= a_m <= d_{m+1}-d_m; the free tail variable a_k (bounded below so
@@ -288,13 +298,10 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
     the tail's last term underflows to 0 is refused: rounding is monotone,
     so that is where some composition's full denominator does.  A value
     below the normal doubles is refused too.  The result is kept in p.memo
-    under (d, tol), so p evaluates each series once.  k=1 is _k1_series.
+    under key, which fdd_probability reads first.  k=1 is _k1_series.
     """
-    key = (d, tol)
+    d, tol = key
     memo = p.memo
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     q = p.q
     k = len(d)
     # refused before any term: where <inf>_q is not a normal double, the
@@ -329,29 +336,34 @@ def _fdd_sorted(d: tuple[int, ...], p: QParam, tol: float) -> tuple[float, float
 def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, float]:
     """P(sigma(m) = m + d_m for m = 1..k) as (value, error bound).
 
-    At k=1 this is _k1_series, the routine displacement_pmf runs.  For
-    nondecreasing d the sorted series is evaluated directly.  Otherwise
-    the implied values v_m = d_m + m are sorted increasingly, the sorted
-    query is evaluated, and the result is multiplied by q^inv(v): each
-    inversion of the value word costs exactly one factor q.  Colliding
-    implied values mean the event is impossible and the exact answer (0, 0)
-    is returned rather than an error; a possible event whose value
-    underflows to 0 or to a subnormal double raises DomainError.
+    At k=1 this is _k1_series, the routine displacement_pmf runs.  For an
+    integer k >= 2 the implied values v_m = d_m + m are sorted, the sorted
+    query's series is read from p.memo (_fdd_sorted evaluates a miss), and
+    for unsorted d it is multiplied by q^inv(v): each inversion of the
+    value word costs one factor q.  So a permuted or repeated query costs
+    its ranking and one dict lookup.  Colliding implied values make the
+    event impossible: the exact (0, 0) is returned before any table is read,
+    not an error.  A possible event whose value underflows to 0 or to a
+    subnormal double raises DomainError.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     d = query.d
     if query.k == 1:
         return _k1_series(p, d, tol)[0]
-    vals = [x + m for m, x in enumerate(d, 1)]
-    if len(set(vals)) != len(vals):
+    vals = [*map(add, d, _RANKS)]
+    if len(set(vals)) != query.k:
         return 0.0, 0.0
     ranked = sorted(vals)
-    if ranked == vals:
-        return _fdd_sorted(d, p, tol)
-    value, err = _fdd_sorted(tuple(v - m for m, v in enumerate(ranked, 1)), p, tol)
-    factor = p.q ** inversions(vals)
-    return _normal(factor * value, p.q), factor * err
+    unsorted = ranked != vals
+    key = (tuple(map(sub, ranked, _RANKS)) if unsorted else d), tol
+    out = p.memo.get(key)
+    if out is None:
+        out = _fdd_sorted(p, key)
+    if unsorted:
+        factor = p.q ** inversions(vals)
+        out = _normal(factor * out[0], p.q), factor * out[1]
+    return out
 
 
 def block_p2(p: QParam, b: tuple[int, ...], a: tuple[int, ...]) -> float:

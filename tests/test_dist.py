@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mallows import dist
 from mallows.dist import (
     FddQuery,
     block_p2,
@@ -199,9 +200,18 @@ def test_laws_take_numpy_integers():
     assert block_p2(P5, (two, 1), (0, two)) == block_p2(P5, (2, 1), (0, 2))
 
 
+@pytest.mark.parametrize("bad", [2.0, np.float64(2.0), 1.5, float("nan"), "2", None])
+def test_fdd_query_refuses_a_k_that_is_not_an_integer(bad):
+    # 2.0 used to be kept as k=2.0, comparing and hashing equal to k=2
+    with pytest.raises(DomainError, match="k must be an integer"):
+        FddQuery(bad, (0, 1))
+
+
 def test_fdd_query_takes_numpy_integers():
-    query = FddQuery(3, (np.int64(-1), np.int32(0), 2))
+    query = FddQuery(np.int64(3), (np.int64(-1), np.int32(0), 2))
+    assert query.k == 3 and type(query.k) is int
     assert query.d == (-1, 0, 2) and all(type(x) is int for x in query.d)
+    assert query == FddQuery(3, (-1, 0, 2))
     want = fdd_probability(QParam(0.5), FddQuery(3, (-1, 0, 2)), 1e-12)
     assert fdd_probability(QParam(0.5), query, 1e-12) == want
 
@@ -233,6 +243,17 @@ def test_fdd_k1_equals_displacement():
 def test_fdd_collision_is_impossible_event():
     val, err = fdd_probability(P5, FddQuery(2, (1, 0)), 1e-12)
     assert (val, err) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("q", [0.999, 1e-300])
+def test_fdd_impossible_event_is_answered_before_any_refusal(q):
+    # every series refuses at both q: on <inf>_q at 0.999, and at 1e-300 on
+    # the k=3 prefactor q^-6, which overflows; a collision reads no table
+    p = QParam(q)
+    for d in [(1, 0, -1), (2, 0, 0), (0, -1, 1), (0, 1, 0)]:
+        assert fdd_probability(p, FddQuery(3, d), 1e-12) == (0.0, 0.0), f"d={d}"
+    with pytest.raises(DomainError):
+        fdd_probability(p, FddQuery(3, (0, 0, 0)), 1e-12)
 
 
 def test_fdd_unsorted_is_q_power_times_sorted():
@@ -366,6 +387,25 @@ def test_fdd_memo_hit_is_a_fresh_evaluation(q):
     pmf = displacement_pmf(p, 3)
     assert p.memo == before
     assert all(pmf.prob(d) == first[box.index((abs(d),))][0] for d in range(-3, 4))
+
+
+@pytest.mark.parametrize("q, d", [(0.3, (-2, 0, 1)), (0.8, (-1, -1, 0, 2))])
+def test_fdd_memo_hit_never_reaches_the_series(q, d, monkeypatch):
+    # once the sorted query is kept, it and every permutation of its
+    # implied values are answered from p.memo alone
+    values = [x + m for m, x in enumerate(d, 1)]
+    queries = [tuple(v - m for m, v in enumerate(order, 1))
+               for order in itertools.permutations(values)]
+    fresh = [fdd_probability(QParam(q), FddQuery(len(e), e), 1e-12) for e in queries]
+    p = QParam(q)
+    fdd_probability(p, FddQuery(len(d), d), 1e-12)
+
+    def refuse(*args):
+        raise AssertionError("a memo hit reached _fdd_sorted")
+
+    monkeypatch.setattr(dist, "_fdd_sorted", refuse)
+    assert fdd_probability(p, FddQuery(len(d), d), 1e-12) == fresh[0]
+    assert [fdd_probability(p, FddQuery(len(e), e), 1e-12) for e in queries] == fresh
 
 
 def test_fdd_queries_with_equal_gaps_share_one_weight_table():
