@@ -101,11 +101,13 @@ class FddQuery:
             raise DomainError(f"k must be an integer, got {k!r}") from None
         if k < 1:
             raise DomainError("k must be >= 1")
-        d = _integers(d, "displacements")
-        if len(d) != k:
-            raise DomainError(f"expected {k} displacements, got {len(d)}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
+        try:
+            ints = tuple(map(index, d))
+        except TypeError:
+            raise DomainError(f"displacements must be integers, got {d!r}") from None
+        if len(ints) != k:
+            raise DomainError(f"expected {k} displacements, got {len(ints)}")
+        self.__dict__.update(k=k, d=ints)  # both fields at once; __setattr__ is frozen
 
 
 def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
@@ -205,36 +207,45 @@ def _tail_series(p: QParam, vals: tuple[float, ...],
 
 def _gap_weights(p: QParam, gaps: tuple[int, ...],
                  vals: tuple[float, ...]) -> tuple[tuple[int, float, float], ...]:
-    """(head, weight, den_min) for each head of _fdd_sorted's compositions
-    of the fixed gaps, in order of first appearance: the sum of q^C /
-    den_rest in itertools.product order, and the smallest den_rest.  Both
-    depend on q and the gaps alone, so they are kept in p.memo under
-    ("weights", gaps), shared by every d_1; its callers read it before they
-    call.  A den_rest of 0 or a weight that overflows is refused.  vals is a
-    table of p covering every gap.
+    """(head, weight, den_min) for head = 0..sum(gaps), over _fdd_sorted's
+    compositions 0 <= a_j <= g_j of the fixed gaps with a_1+...+a_{k-1} =
+    head: the sum of q^C / den_rest, added in itertools.product order, and
+    the smallest den_rest.  C = sum_j (a_j+1) R_j with R_j = sum_{i<j} (g_i
+    - a_i + 1), and den_rest is the row gaps' <g_j - a_j> multiplied in gap
+    order, then the <a_j>.  Both depend on q and the gaps alone, so they are
+    kept in p.memo under ("weights", gaps), shared by every d_1; its callers
+    read it before they call.  A den_rest of 0 or a weight that overflows is
+    refused.  vals is a table of p covering every gap.
     """
     q = p.q
-    # each composition's prefix, extended gap by gap in itertools.product
-    # order: (head, C, R, the row gaps' <b_j> multiplied in gap order, the
-    # <a_j> factors, multiplied after them)
-    rows = [(0, 0, 0, 1.0, ())]
-    for g in gaps:
-        # per a_j: a_j + 1, b_j + 1 = g - a_j + 1, <b_j> and (<a_j>,)
-        choices = [(a, a + 1, g - a + 1, vals[g - a], (vals[a],)) for a in range(g + 1)]
-        rows = [(head + a, big_c + a_inc * big_r, big_r + b_inc, den * den_b, dens + den_a)
-                for head, big_c, big_r, den, dens in rows
-                for a, a_inc, b_inc, den_b, den_a in choices]
-    weights: dict[int, list[float]] = {}
-    for head, big_c, _, den_rest, dens in rows:
-        for x in dens:
-            den_rest *= x
-        weight = q**big_c / den_rest if den_rest else math.inf
-        if weight == math.inf:
-            raise DomainError(UNDERFLOW.format(q=q))
-        entry = weights.setdefault(head, [0.0, den_rest])
-        entry[0] += weight
-        entry[1] = min(entry[1], den_rest)
-    out = p.memo["weights", gaps] = tuple((h, w, den) for h, (w, den) in weights.items())
+    *fixed, last = gaps
+    # each composition's prefix over every gap but the last, in
+    # itertools.product order: (head, C, R, the row gaps' <g_j - a_j>
+    # multiplied in gap order, the <a_j>); the last gap is the inner loop
+    prefixes = [(0, 0, 0, 1.0, ())]
+    for g in fixed:
+        prefixes = [(head + a, big_c + (a + 1) * big_r, big_r + g - a + 1, den * vals[g - a],
+                     dens + (vals[a],))
+                    for head, big_c, big_r, den, dens in prefixes for a in range(g + 1)]
+    size = sum(gaps) + 1
+    sums = [0.0] * size
+    mins = [math.inf] * size
+    for head, big_c, big_r, den_rows, dens in prefixes:
+        big_c += big_r  # C at a_{k-1} = 0; each step of a_{k-1} adds R
+        for a in range(last + 1):
+            den_rest = den_rows * vals[last - a]
+            for x in dens:
+                den_rest *= x
+            den_rest *= vals[a]
+            weight = q**big_c / den_rest if den_rest else math.inf
+            if weight == math.inf:
+                raise DomainError(UNDERFLOW.format(q=q))
+            sums[head] += weight
+            if den_rest < mins[head]:
+                mins[head] = den_rest
+            head += 1
+            big_c += big_r
+    out = p.memo["weights", gaps] = tuple(zip(range(size), sums, mins))
     return out
 
 
@@ -308,7 +319,7 @@ def _fdd_sorted(p: QParam, key: tuple[tuple[int, ...], float]) -> tuple[float, f
     # series would run until a denominator underflows
     vals = pochhammer_table(p, d[-1] - d[0] + 8)
     pref = _prefactor(q, k, vals)
-    gaps = tuple(d[m] - d[m - 1] for m in range(1, k))
+    gaps = tuple(map(sub, d[1:], d))
     for g in gaps:
         pref *= vals[g]
     span = d[-1] - d[0] + k - 1

@@ -74,8 +74,9 @@ class PermWindow:
 
 
 def inversions(values: Sequence[int]) -> int:
-    """Total number of inversions of a finite word (direct pair count)."""
-    return int(sum(starmap(gt, combinations(values, 2))))
+    """Total number of inversions of a finite word (direct pair count): an
+    int for a word of ints, a numpy integer for a numpy array."""
+    return sum(starmap(gt, combinations(values, 2)))
 
 
 def _pop_letters(r: Sequence[int]) -> tuple[int, ...]:

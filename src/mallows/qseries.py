@@ -8,7 +8,8 @@ for <inf>_q (truncation_error bounds the gap), a finite product from its n
 factors; both samplers' part searches read one exact table of -log <n>_q
 (log_table).  The tables' edges are decided here: _doubled refuses past
 MAX_TABLE, and _normal_inf, on q's product table, refuses where <inf>_q is
-not a normal double, for pochhammer_table and euler_table alike.
+not a normal double and returns the table it checked, for pochhammer_table
+and euler_table alike.
 
 Notation used throughout the package:
 
@@ -135,9 +136,7 @@ def pochhammer_table(p: QParam, n_max: int = 0) -> tuple[float, ...]:
     """The (cached) table of <n>_q for p, n = 0.._table_size(p.q), doubled
     until it covers n_max; its last entry stands for <inf>_q.  The table of
     every law, so DomainError where <inf>_q is not a normal double."""
-    size = _doubled(p.q, _table_size(p.q), n_max)
-    _normal_inf(p.q, "the value cannot be returned")
-    return _build_table(p.q, size)
+    return _normal_inf(p.q, "the value cannot be returned", n_max)
 
 
 def truncation_error(q: float, table: tuple[float, ...]) -> float:
@@ -171,23 +170,28 @@ def _log_table(q: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _normal_inf(q: float, refusal: str) -> None:
-    """DomainError ending in refusal where <inf>_q, the last entry of q's
-    product table, is not a normal double (from q ~ 0.9977): the one
-    decision for every law and both samplers.  The message names exp of
-    log_table's sum: 1e-13 relative off at the edge, where exp magnifies the
-    last ulp of a sum near 708, and the nearest double deeper in the subnormals."""
+def _normal_inf(q: float, refusal: str, n_max: int = 0) -> tuple[float, ...]:
+    """q's product table, n = 0.._table_size(q) doubled until it covers
+    n_max (refused past MAX_TABLE first), or DomainError ending in refusal
+    where <inf>_q, the entry at _table_size(q), is not a normal double
+    (from q ~ 0.9977): the one decision for every law and both samplers.
+    The message names exp of log_table's sum: 1e-13 relative off at the
+    edge, where exp magnifies the last ulp of a sum near 708, and the
+    nearest double deeper in the subnormals."""
     size = _table_size(q)
-    if _build_table(q, size)[-1] < sys.float_info.min:
+    wanted = _doubled(q, size, n_max)
+    table = _build_table(q, size)
+    if table[-1] < sys.float_info.min:
         value = math.exp(-_log_table(q, size)[0][-1])
         raise DomainError(f"<inf>_q = {value!r} is not a normal double at q={q}; {refusal}")
+    return table if wanted == size else _build_table(q, wanted)
 
 
 def euler_table(q: float) -> tuple[np.ndarray, np.ndarray]:
     """log_table(q, _table_size(q)), the table of the Euler-measure part
     searches, or DomainError where <inf>_q is not a normal double."""
-    _normal_inf(q, "Euler-measure diagrams cannot be drawn")
-    return log_table(q, _table_size(q))
+    table = _normal_inf(q, "Euler-measure diagrams cannot be drawn")
+    return log_table(q, len(table) - 1)
 
 
 def quotient(num: float, den: float, p: QParam) -> float:

@@ -433,6 +433,46 @@ def test_fdd_weight_hit_is_a_fresh_evaluation(q):
                 == fdd_probability(QParam(q), FddQuery(len(shifted), shifted), 1e-12))
 
 
+def _reference_gap_weights(q, gaps, vals):
+    """_gap_weights as its docstring states it: every composition in
+    itertools.product order, C = sum_j (a_j+1) R_j with R_j = sum_{i<j}
+    (g_i - a_i + 1), den_rest the <g_j - a_j> in gap order and then the
+    <a_j>, each head's weights added in that order, its smallest den_rest."""
+    heads = {}
+    for comp in itertools.product(*(range(g + 1) for g in gaps)):
+        big_c = big_r = 0
+        den = 1.0
+        for g, a in zip(gaps, comp):
+            big_c += (a + 1) * big_r
+            big_r += g - a + 1
+            den *= vals[g - a]
+        for a in comp:
+            den *= vals[a]
+        weight = q**big_c / den
+        head = sum(comp)
+        if head in heads:
+            total, den_min = heads[head]
+            heads[head] = total + weight, den if den < den_min else den_min
+        else:
+            heads[head] = weight, den
+    return [(h, w, den) for h, (w, den) in heads.items()]
+
+
+@pytest.mark.parametrize("q", [0.02, 0.5, 0.95, 0.996])
+def test_gap_weights_match_the_reference_bit_for_bit(q):
+    # the golden laws digests pin the k <= 3 boxes only; three gaps are k = 4
+    p = QParam(q)
+    vals = pochhammer_table(p, 6)
+
+    def bits(rows):
+        return [(h, w.hex(), den.hex()) for h, w, den in rows]
+
+    for n in (1, 2, 3):
+        for gaps in itertools.product(range(7), repeat=n):
+            assert (bits(dist._gap_weights(p, gaps, vals))
+                    == bits(_reference_gap_weights(q, gaps, vals))), gaps
+
+
 @pytest.mark.parametrize("d", [(-22, 0, 22), (-16, 0, 28)])
 def test_fdd_refusal_reads_each_heads_smallest_denominator(d):
     # at q=0.996 a head's first composition keeps a normal full denominator,
