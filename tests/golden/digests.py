@@ -24,7 +24,8 @@ without counting (a ``skip`` a word short, say) moves its family too:
   ratios, scalar and one per draw, through ``_geometrics_of_logs``.
 
 The laws families evaluate, on a fresh QParam per q of LAWS_GRID, the fdd
-box (k=3 and k <= 2), ``displacement_pmf`` and a small grid of
+boxes (k=3 and k <= 2) and the k=4 and k=5 queries of FDD_K45,
+``displacement_pmf`` and a small grid of
 ``joint_rl_pmf``, ``conditional_l_given_r`` and ``block_p2``, and hash each
 call's label with the repr of its floats (exact to the last bit):
 
@@ -124,6 +125,13 @@ LAWS_GRID = {
     "full": ((0.02, 0.3, 0.5, 0.8, 0.95, 0.985, 0.996, 0.997, 0.999), 4, 6, 40, 5),
     "reduced": ((0.3, 0.985, 0.996, 0.997, 0.999), 3, 4, 40, 2),
 }
+
+#: k=4 and k=5 fdd queries asked at every q of both grids: two sorted ones,
+#: a permutation of each one's implied values, (-20, -7, 7, 20), refused by
+#: an underflowing denominator at 0.996, and (700, 700, 700, 700), refused
+#: below the normal doubles at q <= 0.5 but evaluated at 0.997
+FDD_K45 = ((-2, -1, 0, 2), (5, 1, -2, -5), (-1, 0, 0, 1, 3), (2, 6, -3, 1, -3),
+           (-20, -7, 7, 20), (700, 700, 700, 700))
 
 
 def _where(s: GeomStream) -> tuple:
@@ -231,6 +239,7 @@ def _law_calls(grid: str):
         p = QParam(q)
         boxes = [itertools.product(range(-r2, r2 + 1), repeat=k) for k in (1, 2)]
         boxes.append(itertools.product(range(-r3, r3 + 1), repeat=3))
+        boxes.append(FDD_K45)
         for d in itertools.chain(*boxes):
             def fdd(p=p, d=d):
                 value, bound = dist.fdd_probability(p, dist.FddQuery(len(d), d), 1e-12)
