@@ -26,17 +26,20 @@ only when an index runs past its end (tables share entries).  That table
 refuses with DomainError where <inf>_q is not a normal double, so every
 law does.
 
+One routine, _series, evaluates the sorted fdd series for every k, and
+displacement_pmf's k=1 series for d = 0..radius in one call.  A series
+over more than MAX_COMPOSITIONS compositions of its gaps is refused with
+TooLargeError before any table is read.
+
 This module alone fills a QParam's memo, for as long as the caller holds
-the parameter: each sorted fdd series with k >= 2 as (value, bound) under
-(d, tol), each inner tail sum as (sum, bound, <b1>, <a_k>) under
-(e, A, R, tol), and each gap tuple's composition weights under
-("weights", gaps) (see _fdd_sorted).  A k=1 series, an fdd query at k=1 or
-an entry of displacement_pmf, is one tail sum under (d, 0, 0, tol) times
-a prefactor, so it keeps that tail alone (see _k1_series).  Each routine
-reads its entry before it calls the one that evaluates it: fdd_probability
-reads the sorted series, so a repeated or permuted query runs no series
-routine.  A hit is exactly what a fresh evaluation returns, and refusals
-are never stored.
+the parameter, and each kind of entry is read and written by one
+function.  fdd_probability keeps each sorted series, k=1 included, as
+(value, bound) under (d, tol), so a repeated or permuted query runs no
+series.  _series keeps each inner tail sum as (sum, bound, <b1>, <a_k>)
+under (e, A, R, tol) and each gap tuple's composition weights under
+("weights", gaps), with gaps = () at k=1; _tail_series and _gap_weights
+only compute them.  A hit is exactly what a fresh evaluation returns,
+and refusals are never stored.
 Equal parameters share no entries, so a defect planted with monkeypatch
 must be checked through a fresh QParam.
 """
@@ -48,10 +51,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import add, index, sub
 
-from .errors import DomainError
+from .errors import DomainError, TooLargeError
 from .perm import inversions
 from .qseries import (
-    EPS_SERIES, UNDERFLOW, QParam, _integers, pochhammer_table, quotient, truncation_error,
+    EPS_SERIES, MAX_COMPOSITIONS, UNDERFLOW, QParam, _integers, pochhammer_table, quotient,
+    truncation_error,
 )
 
 #: the ranks m = 1, 2, 3, ... of an fdd query's entries: v_m = d_m + m
@@ -115,9 +119,9 @@ def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
 
     P(D=d) for d >= 0 is the k=1 fdd series
     (1-q)<inf> sum_l q^(l^2+l*d+2l+d)/(<l+d><l>), evaluated for d = 0..radius
-    in one pass of _k1_series, the routine fdd_probability runs at k=1; so
-    each entry is the value fdd_probability(p, FddQuery(1, (d,)), EPS_SERIES)
-    returns, and a refusal is the one the first refused d would raise.  The
+    in one call of _series, the routine fdd_probability runs; so each entry
+    is the value fdd_probability(p, FddQuery(1, (d,)), EPS_SERIES) returns,
+    and a refusal is the one the first refused d would raise.  The
     law is symmetric about 0, so only d >= 0 is evaluated and the negative
     half reuses the same floats (symmetry is bit-exact).  The tail bound
     2 q^radius dominates P(|D| > radius) because |D| > m forces more than m
@@ -127,7 +131,7 @@ def displacement_pmf(p: QParam, radius: int) -> DisplacementPmf:
     if radius < 0:
         raise DomainError("radius must be >= 0")
     probs: dict[int, float] = {}
-    for d, (value, _) in enumerate(_k1_series(p, range(radius + 1), EPS_SERIES)):
+    for d, (value, _) in enumerate(_series(p, range(radius + 1), (), EPS_SERIES)):
         probs[d] = probs[-d] = value
     return DisplacementPmf(radius=radius, probs=probs, tail_bound=2.0 * p.q**radius)
 
@@ -167,8 +171,7 @@ def _tail_series(p: QParam, vals: tuple[float, ...],
     Terms are summed with Kahan compensation until a term is at most tol
     times the sum and the ratio of the next term to it is at most q^2; the
     geometric tail from there bounds the truncation.  vals is a table of p
-    to start from.  The entry is kept in p.memo under key = (e, A, R, tol),
-    which its callers read before they call.
+    to start from; key = (e, A, R, tol) is _series' memo key for the sum.
     """
     e, big_a, big_r, tol = key
     q = p.q
@@ -201,21 +204,20 @@ def _tail_series(p: QParam, vals: tuple[float, ...],
         b1 += 1
         expo += step
         step += 2
-    out = p.memo[key] = inner, term * ratio / (1.0 - ratio), vals[b1], vals[a_k]
-    return out
+    return inner, term * ratio / (1.0 - ratio), vals[b1], vals[a_k]
 
 
 def _gap_weights(p: QParam, gaps: tuple[int, ...],
                  vals: tuple[float, ...]) -> tuple[tuple[int, float, float], ...]:
-    """(head, weight, den_min) for head = 0..sum(gaps), over _fdd_sorted's
+    """(head, weight, den_min) for head = 0..sum(gaps), over _series'
     compositions 0 <= a_j <= g_j of the fixed gaps with a_1+...+a_{k-1} =
     head: the sum of q^C / den_rest, added in itertools.product order, and
     the smallest den_rest.  C = sum_j (a_j+1) R_j with R_j = sum_{i<j} (g_i
     - a_i + 1), and den_rest is the row gaps' <g_j - a_j> multiplied in gap
-    order, then the <a_j>.  Both depend on q and the gaps alone, so they are
-    kept in p.memo under ("weights", gaps), shared by every d_1; its callers
-    read it before they call.  A den_rest of 0 or a weight that overflows is
-    refused.  vals is a table of p covering every gap.
+    order, then the <a_j>.  Both depend on q and the gaps alone, so _series
+    keeps them per gap tuple, shared by every d_1.  A den_rest of 0 or a
+    weight that overflows is refused.  vals is a table of p covering every
+    gap.
     """
     q = p.q
     *fixed, last = gaps
@@ -245,132 +247,109 @@ def _gap_weights(p: QParam, gaps: tuple[int, ...],
                 mins[head] = den_rest
             head += 1
             big_c += big_r
-    out = p.memo["weights", gaps] = tuple(zip(range(size), sums, mins))
-    return out
+    return tuple(zip(range(size), sums, mins))
 
 
-def _prefactor(q: float, k: int, vals: tuple[float, ...]) -> float:
-    """(1-q)^k q^-(k(k+1)/2) <inf>_q, the fdd series' prefactor before the
-    fixed gaps' <n>_q, or DomainError where q^-(k(k+1)/2) overflows."""
+def _series(p: QParam, firsts: Iterable[int], gaps: tuple[int, ...],
+            tol: float) -> list[tuple[float, float]]:
+    """(value, error bound) of the sorted fdd series d = (d_1, d_1+g_1, ...)
+    with gap tuple gaps, k = len(gaps)+1, at each d_1 of firsts, in order.
+
+    Enumerates gap variables a_1..a_{k-1} over their finite ranges
+    0 <= a_m <= g_m; the free tail variable a_k (bounded below so every row
+    gap b_m stays nonnegative) is summed by _tail_series.  A term's exponent
+    sum_j (a_j+1)(b_1+1 + ... + b_j+1) is, by integer prefix sums of the
+    fixed gaps, A (b1+1) + C + (a_k+1)(b1+1+R), and its denominator is
+    den_rest <b1><a_k> with den_rest the <n>_q of the fixed gaps.  With
+    head = a_1+...+a_{k-1}, b1 = d_1 + head + a_k, A = head+k-1 and
+    R = d_k-d_1-head+k-1 depend on the composition only through head, while
+    C and den_rest factor out of the sum over a_k and depend on the gaps
+    alone.  So each head's total weight q^C / den_rest comes from
+    _gap_weights, kept in p.memo under ("weights", gaps) (gaps = () has one
+    empty composition, of weight 1.0: the weights of (0,)), and each head's
+    tail sum is kept under (d_1+head, A, R, tol), shared by every series
+    with the same (d_1, d_k, head).  With pref = (1-q)^k q^-(k(k+1)/2)
+    <inf>_q prod_m <g_m>_q, the value is pref * sum_h weight_h tail_h and
+    the bound |pref| sum_h weight_h err_h + |value| rel_inf.  The table,
+    pref, weights and rel_inf are taken once per call.
+
+    Refused, in the order one call per d_1 raises them: q^-(k(k+1)/2)
+    overflowing, before any term; a head whose smallest den_rest times
+    <b1><a_k> at the tail's last term underflows to 0 (rounding is monotone,
+    so that is where some composition's full denominator does); a value
+    below the normal doubles.
+    """
+    memo = p.memo
+    q = p.q
+    k = len(gaps) + 1
+    width = sum(gaps)  # d_k - d_1
+    # refused before any term: where <inf>_q is not a normal double, the
+    # series would run until a denominator underflows
+    vals = pochhammer_table(p, width + 8)
     try:
         shift = q ** -(k * (k + 1) // 2)
     except OverflowError:
         raise DomainError(
             f"q={q}: q^-{k * (k + 1) // 2} overflows; the value cannot be returned"
         ) from None
-    return (1.0 - q) ** k * shift * vals[-1]
-
-
-def _k1_series(p: QParam, ds: Iterable[int], tol: float) -> list[tuple[float, float]]:
-    """(value, error bound) of the k=1 fdd series at each d of ds, in order.
-
-    The series has one composition, of weight 1.0: the value is pref times
-    the tail sum under (d, 0, 0, tol), the bound |pref| err + |value|
-    rel_inf.  Its full denominator is the tail's <b1><a_k>, which the tail
-    refuses where it underflows.  The table, pref and rel_inf are taken
-    once for all of ds, and refusals come in the order one call per d
-    raises them.  Only the tail sums enter p.memo.
-    """
-    q = p.q
-    memo = p.memo
-    # refused before any term, as in _fdd_sorted
-    vals = pochhammer_table(p, 8)
-    pref = _prefactor(q, 1, vals)
-    rel_inf = truncation_error(q, vals) / vals[-1]
-    out = []
-    for d in ds:
-        key = (d, 0, 0, tol)
-        tail = memo.get(key)
-        if tail is None:
-            tail = _tail_series(p, vals, key)
-        value = _normal(pref * tail[0], q)
-        out.append((value, abs(pref) * tail[1] + abs(value) * rel_inf))
-    return out
-
-
-def _fdd_sorted(p: QParam, key: tuple[tuple[int, ...], float]) -> tuple[float, float]:
-    """(value, error bound) at key = (d, tol): d is k >= 2 nondecreasing ints.
-
-    Enumerates gap variables a_1..a_{k-1} over their finite ranges
-    0 <= a_m <= d_{m+1}-d_m; the free tail variable a_k (bounded below so
-    every row gap b_m stays nonnegative) is summed by _tail_series.
-    A term's exponent sum_j (a_j+1)(b_1+1 + ... + b_j+1) is, by integer prefix
-    sums of the fixed gaps, A (b1+1) + C + (a_k+1)(b1+1+R), and its
-    denominator is den_rest <b1><a_k> with den_rest the <n>_q of the fixed
-    gaps.  With head = a_1+...+a_{k-1}, b1 = d_1 + head + a_k, A = head+k-1
-    and R = d_k-d_1-head+k-1 depend on the composition a_head only through
-    head, while C and den_rest factor out of the sum over a_k and depend on
-    the gaps alone.  So each head's total weight q^C / den_rest comes from
-    _gap_weights, once per p and gap tuple, and each head's tail sum is
-    evaluated once per p under the inner key (d_1+head, A, R, tol), shared
-    by every query with the same (d_1, d_k, head).  The value is
-    pref * sum_h weight_h tail_h and the bound |pref| sum_h weight_h err_h
-    + |value| rel_inf.  A head whose smallest den_rest times <b1><a_k> at
-    the tail's last term underflows to 0 is refused: rounding is monotone,
-    so that is where some composition's full denominator does.  A value
-    below the normal doubles is refused too.  The result is kept in p.memo
-    under key, which fdd_probability reads first.  k=1 is _k1_series.
-    """
-    d, tol = key
-    memo = p.memo
-    q = p.q
-    k = len(d)
-    # refused before any term: where <inf>_q is not a normal double, the
-    # series would run until a denominator underflows
-    vals = pochhammer_table(p, d[-1] - d[0] + 8)
-    pref = _prefactor(q, k, vals)
-    gaps = tuple(map(sub, d[1:], d))
+    pref = (1.0 - q) ** k * shift * vals[-1]
     for g in gaps:
         pref *= vals[g]
-    span = d[-1] - d[0] + k - 1
+    rel_inf = truncation_error(q, vals) / vals[-1]
     weights = memo.get(("weights", gaps))
     if weights is None:
-        weights = _gap_weights(p, gaps, vals)
-    d_1 = d[0]
-    parts = []
-    err = 0.0
-    for head, weight, den_min in weights:
-        inner_key = (d_1 + head, head + k - 1, span - head, tol)
-        tail = memo.get(inner_key)
-        if tail is None:
-            tail = _tail_series(p, vals, inner_key)
-        if den_min * tail[2] * tail[3] == 0.0:
-            raise DomainError(UNDERFLOW.format(q=q))
-        parts.append(weight * tail[0])
-        err += weight * tail[1]
-    value = _normal(pref * math.fsum(parts), q)
-    rel_inf = truncation_error(q, vals) / vals[-1]
-    out = memo[key] = value, abs(pref) * err + abs(value) * rel_inf
+        weights = memo["weights", gaps] = _gap_weights(p, gaps or (0,), vals)
+    span = width + k - 1
+    out = []
+    for d_1 in firsts:
+        parts = []
+        err = 0.0
+        for head, weight, den_min in weights:
+            key = (d_1 + head, head + k - 1, span - head, tol)
+            tail = memo.get(key)
+            if tail is None:
+                tail = memo[key] = _tail_series(p, vals, key)
+            if den_min * tail[2] * tail[3] == 0.0:
+                raise DomainError(UNDERFLOW.format(q=q))
+            parts.append(weight * tail[0])
+            err += weight * tail[1]
+        value = _normal(pref * math.fsum(parts), q)
+        out.append((value, abs(pref) * err + abs(value) * rel_inf))
     return out
 
 
 def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, float]:
     """P(sigma(m) = m + d_m for m = 1..k) as (value, error bound).
 
-    At k=1 this is _k1_series, the routine displacement_pmf runs.  For an
-    integer k >= 2 the implied values v_m = d_m + m are sorted, the sorted
-    query's series is read from p.memo (_fdd_sorted evaluates a miss), and
-    for unsorted d it is multiplied by q^inv(v): each inversion of the
-    value word costs one factor q.  So a permuted or repeated query costs
-    its ranking and one dict lookup.  Colliding implied values make the
-    event impossible: the exact (0, 0) is returned before any table is read,
-    not an error.  A possible event whose value underflows to 0 or to a
-    subnormal double raises DomainError.
+    The implied values v_m = d_m + m are sorted, the sorted query's series
+    is read from p.memo under (d, tol) or, on a miss, evaluated by _series
+    and kept there, and for unsorted d it is multiplied by q^inv(v): each
+    inversion of the value word costs one factor q.  So a permuted or
+    repeated query costs its ranking and one dict lookup.  Colliding implied
+    values make the event impossible: the exact (0, 0) is returned before
+    any table is read, not an error.  A sorted series over more than
+    MAX_COMPOSITIONS compositions of its gaps is refused with TooLargeError,
+    also before any table is read.  A possible event whose value underflows
+    to 0 or to a subnormal double raises DomainError.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
     d = query.d
-    if query.k == 1:
-        return _k1_series(p, d, tol)[0]
     vals = [*map(add, d, _RANKS)]
     if len(set(vals)) != query.k:
         return 0.0, 0.0
     ranked = sorted(vals)
     unsorted = ranked != vals
-    key = (tuple(map(sub, ranked, _RANKS)) if unsorted else d), tol
-    out = p.memo.get(key)
+    if unsorted:
+        d = tuple(map(sub, ranked, _RANKS))
+    out = p.memo.get((d, tol))
     if out is None:
-        out = _fdd_sorted(p, key)
+        # a_m takes g_m + 1 = v_(m+1) - v_m values: this counts the compositions
+        if math.prod(map(sub, ranked[1:], ranked)) > MAX_COMPOSITIONS:
+            raise TooLargeError(
+                f"the sorted query d={d} sums over more than MAX_COMPOSITIONS="
+                f"{MAX_COMPOSITIONS} compositions of its gaps; no value can be returned")
+        out = p.memo[d, tol] = _series(p, d[:1], tuple(map(sub, d[1:], d)), tol)[0]
     if unsorted:
         factor = p.q ** inversions(vals)
         out = _normal(factor * out[0], p.q), factor * out[1]

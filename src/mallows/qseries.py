@@ -47,6 +47,11 @@ EPS_SERIES = 1e-12
 #: is refused before it is built
 MAX_TABLE = 2**22
 
+#: the most compositions of its gaps, prod (d_(m+1) - d_m + 1), a sorted
+#: fdd series sums over; a query with more is refused before any table is
+#: read (dist.fdd_probability)
+MAX_COMPOSITIONS = 2**20
+
 #: the most tables each cache keeps, the least recently read dropped first;
 #: a laws pass reads about 6 product tables and 2 log tables at one q
 CACHE_TABLES = 32

@@ -440,6 +440,15 @@ def test_pmf_near_one_is_a_domain_error(capsys, law):
     assert err.startswith("error[DOMAIN]")
 
 
+def test_pmf_fdd_past_the_composition_budget_is_too_large(capsys):
+    # k=12 with gaps of 5: 6^11 compositions, refused before any table
+    d = ",".join(str(x) for x in range(0, 60, 5))
+    code, out, err = run_cli(capsys, ["pmf", "fdd", "--q", "0.5", "--d", d])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[TOO_LARGE]") and "MAX_COMPOSITIONS" in err
+
+
 def test_pmf_fdd_takes_no_tolerance(capsys):
     # the series run at EPS_SERIES; fdd_probability's own check of tol is
     # tested in test_dist

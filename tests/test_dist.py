@@ -19,9 +19,9 @@ from mallows.dist import (
     fdd_probability,
     joint_rl_pmf,
 )
-from mallows.errors import DomainError
+from mallows.errors import DomainError, TooLargeError
 from mallows.oracle import oracle_enumerate
-from mallows.qseries import QParam, pochhammer_table, q_factorial
+from mallows.qseries import MAX_COMPOSITIONS, QParam, pochhammer_table, q_factorial
 from mallows.samplers import (
     batch_interlacing_windows,
     q_shuffle_prefix,
@@ -377,19 +377,18 @@ def test_fdd_memo_hit_is_a_fresh_evaluation(q):
         for a_head in itertools.product(*[range(d[m + 1] - d[m] + 1) for m in range(k - 1)]):
             head = sum(a_head)
             inner_keys.add((d[0] + head, head + k - 1, d[-1] - d[0] - head + k - 1, 1e-12))
-    # and one composition weight table per distinct gap tuple; a k=1 series
-    # is its one tail sum times the prefactor, so it keeps only the tail
-    series = {d for d in sorted_queries if len(d) > 1}
-    weight_keys = {("weights", tuple(b - a for a, b in zip(d, d[1:]))) for d in series}
-    assert set(p.memo) == {(d, 1e-12) for d in series} | inner_keys | weight_keys
-    # displacement_pmf reads the k=1 tails at tol = eps_series and adds none
+    # and one composition weight table per distinct gap tuple, () at k=1
+    weight_keys = {("weights", tuple(b - a for a, b in zip(d, d[1:]))) for d in sorted_queries}
+    assert set(p.memo) == {(d, 1e-12) for d in sorted_queries} | inner_keys | weight_keys
+    # displacement_pmf reads the k=1 tails and weights at tol = eps_series
+    # and adds none
     before = dict(p.memo)
     pmf = displacement_pmf(p, 3)
     assert p.memo == before
     assert all(pmf.prob(d) == first[box.index((abs(d),))][0] for d in range(-3, 4))
 
 
-@pytest.mark.parametrize("q, d", [(0.3, (-2, 0, 1)), (0.8, (-1, -1, 0, 2))])
+@pytest.mark.parametrize("q, d", [(0.3, (-2, 0, 1)), (0.8, (-1, -1, 0, 2)), (0.5, (3,))])
 def test_fdd_memo_hit_never_reaches_the_series(q, d, monkeypatch):
     # once the sorted query is kept, it and every permutation of its
     # implied values are answered from p.memo alone
@@ -401,9 +400,9 @@ def test_fdd_memo_hit_never_reaches_the_series(q, d, monkeypatch):
     fdd_probability(p, FddQuery(len(d), d), 1e-12)
 
     def refuse(*args):
-        raise AssertionError("a memo hit reached _fdd_sorted")
+        raise AssertionError("a memo hit reached _series")
 
-    monkeypatch.setattr(dist, "_fdd_sorted", refuse)
+    monkeypatch.setattr(dist, "_series", refuse)
     assert fdd_probability(p, FddQuery(len(d), d), 1e-12) == fresh[0]
     assert [fdd_probability(p, FddQuery(len(e), e), 1e-12) for e in queries] == fresh
 
@@ -431,6 +430,45 @@ def test_fdd_weight_hit_is_a_fresh_evaluation(q):
         fdd_probability(p, FddQuery(len(d), d), 1e-12)
         assert (fdd_probability(p, FddQuery(len(shifted), shifted), 1e-12)
                 == fdd_probability(QParam(q), FddQuery(len(shifted), shifted), 1e-12))
+
+
+def test_tail_series_and_gap_weights_leave_the_memo_untouched():
+    # _series alone keeps what they compute
+    p = QParam(0.8)
+    vals = pochhammer_table(p, 12)
+    tail = dist._tail_series(p, vals, (2, 1, 5, 1e-12))
+    weights = dist._gap_weights(p, (3, 2), vals)
+    assert tail[0] > 0.0 and len(weights) == 6
+    assert p.memo == {}
+
+
+def test_fdd_refuses_past_the_composition_budget_before_any_table(monkeypatch):
+    # (0, 5, ..., 45) sums over 6^9 compositions of its gaps, and so does
+    # the query of its implied values 1, 7, ..., 55 in reverse order
+    d = tuple(range(0, 50, 5))
+    reverse = tuple(v - m for m, v in enumerate(range(55, 0, -6), 1))
+    p = QParam(0.5)
+
+    def no_table(*args):
+        raise AssertionError("a refused query read a table")
+
+    monkeypatch.setattr(dist, "pochhammer_table", no_table)
+    for e in (d, reverse):
+        with pytest.raises(TooLargeError, match="MAX_COMPOSITIONS=1048576"):
+            fdd_probability(p, FddQuery(10, e), 1e-12)
+    assert p.memo == {}
+    # an impossible event is still the exact (0, 0): v_1 = v_2 = 2
+    assert fdd_probability(p, FddQuery(10, (1, 0) + d[2:]), 1e-12) == (0.0, 0.0)
+
+
+def test_fdd_answers_a_query_at_the_composition_budget():
+    # 1024 * 1024 = MAX_COMPOSITIONS compositions are summed; 1025 * 1024 are not
+    assert MAX_COMPOSITIONS == 1024 * 1024
+    p = QParam(0.9)
+    value, err = fdd_probability(p, FddQuery(3, (0, 1023, 2046)), 1e-12)
+    assert value >= sys.float_info.min and err >= 0.0
+    with pytest.raises(TooLargeError):
+        fdd_probability(p, FddQuery(3, (0, 1024, 2047)), 1e-12)
 
 
 def _reference_gap_weights(q, gaps, vals):
