@@ -53,9 +53,10 @@ At count=1 it draws the same uniforms in the same order as
 Both kernels' part searches are one round loop, ``_parts_above``, on
 ``qseries.log_table``: the diagrams from part 0 at q's full depth
 (``qseries.euler_table``), the tail hits from each row's lowest chain
-state.  A round draws its multiplicities and the next round's search
-uniforms in one s.uniforms call, since uniforms(a) then uniforms(b) draws
-what uniforms(a + b) does.
+state.  A row finds a part exactly when its target lies below the table
+end, so a round searches only those rows.  A round draws its
+multiplicities and the next round's search uniforms in one s.uniforms
+call, since uniforms(a) then uniforms(b) draws what uniforms(a + b) does.
 """
 from __future__ import annotations
 
@@ -139,9 +140,10 @@ def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
     The multiplicity of part size k is geometric with ratio q^k,
     independently over k, so given no part in 1..b the next part size J
     has P(J > j) = <j>_q / <b>_q.  One uniform U gives
-    J = min{j : -log <j>_q > -log <b>_q - log U}; if there is none, the
-    diagram is complete, which has probability <inf>_q / <b>_q (up to the relative
-    error EPS_SERIES of the table's last entry).  Otherwise J has
+    J = min{j : -log <j>_q > -log <b>_q - log U}; if there is none (the
+    target is not below the table's last entry), the diagram is complete,
+    which has probability <inf>_q / <b>_q (up to the relative error
+    EPS_SERIES of the table's last entry).  Otherwise J has
     multiplicity 1 + geometric(q^J) and the search goes on from b = J.
     Part sizes increase strictly and stay below the table length, so the
     loop ends.  Draws: one uniform per search (one per distinct part size
@@ -154,7 +156,8 @@ def sample_young_euler(p: QParam, s: GeomStream) -> YoungDiagram:
     neg, log_qpow = euler_table(p.q)
     parts: list[int] = []
     b = 0
-    while (j := int(neg.searchsorted(neg[b] - np.log(s.uniform()), "right"))) < neg.size:
+    while (key := neg[b] - np.log(s.uniform())) < neg[-1]:
+        j = int(neg.searchsorted(key, "right"))
         parts.extend([j] * (1 + int(np.log(s.uniform()) / log_qpow[j])))
         b = j
     return YoungDiagram(tuple(reversed(parts)))
@@ -398,10 +401,12 @@ def _parts_above(
     in row order, as int64 (row, part size, multiplicity) triples, the
     later rounds first.
 
-    Each round, every row still drawing takes one uniform U and finds its
-    next part size j, the first with neg[j] > neg[base] - log U, and the m
-    rows that found one draw its multiplicity, geometric with ratio q^j,
-    from one uniform each: one s.uniforms(2m) call under one np.log, the
+    Each round, every row still drawing takes one uniform U, and its next
+    part size j is the first with neg[j] > key = neg[base] - log U.  neg
+    is nondecreasing, so there is one exactly when key < neg[-1]: the
+    other rows are complete, and only the m rows below the table end are
+    searched.  Those draw j's multiplicity, geometric with ratio q^j, from
+    one uniform each: one s.uniforms(2m) call under one np.log, the
     multiplicities first, then the next round's search.  A round only
     searches; after the last one, one gather, division and cast make all
     the multiplicities, 1 + floor(log U / log q^j).
@@ -409,9 +414,9 @@ def _parts_above(
     log_u = np.log(s.uniforms(active.size))
     rounds = []
     while True:
-        j = np.searchsorted(neg, neg[base] - log_u, side="right")
-        found = j < neg.size
-        active, base = active[found], j[found]
+        key = neg[base] - log_u
+        found = (key < neg[-1]).nonzero()[0]
+        active, base = active[found], np.searchsorted(neg, key[found], side="right")
         m = active.size
         log_u = np.log(s.uniforms(2 * m))
         rounds.append((active, base, log_u[:m]))

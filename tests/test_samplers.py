@@ -943,18 +943,18 @@ def test_scalar_interlacing_is_the_kernel_at_count_one(lo, hi, q):
         assert a.counter == b.counter
 
 
-def _interlacing_block_replay(lo, hi, p, s, rows):
-    """One block of batch_interlacing_windows by scalar rules: the rows'
-    part searches round by round (each row still drawing takes one search
-    uniform, in row order; then the m rows that found a part take one
-    multiplicity uniform each and the next round's m search uniforms, in
-    one call under one np.log), then every row's plus-word skips in row
-    order and every row's minus-word skips, each window filled by the rule
-    of sample_two_sided_interlacing."""
-    neg, log_qpow = (a.tolist() for a in euler_table(p.q))
-    parts = [[] for _ in range(rows)]
-    base = [0] * rows
-    active, log_u = list(range(rows)), np.log(s.uniforms(rows)).tolist()
+def _parts_above_replay(s, active, base, neg, log_qpow):
+    """_parts_above by scalar rules, as lists of Python ints: each round
+    every row still searching (in the order of active) takes one search
+    uniform U and finds its next part j = bisect_right(neg, neg[b] - log U)
+    above its base b, if j < len(neg); then the m rows that found one take
+    one multiplicity uniform each, 1 + int(log U / log q^j), and the next
+    round's m search uniforms, in one call under one np.log.  base holds
+    one starting base per row of active; the triples come later rounds
+    first, as the kernel returns them."""
+    neg, log_qpow = neg.tolist(), log_qpow.tolist()
+    base = dict(zip(active, base))
+    rounds, log_u = [], np.log(s.uniforms(len(active))).tolist()
     while active:
         found = []
         for r, lu in zip(active, log_u):
@@ -964,10 +964,22 @@ def _interlacing_block_replay(lo, hi, p, s, rows):
                 base[r] = j
         m = len(found)
         log_u = np.log(s.uniforms(2 * m))
-        for r, lu in zip(found, log_u[:m].tolist()):
-            parts[r] += [base[r]] * (1 + int(lu / log_qpow[base[r]]))
+        rounds.append([(r, base[r], 1 + int(lu / log_qpow[base[r]]))
+                       for r, lu in zip(found, log_u[:m].tolist())])
         active, log_u = found, log_u[m:].tolist()
-    plus = [_plus_positions(tuple(reversed(x)), hi) for x in parts]
+    triples = [t for triples in reversed(rounds) for t in triples]
+    return tuple([t[i] for t in triples] for i in range(3))
+
+
+def _interlacing_block_replay(lo, hi, p, s, rows):
+    """One block of batch_interlacing_windows by scalar rules: the rows'
+    part searches from part 0 round by round (_parts_above_replay), then
+    every row's plus-word skips in row order and every row's minus-word
+    skips, each window filled by the rule of sample_two_sided_interlacing."""
+    parts = [[] for _ in range(rows)]
+    for r, j, m in zip(*_parts_above_replay(s, list(range(rows)), [0] * rows, *euler_table(p.q))):
+        parts[r] += [j] * m  # later rounds, so larger parts, first
+    plus = [_plus_positions(tuple(x), hi) for x in parts]
     first = [bisect_left(x, lo) for x in plus]
     need = [len(x) for x in plus] + [f - (lo - 1) for f in first]
     skips = s.geometrics(sum(need)).tolist()
@@ -1019,27 +1031,13 @@ def test_interlacing_kernel_gathers_the_same_letters_by_int64_indices(lo, hi, q,
 
 
 def _tail_hits_replay(low, q, xstar, s):
-    """_tail_hits by scalar rules, summed in Python ints: each round every
-    row still searching (row order) finds its next part by one search
-    uniform, then the m rows that found one take one multiplicity uniform
-    each and the next round's m search uniforms, in one call under one
-    np.log."""
-    neg, log_qpow = (a.tolist() for a in log_table(q, xstar))
-    hits, base = [0] * len(low), list(low)
+    """_tail_hits by scalar rules, summed in Python ints: _parts_above_replay
+    from each row's low, over the rows with low below xstar in row order."""
+    hits = [0] * len(low)
     active = [r for r in range(len(low)) if low[r] < xstar]
-    log_u = np.log(s.uniforms(len(active))).tolist()
-    while active:
-        found = []
-        for r, lu in zip(active, log_u):
-            j = bisect_right(neg, neg[base[r]] - lu)
-            if j <= xstar:
-                found.append(r)
-                base[r] = j
-        m = len(found)
-        log_u = np.log(s.uniforms(2 * m))
-        for r, lu in zip(found, log_u[:m].tolist()):
-            hits[r] += 1 + int(lu / log_qpow[base[r]])
-        active, log_u = found, log_u[m:].tolist()
+    for r, _, m in zip(*_parts_above_replay(s, active, [low[r] for r in active],
+                                             *log_table(q, xstar))):
+        hits[r] += m
     return hits
 
 
@@ -1055,6 +1053,51 @@ def test_tail_hits_are_the_round_replay(q, xstar, low):
     assert a.counter == b.counter
     if q > 0.99:
         assert hits.max() > 2**53
+
+
+class _OnesStream:
+    """Every uniform is 1, so log U = 0 and a row's search key is exactly
+    neg[base]; counter counts the uniforms drawn."""
+
+    def __init__(self):
+        self.counter = 0
+
+    def uniforms(self, n):
+        self.counter += n
+        return np.ones(n)
+
+
+@pytest.mark.parametrize("base, triples, draws", [
+    (0, ([0, 1, 2, 3] * 2, [2] * 4 + [1] * 4, [1] * 8), 4 + 8 + 8),
+    (np.arange(4), ([0, 0, 1], [2, 1, 2], [1, 1, 1]), 4 + 4 + 2)])
+def test_part_search_finishes_a_row_whose_target_meets_the_table_end(base, triples, draws):
+    # a flat tail: a row at base 2 or 3 has the key 1.0, the table's last
+    # entry, which no part exceeds, so it finishes and draws no multiplicity
+    neg, log_qpow = np.array([0.0, 0.5, 1.0, 1.0]), np.log(0.5) * np.arange(4)
+    a, b = _OnesStream(), _OnesStream()
+    got = samplers._parts_above(a, np.arange(4), base, neg, log_qpow)
+    want = _parts_above_replay(b, [0, 1, 2, 3], np.broadcast_to(base, 4).tolist(), neg, log_qpow)
+    assert all(x.dtype == np.int64 for x in got)
+    assert [x.tolist() for x in got] == list(want) == list(triples)
+    assert a.counter == b.counter == draws
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("rows", [2, 7, 300])
+def test_diagram_triples_are_the_round_replay(q, rows):
+    # each row's parts and multiplicities, largest part first, and the
+    # draws they took, against the round replay from part 0
+    a, b = GeomStream(seed=61, q=q), GeomStream(seed=61, q=q)
+    tables = euler_table(q)
+    row, part, mult = _diagram_triples(a, rows, *tables)
+    assert row.dtype == part.dtype == mult.dtype == np.int32
+    got, want = [[] for _ in range(rows)], [[] for _ in range(rows)]
+    for r, j, m in zip(row.tolist(), part.tolist(), mult.tolist()):
+        got[r].append((j, m))
+    for r, j, m in zip(*_parts_above_replay(b, list(range(rows)), [0] * rows, *tables)):
+        want[r].append((j, m))
+    assert got == want
+    assert a.counter == b.counter
 
 
 def test_tail_hits_with_no_row_searching_or_no_rows_draw_nothing():
