@@ -27,9 +27,9 @@ refuses with DomainError where <inf>_q is not a normal double, so every
 law does.
 
 One routine, _series, evaluates the sorted fdd series for every k, and
-displacement_pmf's k=1 series for d = 0..radius in one call.  A series
-over more than MAX_COMPOSITIONS compositions of its gaps is refused with
-TooLargeError before any table is read.
+displacement_pmf's k=1 series for d = 0..radius in one call.  A sorted
+query whose composition weights would take more than MAX_STEPS steps of
+_gap_weights' DP is refused with TooLargeError before any table is read.
 
 This module alone fills a QParam's memo, for as long as the caller holds
 the parameter, and each kind of entry is read and written by one
@@ -49,17 +49,20 @@ import math
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add, index, sub
 
 from .errors import DomainError, TooLargeError
 from .perm import inversions
 from .qseries import (
-    EPS_SERIES, MAX_COMPOSITIONS, UNDERFLOW, QParam, _integers, pochhammer_table, quotient,
-    truncation_error,
+    EPS_SERIES, UNDERFLOW, QParam, _integers, pochhammer_table, quotient, truncation_error,
 )
 
 #: the ranks m = 1, 2, 3, ... of an fdd query's entries: v_m = d_m + m
 _RANKS = range(1, sys.maxsize)
+
+#: the most steps sum_j (1 + g_1+...+g_(j-1)) (g_j+1) of _gap_weights' DP a series may take
+MAX_STEPS = 2**24
 
 
 def _normal(value: float, q: float) -> float:
@@ -211,43 +214,44 @@ def _gap_weights(p: QParam, gaps: tuple[int, ...],
                  vals: tuple[float, ...]) -> tuple[tuple[int, float, float], ...]:
     """(head, weight, den_min) for head = 0..sum(gaps), over _series'
     compositions 0 <= a_j <= g_j of the fixed gaps with a_1+...+a_{k-1} =
-    head: the sum of q^C / den_rest, added in itertools.product order, and
-    the smallest den_rest.  C = sum_j (a_j+1) R_j with R_j = sum_{i<j} (g_i
-    - a_i + 1), and den_rest is the row gaps' <g_j - a_j> multiplied in gap
-    order, then the <a_j>.  Both depend on q and the gaps alone, so _series
-    keeps them per gap tuple, shared by every d_1.  A den_rest of 0 or a
-    weight that overflows is refused.  vals is a table of p covering every
-    gap.
+    head: the sum of q^C / den_rest and the smallest den_rest.  With the
+    running head H_j = a_1+...+a_{j-1} and G_j = sum_{i<j} (g_i+1), C =
+    sum_j (a_j+1)(G_j - H_j) and den_rest = prod_j <g_j - a_j><a_j>, so a
+    weight is a product of steps q^((a_j+1)(G_j - H_j)) / (<g_j - a_j><a_j>)
+    that depend on (H_j, a_j) alone.  A forward DP takes them gap by gap:
+    for each H_j in increasing order and then each a_j, head H_j + a_j adds
+    H_j's weight times the step and keeps the smaller of its den_min and
+    H_j's den_min times <g_j - a_j><a_j> (every factor is positive, so the
+    least den_rest multiplied in step order).  () has the one head (0, 1.0,
+    1.0); both depend on q and the gaps alone, and _series keeps them per
+    gap tuple.  A step's <g_j - a_j><a_j> of 0 or a weight that overflows is
+    refused.  vals is a table of p covering every gap.
     """
     q = p.q
-    *fixed, last = gaps
-    # each composition's prefix over every gap but the last, in
-    # itertools.product order: (head, C, R, the row gaps' <g_j - a_j>
-    # multiplied in gap order, the <a_j>); the last gap is the inner loop
-    prefixes = [(0, 0, 0, 1.0, ())]
-    for g in fixed:
-        prefixes = [(head + a, big_c + (a + 1) * big_r, big_r + g - a + 1, den * vals[g - a],
-                     dens + (vals[a],))
-                    for head, big_c, big_r, den, dens in prefixes for a in range(g + 1)]
-    size = sum(gaps) + 1
-    sums = [0.0] * size
-    mins = [math.inf] * size
-    for head, big_c, big_r, den_rows, dens in prefixes:
-        big_c += big_r  # C at a_{k-1} = 0; each step of a_{k-1} adds R
-        for a in range(last + 1):
-            den_rest = den_rows * vals[last - a]
-            for x in dens:
-                den_rest *= x
-            den_rest *= vals[a]
-            weight = q**big_c / den_rest if den_rest else math.inf
-            if weight == math.inf:
-                raise DomainError(UNDERFLOW.format(q=q))
-            sums[head] += weight
-            if den_rest < mins[head]:
-                mins[head] = den_rest
-            head += 1
-            big_c += big_r
-    return tuple(zip(range(size), sums, mins))
+    sums, mins = [1.0], [1.0]
+    big_g = 0
+    for g in gaps:
+        dens = [vals[g - a] * vals[a] for a in range(g + 1)]
+        if 0.0 in dens:
+            raise DomainError(UNDERFLOW.format(q=q))
+        if not big_g:  # the one head 0: its weight 1.0 times q^0 / den, exactly
+            sums, mins = [1.0 / den for den in dens], dens
+        else:
+            new_sums, new_mins = [0.0] * (len(sums) + g), [math.inf] * (len(sums) + g)
+            for head, (weight, den_min) in enumerate(zip(sums, mins)):
+                big_r = big_g - head
+                expo = 0
+                for at, den in enumerate(dens, head):
+                    expo += big_r
+                    new_sums[at] += weight * (q**expo / den)
+                    rest = den_min * den
+                    if rest < new_mins[at]:
+                        new_mins[at] = rest
+            sums, mins = new_sums, new_mins
+        big_g += g + 1
+    if not all(map(math.isfinite, sums)):
+        raise DomainError(UNDERFLOW.format(q=q))
+    return tuple(zip(range(len(sums)), sums, mins))
 
 
 def _series(p: QParam, firsts: Iterable[int], gaps: tuple[int, ...],
@@ -255,7 +259,7 @@ def _series(p: QParam, firsts: Iterable[int], gaps: tuple[int, ...],
     """(value, error bound) of the sorted fdd series d = (d_1, d_1+g_1, ...)
     with gap tuple gaps, k = len(gaps)+1, at each d_1 of firsts, in order.
 
-    Enumerates gap variables a_1..a_{k-1} over their finite ranges
+    Sums over the gap variables a_1..a_{k-1} in their finite ranges
     0 <= a_m <= g_m; the free tail variable a_k (bounded below so every row
     gap b_m stays nonnegative) is summed by _tail_series.  A term's exponent
     sum_j (a_j+1)(b_1+1 + ... + b_j+1) is, by integer prefix sums of the
@@ -265,24 +269,30 @@ def _series(p: QParam, firsts: Iterable[int], gaps: tuple[int, ...],
     R = d_k-d_1-head+k-1 depend on the composition only through head, while
     C and den_rest factor out of the sum over a_k and depend on the gaps
     alone.  So each head's total weight q^C / den_rest comes from
-    _gap_weights, kept in p.memo under ("weights", gaps) (gaps = () has one
-    empty composition, of weight 1.0: the weights of (0,)), and each head's
-    tail sum is kept under (d_1+head, A, R, tol), shared by every series
-    with the same (d_1, d_k, head).  With pref = (1-q)^k q^-(k(k+1)/2)
-    <inf>_q prod_m <g_m>_q, the value is pref * sum_h weight_h tail_h and
-    the bound |pref| sum_h weight_h err_h + |value| rel_inf.  The table,
-    pref, weights and rel_inf are taken once per call.
+    _gap_weights, kept in p.memo under ("weights", gaps) (one head of weight
+    1.0 at gaps = ()), and each head's tail sum is kept under (d_1+head, A,
+    R, tol), shared by every series with the same (d_1, d_k, head).  With
+    pref = (1-q)^k q^-(k(k+1)/2) <inf>_q prod_m <g_m>_q, the value is pref *
+    sum_h weight_h tail_h and the bound |pref| sum_h weight_h err_h + |value|
+    rel_inf.  The table, pref, weights and rel_inf are taken once per call.
 
-    Refused, in the order one call per d_1 raises them: q^-(k(k+1)/2)
-    overflowing, before any term; a head whose smallest den_rest times
-    <b1><a_k> at the tail's last term underflows to 0 (rounding is monotone,
-    so that is where some composition's full denominator does); a value
-    below the normal doubles.
+    Refused, in the order one call per d_1 raises them: unkept weights past
+    MAX_STEPS steps of _gap_weights' DP (TooLargeError), before any table
+    is read; q^-(k(k+1)/2) overflowing, before any term; a head whose
+    smallest den_rest times <b1><a_k> at the tail's last term underflows
+    to 0 (rounding is monotone, so that is where some composition's full
+    denominator does); a value below the normal doubles.
     """
     memo = p.memo
     q = p.q
     k = len(gaps) + 1
     width = sum(gaps)  # d_k - d_1
+    weights = memo.get(("weights", gaps))
+    if weights is None and (1 + width) * (width + k - 1) > MAX_STEPS:  # bounds the steps
+        steps = sum((1 + h) * (g + 1) for h, g in zip(accumulate(gaps, initial=0), gaps))
+        if steps > MAX_STEPS:
+            raise TooLargeError(f"the gaps {gaps} of a sorted fdd query take {steps} steps to "
+                                f"weigh, past MAX_STEPS={MAX_STEPS}; no value can be returned")
     # refused before any term: where <inf>_q is not a normal double, the
     # series would run until a denominator underflows
     vals = pochhammer_table(p, width + 8)
@@ -296,9 +306,8 @@ def _series(p: QParam, firsts: Iterable[int], gaps: tuple[int, ...],
     for g in gaps:
         pref *= vals[g]
     rel_inf = truncation_error(q, vals) / vals[-1]
-    weights = memo.get(("weights", gaps))
     if weights is None:
-        weights = memo["weights", gaps] = _gap_weights(p, gaps or (0,), vals)
+        weights = memo["weights", gaps] = _gap_weights(p, gaps, vals)
     span = width + k - 1
     out = []
     for d_1 in firsts:
@@ -327,10 +336,10 @@ def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, floa
     inversion of the value word costs one factor q.  So a permuted or
     repeated query costs its ranking and one dict lookup.  Colliding implied
     values make the event impossible: the exact (0, 0) is returned before
-    any table is read, not an error.  A sorted series over more than
-    MAX_COMPOSITIONS compositions of its gaps is refused with TooLargeError,
-    also before any table is read.  A possible event whose value underflows
-    to 0 or to a subnormal double raises DomainError.
+    any table is read, not an error.  A sorted query whose weights would
+    take more than MAX_STEPS steps of _gap_weights' DP is refused with
+    TooLargeError, also before any table is read.  A possible event whose
+    value underflows to 0 or to a subnormal double raises DomainError.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be > 0, got {tol}")
@@ -344,11 +353,6 @@ def fdd_probability(p: QParam, query: FddQuery, tol: float) -> tuple[float, floa
         d = tuple(map(sub, ranked, _RANKS))
     out = p.memo.get((d, tol))
     if out is None:
-        # a_m takes g_m + 1 = v_(m+1) - v_m values: this counts the compositions
-        if math.prod(map(sub, ranked[1:], ranked)) > MAX_COMPOSITIONS:
-            raise TooLargeError(
-                f"the sorted query d={d} sums over more than MAX_COMPOSITIONS="
-                f"{MAX_COMPOSITIONS} compositions of its gaps; no value can be returned")
         out = p.memo[d, tol] = _series(p, d[:1], tuple(map(sub, d[1:], d)), tol)[0]
     if unsorted:
         factor = p.q ** inversions(vals)

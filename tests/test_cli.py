@@ -440,13 +440,24 @@ def test_pmf_near_one_is_a_domain_error(capsys, law):
     assert err.startswith("error[DOMAIN]")
 
 
-def test_pmf_fdd_past_the_composition_budget_is_too_large(capsys):
-    # k=12 with gaps of 5: 6^11 compositions, refused before any table
-    d = ",".join(str(x) for x in range(0, 60, 5))
-    code, out, err = run_cli(capsys, ["pmf", "fdd", "--q", "0.5", "--d", d])
+def test_pmf_fdd_past_the_step_budget_is_too_large(capsys):
+    # gaps (4095, 4095): 4096 * 4097 steps of the weights' DP, past
+    # MAX_STEPS = 4096 * 4096, refused before any table
+    code, out, err = run_cli(capsys, ["pmf", "fdd", "--q", "0.5", "--d", "0,4095,8190"])
     assert code == 2
     assert out == ""
-    assert err.startswith("error[TOO_LARGE]") and "MAX_COMPOSITIONS" in err
+    assert err.startswith("error[TOO_LARGE]") and "MAX_STEPS=16777216" in err
+
+
+def test_pmf_fdd_answers_twenty_one_positions(capsys):
+    # 2^20 compositions of its gaps, 420 steps of the weights' DP
+    d = ",".join(map(str, range(21)))
+    code, out, err = run_cli(capsys, ["pmf", "fdd", "--q", "0.5", "--d", d])
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert rec["query"] == list(range(21))
+    assert rec["value"] >= sys.float_info.min
+    assert 0.0 <= rec["error_bound"] <= 1e-12 * rec["value"]
 
 
 def test_pmf_fdd_takes_no_tolerance(capsys):

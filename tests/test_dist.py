@@ -6,6 +6,7 @@ import itertools
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,7 @@ from mallows.dist import (
 )
 from mallows.errors import DomainError, TooLargeError
 from mallows.oracle import oracle_enumerate
-from mallows.qseries import MAX_COMPOSITIONS, QParam, pochhammer_table, q_factorial
+from mallows.qseries import QParam, pochhammer_table, q_factorial
 from mallows.samplers import (
     batch_interlacing_windows,
     q_shuffle_prefix,
@@ -442,11 +443,21 @@ def test_tail_series_and_gap_weights_leave_the_memo_untouched():
     assert p.memo == {}
 
 
-def test_fdd_refuses_past_the_composition_budget_before_any_table(monkeypatch):
-    # (0, 5, ..., 45) sums over 6^9 compositions of its gaps, and so does
-    # the query of its implied values 1, 7, ..., 55 in reverse order
-    d = tuple(range(0, 50, 5))
-    reverse = tuple(v - m for m, v in enumerate(range(55, 0, -6), 1))
+def _steps(d):
+    """The steps of _gap_weights' DP for the sorted query d, from its
+    gaps: gap j steps from each of the 1 + g_1+...+g_(j-1) heads by g_j + 1."""
+    gaps = [b - a for a, b in zip(d, d[1:])]
+    return sum((1 + sum(gaps[:j])) * (g + 1) for j, g in enumerate(gaps))
+
+
+def test_fdd_refuses_past_the_step_budget_before_any_table(monkeypatch):
+    # (0, 4095, 8190) takes 4096 * 4097 steps, one row of 4096 past
+    # MAX_STEPS = 4096 * 4096, and so does the query of its implied values
+    # 1, 4097, 8193 in reverse order
+    d = (0, 4095, 8190)
+    assert dist.MAX_STEPS == 4096 * 4096 == _steps((0, 4095, 8189))
+    assert _steps(d) == 4096 * 4097
+    reverse = tuple(v - m for m, v in enumerate((8193, 4097, 1), 1))
     p = QParam(0.5)
 
     def no_table(*args):
@@ -454,61 +465,135 @@ def test_fdd_refuses_past_the_composition_budget_before_any_table(monkeypatch):
 
     monkeypatch.setattr(dist, "pochhammer_table", no_table)
     for e in (d, reverse):
-        with pytest.raises(TooLargeError, match="MAX_COMPOSITIONS=1048576"):
-            fdd_probability(p, FddQuery(10, e), 1e-12)
+        with pytest.raises(TooLargeError, match=f"take {4096 * 4097} steps .* MAX_STEPS=16777216"):
+            fdd_probability(p, FddQuery(3, e), 1e-12)
     assert p.memo == {}
     # an impossible event is still the exact (0, 0): v_1 = v_2 = 2
-    assert fdd_probability(p, FddQuery(10, (1, 0) + d[2:]), 1e-12) == (0.0, 0.0)
+    assert fdd_probability(p, FddQuery(3, (1, 0, 8190)), 1e-12) == (0.0, 0.0)
 
 
-def test_fdd_answers_a_query_at_the_composition_budget():
-    # 1024 * 1024 = MAX_COMPOSITIONS compositions are summed; 1025 * 1024 are not
-    assert MAX_COMPOSITIONS == 1024 * 1024
-    p = QParam(0.9)
-    value, err = fdd_probability(p, FddQuery(3, (0, 1023, 2046)), 1e-12)
+def test_fdd_answers_a_query_at_the_step_budget(monkeypatch):
+    # (0, 1023, 2046), at the old cap of 1024 * 1024 compositions, takes
+    # 1024 * 1025 steps; with the budget lowered to exactly that it is
+    # answered, and one step less refuses it
+    d = (0, 1023, 2046)
+    assert _steps(d) == 1024 * 1025
+    value, err = fdd_probability(QParam(0.9), FddQuery(3, d), 1e-12)
     assert value >= sys.float_info.min and err >= 0.0
-    with pytest.raises(TooLargeError):
-        fdd_probability(p, FddQuery(3, (0, 1024, 2047)), 1e-12)
+    monkeypatch.setattr(dist, "MAX_STEPS", 1024 * 1025)
+    assert fdd_probability(QParam(0.9), FddQuery(3, d), 1e-12) == (value, err)
+    monkeypatch.setattr(dist, "MAX_STEPS", 1024 * 1025 - 1)
+    with pytest.raises(TooLargeError, match="MAX_STEPS=1049599"):
+        fdd_probability(QParam(0.9), FddQuery(3, d), 1e-12)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9])
+@pytest.mark.parametrize("d", [tuple(range(21)), tuple(range(0, 45, 5))])
+def test_fdd_answers_long_queries_the_composition_count_refused(q, d):
+    # every gap 1 (2^20 compositions) and every gap 5 (6^8): 420 and 888
+    # steps of the DP
+    assert _steps(d) == (420 if len(d) == 21 else 888)
+    value, err = fdd_probability(QParam(q), FddQuery(len(d), d), 1e-12)
+    assert value >= sys.float_info.min
+    assert 0.0 <= err <= 1e-12 * value
 
 
 def _reference_gap_weights(q, gaps, vals):
-    """_gap_weights as its docstring states it: every composition in
-    itertools.product order, C = sum_j (a_j+1) R_j with R_j = sum_{i<j}
-    (g_i - a_i + 1), den_rest the <g_j - a_j> in gap order and then the
-    <a_j>, each head's weights added in that order, its smallest den_rest."""
-    heads = {}
-    for comp in itertools.product(*(range(g + 1) for g in gaps)):
-        big_c = big_r = 0
-        den = 1.0
-        for g, a in zip(gaps, comp):
-            big_c += (a + 1) * big_r
-            big_r += g - a + 1
-            den *= vals[g - a]
-        for a in comp:
-            den *= vals[a]
-        weight = q**big_c / den
-        head = sum(comp)
-        if head in heads:
-            total, den_min = heads[head]
-            heads[head] = total + weight, den if den < den_min else den_min
-        else:
-            heads[head] = weight, den
-    return [(h, w, den) for h, (w, den) in heads.items()]
+    """_gap_weights as its docstring states it: a forward DP over the
+    running head H_j = a_1+...+a_(j-1), gap by gap; for each H_j in
+    increasing order and then each a_j, head H_j + a_j adds H_j's weight
+    times q^((a_j+1)(G_j - H_j)) / (<g_j - a_j><a_j>), G_j = sum_{i<j}
+    (g_i+1), and keeps the smaller of its den_min and H_j's den_min times
+    <g_j - a_j><a_j>; the empty tuple is the one head (0, 1.0, 1.0)."""
+    heads = {0: (1.0, 1.0)}
+    big_g = 0
+    for g in gaps:
+        step = {}
+        for big_h in sorted(heads):
+            weight, den_min = heads[big_h]
+            for a in range(g + 1):
+                den = vals[g - a] * vals[a]
+                add = weight * (q ** ((a + 1) * (big_g - big_h)) / den)
+                total, least = step.get(big_h + a, (0.0, math.inf))
+                step[big_h + a] = total + add, min(least, den_min * den)
+        heads = step
+        big_g += g + 1
+    return [(h, *heads[h]) for h in sorted(heads)]
 
 
 @pytest.mark.parametrize("q", [0.02, 0.5, 0.95, 0.996])
 def test_gap_weights_match_the_reference_bit_for_bit(q):
-    # the golden laws digests pin the k <= 3 boxes only; three gaps are k = 4
+    # the laws digests pin the k <= 3 boxes and six k=4 and k=5 queries
+    # (FDD_K45); this holds every tuple of up to three gaps (k <= 4) with
+    # entries 0..6
     p = QParam(q)
     vals = pochhammer_table(p, 6)
 
     def bits(rows):
         return [(h, w.hex(), den.hex()) for h, w, den in rows]
 
+    assert dist._gap_weights(p, (), vals) == ((0, 1.0, 1.0),)
     for n in (1, 2, 3):
         for gaps in itertools.product(range(7), repeat=n):
             assert (bits(dist._gap_weights(p, gaps, vals))
                     == bits(_reference_gap_weights(q, gaps, vals))), gaps
+
+
+def test_gap_weights_refuse_a_zero_step_denominator_and_an_overflowing_weight():
+    # at q=0.996, <505><504> underflows to 0.0 and <405>^2 to a subnormal,
+    # whose reciprocal step overflows
+    p = QParam(0.996)
+    vals = pochhammer_table(p, 1009)
+    assert vals[505] * vals[504] == 0.0 < vals[405] ** 2 and 1.0 / vals[405] ** 2 == math.inf
+    for gaps in [(1009,), (810,), (810, 0)]:
+        with pytest.raises(DomainError, match="a denominator underflows to 0"):
+            dist._gap_weights(p, gaps, vals)
+    with pytest.raises(DomainError, match="a denominator underflows to 0"):
+        fdd_probability(p, FddQuery(2, (-505, 504)), 1e-12)
+    assert p.memo == {}
+
+
+_MP_GAPS = ([(g,) for g in range(7)] + list(itertools.product(range(7), repeat=2))
+            + list(itertools.product((0, 1, 3, 6), repeat=3))
+            + list(itertools.product((0, 1, 4), repeat=4)) + [(6, 6, 6, 6), (2, 0, 5, 3)])
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99])
+def test_gap_weights_are_the_composition_sums_to_their_rounding(q):
+    # each head's weight and smallest den_rest against a 200-bit sum over
+    # every composition, with q and the table entries as exact inputs.
+    # Every term is positive, so the relative error of a head is at most
+    # (1+u)^N - 1, u = 2^-53, N the rounded operations on any path: per
+    # step a pow (1 ulp, 2u), the product <g-a><a>, the quotient, the
+    # product with the running weight and at most g additions into the
+    # head; den_rest takes two products a step.  At these q and gaps every
+    # q^C is a normal double, so no term loses its relative accuracy.
+    p = QParam(q)
+    vals = pochhammer_table(p, 6)
+    u = 2.0**-53
+    with mpmath.workprec(200):
+        x = mpmath.mpf(q)
+        exact = [mpmath.mpf(v) for v in vals[:7]]
+        for gaps in _MP_GAPS:
+            sums = {}
+            mins = {}
+            for comp in itertools.product(*(range(g + 1) for g in gaps)):
+                big_c = big_r = 0
+                den = mpmath.mpf(1)
+                for g, a in zip(gaps, comp):
+                    big_c += (a + 1) * big_r
+                    big_r += g - a + 1
+                    den *= exact[g - a] * exact[a]
+                head = sum(comp)
+                sums[head] = sums.get(head, 0) + x**big_c / den
+                mins[head] = min(mins.get(head, den), den)
+            rel_w = math.expm1(sum(5 + g for g in gaps) * math.log1p(u))
+            rel_d = math.expm1(2 * len(gaps) * math.log1p(u))
+            got = dist._gap_weights(p, tuple(gaps), vals)
+            assert [h for h, _, _ in got] == sorted(sums), gaps
+            for head, weight, den_min in got:
+                assert abs(weight - sums[head]) <= rel_w * sums[head], (gaps, head)
+                assert abs(den_min - mins[head]) <= rel_d * mins[head], (gaps, head)
 
 
 @pytest.mark.parametrize("d", [(-22, 0, 22), (-16, 0, 28)])
