@@ -12,11 +12,15 @@ from the minimum) where the block spans at most as many values as it
 holds, else by np.unique; a window of the scalar path (wider than
 _KERNEL_WORD_MAX) by one `repr` of its row.  The argument parser is built
 once per process, on the first `main` call, and serves every later call.
+An argv that starts with a subcommand's name is parsed by that parser
+alone; tokens it leaves get the top-level parser's `error`, in the bytes a
+top-level parse prints.  Any other argv takes the top-level parse.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
@@ -70,8 +74,8 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first `main` call.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of the process, and its subcommands' by name.
 
     parse_args keeps no state between calls, and help reads the terminal
     width (COLUMNS) when it is printed, so one parser serves every call.
@@ -112,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--sizes", type=str, default="",
                     help="one integer, the draws per case (default: the suite's; "
                          "exchangeability takes none); too few to test exits 2")
-    return parser
+    return parser, {"sample": sp, "pmf": pp, "verify": vp}
 
 
 # --------------------------------------------------------------------------
@@ -225,12 +229,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                     for _ in range(rows))
         return (_line(list(q_shuffle_prefix(args.n, p, s)), *fmt) for _ in range(rows))
 
-    out = sys.stdout
-    for b0 in range(0, args.count, _BLOCK_ROWS):
-        for i, text in enumerate(lines(min(_BLOCK_ROWS, args.count - b0))):
-            if b0 + i == 0:  # a refused draw raises before anything reaches stdout
-                out.write(header + "\n")
-            out.write(text)
+    texts = itertools.chain.from_iterable(
+        lines(min(_BLOCK_ROWS, args.count - b0)) for b0 in range(0, args.count, _BLOCK_ROWS))
+    first = next(texts)  # a refused draw raises before anything reaches stdout
+    write = sys.stdout.write
+    for text in itertools.chain((header + "\n", first), texts):
+        write(text)
     return 0
 
 
@@ -326,12 +330,18 @@ def _join_signed_flags(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code instead of raising."""
-    parser = _build_parser()
+    parser, commands = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_signed_flags(list(argv))
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:  # only the subcommand's parser reads what follows its name
+            args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.command == "sample":
             return _cmd_sample(args)
         if args.command == "pmf":

@@ -57,6 +57,8 @@ state.  A row finds a part exactly when its target lies below the table
 end, so a round searches only those rows.  A round draws its
 multiplicities and the next round's search uniforms in one s.uniforms
 call, since uniforms(a) then uniforms(b) draws what uniforms(a + b) does.
+The kernels call ndarray methods (``.searchsorted``, ``.take``, ...) and
+ufuncs directly: the ``np.*`` functions add a Python dispatch layer.
 """
 from __future__ import annotations
 
@@ -329,7 +331,7 @@ def batch_interlacing_windows(
     * the quotients are floored into the narrowest integer type that
       holds the letters (perm._narrow_skips, the cast that floors
       s.geometrics' draws), and a letters x words matrix of skips is
-      gathered from them by np.take(mode="clip"): letter k of a word is
+      gathered from them by ndarray.take(mode="clip"): letter k of a word is
       the draw k places after the word's first, at offset cumsum(need) -
       need.  Past its need a word reads the next words' draws, or the last
       draw again where the clip holds an index past the end.  No slot reads
@@ -364,10 +366,9 @@ def batch_interlacing_windows(
         # no slot reads
         quot = s.uniforms(int(need.sum()))
         np.divide(np.log(quot, out=quot), math.log(s.q), out=quot)
-        at = np.arange(width, dtype=dtype)[:, None] + (np.cumsum(need) - need).astype(dtype)
-        signed = _signed_letters(
-            _chain_states(np.take(_narrow_skips(quot, width), at, mode="clip")), nb
-        )
+        at = np.arange(width, dtype=dtype)[:, None] + (need.cumsum() - need).astype(dtype)
+        skips = _narrow_skips(quot, width).take(at, mode="clip")
+        signed = _signed_letters(_chain_states(skips), nb)
         # each slot reads only the sign it takes, at flat index k * 2nb + w
         # for letter k (0-based) of word w: k = i - 1 + C(i) at a + slot and
         # k = C(i-1) - 1 = C(i) at a - slot
@@ -378,7 +379,7 @@ def batch_interlacing_windows(
         at *= 2 * nb
         at += np.arange(nb, 2 * nb, dtype=dtype)
         at += (prev * (2 * nb) - nb).astype(dtype) * plus
-        out[b0 : b0 + nb] = np.take(signed, at).T
+        out[b0 : b0 + nb] = signed.take(at).T
     return out
 
 
@@ -416,7 +417,7 @@ def _parts_above(
     while True:
         key = neg[base] - log_u
         found = (key < neg[-1]).nonzero()[0]
-        active, base = active[found], np.searchsorted(neg, key[found], side="right")
+        active, base = active[found], neg.searchsorted(key[found], "right")
         m = active.size
         log_u = np.log(s.uniforms(2 * m))
         rounds.append((active, base, log_u[:m]))
@@ -440,7 +441,7 @@ def _diagram_triples(
     # row keeps each row's parts decreasing
     row, part, mult = (a.astype(np.int32) for a in (row, part, mult))
     assert rows <= 2**15
-    order = np.argsort(row.astype(np.int16), kind="stable")  # a radix sort
+    order = row.astype(np.int16).argsort(kind="stable")  # a radix sort
     return row[order], part[order], mult[order]
 
 
@@ -466,10 +467,11 @@ def _sign_counts(
     # of parts): entry j of a row whose first entry is f has rank
     # k = j + 1 - f and col = k - lambda_k - (lo-1); column 0 also takes the
     # + positions below lo-1, and column ncols, dropped, those past hi
-    first = (np.cumsum(nparts) - nparts + (lo - 1)).astype(np.int32)
-    col = np.arange(1, int(nparts.sum()) + 1, dtype=np.int32) - np.repeat(first, nparts)
-    col = np.clip(col - np.repeat(part, mult), 0, ncols)
-    plus = np.bincount(col * nrows + np.repeat(row, mult), minlength=(ncols + 1) * nrows)
+    first = (nparts.cumsum() - nparts + (lo - 1)).astype(np.int32)
+    col = np.arange(1, int(nparts.sum()) + 1, dtype=np.int32) - first.repeat(nparts)
+    col -= part.repeat(mult)
+    np.minimum(np.maximum(col, 0, out=col), ncols, out=col)
+    plus = np.bincount(col * nrows + row.repeat(mult), minlength=(ncols + 1) * nrows)
     below = plus.reshape(ncols + 1, nrows)[:ncols]
     for k in range(1, ncols):  # the running sums, row by row in place
         below[k] += below[k - 1]
@@ -496,9 +498,10 @@ def batch_inversion_windows(
     gap grows by 1 (a right count <= y steps every chain).  So a part search
     from low (_parts_above) on the table of -log <j>_q, j <= x* =
     qseries._horizon(q, eps_tv), gives the hits, and one overshoot per hit
-    the rest.  A part above x* has probability at most q^(x*+1)/(1-q) <=
-    eps_tv, so each row is within eps_tv of exact in total variation.  The
-    values are sigma(j) = j + r_j - ell_j.
+    the rest: a chain's tail is its row's hits less its gap's growth.  A
+    part above x* has probability at most q^(x*+1)/(1-q) <= eps_tv, so each
+    row is within eps_tv of exact in total variation.  The values are
+    sigma(j) = j + r_j - ell_j.
 
     Draws: every row's right counts, row by row, in one s.geometrics call;
     then search rounds (_tail_hits), each one uniform per row still
@@ -537,19 +540,16 @@ def batch_inversion_windows(
         s.skip(int(ell.sum()))
         return lo + r - ell, ell
     x = _leftward_chains(r)
-    ell = np.arange(width) - (x - r)
     low = x.min(axis=1)
     hits = _tail_hits(low, q, xstar, s)
-    order = np.argsort(-hits, kind="stable")  # by decreasing hits, then by row
+    order = (-hits).argsort(kind="stable")  # by decreasing hits, then by row
     gap = (x - low[:, None])[order]
-    tail = np.zeros_like(gap)
     over, done = s.geometrics(int(hits.sum())), 0
-    for n in (count - np.cumsum(np.bincount(hits))[:-1]).tolist():  # rows with hits left
-        hit = gap[:n] <= over[done : done + n, None]
-        tail[:n] += hit
-        gap[:n] += ~hit
+    for n in (count - np.bincount(hits).cumsum()[:-1]).tolist():  # rows with hits left
+        gap[:n] += gap[:n] > over[done : done + n, None]  # missed: the gap grows
         done += n
-    ell[order] += tail
+    ell = np.arange(width) + r + (hits - low)[:, None]  # (j - lo) - (x - r) + tail,
+    ell[order] -= gap  # where tail = hits - (gap - (x - low))
     values = np.arange(lo, hi + 1) + r - ell
     if np.any(np.diff(np.sort(values, axis=1), axis=1) == 0):
         raise NotInjectiveError("window rebuild collided")
@@ -563,7 +563,7 @@ def _tail_hits(low: np.ndarray, q: float, xstar: int, s: GeomStream) -> np.ndarr
     low below xstar in row order.  np.add.at sums each row's multiplicities
     in int64, so exactly at any size."""
     hits = np.zeros(low.size, dtype=np.int64)
-    active = np.flatnonzero(low < xstar)
+    active = (low < xstar).nonzero()[0]
     row, _, mult = _parts_above(s, active, low[active], *log_table(q, xstar))
     np.add.at(hits, row, mult)
     return hits

@@ -15,7 +15,10 @@ both exact and O(1) per draw.
 
 ``skip(n)`` leaves the stream where ``uniforms(n)`` would without making the
 draws: a counter-based generator jumps past whole counter steps.  The
-inversion kernel skips the overshoots it never reads at width 1.
+inversion kernel skips the overshoots it never reads at width 1.  The
+Philox is built from a stand-in seed sequence and then given the state
+``Philox(key=...)`` leaves, which would first fill a ``SeedSequence()``
+from OS entropy that a keyed Philox never reads: half a stream's cost.
 """
 from __future__ import annotations
 
@@ -31,6 +34,14 @@ from .errors import DomainError
 def _philox_key(seed: int, label: str) -> np.ndarray:
     digest = hashlib.sha256(f"mallows:{seed}:{label}".encode()).digest()
     return np.frombuffer(digest[:16], dtype=np.uint64).copy()
+
+
+class _KeyedSeed(np.random.bit_generator.ISeedSequence):  # a zero key, then replaced
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.zeros(n_words, dtype=dtype)
+
+
+_KEYED, _ZEROS = _KeyedSeed(), np.zeros(4, dtype=np.uint64)
 
 
 def _geometrics_of_logs(log_u: np.ndarray, log_r: float | np.ndarray) -> np.ndarray:
@@ -70,7 +81,11 @@ class GeomStream:
         self.q = float(q)
         self.counter = 0
         self._label = _label
-        self._gen = np.random.Generator(np.random.Philox(key=_philox_key(self.seed, _label)))
+        bits = np.random.Philox(_KEYED)  # then the state Philox(key=...) leaves
+        bits.state = {"bit_generator": "Philox", "buffer": _ZEROS, "buffer_pos": 4,
+                      "state": {"counter": _ZEROS, "key": _philox_key(self.seed, _label)},
+                      "has_uint32": 0, "uinteger": 0}
+        self._gen = np.random.Generator(bits)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -660,3 +660,32 @@ def test_one_parser_serves_every_call(capsys):
                            capture_output=True, text=True)
     assert code == fresh.returncode == 0
     assert out == fresh.stdout
+
+
+def _refuse_parse(*args, **kwargs):
+    raise AssertionError("the top-level parser parsed a subcommand's argv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.5", "--count", "3"],
+    ["sample", "--mode", "two-sided", "--window", "-2:2", "--q", "0.5", "--bogus"],
+    ["pmf", "displacement", "--q", "0.5", "--format", "json"],
+    ["bogus"],
+    [],
+    ["--version"],
+    ["sample", "--help"],
+])
+def test_a_subcommand_argv_is_parsed_by_its_own_parser_alone(argv, capsys, monkeypatch):
+    # an argv that starts with a subcommand's name never reaches the
+    # top-level parse, and exits, writes and reports as that parse does;
+    # leftover tokens are refused by the top-level parser's error
+    parser, commands = _build_parser()
+    monkeypatch.setattr("mallows.cli._build_parser", lambda: (parser, {}))
+    want = run_cli(capsys, list(argv))  # every argv through the top-level parse
+    monkeypatch.undo()
+    if argv and argv[0] in commands:
+        monkeypatch.setattr(parser, "parse_known_args", _refuse_parse)
+    got = run_cli(capsys, list(argv))
+    assert got == want
+    if "--bogus" in argv or "--format" in argv:
+        assert got[0] == 2 and "error: unrecognized arguments: " in got[2]

@@ -36,7 +36,7 @@ from mallows.samplers import (
     sample_two_sided_inversion,
     sample_young_euler,
 )
-from mallows.streams import GeomStream, _geometrics_of_logs
+from mallows.streams import GeomStream, _geometrics_of_logs, _philox_key
 from mallows.verify import chi_square_case
 
 P5 = QParam(0.5)
@@ -653,6 +653,28 @@ def test_spawn_labels_separate_streams():
     s = GeomStream(seed=5, q=0.5)
     xs = [s.spawn("a").uniform(), s.spawn("b").uniform(), s.spawn("c").uniform()]
     assert len(set(xs)) == 3
+
+
+def _philox_state(bits) -> dict:
+    state = bits.state
+    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+            "buffer": state["buffer"].tolist()}
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 + 3, -7])
+@pytest.mark.parametrize("label", ["worker", 3])
+def test_stream_philox_is_the_keyed_philox_state_for_state(seed, label):
+    # a stream's Philox is built without a SeedSequence and then keyed: its
+    # state is what Philox(key=...) leaves, before and after draws and skips
+    root = GeomStream(seed=seed, q=0.5)
+    for s, name in ((root, "root"), (root.spawn(label), f"root/{label}"),
+                    (root.spawn("b").spawn(label), f"root/b/{label}")):
+        keyed = GeomStream(seed=seed, q=0.5)
+        keyed._gen = np.random.Generator(np.random.Philox(key=_philox_key(seed, name)))
+        for step in (lambda t: None, lambda t: t.uniforms(5), lambda t: t.skip(7)):
+            step(s)
+            step(keyed)
+            assert _philox_state(s._gen.bit_generator) == _philox_state(keyed._gen.bit_generator)
 
 
 # --------------------------------------------------------------------------
